@@ -25,7 +25,15 @@ import numpy as np
 from . import error_bounds as eb
 from . import nn
 from .dynamics import ClosedLoopSystem, LearnedPlant, load_policy, save_policy
-from .geometry import AxisBox, AxisCylinder, Ball, ShapeSet, interpolate_many
+from .geometry import (
+    AxisBox,
+    AxisCylinder,
+    Ball,
+    ScalarField,
+    ShapeSet,
+    build_grid,
+    interpolate_many,
+)
 from .oracle import mc_ground_truth
 from .scene import (
     Scene,
@@ -121,6 +129,15 @@ def _resolve_system(config: dict, scene: Scene, seed: int):
     return ClosedLoopSystem(plant, policy, bounds), prov
 
 
+def _write_ground_truth(mc, n: int, path) -> None:
+    """One row per Monte-Carlo start: its ``n`` coordinates and a 0/1 safe flag."""
+    cols = [map(repr, mc.samples[:, i].tolist()) for i in range(n)]
+    cols.append(map(str, np.asarray(mc.safe, dtype=int).tolist()))
+    with open(path, "w") as fh:
+        fh.write(",".join([f"s{i}" for i in range(n)] + ["safe"]) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -173,7 +190,6 @@ def cmd_train(args) -> int:
     manifest = {
         "command": "train",
         "seed": seed,
-        "threads": args.threads,
         "config": config,
         "files": {k: os.path.basename(p) for k, p in paths.items()},
         "hashes": {k: file_sha256(p) for k, p in paths.items()},
@@ -294,11 +310,7 @@ def cmd_safe_set(args) -> int:
             "mc_safe_fraction": mc.safe_fraction,
             "agreement": agreement,
         }
-        with open(os.path.join(out, "ground_truth.csv"), "w") as fh:
-            n = scene.grid.dims
-            fh.write(",".join([f"s{i}" for i in range(n)] + ["safe"]) + "\n")
-            for s, flag in zip(mc.samples, mc.safe):
-                fh.write(",".join([repr(float(v)) for v in s] + [str(int(flag))]) + "\n")
+        _write_ground_truth(mc, scene.grid.dims, os.path.join(out, "ground_truth.csv"))
 
     _write_json(doc, os.path.join(out, "report.json"))
     print(f"safe-set: verdict={report.verdict} safe_fraction={report.safe_fraction:.3f}")
@@ -323,11 +335,7 @@ def cmd_oracle(args) -> int:
     )
     out = args.out
     os.makedirs(out, exist_ok=True)
-    n = scene.grid.dims
-    with open(os.path.join(out, "ground_truth.csv"), "w") as fh:
-        fh.write(",".join([f"s{i}" for i in range(n)] + ["safe"]) + "\n")
-        for s, flag in zip(mc.samples, mc.safe):
-            fh.write(",".join([repr(float(v)) for v in s] + [str(int(flag))]) + "\n")
+    _write_ground_truth(mc, scene.grid.dims, os.path.join(out, "ground_truth.csv"))
     _write_json(
         {
             "command": "oracle",
@@ -411,7 +419,7 @@ def _export_geometry(scene: Scene, path, z: float | None) -> None:
             poly = _polyline(prim, z)
             if poly is None:
                 continue
-            for k, (x, y) in enumerate(poly):
+            for k, (x, y) in enumerate(poly.tolist()):
                 rows.append(f"{label}_{i},{k},{x!r},{y!r}")
     with open(path, "w") as fh:
         fh.write("shape,vertex,x0,x1\n")
@@ -437,31 +445,29 @@ def cmd_export_plots(args) -> int:
         manifest_path = os.path.join(run_dir, entry, "manifest.json")
         if not os.path.isfile(manifest_path):
             continue
-        grid, snapshots, _ = load_tube_manifest(manifest_path)
-        for k, (t, fld) in enumerate(snapshots):
-            if grid.dims == 2:
-                field_to_csv(fld, os.path.join(slices_dir, f"{entry}_{k:04d}.csv"))
+        manifest = _load_json(manifest_path)
+        dims = len(manifest["grid"]["counts"])
+        if dims == 2:
+            # Snapshot files already have the slice format: copy the bytes.
+            for k, snap in enumerate(manifest["snapshots"]):
+                shutil.copyfile(os.path.join(run_dir, entry, snap["file"]),
+                                os.path.join(slices_dir, f"{entry}_{k:04d}.csv"))
                 wrote += 1
-            elif grid.dims == 3:
-                if not z_values:
-                    raise ValueError("3-D run: pass --z with comma-separated slice heights")
-                zs = grid.axis_coords(2)
+        elif dims == 3:
+            if not z_values:
+                raise ValueError("3-D run: pass --z with comma-separated slice heights")
+            grid, snapshots, _ = load_tube_manifest(manifest_path)
+            plane_grid = build_grid(grid.lo[:2], grid.hi[:2], grid.counts[:2])
+            zs = grid.axis_coords(2)
+            for k, (t, fld) in enumerate(snapshots):
                 for z in z_values:
                     j = int(np.argmin(np.abs(zs - z)))
-                    plane = fld.values[:, :, j]
                     name = f"{entry}_{k:04d}_{_slice_tag(z)}.csv"
-                    with open(os.path.join(slices_dir, name), "w") as fh:
-                        fh.write("i0,i1,x0,x1,value\n")
-                        xs = grid.axis_coords(0)
-                        ys = grid.axis_coords(1)
-                        for i0 in range(grid.counts[0]):
-                            for i1 in range(grid.counts[1]):
-                                fh.write(
-                                    f"{i0},{i1},{xs[i0]!r},{ys[i1]!r},{plane[i0, i1]!r}\n"
-                                )
+                    field_to_csv(ScalarField(plane_grid, fld.values[:, :, j], t),
+                                 os.path.join(slices_dir, name))
                     wrote += 1
-            else:
-                raise ValueError(f"cannot slice a {grid.dims}-D run")
+        else:
+            raise ValueError(f"cannot slice a {dims}-D run")
 
     if scene is not None:
         if scene.grid.dims == 2:
@@ -497,8 +503,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="root random seed")
         if needs_out:
             p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (recorded; computation is vectorized)")
 
     p = sub.add_parser("train", help="fit model, distill policy, estimate bounds")
     common(p)

@@ -215,19 +215,37 @@ def load_scene(path) -> Scene:
 # CSV field export
 # ---------------------------------------------------------------------------
 
-def field_to_csv(field: ScalarField, path) -> None:
-    """One row per node: index coordinates, physical coordinates, value."""
-    grid = field.grid
+# Rows formatted and written per chunk: enough that the per-chunk numpy
+# calls cost nothing, few enough that a chunk's strings stay under a MB.
+_CHUNK_ROWS = 2048
+
+
+def _write_node_rows(path, grid: Grid, last_name: str, last, fmt) -> None:
+    """One row per node in C order: index coordinates, physical
+    coordinates, then ``fmt`` of the node's entry of the flat ``last``.
+
+    Each axis's index and coordinate text is formatted once per call and
+    looked up per node, so every row is the ``str`` / ``repr`` text the
+    per-row form ``",".join(...)`` would give, byte for byte.
+    """
     n = grid.dims
-    header = [f"i{k}" for k in range(n)] + [f"x{k}" for k in range(n)] + ["value"]
-    indices = np.indices(grid.counts).reshape(n, -1).T
-    coords = grid.flat_points()
-    values = field.values.ravel()
+    header = [f"i{k}" for k in range(n)] + [f"x{k}" for k in range(n)] + [last_name]
+    index_text = [list(map(str, range(c))) for c in grid.counts]
+    coord_text = [list(map(repr, grid.axis_coords(k).tolist())) for k in range(n)]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for idx, xyz, v in zip(indices, coords, values):
-            cells = [str(int(i)) for i in idx] + [repr(float(x)) for x in xyz] + [repr(float(v))]
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, grid.num_nodes, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, grid.num_nodes)
+            idx = [i.tolist() for i in np.unravel_index(np.arange(start, stop), grid.counts)]
+            cols = [map(index_text[k].__getitem__, idx[k]) for k in range(n)]
+            cols += [map(coord_text[k].__getitem__, idx[k]) for k in range(n)]
+            cols.append(map(fmt, last[start:stop].tolist()))
+            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+
+
+def field_to_csv(field: ScalarField, path) -> None:
+    """One row per node: index coordinates, physical coordinates, value."""
+    _write_node_rows(path, field.grid, "value", field.values.ravel(), repr)
 
 
 def field_from_csv(path, grid: Grid, time_tag: float = 0.0) -> ScalarField:
@@ -243,16 +261,7 @@ def field_from_csv(path, grid: Grid, time_tag: float = 0.0) -> ScalarField:
 
 def mask_to_csv(grid: Grid, mask: np.ndarray, path) -> None:
     """One row per node: index coordinates, physical coordinates, 0/1 flag."""
-    n = grid.dims
-    header = [f"i{k}" for k in range(n)] + [f"x{k}" for k in range(n)] + ["inside"]
-    indices = np.indices(grid.counts).reshape(n, -1).T
-    coords = grid.flat_points()
-    flags = mask.ravel().astype(int)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for idx, xyz, f in zip(indices, coords, flags):
-            cells = [str(int(i)) for i in idx] + [repr(float(x)) for x in xyz] + [str(int(f))]
-            fh.write(",".join(cells) + "\n")
+    _write_node_rows(path, grid, "inside", mask.ravel().astype(int), str)
 
 
 # ---------------------------------------------------------------------------

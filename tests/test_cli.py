@@ -1,9 +1,11 @@
+import csv
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 
-from reachverify.cli import main
+from reachverify.cli import _write_ground_truth, main
 from reachverify.dynamics import ActionBounds, MlpPolicy, save_policy
 from reachverify.error_bounds import DisturbanceBounds, save_bounds
 from reachverify.geometry import Ball, ShapeSet, build_grid
@@ -71,6 +73,18 @@ def verify_config(tmp_path, scene_path, horizon=0.4):
     cfg_path = tmp_path / "verify.json"
     cfg_path.write_text(json.dumps(config))
     return cfg_path
+
+
+def assert_slice_cells_are_floats(slices_dir):
+    """Every data cell of every slices file parses with ``float``; the one
+    text column is the shape label of the geometry files."""
+    for name in sorted(os.listdir(slices_dir)):
+        with open(os.path.join(slices_dir, name)) as fh:
+            rows = list(csv.reader(fh))
+        skip = 1 if rows[0][0] == "shape" else 0
+        for row in rows[1:]:
+            for cell in row[skip:]:
+                float(cell)
 
 
 def test_verify_safe_scene_exits_zero(tmp_path, capsys):
@@ -233,6 +247,11 @@ def test_export_plots_2d_and_idempotent(tmp_path):
     csvs = [s for s in slices if s.startswith("frt_")]
     assert len(csvs) == n_snapshots
     assert "geometry.csv" in slices
+    # 2-D slices are byte copies of the tube's snapshot files
+    for k, snap in enumerate(json.loads((out / "frt" / "manifest.json").read_text())["snapshots"]):
+        assert (out / "slices" / f"frt_{k:04d}.csv").read_bytes() == (
+            out / "frt" / snap["file"]).read_bytes()
+    assert_slice_cells_are_floats(out / "slices")
     before = {s: (out / "slices" / s).read_bytes() for s in slices}
     assert main(["export-plots", "--run", str(out)]) == 0
     after = {s: (out / "slices" / s).read_bytes() for s in sorted(os.listdir(out / "slices"))}
@@ -269,6 +288,24 @@ def test_export_plots_3d_slices(tmp_path):
     slices = os.listdir(out / "slices")
     assert any("z0p0" in s for s in slices)
     assert any("geometry_" in s for s in slices)
+    assert_slice_cells_are_floats(out / "slices")
+    with open(out / "slices" / "frt_0000_z0p0.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["i0", "i1", "x0", "x1", "value"]
+    assert len(rows) == 1 + 9 * 9
+    assert rows[1 + 9 * 2 + 3][:4] == ["2", "3", "-0.5", "-0.25"]
+
+
+def test_ground_truth_writer_matches_per_row_reference(tmp_path):
+    rng = np.random.default_rng(3)
+    mc = SimpleNamespace(samples=rng.normal(size=(37, 3)), safe=rng.random(37) < 0.5)
+    mc.samples[:4, 0] = [-0.0, 5e-324, 1e17, 2.0]
+    _write_ground_truth(mc, 3, tmp_path / "new.csv")
+    with open(tmp_path / "ref.csv", "w") as fh:
+        fh.write("s0,s1,s2,safe\n")
+        for s, flag in zip(mc.samples, mc.safe):
+            fh.write(",".join([repr(float(v)) for v in s] + [str(int(flag))]) + "\n")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_no_subcommand_exits_config_error(capsys):

@@ -5,6 +5,7 @@ from conftest import const_system
 from reachverify.geometry import AxisBox, AxisCylinder, Ball, ScalarField, ShapeSet, build_grid
 from reachverify.nn import TransitionDataset, load_dataset, save_dataset
 from reachverify.scene import (
+    _CHUNK_ROWS,
     air_scene,
     export_tube,
     field_from_csv,
@@ -80,6 +81,70 @@ def test_mask_csv(tmp_path):
     assert len(lines) == 17
     flags = [int(l.split(",")[-1]) for l in lines[1:]]
     assert sum(flags) == 1
+
+
+def _reference_field_to_csv(field, path):
+    # The per-row writer the chunked one replaced, kept as its reference.
+    grid = field.grid
+    n = grid.dims
+    header = [f"i{k}" for k in range(n)] + [f"x{k}" for k in range(n)] + ["value"]
+    indices = np.indices(grid.counts).reshape(n, -1).T
+    coords = grid.flat_points()
+    values = field.values.ravel()
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for idx, xyz, v in zip(indices, coords, values):
+            cells = [str(int(i)) for i in idx] + [repr(float(x)) for x in xyz] + [repr(float(v))]
+            fh.write(",".join(cells) + "\n")
+
+
+def _reference_mask_to_csv(grid, mask, path):
+    n = grid.dims
+    header = [f"i{k}" for k in range(n)] + [f"x{k}" for k in range(n)] + ["inside"]
+    indices = np.indices(grid.counts).reshape(n, -1).T
+    coords = grid.flat_points()
+    flags = mask.ravel().astype(int)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for idx, xyz, f in zip(indices, coords, flags):
+            cells = [str(int(i)) for i in idx] + [repr(float(x)) for x in xyz] + [str(int(f))]
+            fh.write(",".join(cells) + "\n")
+
+
+_SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e17, -1e17, np.nan, np.inf, -np.inf,
+                   3.0, -42.0, 1e16, 0.1, 1 / 3, 2.5e-8, np.finfo(float).max]
+
+
+@pytest.mark.parametrize("lo,hi,counts", [
+    ([-1.0, -1.0], [8.0, 6.0], (67, 71)),
+    ([-1.0, -1.0, -1.0], [7.0, 6.0, 6.0], (17, 13, 19)),
+    ([-0.3, 0.0, -2.0, 1.0], [0.7, 1e-3, 2.0, 5.0], (9, 8, 7, 11)),
+    ([0.0, 0.0], [1.0, 1.0], (4, 5)),
+])
+def test_node_writers_match_per_row_reference(tmp_path, lo, hi, counts):
+    grid = build_grid(lo, hi, counts)
+    # The large grids cross chunk boundaries and end in a partial chunk.
+    assert grid.num_nodes > _CHUNK_ROWS or grid.num_nodes < 100
+    assert grid.num_nodes % _CHUNK_ROWS != 0
+    rng = np.random.default_rng(7)
+    values = rng.normal(scale=10.0, size=grid.num_nodes)
+    picks = rng.choice(grid.num_nodes, size=min(grid.num_nodes, 64), replace=False)
+    values[picks] = np.resize(_SPECIAL_VALUES, len(picks))
+    field = ScalarField(grid, np.zeros(counts))
+    # ScalarField rejects nan and inf; set them behind its back so the
+    # writers' text for them is compared too.
+    object.__setattr__(field, "values", values.reshape(counts))
+    field_to_csv(field, tmp_path / "new.csv")
+    _reference_field_to_csv(field, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    masks = [np.zeros(counts, dtype=bool), np.ones(counts, dtype=bool),
+             rng.random(counts) < 0.3]
+    for k, mask in enumerate(masks):
+        mask_to_csv(grid, mask, tmp_path / f"mask_new_{k}.csv")
+        _reference_mask_to_csv(grid, mask, tmp_path / f"mask_ref_{k}.csv")
+        assert ((tmp_path / f"mask_new_{k}.csv").read_bytes()
+                == (tmp_path / f"mask_ref_{k}.csv").read_bytes())
 
 
 def test_tube_export_and_reload(tmp_path):
