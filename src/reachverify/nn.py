@@ -6,6 +6,11 @@ confines every output component to ``[-c, c]`` by construction), supervised
 training with analytic backpropagation and Adam updates, and a JSON weight
 format whose floats round-trip exactly.
 
+Training keeps all weights and biases in one flat parameter vector (the
+per-layer arrays are views into it), writes the gradients of each
+mini-batch into one buffer of the same layout, and applies the Adam update
+to the whole vector with in-place ufuncs.
+
 Dynamics models map ``[state; action]`` to a per-step state delta; the same
 machinery fits policy networks mapping state to action.
 """
@@ -13,6 +18,7 @@ machinery fits policy networks mapping state to action.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -41,24 +47,33 @@ _OUTPUT_ACTS = ("tanh", "linear")
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    """Apply a hidden activation to ``z`` in place and return it."""
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        return np.divide(1.0, z, out=z)
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _activate_deriv(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # Derivative w.r.t. the preactivation z, given a = activate(z).
+def _times_activate_deriv(name: str, delta: np.ndarray, a: np.ndarray) -> None:
+    # delta *= activation derivative w.r.t. the preactivation, given
+    # a = activate(z); overwrites a.
     if name == "tanh":
-        return 1.0 - a * a
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    if name == "relu":
-        return (z > 0.0).astype(float)
-    raise ValueError(f"unknown activation {name!r}")
+        np.multiply(a, a, out=a)
+        np.subtract(1.0, a, out=a)
+    elif name == "sigmoid":
+        d = 1.0 - a
+        a *= d
+    elif name == "relu":
+        a = a > 0.0
+    else:
+        raise ValueError(f"unknown activation {name!r}")
+    delta *= a
 
 
 @dataclass(frozen=True)
@@ -153,11 +168,12 @@ def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     h = inputs
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
+        z = h @ w
+        z += b
         if i < last:
             h = _activate(model.hidden_activation, z)
         elif model.output_activation == "tanh":
-            h = model.output_scale * np.tanh(z)
+            h = model.output_scale * np.tanh(z, out=z)
         else:
             h = z
     return h
@@ -272,69 +288,94 @@ class TrainingConfig:
             raise ValueError("lr_schedule must be 'constant' or 'cosine'")
 
 
-def _init_params(sizes, rng):
+def _param_views(flat: np.ndarray, sizes):
+    """Per-layer weight and bias views into one flat vector laid out as
+    ``W0, b0, W1, b1, ...`` with each ``W`` row-major."""
     weights, biases = [], []
+    start = 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        stop = start + fan_in * fan_out
+        weights.append(flat[start:stop].reshape(fan_in, fan_out))
+        biases.append(flat[stop : stop + fan_out])
+        start = stop + fan_out
     return weights, biases
 
 
-def _forward_cached(weights, biases, hidden_act, output_act, scale, X):
-    acts = [X]
-    pre = []
-    last = len(weights) - 1
-    h = X
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = h @ w + b
-        pre.append(z)
-        if i < last:
-            h = _activate(hidden_act, z)
-        elif output_act == "tanh":
-            h = scale * np.tanh(z)
-        else:
-            h = z
-        acts.append(h)
-    return acts, pre
+def _n_params(sizes) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
 
 
-def _loss_and_grads(weights, biases, hidden_act, output_act, scale, X, Y):
-    """Mean over rows of the squared error norm, plus parameter gradients."""
+def _init_params(sizes, rng) -> np.ndarray:
+    theta = np.zeros(_n_params(sizes))
+    for w in _param_views(theta, sizes)[0]:
+        fan_in, fan_out = w.shape
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        w[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return theta
+
+
+def _loss_and_grads(weights, biases, hidden_act, output_act, scale, X, Y, grads_w, grads_b):
+    """Mean over rows of the squared error norm.
+
+    Writes the parameter gradients into ``grads_w`` and ``grads_b``, arrays
+    shaped like ``weights`` and ``biases``; ``X`` and ``Y`` are not modified.
+    """
     n = len(X)
-    acts, pre = _forward_cached(weights, biases, hidden_act, output_act, scale, X)
-    pred = acts[-1]
-    err = pred - Y
-    loss = float(np.mean(np.sum(err * err, axis=1)))
+    last = len(weights) - 1
+    acts = [X]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w
+        z += b
+        if i < last:
+            acts.append(_activate(hidden_act, z))
+        elif output_act == "tanh":
+            t = np.tanh(z, out=z)
+            err = scale * t
+        else:
+            err = z
+    err -= Y
+    # Mean over rows of the row sums, as np.mean(np.sum(., axis=1)) adds
+    # them, without the wrappers' per-call overhead.
+    loss = float(np.add.reduce(np.add.reduce(err * err, axis=1))) / n
 
-    grad = 2.0 * err / n
+    # delta = dLoss/dz of the output layer: 2 err / n, times scale (1 - t^2)
+    # through a tanh head.
+    err *= 2.0
+    err /= n
     if output_act == "tanh":
-        t = np.tanh(pre[-1])
-        delta = grad * scale * (1.0 - t * t)
-    else:
-        delta = grad
-
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
-    for i in range(len(weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        err *= scale
+        np.multiply(t, t, out=t)
+        np.subtract(1.0, t, out=t)
+        err *= t
+    delta = err
+    for i in range(last, -1, -1):
+        np.matmul(acts[i].T, delta, out=grads_w[i])
+        np.add.reduce(delta, axis=0, out=grads_b[i])
         if i > 0:
-            delta = (delta @ weights[i].T) * _activate_deriv(hidden_act, pre[i - 1], acts[i])
-    return loss, grads_w, grads_b
+            delta = delta @ weights[i].T
+            _times_activate_deriv(hidden_act, delta, acts[i])
+    return loss
 
 
 def loss_and_gradient(model: MlpModel, X: np.ndarray, Y: np.ndarray):
-    """Training loss and analytic parameter gradients for the given batch."""
-    return _loss_and_grads(
-        list(model.weights),
-        list(model.biases),
+    """Training loss and analytic parameter gradients for the given batch.
+
+    Returns ``(loss, grads_w, grads_b)``; the gradient arrays are views into
+    one buffer allocated for this call.
+    """
+    grads_w, grads_b = _param_views(np.empty(_n_params(model.layer_sizes)), model.layer_sizes)
+    loss = _loss_and_grads(
+        model.weights,
+        model.biases,
         model.hidden_activation,
         model.output_activation,
         model.output_scale,
         np.asarray(X, dtype=float),
         np.asarray(Y, dtype=float),
+        grads_w,
+        grads_b,
     )
+    return loss, grads_w, grads_b
 
 
 def fit_mlp(
@@ -353,16 +394,19 @@ def fit_mlp(
     Y = np.asarray(Y, dtype=float)
     sizes = (X.shape[1], *config.hidden_sizes, Y.shape[1])
     rng = np.random.default_rng(config.seed)
-    weights, biases = _init_params(sizes, rng)
+    theta = _init_params(sizes, rng)
+    weights, biases = _param_views(theta, sizes)
+    grad = np.empty_like(theta)
+    grads_w, grads_b = _param_views(grad, sizes)
     scale = np.asarray(output_scale, dtype=float)
     if scale.shape == ():
         scale = np.full(Y.shape[1], float(scale))
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    step_buf = np.empty_like(theta)
+    denom = np.empty_like(theta)
 
     losses: list[float] = []
     step = 0
@@ -375,14 +419,15 @@ def fit_mlp(
         else:
             lr = config.learning_rate
         order = rng.permutation(n)
+        X_epoch, Y_epoch = X[order], Y[order]
         batch_losses = []
         for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            loss, gw, gb = _loss_and_grads(
+            loss = _loss_and_grads(
                 weights, biases, config.hidden_activation, config.output_activation,
-                scale, X[idx], Y[idx],
+                scale, X_epoch[start : start + batch], Y_epoch[start : start + batch],
+                grads_w, grads_b,
             )
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch}, step {step}"
                 )
@@ -390,19 +435,28 @@ def fit_mlp(
             step += 1
             corr1 = 1.0 - beta1 ** step
             corr2 = 1.0 - beta2 ** step
-            for i in range(len(weights)):
-                m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
-                v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
-                m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
-                v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
-                weights[i] -= lr * (m_w[i] / corr1) / (np.sqrt(v_w[i] / corr2) + eps)
-                biases[i] -= lr * (m_b[i] / corr1) / (np.sqrt(v_b[i] / corr2) + eps)
+            # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
+            m *= beta1
+            np.multiply(grad, 1 - beta1, out=step_buf)
+            m += step_buf
+            v *= beta2
+            np.multiply(grad, grad, out=step_buf)
+            step_buf *= 1 - beta2
+            v += step_buf
+            # theta -= lr (m / corr1) / (sqrt(v / corr2) + eps)
+            np.divide(m, corr1, out=step_buf)
+            step_buf *= lr
+            np.divide(v, corr2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step_buf /= denom
+            theta -= step_buf
         losses.append(float(np.mean(batch_losses)))
 
     model = MlpModel(
         layer_sizes=sizes,
-        weights=tuple(weights),
-        biases=tuple(biases),
+        weights=tuple(w.copy() for w in weights),
+        biases=tuple(b.copy() for b in biases),
         hidden_activation=config.hidden_activation,
         output_activation=config.output_activation,
         output_scale=scale,
@@ -504,11 +558,14 @@ def save_dataset(data: TransitionDataset, path) -> None:
         + [f"a{i}" for i in range(m)]
         + [f"ds{i}" for i in range(n)]
     )
+    cols = [
+        map(repr, col.tolist())
+        for block in (data.states, data.actions, data.deltas)
+        for col in block.T
+    ]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for s, a, d in zip(data.states, data.actions, data.deltas):
-            row = [repr(float(v)) for v in (*s, *a, *d)]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
 
 
 def load_dataset(path, n_state: int, n_action: int) -> TransitionDataset:

@@ -46,21 +46,17 @@ def classify_policy(frt: TubeResult, obstacles: ShapeSet, grid: Grid):
 
     Returns ``(verdict, per_obstacle_flags)`` where each primitive of the
     obstacle union is reported separately; the policy is unsafe as soon as
-    any snapshot's tube mask meets any obstacle mask.
+    any snapshot's tube mask meets any obstacle mask.  Snapshot masks are
+    nested (the stepper never raises a value), so the final mask contains
+    every earlier one and is the only one read.
     """
     if not same_grid(frt.grid, grid):
         raise ValueError("forward tube and obstacles live on different grids")
-    obstacle_masks = [
-        zero_sublevel_mask(level_set_from_shapes(grid, ShapeSet((prim,))))
-        for prim in obstacles.primitives
-    ]
-    flags = [False] * len(obstacle_masks)
-    for _, tube_mask in frt.masks():
-        for i, om in enumerate(obstacle_masks):
-            if not flags[i] and np.any(tube_mask & om):
-                flags[i] = True
-        if all(flags):
-            break
+    tube_mask = frt.final_mask()
+    flags = []
+    for prim in obstacles.primitives:
+        obstacle_mask = zero_sublevel_mask(level_set_from_shapes(grid, ShapeSet((prim,))))
+        flags.append(bool(np.any(tube_mask & obstacle_mask)))
     verdict = "unsafe" if any(flags) else "safe"
     return verdict, flags
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from reachverify.nn import (
     ModelMeta,
     TrainingConfig,
     TransitionDataset,
+    fit_mlp,
     forward,
     forward_batch,
     load_model,
@@ -233,8 +236,197 @@ def test_dataset_validation():
 def test_nan_in_training_raises():
     states = np.array([[1e300, 1e300]] * 10)
     data = TransitionDataset(states, states.copy(), states.copy())
+    message = "training diverged: non-finite loss at epoch 0, step 0"
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             train_dynamics_model(
                 data, TrainingConfig(epochs=5, output_activation="linear", learning_rate=1e200)
             )
+
+    # Finite data, but every Adam step grows the weights until the loss
+    # overflows on the fifth mini-batch (3 batches per epoch).
+    rng = np.random.default_rng(0)
+    X, Y = rng.normal(size=(10, 3)), rng.normal(size=(10, 2))
+    config = TrainingConfig(
+        hidden_sizes=(4,), epochs=5, batch_size=4, output_activation="linear",
+        learning_rate=2e153,
+    )
+    message = "training diverged: non-finite loss at epoch 1, step 4"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            fit_mlp(X, Y, config, 1.0, META)
+
+
+# ---------------------------------------------------------------------------
+# Reference trainer: one array per weight and bias, a fresh array for every
+# intermediate result.  fit_mlp keeps one flat parameter vector and updates it
+# in place; the elementwise arithmetic is the same, so results must agree bit
+# for bit.
+# ---------------------------------------------------------------------------
+
+def _ref_activate(name, z):
+    if name == "tanh":
+        return np.tanh(z)
+    if name == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-z))
+    return np.maximum(z, 0.0)
+
+
+def _ref_activate_deriv(name, z, a):
+    if name == "tanh":
+        return 1.0 - a * a
+    if name == "sigmoid":
+        return a * (1.0 - a)
+    return (z > 0.0).astype(float)
+
+
+def _ref_loss_and_grads(weights, biases, hidden_act, output_act, scale, X, Y):
+    acts, pre = [X], []
+    last = len(weights) - 1
+    h = X
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w + b
+        pre.append(z)
+        if i < last:
+            h = _ref_activate(hidden_act, z)
+        elif output_act == "tanh":
+            h = scale * np.tanh(z)
+        else:
+            h = z
+        acts.append(h)
+    n = len(X)
+    err = acts[-1] - Y
+    loss = float(np.mean(np.sum(err * err, axis=1)))
+    grad = 2.0 * err / n
+    if output_act == "tanh":
+        t = np.tanh(pre[-1])
+        delta = grad * scale * (1.0 - t * t)
+    else:
+        delta = grad
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        grads_w[i] = acts[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ weights[i].T) * _ref_activate_deriv(hidden_act, pre[i - 1], acts[i])
+    return loss, grads_w, grads_b
+
+
+def _ref_fit_mlp(X, Y, config, scale):
+    sizes = (X.shape[1], *config.hidden_sizes, Y.shape[1])
+    rng = np.random.default_rng(config.seed)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    losses, step, n = [], 0, len(X)
+    batch = min(config.batch_size, n)
+    for epoch in range(config.epochs):
+        if config.lr_schedule == "cosine":
+            frac = epoch / max(1, config.epochs - 1)
+            lr = config.learning_rate * (0.01 + 0.99 * 0.5 * (1 + np.cos(np.pi * frac)))
+        else:
+            lr = config.learning_rate
+        order = rng.permutation(n)
+        batch_losses = []
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            loss, gw, gb = _ref_loss_and_grads(
+                weights, biases, config.hidden_activation, config.output_activation,
+                scale, X[idx], Y[idx],
+            )
+            batch_losses.append(loss)
+            step += 1
+            corr1 = 1.0 - beta1 ** step
+            corr2 = 1.0 - beta2 ** step
+            for i in range(len(weights)):
+                m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
+                v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
+                m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
+                v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
+                weights[i] -= lr * (m_w[i] / corr1) / (np.sqrt(v_w[i] / corr2) + eps)
+                biases[i] -= lr * (m_b[i] / corr1) / (np.sqrt(v_b[i] / corr2) + eps)
+        losses.append(float(np.mean(batch_losses)))
+    return weights, biases, losses
+
+
+_FIT_CASES = [
+    # (hidden, output, schedule, hidden_sizes, batch_size); n = 48 rows.
+    ("tanh", "tanh", "constant", (8, 8), 16),
+    ("tanh", "linear", "cosine", (8, 8), 20),
+    ("sigmoid", "tanh", "cosine", (8, 8), 16),
+    ("sigmoid", "linear", "constant", (6, 5, 7), 20),
+    ("relu", "tanh", "constant", (8, 8), 20),
+    ("relu", "linear", "cosine", (8,), 16),
+    ("tanh", "tanh", "cosine", (6, 5, 7), 64),
+    ("relu", "tanh", "cosine", (6, 5, 7), 48),
+    ("sigmoid", "tanh", "constant", (8,), 64),
+]
+
+
+@pytest.mark.parametrize("hidden,output,schedule,hidden_sizes,batch_size", _FIT_CASES)
+def test_fit_mlp_bitwise_equals_per_array_reference(
+    hidden, output, schedule, hidden_sizes, batch_size
+):
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(48, 3))
+    Y = np.tanh(X @ rng.normal(size=(3, 2))) * 0.8 + rng.normal(scale=0.05, size=(48, 2))
+    scale = np.array([1.2, 0.9])
+    config = TrainingConfig(
+        hidden_sizes=hidden_sizes, hidden_activation=hidden, output_activation=output,
+        learning_rate=3e-2, batch_size=batch_size, epochs=25, seed=5, lr_schedule=schedule,
+    )
+    model, losses = fit_mlp(X, Y, config, scale, META)
+    ref_w, ref_b, ref_losses = _ref_fit_mlp(X, Y, config, scale)
+    assert losses == ref_losses
+    assert len(model.weights) == len(ref_w) == len(hidden_sizes) + 1
+    for w, rw in zip(model.weights, ref_w):
+        assert np.array_equal(w, rw)
+    for b, rb in zip(model.biases, ref_b):
+        assert np.array_equal(b, rb)
+
+
+def test_loss_and_gradient_equals_reference_and_returns_fresh_arrays():
+    rng = np.random.default_rng(8)
+    for hidden in ("tanh", "sigmoid", "relu"):
+        for output in ("tanh", "linear"):
+            model = random_model((3, 7, 5, 2), rng, hidden, output, scale=1.3)
+            X = rng.normal(size=(9, 3))
+            Y = rng.normal(size=(9, 2))
+            X_before, Y_before = X.copy(), Y.copy()
+            loss, gw, gb = loss_and_gradient(model, X, Y)
+            ref_loss, ref_gw, ref_gb = _ref_loss_and_grads(
+                model.weights, model.biases, hidden, output, model.output_scale, X, Y
+            )
+            assert loss == ref_loss
+            assert all(np.array_equal(a, b) for a, b in zip(gw, ref_gw))
+            assert all(np.array_equal(a, b) for a, b in zip(gb, ref_gb))
+            assert np.array_equal(X, X_before) and np.array_equal(Y, Y_before)
+
+            _, gw2, gb2 = loss_and_gradient(model, X, Y)
+            for a in gw + gb:
+                for b in gw2 + gb2:
+                    assert not np.shares_memory(a, b)
+                for p in model.weights + model.biases:
+                    assert not np.shares_memory(a, p)
+
+
+def test_trained_weights_own_their_memory():
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(30, 3))
+    Y = rng.normal(size=(30, 2)) * 0.3
+    config = TrainingConfig(hidden_sizes=(6, 6), epochs=3, batch_size=8)
+    model, _ = fit_mlp(X, Y, config, 1.0, META)
+    params = model.weights + model.biases
+    for i, a in enumerate(params):
+        assert a.base is None
+        assert not np.shares_memory(a, X) and not np.shares_memory(a, Y)
+        for b in params[i + 1 :]:
+            assert not np.shares_memory(a, b)

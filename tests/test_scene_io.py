@@ -182,6 +182,37 @@ def test_dataset_csv_round_trip(tmp_path):
         load_dataset(path, 3, 2)
 
 
+def _save_dataset_per_row(data, path):
+    # Reference writer: one repr'd row at a time.
+    n, m = data.n_state, data.n_action
+    header = (
+        [f"s{i}" for i in range(n)] + [f"a{i}" for i in range(m)] + [f"ds{i}" for i in range(n)]
+    )
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for s, a, d in zip(data.states, data.actions, data.deltas):
+            fh.write(",".join(repr(float(v)) for v in (*s, *a, *d)) + "\n")
+
+
+@pytest.mark.parametrize("n_action", [0, 1, 3])
+def test_save_dataset_matches_per_row_writer(tmp_path, n_action):
+    rng = np.random.default_rng(3)
+    rows = 37
+    states = rng.normal(size=(rows, 2))
+    states[:6, 0] = [-0.0, 0.0, 5e-324, -5e-324, 1e17, 1.0]
+    actions = rng.uniform(-1, 1, size=(rows, n_action))
+    if n_action:
+        actions[:4, -1] = [3.0, -2.0, 1e-300, -0.0]
+    deltas = np.round(rng.normal(size=(rows, 2)) * 100.0) / 8.0
+    data = TransitionDataset(states, actions, deltas)
+    save_dataset(data, tmp_path / "new.csv")
+    _save_dataset_per_row(data, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    back = load_dataset(tmp_path / "new.csv", 2, n_action)
+    assert np.array_equal(back.states, data.states)
+    assert np.array_equal(np.signbit(back.states), np.signbit(data.states))
+
+
 def test_air_scene_primitives_strictly_inside():
     scene = air_scene((31, 31, 31))
     for shapes in (scene.initial_set, scene.goal_set, scene.obstacles):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    LinearPlant,
     capsule_distance,
     const_system,
     hausdorff_between_masks,
@@ -14,6 +15,8 @@ from reachverify.nn import MlpModel, ModelMeta
 from reachverify.oracle import corner_extremum
 from reachverify.solver import (
     SolverConfig,
+    _one_sided_diffs_copy_ghost,
+    _Workspace,
     analytic_hamiltonian,
     cfl_dt,
     dissipation_coefficients,
@@ -156,6 +159,43 @@ def test_lax_friedrichs_reduces_to_h_and_arithmetic():
     sys_zero = const_system([0.0, 0.0])
     val = lax_friedrichs_H([0, 0], [-1.0, 0.0], [1.0, 0.0], sys_zero, "reach_goal", [1.0, 1.0])
     assert val == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("mode", ["reach_goal", "reach_unsafe"])
+@pytest.mark.parametrize(
+    "lo,hi,counts,A,upper,lower",
+    [
+        ([-1.0, -2.0], [2.0, 1.0], (9, 7),
+         [[0.3, -1.1], [0.8, -0.2]], [0.3, 0.05], [-0.1, -0.4]),
+        ([-1.0, -1.0, 0.0], [1.0, 2.0, 1.5], (5, 6, 4),
+         [[0.1, -0.7, 0.4], [0.9, -0.3, 0.0], [-0.5, 0.2, 0.6]],
+         [0.2, 0.0, 0.35], [-0.05, -0.3, -0.1]),
+    ],
+)
+def test_stepper_hamiltonian_equals_pointwise_lax_friedrichs(
+    mode, lo, hi, counts, A, upper, lower
+):
+    """The vectorised stepper Hamiltonian equals the scalar reference at every
+    node, boundary nodes (copy ghosts) included.  The evolution variable runs
+    opposite to physical time, so the reference takes the one-sided
+    differences swapped."""
+    grid = build_grid(lo, hi, counts)
+    bounds = DisturbanceBounds(upper=np.array(upper), lower=np.array(lower))
+    sys_cl = ClosedLoopSystem(
+        LinearPlant(A), ConstantPolicy([0.0], ActionBounds([0.0], [0.0])), bounds
+    )
+    ws = _Workspace(sys_cl, grid, "backward", mode)
+    V = np.random.default_rng(len(counts)).normal(size=grid.counts)
+    vectorised = ws.numerical_hamiltonian(V)
+
+    diffs = [_one_sided_diffs_copy_ghost(V, ax, grid.spacing[ax]) for ax in range(grid.dims)]
+    points = grid.node_points()
+    reference = np.empty(grid.counts)
+    for idx in np.ndindex(*grid.counts):
+        p_minus = [pm[idx] for pm, _ in diffs]
+        p_plus = [pp[idx] for _, pp in diffs]
+        reference[idx] = lax_friedrichs_H(points[idx], p_plus, p_minus, sys_cl, mode, ws.alpha)
+    assert np.max(np.abs(vectorised - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_lax_friedrichs_consistency_order():

@@ -10,7 +10,13 @@ from reachverify.geometry import (
     level_set_from_shapes,
     zero_sublevel_mask,
 )
-from reachverify.solver import SolverConfig, solve_brt, solve_frt, dissipation_coefficients
+from reachverify.solver import (
+    SolverConfig,
+    TubeResult,
+    dissipation_coefficients,
+    solve_brt,
+    solve_frt,
+)
 from reachverify.verification import (
     VerificationReport,
     build_report,
@@ -179,3 +185,52 @@ def test_monotone_conservatism_on_small_scene():
     unsafe_big = unsafe_initial_states(brt_big.final_field(), initial)
     # enlarging the disturbance never moves a cell from unsafe to safe
     assert np.all(unsafe_small <= unsafe_big)
+
+
+def _classify_every_snapshot(frt, obstacles, grid):
+    # Reference: scan every snapshot mask for contact with each obstacle.
+    obstacle_masks = [
+        zero_sublevel_mask(level_set_from_shapes(grid, ShapeSet((prim,))))
+        for prim in obstacles.primitives
+    ]
+    flags = [False] * len(obstacle_masks)
+    for _, tube_mask in frt.masks():
+        for i, om in enumerate(obstacle_masks):
+            flags[i] = flags[i] or bool(np.any(tube_mask & om))
+    return ("unsafe" if any(flags) else "safe"), flags
+
+
+def test_classify_final_mask_equals_per_snapshot_scan_on_land(land_run, land_tubes):
+    scene, _, _ = land_run
+    frt = land_tubes["frt"]
+    assert len(frt.snapshots) > 2
+    expected = _classify_every_snapshot(frt, scene.obstacles, scene.grid)
+    assert classify_policy(frt, scene.obstacles, scene.grid) == expected
+    assert expected == (land_tubes["frt_verdict"], land_tubes["frt_flags"])
+
+
+def test_classify_detects_contact_at_last_snapshot_only():
+    grid = build_grid([-2, -2], [2, 2], [41, 41])
+    # A tube of growing balls; the first obstacle spans x in [0.8, 1.4], so
+    # only the last ball (radius 0.9) reaches it.  The second is never met.
+    snapshots = tuple(
+        (t, level_set_from_shapes(grid, ShapeSet((Ball([0.0, 0.0], r),))))
+        for t, r in ((0.0, 0.3), (0.5, 0.6), (1.0, 0.9))
+    )
+    frt = TubeResult(
+        snapshots=snapshots,
+        config=SolverConfig(horizon=1.0, direction="forward"),
+        grid=grid,
+        steps_taken=2,
+        dt_history=(0.5, 0.5),
+        max_abs_h=0.0,
+        converged_early=False,
+    )
+    obstacles = ShapeSet((Ball([1.1, 0.0], 0.3), Ball([-1.5, 1.5], 0.2)))
+    first = ShapeSet(obstacles.primitives[:1])
+    obstacle_0 = zero_sublevel_mask(level_set_from_shapes(grid, first))
+    masks = [m for _, m in frt.masks()]
+    assert not np.any(masks[-2] & obstacle_0) and np.any(masks[-1] & obstacle_0)
+
+    assert classify_policy(frt, obstacles, grid) == ("unsafe", [True, False])
+    assert classify_policy(frt, obstacles, grid) == _classify_every_snapshot(frt, obstacles, grid)
