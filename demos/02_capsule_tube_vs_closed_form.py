@@ -74,13 +74,12 @@ for counts in ((61, 41), (121, 81)):
 
     brt = solve_brt(
         ShapeSet((Ball([3.5, 0.0], 0.7),)), system,
-        SolverConfig(horizon=horizon, direction="backward", target_mode="reach_unsafe",
-                     convergence_eps=0.0),
+        SolverConfig(horizon=horizon, convergence_eps=0.0),
         grid,
     )
     frt = solve_frt(
         ShapeSet((Ball([0.5, 0.0], 0.7),)), system,
-        SolverConfig(horizon=horizon, direction="forward", convergence_eps=0.0),
+        SolverConfig(horizon=horizon, convergence_eps=0.0),
         grid,
     )
     err_b = mask_mismatch_extent(grid, brt.final_mask(), analytic)

@@ -49,7 +49,7 @@ augmented = ClosedLoopSystem(LearnedPlant(result.model), result.policy, result.b
 
 frt = solve_frt(
     scene.initial_set, augmented,
-    SolverConfig(horizon=10.0, direction="forward", snapshot_stride=20),
+    SolverConfig(horizon=10.0, snapshot_stride=20),
     scene.grid,
 )
 verdict, flags = classify_policy(frt, scene.obstacles, scene.grid)
@@ -59,8 +59,7 @@ brt_finals = []
 for i, prim in enumerate(scene.obstacles.primitives):
     tube = solve_brt(
         ShapeSet((prim,)), augmented,
-        SolverConfig(horizon=10.0, direction="backward", target_mode="reach_unsafe",
-                     snapshot_stride=20),
+        SolverConfig(horizon=10.0, snapshot_stride=20),
         scene.grid,
     )
     brt_finals.append(tube.final_field())

@@ -47,7 +47,7 @@ system = ClosedLoopSystem(LearnedPlant(trained.model), policy, bounds)
 
 frt = solve_frt(
     scene.initial_set, system,
-    SolverConfig(horizon=8.0, direction="forward", snapshot_stride=25),
+    SolverConfig(horizon=8.0, snapshot_stride=25),
     scene.grid,
 )
 print(f"forward tube: {frt.steps_taken} steps, "
@@ -55,8 +55,7 @@ print(f"forward tube: {frt.steps_taken} steps, "
 
 brt = solve_brt(
     ShapeSet((scene.obstacles.primitives[1],)), system,
-    SolverConfig(horizon=8.0, direction="backward", target_mode="reach_unsafe",
-                 snapshot_stride=25),
+    SolverConfig(horizon=8.0, snapshot_stride=25),
     scene.grid,
 )
 print(f"backward tube from obstacle 1: {brt.steps_taken} steps, "

@@ -15,6 +15,7 @@ configs and seeds every command writes byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -37,6 +38,7 @@ from .geometry import (
 from .oracle import mc_ground_truth
 from .scene import (
     Scene,
+    _config_to_dict,
     air_scene,
     export_tube,
     field_to_csv,
@@ -67,19 +69,26 @@ def _write_json(doc, path) -> None:
         json.dump(doc, fh, indent=2)
 
 
-def _training_config(d: dict | None, seed: int) -> nn.TrainingConfig:
+def _from_block(cls, d: dict, block: str):
+    """``cls(**d)`` for a JSON config block; unknown keys are a ValueError."""
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown key(s) in the {block!r} block: {', '.join(unknown)}")
+    return cls(**d)
+
+
+def _training_config(d: dict | None, seed: int, block: str) -> nn.TrainingConfig:
     d = dict(d or {})
     d.setdefault("seed", seed)
     if "hidden_sizes" in d:
         d["hidden_sizes"] = tuple(d["hidden_sizes"])
-    return nn.TrainingConfig(**d)
+    return _from_block(nn.TrainingConfig, d, block)
 
 
-def _solver_config(d: dict | None, **overrides) -> SolverConfig:
+def _solver_config(d: dict | None) -> SolverConfig:
     d = dict(d or {})
-    d.update(overrides)
     d.setdefault("horizon", 10.0)
-    return SolverConfig(**d)
+    return _from_block(SolverConfig, d, "solver")
 
 
 def _resolve_scene(config: dict) -> Scene:
@@ -163,9 +172,9 @@ def cmd_train(args) -> int:
         k_sigma=float(config.get("k_sigma", 3.0)),
         dt_env=float(config.get("dt_env", 0.1)),
         seed=seed,
-        model_training=_training_config(config.get("training"), seed),
+        model_training=_training_config(config.get("training"), seed, "training"),
         policy_training=_training_config(
-            config.get("policy_training", {"epochs": 300}), seed
+            config.get("policy_training", {"epochs": 300}), seed, "policy_training"
         ),
     )
 
@@ -204,7 +213,7 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     scene = _resolve_scene(config)
     sys_cl, prov = _resolve_system(config, scene, seed)
-    solver_cfg = _solver_config(config.get("solver"), direction="forward")
+    solver_cfg = _solver_config(config.get("solver"))
 
     frt = solve_frt(scene.initial_set, sys_cl, solver_cfg, scene.grid)
     verdict, flags = classify_policy(frt, scene.obstacles, scene.grid)
@@ -219,13 +228,7 @@ def cmd_verify(args) -> int:
         "provenance": {
             **prov,
             "seed": seed,
-            "solver": {
-                "horizon": solver_cfg.horizon,
-                "cfl_factor": solver_cfg.cfl_factor,
-                "target_mode": solver_cfg.target_mode,
-                "direction": solver_cfg.direction,
-                "snapshot_stride": solver_cfg.snapshot_stride,
-            },
+            "solver": _config_to_dict(solver_cfg),
         },
         "exports": {"frt_manifest": os.path.relpath(frt_manifest, out)},
     }
@@ -241,9 +244,7 @@ def cmd_safe_set(args) -> int:
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     scene = _resolve_scene(config)
     sys_cl, prov = _resolve_system(config, scene, seed)
-    solver_cfg = _solver_config(
-        config.get("solver"), direction="backward", target_mode="reach_unsafe"
-    )
+    solver_cfg = _solver_config(config.get("solver"))
 
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -360,50 +361,41 @@ def _slice_tag(z: float) -> str:
     return "z" + repr(float(z)).replace(".", "p").replace("-", "m")
 
 
+def _circle(center, r):
+    t = np.linspace(0, 2 * np.pi, 65)
+    return np.stack([center[0] + r * np.cos(t), center[1] + r * np.sin(t)], axis=1)
+
+
+def _rectangle(center, half_widths):
+    (cx, cy), (hx, hy) = center[:2], half_widths[:2]
+    return np.array(
+        [[cx - hx, cy - hy], [cx + hx, cy - hy], [cx + hx, cy + hy],
+         [cx - hx, cy + hy], [cx - hx, cy - hy]]
+    )
+
+
 def _polyline(prim, z: float | None):
-    """Closed boundary polyline of a primitive (or its z cross-section)."""
+    """Closed boundary polyline of a primitive, or of its cross-section at
+    height ``z`` in 3-D (``None`` where the plane misses it)."""
     if z is None:
         if isinstance(prim, Ball):
-            t = np.linspace(0, 2 * np.pi, 65)
-            return np.stack(
-                [prim.center[0] + prim.radius * np.cos(t), prim.center[1] + prim.radius * np.sin(t)],
-                axis=1,
-            )
+            return _circle(prim.center, prim.radius)
         if isinstance(prim, AxisBox):
-            cx, cy = prim.center
-            hx, hy = prim.half_widths
-            return np.array(
-                [[cx - hx, cy - hy], [cx + hx, cy - hy], [cx + hx, cy + hy],
-                 [cx - hx, cy + hy], [cx - hx, cy - hy]]
-            )
+            return _rectangle(prim.center, prim.half_widths)
         raise ValueError(f"cannot draw primitive {type(prim).__name__} in 2-D")
-    # z cross-sections of 3-D primitives
     if isinstance(prim, Ball):
         dz = z - prim.center[2]
         if abs(dz) >= prim.radius:
             return None
-        r = float(np.sqrt(prim.radius**2 - dz**2))
-        t = np.linspace(0, 2 * np.pi, 65)
-        return np.stack(
-            [prim.center[0] + r * np.cos(t), prim.center[1] + r * np.sin(t)], axis=1
-        )
+        return _circle(prim.center, float(np.sqrt(prim.radius**2 - dz**2)))
     if isinstance(prim, AxisBox):
         if abs(z - prim.center[2]) > prim.half_widths[2]:
             return None
-        cx, cy = prim.center[:2]
-        hx, hy = prim.half_widths[:2]
-        return np.array(
-            [[cx - hx, cy - hy], [cx + hx, cy - hy], [cx + hx, cy + hy],
-             [cx - hx, cy + hy], [cx - hx, cy - hy]]
-        )
+        return _rectangle(prim.center, prim.half_widths)
     if isinstance(prim, AxisCylinder) and prim.axis_index == 2:
         if abs(z - prim.center[2]) > prim.half_height:
             return None
-        t = np.linspace(0, 2 * np.pi, 65)
-        return np.stack(
-            [prim.center[0] + prim.radius * np.cos(t), prim.center[1] + prim.radius * np.sin(t)],
-            axis=1,
-        )
+        return _circle(prim.center, prim.radius)
     return None
 
 

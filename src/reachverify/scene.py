@@ -272,8 +272,6 @@ def _config_to_dict(config: SolverConfig) -> dict:
     return {
         "horizon": config.horizon,
         "cfl_factor": config.cfl_factor,
-        "target_mode": config.target_mode,
-        "direction": config.direction,
         "snapshot_stride": config.snapshot_stride,
         "convergence_eps": config.convergence_eps,
     }
@@ -283,7 +281,8 @@ def export_tube(tube: TubeResult, out_dir, prefix: str = "snapshot"):
     """Write one CSV per snapshot plus a JSON manifest.
 
     Returns the manifest path.  The manifest records snapshot times, the
-    grid, the solver configuration, and the per-file names in order.
+    grid, the solver configuration with the tube's direction, and the
+    per-file names in order.
     """
     import os
 
@@ -300,7 +299,7 @@ def export_tube(tube: TubeResult, out_dir, prefix: str = "snapshot"):
             "hi": tube.grid.hi.tolist(),
             "counts": list(tube.grid.counts),
         },
-        "config": _config_to_dict(tube.config),
+        "config": {**_config_to_dict(tube.config), "direction": tube.direction},
         "steps_taken": tube.steps_taken,
         "max_abs_hamiltonian": tube.max_abs_h,
         "converged_early": tube.converged_early,

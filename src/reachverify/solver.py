@@ -5,25 +5,33 @@ exact signed distance of the seed set.  Each explicit step combines:
 
 * first-order one-sided differences (the stepper closes the boundary with
   zero-slope ghost values, which keeps the update monotone up to the
-  domain edge; the standalone gradient routine uses linearly extrapolated
-  ghosts instead, exact for linear fields),
+  domain edge; the standalone gradient routine fills each boundary entry
+  with the adjacent interior difference instead, exact for linear fields),
 * a Lax-Friedrichs numerical Hamiltonian with per-dimension dissipation
   bounds ``alpha_i >= max |rate_i| + max(|d_i^-|, |d_i^+|)``,
 * two-stage TVD Runge-Kutta time integration, and
 * per-stage freezing ``min(0, H)`` so values never increase and the tube
   only grows; consecutive tube masks are therefore nested by construction.
 
-Backward tubes integrate the terminal-value problem toward negative times
-from the target's distance field.  Forward tubes are solved as a backward
-problem on the reversed vector field (with the disturbance box reflected),
-seeded from the initial set, with the disturbance chosen cooperatively so
-the tube over-approximates everything reachable under some admissible
-disturbance.
+The entry point fixes the tube's direction and the disturbance sense, and
+both are the conservative choice for a safety question:
+
+* ``solve_brt`` integrates the terminal-value problem toward negative
+  times from the target's distance field, with the disturbance helping
+  states reach the target (it minimizes the Hamiltonian), so the tube
+  holds every state that reaches the target under some admissible
+  disturbance.
+* ``solve_frt`` solves the same backward problem on the reversed vector
+  field, with the disturbance box reflected, seeded from the initial set;
+  the disturbance helps the tube grow, so it over-approximates everything
+  reachable under some admissible disturbance.
 
 The disturbance extremum over its box has a closed form: each component
 contributes ``max(p_i d_i^+, p_i d_i^-)`` when maximizing the Hamiltonian
 (seed set is a goal) and the minimum of the two when minimizing (seed set
 is an unsafe region), which for symmetric bounds is ``+/- |p_i| d_i^+``.
+The tube stepper always minimizes; the scalar references below take the
+sense as their ``mode`` argument.
 """
 
 from __future__ import annotations
@@ -51,7 +59,6 @@ __all__ = [
 ]
 
 _MODES = ("reach_goal", "reach_unsafe")
-_DIRECTIONS = ("backward", "forward")
 _MAX_STEPS = 2_000_000
 
 
@@ -59,31 +66,20 @@ _MAX_STEPS = 2_000_000
 class SolverConfig:
     """Knobs for a tube solve.
 
-    ``target_mode`` selects the disturbance sense for backward tubes:
-    ``reach_goal`` lets the disturbance oppose reaching (it maximizes the
-    Hamiltonian), ``reach_unsafe`` lets it assist (minimizes), the
-    conservative choice when the seed set is a constraint region.
     ``convergence_eps`` stops early once the largest per-step value change
     falls below it; ``None`` uses ``1e-6`` times the domain diameter.
     """
 
     horizon: float
     cfl_factor: float = 0.5
-    target_mode: str = "reach_unsafe"
-    direction: str = "backward"
     snapshot_stride: int = 10
     convergence_eps: float | None = None
-    dt_override: float | None = None
 
     def __post_init__(self):
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
         if not 0 < self.cfl_factor <= 1:
             raise ValueError("cfl_factor must lie in (0, 1]")
-        if self.target_mode not in _MODES:
-            raise ValueError(f"target_mode must be one of {_MODES}")
-        if self.direction not in _DIRECTIONS:
-            raise ValueError(f"direction must be one of {_DIRECTIONS}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
         if self.convergence_eps is not None and self.convergence_eps < 0:
@@ -96,14 +92,14 @@ class TubeResult:
 
     Snapshot times run 0 to -T for backward tubes and 0 to +T for forward
     tubes; the first snapshot is always the seed field and the last the
-    final field.
+    final field.  ``direction`` is ``"backward"`` or ``"forward"``.
     """
 
     snapshots: tuple
     config: SolverConfig
     grid: Grid
+    direction: str
     steps_taken: int
-    dt_history: tuple
     max_abs_h: float
     converged_early: bool
 
@@ -126,7 +122,14 @@ class TubeResult:
 # ---------------------------------------------------------------------------
 
 def _one_sided_diffs(values: np.ndarray, axis: int, h: float):
-    """Backward and forward differences with linear-extrapolation ghosts."""
+    """Backward and forward differences with zero-slope (copy) ghost values.
+
+    With copied ghosts the stepper's boundary update is a monotone function
+    of its neighbors, so the discrete comparison principle holds up to the
+    domain edge and enlarging the disturbance box can never shrink a tube
+    anywhere.  Extrapolating ghosts lose that property at boundary nodes the
+    flow crosses.
+    """
     nd = values.ndim
     sl_hi = [slice(None)] * nd
     sl_lo = [slice(None)] * nd
@@ -134,12 +137,11 @@ def _one_sided_diffs(values: np.ndarray, axis: int, h: float):
     sl_lo[axis] = slice(None, -1)
     interior = (values[tuple(sl_hi)] - values[tuple(sl_lo)]) / h
 
-    first = [slice(None)] * nd
-    first[axis] = slice(0, 1)
-    last = [slice(None)] * nd
-    last[axis] = slice(-1, None)
-    p_minus = np.concatenate([interior[tuple(first)], interior], axis=axis)
-    p_plus = np.concatenate([interior, interior[tuple(last)]], axis=axis)
+    zero_shape = list(values.shape)
+    zero_shape[axis] = 1
+    zeros = np.zeros(zero_shape)
+    p_minus = np.concatenate([zeros, interior], axis=axis)
+    p_plus = np.concatenate([interior, zeros], axis=axis)
     return p_minus, p_plus
 
 
@@ -147,13 +149,17 @@ def upwind_gradients(field: ScalarField):
     """Per-dimension one-sided gradients ``(p_minus, p_plus)``.
 
     Both lists hold value arrays shaped like the field.  At boundary nodes
-    the missing one-sided difference is filled from a linearly extrapolated
-    ghost value, so linear fields differentiate exactly everywhere.
+    the missing one-sided difference is the adjacent interior difference
+    (a linearly extrapolated ghost value), so linear fields differentiate
+    exactly everywhere.
     """
     grid = field.grid
     p_minus, p_plus = [], []
     for axis in range(grid.dims):
         pm, pp = _one_sided_diffs(field.values, axis, grid.spacing[axis])
+        pm_t, pp_t = np.moveaxis(pm, axis, 0), np.moveaxis(pp, axis, 0)
+        pm_t[0] = pm_t[1]
+        pp_t[-1] = pp_t[-2]
         p_minus.append(pm)
         p_plus.append(pp)
     return p_minus, p_plus
@@ -197,6 +203,12 @@ def analytic_hamiltonian(s, p, sys: ClosedLoopSystem, mode: str = "reach_goal") 
     return float(p @ f + np.sum(_box_extremum(p, sys.bounds, mode)))
 
 
+def _wave_speeds(rates: np.ndarray, bounds: DisturbanceBounds) -> np.ndarray:
+    return np.max(np.abs(rates), axis=0) + np.maximum(
+        np.abs(bounds.upper), np.abs(bounds.lower)
+    )
+
+
 def dissipation_coefficients(
     sys: ClosedLoopSystem, bounds: DisturbanceBounds, grid: Grid
 ) -> np.ndarray:
@@ -206,9 +218,7 @@ def dissipation_coefficients(
     ``|rate_i| + max(|d_i^-|, d_i^+)`` maximized over all nodes bounds the
     derivative exactly on the sampled set.
     """
-    rates = nominal_rate_batch(sys, grid.flat_points())
-    d_mag = np.maximum(np.abs(bounds.upper), np.abs(bounds.lower))
-    return np.max(np.abs(rates), axis=0) + d_mag
+    return _wave_speeds(nominal_rate_batch(sys, grid.flat_points()), bounds)
 
 
 def lax_friedrichs_H(s, p_minus, p_plus, sys: ClosedLoopSystem, mode: str, alpha) -> float:
@@ -243,63 +253,31 @@ def cfl_dt(config: SolverConfig, alpha, grid: Grid) -> float:
 # Time stepping
 # ---------------------------------------------------------------------------
 
-def _one_sided_diffs_copy_ghost(values: np.ndarray, axis: int, h: float):
-    """One-sided differences with zero-slope (copy) ghost values.
-
-    Used inside the tube stepper: with copied ghosts the boundary update is
-    a monotone function of its neighbors, so the discrete comparison
-    principle holds up to the domain edge and enlarging the disturbance box
-    can never shrink a tube anywhere.  Extrapolating ghosts lose that
-    property at boundary nodes the flow crosses.
-    """
-    nd = values.ndim
-    sl_hi = [slice(None)] * nd
-    sl_lo = [slice(None)] * nd
-    sl_hi[axis] = slice(1, None)
-    sl_lo[axis] = slice(None, -1)
-    interior = (values[tuple(sl_hi)] - values[tuple(sl_lo)]) / h
-
-    zero_shape = list(values.shape)
-    zero_shape[axis] = 1
-    zeros = np.zeros(zero_shape)
-    p_minus = np.concatenate([zeros, interior], axis=axis)
-    p_plus = np.concatenate([interior, zeros], axis=axis)
-    return p_minus, p_plus
-
-
 class _Workspace:
-    """Precomputed grid-resident quantities for one tube solve."""
+    """Precomputed grid-resident quantities for one tube solve.
 
-    def __init__(
-        self,
-        sys: ClosedLoopSystem,
-        grid: Grid,
-        direction: str,
-        target_mode: str,
-        alpha_floor=None,
-    ):
+    The evolution is always the backward, reach-unsafe one; a forward tube
+    is the backward tube of the reversed flow with the disturbance box
+    reflected, which keeps the extremum cooperative so the tube
+    over-approximates.
+    """
+
+    def __init__(self, sys: ClosedLoopSystem, grid: Grid, forward: bool, alpha_floor=None):
         n = sys.n_state
         if n != grid.dims:
             raise ValueError("system state dimension does not match grid dimension")
         rates = nominal_rate_batch(sys, grid.flat_points())
         rate_grid = rates.T.reshape((n, *grid.counts))
-        if direction == "forward":
-            # Forward reachability solved as backward reachability of the
-            # reversed flow; the disturbance box reflects accordingly and the
-            # extremum turns cooperative so the tube over-approximates.
-            rate_grid = -rate_grid
+        if forward:
+            self.rate_grid = -rate_grid
             self.hi = -sys.bounds.lower
             self.lo = -sys.bounds.upper
-            self.maximize = False
         else:
+            self.rate_grid = rate_grid
             self.hi = sys.bounds.upper
             self.lo = sys.bounds.lower
-            self.maximize = target_mode == "reach_goal"
-        self.rate_grid = rate_grid
         self.grid = grid
-        alpha = np.max(np.abs(rates), axis=0) + np.maximum(
-            np.abs(sys.bounds.upper), np.abs(sys.bounds.lower)
-        )
+        alpha = _wave_speeds(rates, sys.bounds)
         if alpha_floor is not None:
             floor = np.asarray(alpha_floor, dtype=float)
             if np.any(floor < alpha - 1e-12):
@@ -315,12 +293,11 @@ class _Workspace:
         # step of the unfrozen reversed-flow PDE clamped by min(V_new, V_old).
         h_total = np.zeros_like(values)
         for axis in range(self.grid.dims):
-            pm, pp = _one_sided_diffs_copy_ghost(values, axis, self.grid.spacing[axis])
+            pm, pp = _one_sided_diffs(values, axis, self.grid.spacing[axis])
             pmid = 0.5 * (pm + pp)
-            a = pmid * self.hi[axis]
-            b = pmid * self.lo[axis]
-            extremum = np.maximum(a, b) if self.maximize else np.minimum(a, b)
-            h_total += pmid * self.rate_grid[axis] + extremum
+            h_total += pmid * self.rate_grid[axis] + np.minimum(
+                pmid * self.hi[axis], pmid * self.lo[axis]
+            )
             h_total += self.alpha[axis] * 0.5 * (pp - pm)
         return h_total
 
@@ -337,21 +314,20 @@ class _Workspace:
 
 
 def step(field: ScalarField, sys: ClosedLoopSystem, config: SolverConfig, dt: float) -> ScalarField:
-    """One TVD-RK2 freezing step; values never increase pointwise.
+    """One backward TVD-RK2 freezing step; values never increase pointwise.
 
-    The time tag advances toward negative times for backward solves and
-    positive times for forward solves.  Raises on steps beyond the CFL
-    bound.
+    The time tag moves by ``-dt``.  A forward step is a backward step of
+    the reversed system (negated rates, reflected disturbance box).
+    Raises on steps beyond the CFL bound.
     """
-    ws = _Workspace(sys, field.grid, config.direction, config.target_mode)
+    ws = _Workspace(sys, field.grid, False)
     limit = cfl_dt(config, ws.alpha, field.grid)
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     if dt > limit * (1 + 1e-9):
         raise ValueError(f"dt={dt} violates the CFL bound {limit}")
     new_values, _ = ws.rk2_step(field.values, dt)
-    sign = -1.0 if config.direction == "backward" else 1.0
-    return ScalarField(field.grid, new_values, field.time_tag + sign * dt)
+    return ScalarField(field.grid, new_values, field.time_tag - dt)
 
 
 def _check_inside_grid(shapes: ShapeSet, grid: Grid, label: str) -> None:
@@ -361,24 +337,19 @@ def _check_inside_grid(shapes: ShapeSet, grid: Grid, label: str) -> None:
 
 
 def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Grid,
-           alpha_floor=None) -> TubeResult:
+           forward: bool, alpha_floor=None) -> TubeResult:
     _check_inside_grid(seed, grid, "seed")
-    ws = _Workspace(sys, grid, config.direction, config.target_mode, alpha_floor)
+    ws = _Workspace(sys, grid, forward, alpha_floor)
     dt_nom = cfl_dt(config, ws.alpha, grid)
-    if config.dt_override is not None:
-        if config.dt_override > dt_nom * (1 + 1e-9) or config.dt_override <= 0:
-            raise ValueError("dt_override must be positive and within the CFL bound")
-        dt_nom = config.dt_override
     if config.horizon / dt_nom > _MAX_STEPS:
         raise ValueError("configuration requires an unreasonable number of steps")
     eps = config.convergence_eps
     if eps is None:
         eps = 1e-6 * float(np.linalg.norm(grid.hi - grid.lo))
-    sign = -1.0 if config.direction == "backward" else 1.0
+    sign = 1.0 if forward else -1.0
 
     values = level_set_from_shapes(grid, seed).values
     snapshots = [(0.0, ScalarField(grid, values, 0.0))]
-    dt_history = []
     max_h = 0.0
     tau = 0.0
     steps = 0
@@ -392,7 +363,6 @@ def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Gr
             raise RuntimeError(f"tube solve produced non-finite values at step {steps}")
         steps += 1
         tau += dt
-        dt_history.append(dt)
         max_h = max(max_h, h_seen)
         delta = float(np.max(np.abs(new_values - values)))
         values = new_values
@@ -410,8 +380,8 @@ def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Gr
         snapshots=tuple(snapshots),
         config=config,
         grid=grid,
+        direction="forward" if forward else "backward",
         steps_taken=steps,
-        dt_history=tuple(dt_history),
         max_abs_h=max_h,
         converged_early=converged,
     )
@@ -423,11 +393,9 @@ def solve_brt(target: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, gri
 
     Snapshot masks are nested nondecreasing toward ``-horizon``; the final
     mask is the set of states that can reach the target within the horizon
-    under the configured disturbance sense.
+    under some admissible disturbance (the disturbance helps reach it).
     """
-    if config.direction != "backward":
-        raise ValueError("solve_brt requires direction='backward'")
-    return _solve(target, sys, config, grid, alpha_floor)
+    return _solve(target, sys, config, grid, False, alpha_floor)
 
 
 def solve_frt(initial: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Grid,
@@ -438,6 +406,4 @@ def solve_frt(initial: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, gr
     over-approximates the states reachable under some admissible
     disturbance; an under-approximation could falsely certify safety.
     """
-    if config.direction != "forward":
-        raise ValueError("solve_frt requires direction='forward'")
-    return _solve(initial, sys, config, grid, alpha_floor)
+    return _solve(initial, sys, config, grid, True, alpha_floor)

@@ -90,7 +90,6 @@ class VerificationReport:
     """Classification outcome plus the masks and field needed to query it."""
 
     verdict: str
-    frt_intersects_obstacle: tuple
     safe_mask: np.ndarray
     unsafe_mask: np.ndarray
     initial_mask: np.ndarray
@@ -112,7 +111,6 @@ def build_report(
     grid: Grid,
     initial: ShapeSet,
     brt_final: ScalarField,
-    frt_flags=(),
     provenance: dict | None = None,
 ) -> VerificationReport:
     """Assemble a report from the union backward tube and the initial set."""
@@ -133,7 +131,6 @@ def build_report(
         verdict = "partially_safe"
     return VerificationReport(
         verdict=verdict,
-        frt_intersects_obstacle=tuple(bool(f) for f in frt_flags),
         safe_mask=safe,
         unsafe_mask=unsafe,
         initial_mask=initial_mask,

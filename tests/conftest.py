@@ -136,7 +136,7 @@ def land_tubes(land_run):
     frt = solve_frt(
         scene.initial_set,
         sys_learned,
-        SolverConfig(horizon=10.0, direction="forward", snapshot_stride=20),
+        SolverConfig(horizon=10.0, snapshot_stride=20),
         scene.grid,
     )
     verdict, flags = classify_policy(frt, scene.obstacles, scene.grid)
@@ -144,8 +144,7 @@ def land_tubes(land_run):
         solve_brt(
             ShapeSet((prim,)),
             sys_learned,
-            SolverConfig(horizon=10.0, direction="backward", target_mode="reach_unsafe",
-                         snapshot_stride=20),
+            SolverConfig(horizon=10.0, snapshot_stride=20),
             scene.grid,
         )
         for prim in scene.obstacles.primitives
@@ -192,8 +191,7 @@ def capsule_runs():
         brt = solve_brt(
             ShapeSet((Ball([3.5, 0.0], 0.7),)),
             sys_cl,
-            SolverConfig(horizon=3.0, direction="backward", target_mode="reach_unsafe",
-                         snapshot_stride=50, convergence_eps=0.0),
+            SolverConfig(horizon=3.0, snapshot_stride=50, convergence_eps=0.0),
             grid,
         )
         t_brt = time.time() - t0
@@ -201,8 +199,7 @@ def capsule_runs():
         frt = solve_frt(
             ShapeSet((Ball([0.5, 0.0], 0.7),)),
             sys_cl,
-            SolverConfig(horizon=3.0, direction="forward", snapshot_stride=50,
-                         convergence_eps=0.0),
+            SolverConfig(horizon=3.0, snapshot_stride=50, convergence_eps=0.0),
             grid,
         )
         t_frt = time.time() - t0
@@ -241,13 +238,12 @@ def air_smoke():
     sys_air = ClosedLoopSystem(LearnedPlant(trained.model), policy, bounds)
     frt = solve_frt(
         scene.initial_set, sys_air,
-        SolverConfig(horizon=8.0, direction="forward", snapshot_stride=25),
+        SolverConfig(horizon=8.0, snapshot_stride=25),
         scene.grid,
     )
     brt = solve_brt(
         ShapeSet((scene.obstacles.primitives[1],)), sys_air,
-        SolverConfig(horizon=8.0, direction="backward", target_mode="reach_unsafe",
-                     snapshot_stride=25),
+        SolverConfig(horizon=8.0, snapshot_stride=25),
         scene.grid,
     )
     return {"scene": scene, "frt": frt, "brt": brt, "total_secs": time.time() - t_all}

@@ -4,13 +4,15 @@ import os
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
+from reachverify import cli
 from reachverify.cli import _write_ground_truth, main
 from reachverify.dynamics import ActionBounds, MlpPolicy, save_policy
 from reachverify.error_bounds import DisturbanceBounds, save_bounds
-from reachverify.geometry import Ball, ShapeSet, build_grid
+from reachverify.geometry import AxisBox, AxisCylinder, Ball, ShapeSet, build_grid
 from reachverify.nn import MlpModel, ModelMeta, save_model
-from reachverify.scene import Scene, save_scene
+from reachverify.scene import Scene, air_scene, land_scene, save_scene
 
 
 def write_zero_model(path, n_state=2, n_action=2, dt=0.1):
@@ -310,3 +312,97 @@ def test_ground_truth_writer_matches_per_row_reference(tmp_path):
 
 def test_no_subcommand_exits_config_error(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "solver,key",
+    [({"horizn": 1.0}, "horizn"), ({"horizon": 0.4, "direction": "backward"}, "direction")],
+)
+def test_unknown_solver_key_exits_config_error(tmp_path, capsys, solver, key):
+    scene_path = make_scene(tmp_path, [0.8, 0.8], 0.1)
+    cfg = verify_config(tmp_path, scene_path)
+    doc = json.loads(cfg.read_text())
+    doc["solver"] = solver
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_unknown_training_key_exits_config_error(tmp_path, capsys):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"env": "true_land", "training": {"epoch": 3}}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+    assert "epoch" in capsys.readouterr().err
+
+
+def _reference_polyline(prim, z):
+    # The per-branch polyline code that the circle and rectangle helpers
+    # replaced, kept as the byte-level reference for geometry*.csv.
+    if z is None:
+        if isinstance(prim, Ball):
+            t = np.linspace(0, 2 * np.pi, 65)
+            return np.stack(
+                [prim.center[0] + prim.radius * np.cos(t),
+                 prim.center[1] + prim.radius * np.sin(t)],
+                axis=1,
+            )
+        if isinstance(prim, AxisBox):
+            cx, cy = prim.center
+            hx, hy = prim.half_widths
+            return np.array(
+                [[cx - hx, cy - hy], [cx + hx, cy - hy], [cx + hx, cy + hy],
+                 [cx - hx, cy + hy], [cx - hx, cy - hy]]
+            )
+        raise ValueError(f"cannot draw primitive {type(prim).__name__} in 2-D")
+    if isinstance(prim, Ball):
+        dz = z - prim.center[2]
+        if abs(dz) >= prim.radius:
+            return None
+        r = float(np.sqrt(prim.radius**2 - dz**2))
+        t = np.linspace(0, 2 * np.pi, 65)
+        return np.stack(
+            [prim.center[0] + r * np.cos(t), prim.center[1] + r * np.sin(t)], axis=1
+        )
+    if isinstance(prim, AxisBox):
+        if abs(z - prim.center[2]) > prim.half_widths[2]:
+            return None
+        cx, cy = prim.center[:2]
+        hx, hy = prim.half_widths[:2]
+        return np.array(
+            [[cx - hx, cy - hy], [cx + hx, cy - hy], [cx + hx, cy + hy],
+             [cx - hx, cy + hy], [cx - hx, cy - hy]]
+        )
+    if isinstance(prim, AxisCylinder) and prim.axis_index == 2:
+        if abs(z - prim.center[2]) > prim.half_height:
+            return None
+        t = np.linspace(0, 2 * np.pi, 65)
+        return np.stack(
+            [prim.center[0] + prim.radius * np.cos(t),
+             prim.center[1] + prim.radius * np.sin(t)],
+            axis=1,
+        )
+    return None
+
+
+@pytest.mark.parametrize(
+    "scene,z",
+    [(land_scene(), None)]
+    + [(air_scene(), z) for z in (0.0, 0.5, 2.0, 4.0, 5.8, 5.9)],
+)
+def test_geometry_export_matches_reference_polyline(tmp_path, monkeypatch, scene, z):
+    cli._export_geometry(scene, tmp_path / "new.csv", z)
+    monkeypatch.setattr(cli, "_polyline", _reference_polyline)
+    cli._export_geometry(scene, tmp_path / "ref.csv", z)
+    new, ref = (tmp_path / "new.csv").read_bytes(), (tmp_path / "ref.csv").read_bytes()
+    assert new == ref
+    if z == 5.9:  # above every shape: only the header
+        assert new == b"shape,vertex,x0,x1\n"
+
+
+def test_polyline_rejects_2d_cylinder_and_misses_3d():
+    with pytest.raises(ValueError):
+        cli._polyline(AxisCylinder([0.0, 0.0, 0.0], 0.5, 2, 1.0), None)
+    assert cli._polyline(Ball([0.0, 0.0, 0.0], 0.5), 0.5) is None
+    assert cli._polyline(AxisBox([0.0, 0.0, 0.0], [0.5, 0.5, 0.5]), 0.6) is None
+    assert cli._polyline(AxisCylinder([0.0, 0.0, 0.0], 0.5, 2, 1.0), -1.1) is None
+    assert cli._polyline(AxisCylinder([0.0, 0.0, 0.0], 0.5, 0, 1.0), 0.0) is None

@@ -184,8 +184,7 @@ def test_exhaustive_oracle_agrees_with_solver_within_band():
         oracle_mask = exhaustive_brt_small(sys_cl, target, grid, horizon=1.0, dt=0.05)
         tube = solve_brt(
             target, sys_cl,
-            SolverConfig(horizon=1.0, direction="backward", target_mode="reach_unsafe",
-                         convergence_eps=0.0),
+            SolverConfig(horizon=1.0, convergence_eps=0.0),
             grid,
         )
         solver_mask = tube.final_mask()

@@ -152,8 +152,7 @@ def test_tube_export_and_reload(tmp_path):
     sys_cl = const_system([0.4, 0.0])
     tube = solve_brt(
         ShapeSet((Ball([0.3, 0.0], 0.3),)), sys_cl,
-        SolverConfig(horizon=0.6, direction="backward", snapshot_stride=5,
-                     convergence_eps=0.0),
+        SolverConfig(horizon=0.6, snapshot_stride=5, convergence_eps=0.0),
         grid,
     )
     manifest_path = export_tube(tube, tmp_path / "tube", prefix="brt")

@@ -15,7 +15,7 @@ from reachverify.nn import MlpModel, ModelMeta
 from reachverify.oracle import corner_extremum
 from reachverify.solver import (
     SolverConfig,
-    _one_sided_diffs_copy_ghost,
+    _one_sided_diffs,
     _Workspace,
     analytic_hamiltonian,
     cfl_dt,
@@ -161,7 +161,7 @@ def test_lax_friedrichs_reduces_to_h_and_arithmetic():
     assert val == pytest.approx(-1.0)
 
 
-@pytest.mark.parametrize("mode", ["reach_goal", "reach_unsafe"])
+@pytest.mark.parametrize("forward", [False, True], ids=["backward", "forward"])
 @pytest.mark.parametrize(
     "lo,hi,counts,A,upper,lower",
     [
@@ -173,28 +173,35 @@ def test_lax_friedrichs_reduces_to_h_and_arithmetic():
     ],
 )
 def test_stepper_hamiltonian_equals_pointwise_lax_friedrichs(
-    mode, lo, hi, counts, A, upper, lower
+    forward, lo, hi, counts, A, upper, lower
 ):
-    """The vectorised stepper Hamiltonian equals the scalar reference at every
-    node, boundary nodes (copy ghosts) included.  The evolution variable runs
-    opposite to physical time, so the reference takes the one-sided
-    differences swapped."""
+    """The vectorised stepper Hamiltonian equals the scalar reach-unsafe
+    reference at every node, boundary nodes (copy ghosts) included.  The
+    evolution variable runs opposite to physical time, so the reference
+    takes the one-sided differences swapped.  A forward stepper must match
+    the reference on the reversed system with the reflected box."""
     grid = build_grid(lo, hi, counts)
+    policy = ConstantPolicy([0.0], ActionBounds([0.0], [0.0]))
     bounds = DisturbanceBounds(upper=np.array(upper), lower=np.array(lower))
-    sys_cl = ClosedLoopSystem(
-        LinearPlant(A), ConstantPolicy([0.0], ActionBounds([0.0], [0.0])), bounds
-    )
-    ws = _Workspace(sys_cl, grid, "backward", mode)
+    sys_cl = ClosedLoopSystem(LinearPlant(A), policy, bounds)
+    ws = _Workspace(sys_cl, grid, forward)
+    if forward:
+        reflected = DisturbanceBounds(upper=-np.array(lower), lower=-np.array(upper))
+        sys_ref = ClosedLoopSystem(LinearPlant(-np.array(A)), policy, reflected)
+    else:
+        sys_ref = sys_cl
     V = np.random.default_rng(len(counts)).normal(size=grid.counts)
     vectorised = ws.numerical_hamiltonian(V)
 
-    diffs = [_one_sided_diffs_copy_ghost(V, ax, grid.spacing[ax]) for ax in range(grid.dims)]
+    diffs = [_one_sided_diffs(V, ax, grid.spacing[ax]) for ax in range(grid.dims)]
     points = grid.node_points()
     reference = np.empty(grid.counts)
     for idx in np.ndindex(*grid.counts):
         p_minus = [pm[idx] for pm, _ in diffs]
         p_plus = [pp[idx] for _, pp in diffs]
-        reference[idx] = lax_friedrichs_H(points[idx], p_plus, p_minus, sys_cl, mode, ws.alpha)
+        reference[idx] = lax_friedrichs_H(
+            points[idx], p_plus, p_minus, sys_ref, "reach_unsafe", ws.alpha
+        )
     assert np.max(np.abs(vectorised - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
@@ -237,7 +244,7 @@ def test_step_identity_when_hamiltonian_nonnegative():
     x = grid.axis_coords(0)
     field = ScalarField(grid, x.copy())
     sys_cl = const_system([1.0])
-    cfg = SolverConfig(horizon=1.0, direction="backward", target_mode="reach_goal")
+    cfg = SolverConfig(horizon=1.0)
     out = step(field, sys_cl, cfg, 0.01)
     assert np.allclose(out.values, field.values, atol=1e-15)
     assert out.time_tag == pytest.approx(-0.01)
@@ -268,8 +275,7 @@ def test_1d_advection_zero_crossing_speed():
     grid = build_grid([-4], [2], [241])
     sys_cl = const_system([1.0])
     target = ShapeSet((Ball([1.0], 0.5),))
-    cfg = SolverConfig(horizon=2.0, direction="backward", target_mode="reach_unsafe",
-                       snapshot_stride=10**6, convergence_eps=0.0)
+    cfg = SolverConfig(horizon=2.0, snapshot_stride=10**6, convergence_eps=0.0)
     tube = solve_brt(target, sys_cl, cfg, grid)
     x = grid.axis_coords(0)
     mask = tube.final_mask()
@@ -286,7 +292,7 @@ def test_solve_brt_zero_dynamics_keeps_target():
     target = ShapeSet((Ball([0.2, -0.1], 0.4),))
     tube = solve_brt(
         target, sys_cl,
-        SolverConfig(horizon=1.0, direction="backward", convergence_eps=0.0), grid,
+        SolverConfig(horizon=1.0, convergence_eps=0.0), grid,
     )
     from reachverify.geometry import level_set_from_shapes
 
@@ -300,13 +306,14 @@ def test_solve_frt_zero_dynamics_keeps_initial():
     initial = ShapeSet((Ball([0.0, 0.0], 0.3),))
     tube = solve_frt(
         initial, sys_cl,
-        SolverConfig(horizon=1.0, direction="forward", convergence_eps=0.0), grid,
+        SolverConfig(horizon=1.0, convergence_eps=0.0), grid,
     )
     from reachverify.geometry import level_set_from_shapes
 
     expected = zero_sublevel_mask(level_set_from_shapes(grid, initial))
     for _, mask in tube.masks():
         assert np.array_equal(mask, expected)
+    assert tube.direction == "forward" and tube.times[-1] == pytest.approx(1.0)
 
 
 def test_capsule_small_grid_both_directions():
@@ -317,14 +324,14 @@ def test_capsule_small_grid_both_directions():
 
     brt = solve_brt(
         ShapeSet((Ball([3.5, 0.0], 0.7),)), sys_cl,
-        SolverConfig(horizon=3.0, direction="backward", convergence_eps=0.0), grid,
+        SolverConfig(horizon=3.0, convergence_eps=0.0), grid,
     )
     assert hausdorff_between_masks(grid, brt.final_mask(), analytic) <= tol
     assert masks_nested(brt)
 
     frt = solve_frt(
         ShapeSet((Ball([0.5, 0.0], 0.7),)), sys_cl,
-        SolverConfig(horizon=3.0, direction="forward", convergence_eps=0.0), grid,
+        SolverConfig(horizon=3.0, convergence_eps=0.0), grid,
     )
     assert hausdorff_between_masks(grid, frt.final_mask(), analytic) <= tol
     assert masks_nested(frt)
@@ -336,8 +343,7 @@ def test_disturbance_monotonicity_small():
     small = const_system([0.5, 0.1], upper=[0.05, 0.05])
     big = const_system([0.5, 0.1], upper=[0.1, 0.1])
     alpha = dissipation_coefficients(big, big.bounds, grid)
-    cfg = SolverConfig(horizon=1.5, direction="backward", target_mode="reach_unsafe",
-                       convergence_eps=0.0)
+    cfg = SolverConfig(horizon=1.5, convergence_eps=0.0)
     t_small = solve_brt(target, small, cfg, grid, alpha_floor=alpha)
     t_big = solve_brt(target, big, cfg, grid, alpha_floor=alpha)
     assert np.all(t_small.final_mask() <= t_big.final_mask())
@@ -346,9 +352,8 @@ def test_disturbance_monotonicity_small():
 def test_forward_equals_backward_on_reversed_flow():
     grid = build_grid([-2, -2], [2, 2], [41, 41])
     seed = ShapeSet((Ball([0.0, 0.0], 0.4),))
-    cfg_f = SolverConfig(horizon=1.0, direction="forward", convergence_eps=0.0)
-    cfg_b = SolverConfig(horizon=1.0, direction="backward", target_mode="reach_unsafe",
-                         convergence_eps=0.0)
+    cfg_f = SolverConfig(horizon=1.0, convergence_eps=0.0)
+    cfg_b = SolverConfig(horizon=1.0, convergence_eps=0.0)
     fwd = solve_frt(seed, const_system([0.7, -0.3], upper=[0.1, 0.1]), cfg_f, grid)
     bwd = solve_brt(seed, const_system([-0.7, 0.3], upper=[0.1, 0.1]), cfg_b, grid)
     assert np.array_equal(fwd.final_mask(), bwd.final_mask())
@@ -377,8 +382,7 @@ def test_long_run_stability():
     horizon = 10_000 * dt
     tube = solve_brt(
         ShapeSet((Ball([0.5, 0.5], 0.3),)), sys_cl,
-        SolverConfig(horizon=horizon, direction="backward", target_mode="reach_unsafe",
-                     snapshot_stride=10**6, convergence_eps=0.0),
+        SolverConfig(horizon=horizon, snapshot_stride=10**6, convergence_eps=0.0),
         grid,
     )
     final = tube.final_field().values
@@ -399,8 +403,7 @@ def test_scheme_consistency_on_linear_field():
     field = ScalarField(grid, 2.0 * pts[..., 0] - 1.0 * pts[..., 1])
     sys_cl = const_system([-0.5, 0.25])
     dt = 1e-3
-    out = step(field, sys_cl, SolverConfig(horizon=1.0, direction="backward",
-                                           target_mode="reach_unsafe"), dt)
+    out = step(field, sys_cl, SolverConfig(horizon=1.0), dt)
     p_dot_f = 2.0 * (-0.5) + (-1.0) * 0.25
     expected = min(0.0, p_dot_f)
     interior = (slice(2, -2), slice(2, -2))
@@ -420,14 +423,13 @@ def test_forward_and_backward_verdicts_consistent_when_safe():
     obstacle = ShapeSet((Ball([-1.5, 0.0], 0.4),))
 
     frt = solve_frt(initial, sys_cl,
-                    SolverConfig(horizon=1.5, direction="forward", convergence_eps=0.0),
+                    SolverConfig(horizon=1.5, convergence_eps=0.0),
                     grid)
     verdict, _ = classify_policy(frt, obstacle, grid)
     assert verdict == "safe"
 
     brt = solve_brt(obstacle, sys_cl,
-                    SolverConfig(horizon=1.5, direction="backward",
-                                 target_mode="reach_unsafe", convergence_eps=0.0),
+                    SolverConfig(horizon=1.5, convergence_eps=0.0),
                     grid)
     assert not unsafe_initial_states(brt.final_field(), initial).any()
 
@@ -437,15 +439,14 @@ def test_tube_result_metadata():
     sys_cl = const_system([0.5, 0.0])
     tube = solve_brt(
         ShapeSet((Ball([0.3, 0.0], 0.3),)), sys_cl,
-        SolverConfig(horizon=0.5, direction="backward", snapshot_stride=3,
-                     convergence_eps=0.0),
+        SolverConfig(horizon=0.5, snapshot_stride=3, convergence_eps=0.0),
         grid,
     )
     times = tube.times
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(-0.5)
     assert all(t2 < t1 for t1, t2 in zip(times, times[1:]))
-    assert len(tube.dt_history) == tube.steps_taken
+    assert tube.direction == "backward"
     assert tube.max_abs_h > 0
 
 
@@ -455,7 +456,7 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(horizon=1.0, cfl_factor=1.5)
     with pytest.raises(ValueError):
-        SolverConfig(horizon=1.0, target_mode="nope")
+        SolverConfig(horizon=1.0, convergence_eps=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(horizon=1.0, snapshot_stride=0)
 
@@ -466,10 +467,10 @@ def test_solve_rejects_seed_outside_grid():
     with pytest.raises(ValueError):
         solve_brt(
             ShapeSet((Ball([2.0, 0.0], 0.5),)), sys_cl,
-            SolverConfig(horizon=1.0, direction="backward"), grid,
+            SolverConfig(horizon=1.0), grid,
         )
     with pytest.raises(ValueError):
         solve_frt(
-            ShapeSet((Ball([0.0, 0.0], 0.5),)), sys_cl,
-            SolverConfig(horizon=1.0, direction="backward"), grid,
+            ShapeSet((Ball([0.0, 0.9], 0.5),)), sys_cl,
+            SolverConfig(horizon=1.0), grid,
         )

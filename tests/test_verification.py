@@ -31,7 +31,7 @@ from reachverify.verification import (
 def _frt(grid, initial, sys_cl, horizon=0.5):
     return solve_frt(
         initial, sys_cl,
-        SolverConfig(horizon=horizon, direction="forward", convergence_eps=0.0),
+        SolverConfig(horizon=horizon, convergence_eps=0.0),
         grid,
     )
 
@@ -108,7 +108,6 @@ def test_report_rejects_bad_masks():
     with pytest.raises(ValueError):
         VerificationReport(
             verdict="partially_safe",
-            frt_intersects_obstacle=(),
             safe_mask=ones,
             unsafe_mask=ones,
             initial_mask=ones,
@@ -177,8 +176,7 @@ def test_monotone_conservatism_on_small_scene():
     small = const_system([0.8, 0.0], upper=[0.05, 0.05])
     big = const_system([0.8, 0.0], upper=[0.1, 0.1])
     alpha = dissipation_coefficients(big, big.bounds, grid)
-    cfg = SolverConfig(horizon=1.5, direction="backward", target_mode="reach_unsafe",
-                       convergence_eps=0.0)
+    cfg = SolverConfig(horizon=1.5, convergence_eps=0.0)
     brt_small = solve_brt(target, small, cfg, grid, alpha_floor=alpha)
     brt_big = solve_brt(target, big, cfg, grid, alpha_floor=alpha)
     unsafe_small = unsafe_initial_states(brt_small.final_field(), initial)
@@ -219,10 +217,10 @@ def test_classify_detects_contact_at_last_snapshot_only():
     )
     frt = TubeResult(
         snapshots=snapshots,
-        config=SolverConfig(horizon=1.0, direction="forward"),
+        config=SolverConfig(horizon=1.0),
         grid=grid,
+        direction="forward",
         steps_taken=2,
-        dt_history=(0.5, 0.5),
         max_abs_h=0.0,
         converged_early=False,
     )
