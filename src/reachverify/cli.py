@@ -20,6 +20,7 @@ import json
 import os
 import shutil
 import sys
+import typing
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .geometry import (
 from .oracle import mc_ground_truth
 from .scene import (
     Scene,
-    _config_to_dict,
     air_scene,
     export_tube,
     field_to_csv,
@@ -47,6 +47,7 @@ from .scene import (
     load_scene,
     load_tube_manifest,
     mask_to_csv,
+    policy_from_dict,
     save_scene,
 )
 from .solver import SolverConfig, solve_brt, solve_frt
@@ -69,32 +70,75 @@ def _write_json(doc, path) -> None:
         json.dump(doc, fh, indent=2)
 
 
-def _from_block(cls, d: dict, block: str):
-    """``cls(**d)`` for a JSON config block; unknown keys are a ValueError."""
-    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+def _typed(tp, value, key: str):
+    """``value`` checked as a ``tp`` field: an int may stand for a float,
+    a list for a tuple, but a bool never for an int."""
+    options = typing.get_args(tp)
+    if type(None) in options:
+        if value is None:
+            return None
+        (tp,) = set(options) - {type(None)}
+    if typing.get_origin(tp) is tuple and type(value) is list:
+        return tuple(_typed(typing.get_args(tp)[0], v, key) for v in value)
+    if tp is float and type(value) is int:
+        return float(value)
+    if type(value) is not tp:
+        raise ValueError(f"{key} must be {tp.__name__}, not {json.dumps(value)}")
+    return value
+
+
+def _from_block(cls, block, name: str, base=None, keys=None):
+    """A ``cls`` from the JSON block ``name`` (the whole file if empty):
+    ``keys`` maps block keys to fields (default: all, by name), and fields
+    the block omits keep their value in ``base`` (default ``cls()``).  Bad
+    keys or values are a ValueError naming the block and the key."""
+    where = f"the {name!r} block" if name else "the config"
+    keys = keys or {f.name: f.name for f in dataclasses.fields(cls)}
+    if type(block) is not dict:
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(block) - set(keys))
     if unknown:
-        raise ValueError(f"unknown key(s) in the {block!r} block: {', '.join(unknown)}")
-    return cls(**d)
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    hints = typing.get_type_hints(cls)
+    prefix = f"{name}." if name else ""
+    values = {keys[k]: _typed(hints[keys[k]], v, prefix + k) for k, v in block.items()}
+    try:
+        return dataclasses.replace(cls() if base is None else base, **values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
-def _training_config(d: dict | None, seed: int, block: str) -> nn.TrainingConfig:
-    d = dict(d or {})
-    d.setdefault("seed", seed)
-    if "hidden_sizes" in d:
-        d["hidden_sizes"] = tuple(d["hidden_sizes"])
-    return _from_block(nn.TrainingConfig, d, block)
+# Train-config blocks that group TrainRunConfig fields: block key -> field.
+_TRAIN_GROUPS = {
+    "mpc": {"horizon": "mpc_horizon", "candidates": "mpc_candidates", "discount": "discount"},
+    "reward": {k: k for k in ("goal_weight", "obstacle_weight", "obstacle_margin", "action_cost")},
+}
+# Train-config blocks that overlay a TrainingConfig field of TrainRunConfig.
+# Their ``seed`` is not a key: train_loop derives it from the run seed.
+_TRAIN_NETS = {"training": "model_training", "policy_training": "policy_training"}
 
 
-def _solver_config(d: dict | None) -> SolverConfig:
-    d = dict(d or {})
-    d.setdefault("horizon", 10.0)
-    return _from_block(SolverConfig, d, "solver")
+def _train_run_config(config: dict) -> TrainRunConfig:
+    """Decode a train config; every key it leaves out keeps its
+    ``TrainRunConfig()`` value.  ``scene`` is read by ``_resolve_scene``."""
+    grouped = [f for keys in (*_TRAIN_GROUPS.values(), _TRAIN_NETS) for f in keys.values()]
+    top = {f.name: f.name for f in dataclasses.fields(TrainRunConfig) if f.name not in grouped}
+    run = {k: v for k, v in config.items() if k not in {"scene", *_TRAIN_GROUPS, *_TRAIN_NETS}}
+    cfg = _from_block(TrainRunConfig, run, "", keys=top)
+    for block, keys in _TRAIN_GROUPS.items():
+        cfg = _from_block(TrainRunConfig, config.get(block, {}), block, cfg, keys)
+    net_keys = {f.name: f.name for f in dataclasses.fields(nn.TrainingConfig) if f.name != "seed"}
+    for block, field in _TRAIN_NETS.items():
+        net = _from_block(nn.TrainingConfig, config.get(block, {}), block,
+                          getattr(cfg, field), net_keys)
+        cfg = dataclasses.replace(cfg, **{field: net})
+    return cfg
 
 
 def _resolve_scene(config: dict) -> Scene:
-    if "scene" in config and config["scene"]:
+    if config.get("scene"):
         return load_scene(config["scene"])
-    env = config.get("env", "true_land")
+    env = config.get("env", TrainRunConfig.env)
     if env == "true_land":
         return land_scene()
     if env == "true_air":
@@ -102,8 +146,11 @@ def _resolve_scene(config: dict) -> Scene:
     raise ValueError(f"no scene file given and no default for env {env!r}")
 
 
-def _resolve_system(config: dict, scene: Scene, seed: int):
+def _resolve_system(config: dict):
     """Plant + policy + bounds from a run config; returns (sys, provenance)."""
+    if {"k_sigma", "dataset"} & set(config):
+        raise ValueError('k_sigma / dataset bounds are gone: pass the bounds.json '
+                         'that train wrote as "bounds"')
     prov = {}
     plant_kind = config.get("plant", "learned")
     if plant_kind == "learned":
@@ -114,28 +161,25 @@ def _resolve_system(config: dict, scene: Scene, seed: int):
         plant = make_plant(plant_kind)
     policy_spec = config["policy"]
     if isinstance(policy_spec, dict):
-        from .scene import policy_from_dict
-
         policy = policy_from_dict(policy_spec)
         prov["policy"] = f"inline:{policy_spec.get('kind')}"
     else:
         policy = load_policy(policy_spec)
         prov["policy"] = file_sha256(policy_spec)
-
     if config.get("bounds"):
         bounds = eb.load_bounds(config["bounds"])
         prov["bounds"] = file_sha256(config["bounds"])
-    elif config.get("k_sigma") and config.get("dataset"):
-        model = nn.load_model(config["model"])
-        data = nn.load_dataset(config["dataset"], model.meta.n_state, model.meta.n_action)
-        _, val = nn.split_dataset(data, seed=seed)
-        stats = eb.residuals(model, val)
-        bounds = eb.k_sigma_bounds(stats, float(config["k_sigma"]), model.meta.dt_env)
-        prov["bounds"] = f"k_sigma={config['k_sigma']} from {config['dataset']}"
     else:
         bounds = eb.DisturbanceBounds.zero(plant.n_state)
         prov["bounds"] = "zero"
     return ClosedLoopSystem(plant, policy, bounds), prov
+
+
+def _run_inputs(args):
+    """Config, seed, scene, closed-loop system and its provenance of a run."""
+    config = _load_json(args.config)
+    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    return (config, seed, _resolve_scene(config), *_resolve_system(config))
 
 
 def _write_ground_truth(mc, n: int, path) -> None:
@@ -153,31 +197,10 @@ def _write_ground_truth(mc, n: int, path) -> None:
 
 def cmd_train(args) -> int:
     config = _load_json(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    run_cfg = _train_run_config(config)
+    if args.seed is not None:
+        run_cfg = dataclasses.replace(run_cfg, seed=args.seed)
     scene = _resolve_scene(config)
-    run_cfg = TrainRunConfig(
-        env=config.get("env", "true_land"),
-        initial_samples=int(config.get("initial_samples", 300)),
-        outer_iterations=int(config.get("outer_iterations", 1)),
-        samples_per_iteration=int(config.get("samples_per_iteration", 500)),
-        rollout_steps=int(config.get("rollout_steps", 5)),
-        mpc_horizon=int(config.get("mpc", {}).get("horizon", 8)),
-        mpc_candidates=int(config.get("mpc", {}).get("candidates", 64)),
-        discount=float(config.get("mpc", {}).get("discount", 0.9)),
-        goal_weight=float(config.get("reward", {}).get("goal_weight", 1.0)),
-        obstacle_weight=float(config.get("reward", {}).get("obstacle_weight", 10.0)),
-        obstacle_margin=float(config.get("reward", {}).get("obstacle_margin", 0.3)),
-        action_cost=float(config.get("reward", {}).get("action_cost", 0.01)),
-        distill_states=int(config.get("distill_states", 400)),
-        k_sigma=float(config.get("k_sigma", 3.0)),
-        dt_env=float(config.get("dt_env", 0.1)),
-        seed=seed,
-        model_training=_training_config(config.get("training"), seed, "training"),
-        policy_training=_training_config(
-            config.get("policy_training", {"epochs": 300}), seed, "policy_training"
-        ),
-    )
-
     result = train_loop(run_cfg, scene)
 
     out = args.out
@@ -198,7 +221,7 @@ def cmd_train(args) -> int:
     save_scene(scene, paths["scene"])
     manifest = {
         "command": "train",
-        "seed": seed,
+        "seed": run_cfg.seed,
         "config": config,
         "files": {k: os.path.basename(p) for k, p in paths.items()},
         "hashes": {k: file_sha256(p) for k, p in paths.items()},
@@ -209,11 +232,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _load_json(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    scene = _resolve_scene(config)
-    sys_cl, prov = _resolve_system(config, scene, seed)
-    solver_cfg = _solver_config(config.get("solver"))
+    config, seed, scene, sys_cl, prov = _run_inputs(args)
+    solver_cfg = _from_block(SolverConfig, config.get("solver", {}), "solver")
 
     frt = solve_frt(scene.initial_set, sys_cl, solver_cfg, scene.grid)
     verdict, flags = classify_policy(frt, scene.obstacles, scene.grid)
@@ -228,7 +248,7 @@ def cmd_verify(args) -> int:
         "provenance": {
             **prov,
             "seed": seed,
-            "solver": _config_to_dict(solver_cfg),
+            "solver": dataclasses.asdict(solver_cfg),
         },
         "exports": {"frt_manifest": os.path.relpath(frt_manifest, out)},
     }
@@ -240,11 +260,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_safe_set(args) -> int:
-    config = _load_json(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    scene = _resolve_scene(config)
-    sys_cl, prov = _resolve_system(config, scene, seed)
-    solver_cfg = _solver_config(config.get("solver"))
+    config, seed, scene, sys_cl, prov = _run_inputs(args)
+    solver_cfg = _from_block(SolverConfig, config.get("solver", {}), "solver")
 
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -319,10 +336,8 @@ def cmd_safe_set(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    config = _load_json(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    scene = _resolve_scene(config)
-    sys_cl, prov = _resolve_system(config, scene, seed)
+    config, seed, scene, sys_cl, prov = _run_inputs(args)
+    include_zero_draw = bool(config.get("include_zero_draw", True))
     mc = mc_ground_truth(
         sys_cl,
         scene.initial_set,
@@ -331,7 +346,7 @@ def cmd_oracle(args) -> int:
         dt=float(config.get("dt", 0.1)),
         num_samples=int(config.get("num_samples", 1000)),
         num_disturbance_draws=int(config.get("draws", 16)),
-        include_zero_draw=bool(config.get("include_zero_draw", True)),
+        include_zero_draw=include_zero_draw,
         seed=seed,
     )
     out = args.out
@@ -345,7 +360,7 @@ def cmd_oracle(args) -> int:
             "num_samples": len(mc.samples),
             "strategy": {
                 "disturbance_draws": mc.num_draws,
-                "include_zero_draw": bool(config.get("include_zero_draw", True)),
+                "include_zero_draw": include_zero_draw,
                 "horizon": mc.horizon,
                 "dt": mc.dt,
             },

@@ -232,16 +232,6 @@ class TransitionDataset:
     def n_action(self) -> int:
         return self.actions.shape[1]
 
-    @staticmethod
-    def from_tuples(tuples, split: str | None = None) -> "TransitionDataset":
-        states, actions, deltas = zip(*tuples)
-        return TransitionDataset(
-            np.asarray(states, dtype=float),
-            np.asarray(actions, dtype=float),
-            np.asarray(deltas, dtype=float),
-            split=split,
-        )
-
     def inputs(self) -> np.ndarray:
         return np.hstack([self.states, self.actions])
 
@@ -272,7 +262,7 @@ def split_dataset(
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    hidden_sizes: tuple = (32, 32)
+    hidden_sizes: tuple[int, ...] = (32, 32)
     hidden_activation: str = "tanh"
     output_activation: str = "tanh"
     learning_rate: float = 1e-3
@@ -286,6 +276,9 @@ class TrainingConfig:
     def __post_init__(self):
         if self.lr_schedule not in ("constant", "cosine"):
             raise ValueError("lr_schedule must be 'constant' or 'cosine'")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def _param_views(flat: np.ndarray, sizes):

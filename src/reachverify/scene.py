@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .geometry import (
     ShapeSet,
     build_grid,
 )
-from .solver import SolverConfig, TubeResult
+from .solver import TubeResult
 
 __all__ = [
     "Scene",
@@ -192,9 +192,7 @@ def policy_from_dict(d: dict):
     if kind == "tabulated":
         g = d["grid"]
         grid = build_grid(g["lo"], g["hi"], g["counts"])
-        import numpy as _np
-
-        return TabulatedPolicy(grid, _np.asarray(d["table"], dtype=float), bounds)
+        return TabulatedPolicy(grid, np.asarray(d["table"], dtype=float), bounds)
     raise ValueError(f"unknown policy kind {kind!r}")
 
 
@@ -268,15 +266,6 @@ def mask_to_csv(grid: Grid, mask: np.ndarray, path) -> None:
 # Tube export
 # ---------------------------------------------------------------------------
 
-def _config_to_dict(config: SolverConfig) -> dict:
-    return {
-        "horizon": config.horizon,
-        "cfl_factor": config.cfl_factor,
-        "snapshot_stride": config.snapshot_stride,
-        "convergence_eps": config.convergence_eps,
-    }
-
-
 def export_tube(tube: TubeResult, out_dir, prefix: str = "snapshot"):
     """Write one CSV per snapshot plus a JSON manifest.
 
@@ -299,7 +288,7 @@ def export_tube(tube: TubeResult, out_dir, prefix: str = "snapshot"):
             "hi": tube.grid.hi.tolist(),
             "counts": list(tube.grid.counts),
         },
-        "config": {**_config_to_dict(tube.config), "direction": tube.direction},
+        "config": {**asdict(tube.config), "direction": tube.direction},
         "steps_taken": tube.steps_taken,
         "max_abs_hamiltonian": tube.max_abs_h,
         "converged_early": tube.converged_early,

@@ -70,7 +70,7 @@ class SolverConfig:
     falls below it; ``None`` uses ``1e-6`` times the domain diameter.
     """
 
-    horizon: float
+    horizon: float = 10.0
     cfl_factor: float = 0.5
     snapshot_stride: int = 10
     convergence_eps: float | None = None

@@ -6,12 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import LAND_RUN_CONFIG
 from reachverify import cli
 from reachverify.cli import _write_ground_truth, main
 from reachverify.dynamics import ActionBounds, MlpPolicy, save_policy
 from reachverify.error_bounds import DisturbanceBounds, save_bounds
 from reachverify.geometry import AxisBox, AxisCylinder, Ball, ShapeSet, build_grid
-from reachverify.nn import MlpModel, ModelMeta, save_model
+from reachverify.nn import MlpModel, ModelMeta, TransitionDataset, save_dataset, save_model
 from reachverify.scene import Scene, air_scene, land_scene, save_scene
 
 
@@ -316,7 +317,12 @@ def test_no_subcommand_exits_config_error(capsys):
 
 @pytest.mark.parametrize(
     "solver,key",
-    [({"horizn": 1.0}, "horizn"), ({"horizon": 0.4, "direction": "backward"}, "direction")],
+    [
+        ({"horizn": 1.0}, "horizn"),
+        ({"horizon": 0.4, "direction": "backward"}, "direction"),
+        ({"horizon": "10"}, "horizon"),
+        ({"horizon": 0.4, "convergence_eps": "0"}, "convergence_eps"),
+    ],
 )
 def test_unknown_solver_key_exits_config_error(tmp_path, capsys, solver, key):
     scene_path = make_scene(tmp_path, [0.8, 0.8], 0.1)
@@ -328,11 +334,68 @@ def test_unknown_solver_key_exits_config_error(tmp_path, capsys, solver, key):
     assert key in capsys.readouterr().err
 
 
-def test_unknown_training_key_exits_config_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "config,key",
+    [
+        ({"training": {"epoch": 3}}, "epoch"),
+        ({"training": {"epochs": "60"}}, "epochs"),
+        ({"training": {"epochs": 0}}, "epochs"),
+        ({"training": {"seed": 7}}, "seed"),
+        ({"policy_training": {"seed": 7}}, "seed"),
+        ({"policy_training": {"hidden_sizes": [16, "16"]}}, "hidden_sizes"),
+        ({"initial_samples": 300.9}, "initial_samples"),
+        ({"initial_sample": 1000}, "initial_sample"),
+        ({"mpc": {"candidates": True}}, "candidates"),
+        ({"mpc": {"horizn": 6}}, "horizn"),
+        ({"reward": {"goal_wieght": 1.0}}, "goal_wieght"),
+    ],
+)
+def test_unknown_training_key_exits_config_error(tmp_path, monkeypatch, capsys, config, key):
+    monkeypatch.setattr(cli, "train_loop", lambda *a: pytest.fail("config reached train_loop"))
     cfg = tmp_path / "train.json"
-    cfg.write_text(json.dumps({"env": "true_land", "training": {"epoch": 3}}))
+    cfg.write_text(json.dumps({"env": "true_land", **config}))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
-    assert "epoch" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"env": "true_land", "initial_samples": 1000},
+        {"initial_samples": 1000, "k_sigma": 3, "reward": {"obstacle_weight": 10}},
+    ],
+)
+def test_train_config_defaults_are_train_run_config(tmp_path, monkeypatch, config):
+    # Keys a train config leaves out take their TrainRunConfig() values:
+    # the minimal land config is the paper's land run.  An int stands for
+    # a float and is stored as one.
+    seen = []
+
+    def capture(run_cfg, scene):
+        seen.append(run_cfg)
+        raise RuntimeError("stop after decoding")
+
+    monkeypatch.setattr(cli, "train_loop", capture)
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t"), "--seed", "0"]) == 3
+    assert seen == [LAND_RUN_CONFIG]
+    assert type(seen[0].k_sigma) is float and type(seen[0].obstacle_weight) is float
+
+
+def test_verify_rejects_k_sigma_bounds_config(tmp_path, capsys):
+    scene_path = make_scene(tmp_path, [0.8, 0.8], 0.1)
+    cfg = verify_config(tmp_path, scene_path)
+    doc = json.loads(cfg.read_text())
+    del doc["bounds"]
+    rng = np.random.default_rng(0)
+    save_dataset(TransitionDataset(*rng.normal(size=(3, 40, 2))), tmp_path / "dataset.csv")
+    doc.update({"k_sigma": 3.0, "dataset": str(tmp_path / "dataset.csv")})
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "bounds.json" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def _reference_polyline(prim, z):

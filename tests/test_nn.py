@@ -224,6 +224,12 @@ def test_split_dataset_deterministic_and_tagged():
     assert len(t1) + len(v1) == len(data)
 
 
+@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+def test_training_config_rejects_nonpositive_counts(field):
+    with pytest.raises(ValueError, match=field):
+        TrainingConfig(**{field: 0})
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         TransitionDataset(np.zeros((0, 2)), np.zeros((0, 1)), np.zeros((0, 2)))
