@@ -20,6 +20,7 @@ import json
 import os
 import shutil
 import sys
+import types
 import typing
 
 import numpy as np
@@ -62,7 +63,10 @@ EXIT_UNSAFE = 4
 
 def _load_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if type(doc) is not dict:
+        raise ValueError(f"{path} does not hold a JSON object")
+    return doc
 
 
 def _write_json(doc, path) -> None:
@@ -72,19 +76,19 @@ def _write_json(doc, path) -> None:
 
 def _typed(tp, value, key: str):
     """``value`` checked as a ``tp`` field: an int may stand for a float,
-    a list for a tuple, but a bool never for an int."""
-    options = typing.get_args(tp)
-    if type(None) in options:
-        if value is None:
-            return None
-        (tp,) = set(options) - {type(None)}
-    if typing.get_origin(tp) is tuple and type(value) is list:
-        return tuple(_typed(typing.get_args(tp)[0], v, key) for v in value)
-    if tp is float and type(value) is int:
-        return float(value)
-    if type(value) is not tp:
-        raise ValueError(f"{key} must be {tp.__name__}, not {json.dumps(value)}")
-    return value
+    a list for a tuple, but a bool never for an int.  A union takes the
+    value as its first member that fits."""
+    union = typing.get_origin(tp) in (typing.Union, types.UnionType)
+    options = typing.get_args(tp) if union else (tp,)
+    for option in options:
+        if typing.get_origin(option) is tuple and type(value) is list:
+            return tuple(_typed(typing.get_args(option)[0], v, key) for v in value)
+        if option is float and type(value) is int:
+            return float(value)
+        if type(value) is option:
+            return value
+    names = " or ".join("null" if t is type(None) else t.__name__ for t in options)
+    raise ValueError(f"{key} must be {names}, not {json.dumps(value)}")
 
 
 def _from_block(cls, block, name: str, base=None, keys=None):
@@ -118,27 +122,58 @@ _TRAIN_GROUPS = {
 _TRAIN_NETS = {"training": "model_training", "policy_training": "policy_training"}
 
 
-def _train_run_config(config: dict) -> TrainRunConfig:
-    """Decode a train config; every key it leaves out keeps its
-    ``TrainRunConfig()`` value.  ``scene`` is read by ``_resolve_scene``."""
+def _train_run_config(config: dict):
+    """Decode a train config into its ``TrainRunConfig`` and its ``scene``
+    path; every key it leaves out keeps its ``TrainRunConfig()`` value."""
+    run = dict(config)
+    blocks = {name: run.pop(name, {}) for name in (*_TRAIN_GROUPS, *_TRAIN_NETS)}
+    scene = _typed(str | None, run.pop("scene", None), "scene")
     grouped = [f for keys in (*_TRAIN_GROUPS.values(), _TRAIN_NETS) for f in keys.values()]
     top = {f.name: f.name for f in dataclasses.fields(TrainRunConfig) if f.name not in grouped}
-    run = {k: v for k, v in config.items() if k not in {"scene", *_TRAIN_GROUPS, *_TRAIN_NETS}}
     cfg = _from_block(TrainRunConfig, run, "", keys=top)
     for block, keys in _TRAIN_GROUPS.items():
-        cfg = _from_block(TrainRunConfig, config.get(block, {}), block, cfg, keys)
+        cfg = _from_block(TrainRunConfig, blocks[block], block, cfg, keys)
     net_keys = {f.name: f.name for f in dataclasses.fields(nn.TrainingConfig) if f.name != "seed"}
     for block, field in _TRAIN_NETS.items():
-        net = _from_block(nn.TrainingConfig, config.get(block, {}), block,
-                          getattr(cfg, field), net_keys)
+        net = _from_block(nn.TrainingConfig, blocks[block], block, getattr(cfg, field), net_keys)
         cfg = dataclasses.replace(cfg, **{field: net})
-    return cfg
+    return cfg, scene
 
 
-def _resolve_scene(config: dict) -> Scene:
-    if config.get("scene"):
-        return load_scene(config["scene"])
-    env = config.get("env", TrainRunConfig.env)
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """A verify, safe-set or oracle config (keys: ``_RUN_KEYS``), or the
+    ``mc`` block of a safe-set config (keys: ``_MC_KEYS``).  ``policy`` is
+    a policy file or an inline policy; without ``bounds`` the box is zero."""
+
+    scene: str | None = None
+    env: str = TrainRunConfig.env
+    plant: str = "learned"
+    model: str | None = None
+    policy: str | dict | None = None
+    bounds: str | None = None
+    seed: int = 0
+    solver: dict = dataclasses.field(default_factory=dict)
+    mc: dict = dataclasses.field(default_factory=dict)
+    horizon: float = SolverConfig.horizon
+    dt: float = 0.1
+    num_samples: int = 1000
+    draws: int = 16
+    include_zero_draw: bool = True
+
+
+_ARTIFACT_KEYS = ("scene", "env", "plant", "model", "policy", "bounds", "seed")
+_RUN_KEYS = {
+    "verify": (*_ARTIFACT_KEYS, "solver", "mc"),
+    "safe-set": (*_ARTIFACT_KEYS, "solver", "mc"),
+    "oracle": (*_ARTIFACT_KEYS, "horizon", "dt", "num_samples", "draws", "include_zero_draw"),
+}
+_MC_KEYS = ("plant", "horizon", "dt", "num_samples")
+
+
+def _resolve_scene(scene: str | None, env: str) -> Scene:
+    if scene is not None:
+        return load_scene(scene)
     if env == "true_land":
         return land_scene()
     if env == "true_air":
@@ -146,29 +181,27 @@ def _resolve_scene(config: dict) -> Scene:
     raise ValueError(f"no scene file given and no default for env {env!r}")
 
 
-def _resolve_system(config: dict):
-    """Plant + policy + bounds from a run config; returns (sys, provenance)."""
-    if {"k_sigma", "dataset"} & set(config):
-        raise ValueError('k_sigma / dataset bounds are gone: pass the bounds.json '
-                         'that train wrote as "bounds"')
+def _resolve_system(cfg: RunConfig):
+    """Plant + policy + bounds of a run config; returns (sys, provenance)."""
     prov = {}
-    plant_kind = config.get("plant", "learned")
-    if plant_kind == "learned":
-        model = nn.load_model(config["model"])
-        plant = LearnedPlant(model)
-        prov["model"] = file_sha256(config["model"])
+    if cfg.plant == "learned":
+        if cfg.model is None:
+            raise ValueError('a learned plant needs a "model" file')
+        plant = LearnedPlant(nn.load_model(cfg.model))
+        prov["model"] = file_sha256(cfg.model)
     else:
-        plant = make_plant(plant_kind)
-    policy_spec = config["policy"]
-    if isinstance(policy_spec, dict):
-        policy = policy_from_dict(policy_spec)
-        prov["policy"] = f"inline:{policy_spec.get('kind')}"
+        plant = make_plant(cfg.plant)
+    if cfg.policy is None:
+        raise ValueError('the config names no "policy"')
+    if isinstance(cfg.policy, dict):
+        policy = policy_from_dict(cfg.policy)
+        prov["policy"] = f"inline:{cfg.policy.get('kind')}"
     else:
-        policy = load_policy(policy_spec)
-        prov["policy"] = file_sha256(policy_spec)
-    if config.get("bounds"):
-        bounds = eb.load_bounds(config["bounds"])
-        prov["bounds"] = file_sha256(config["bounds"])
+        policy = load_policy(cfg.policy)
+        prov["policy"] = file_sha256(cfg.policy)
+    if cfg.bounds is not None:
+        bounds = eb.load_bounds(cfg.bounds)
+        prov["bounds"] = file_sha256(cfg.bounds)
     else:
         bounds = eb.DisturbanceBounds.zero(plant.n_state)
         prov["bounds"] = "zero"
@@ -176,10 +209,22 @@ def _resolve_system(config: dict):
 
 
 def _run_inputs(args):
-    """Config, seed, scene, closed-loop system and its provenance of a run."""
+    """Decoded config, seed, scene, closed-loop system and provenance of a run."""
     config = _load_json(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    return (config, seed, _resolve_scene(config), *_resolve_system(config))
+    if {"k_sigma", "dataset"} & set(config):
+        raise ValueError('k_sigma / dataset bounds are gone: pass the bounds.json '
+                         'that train wrote as "bounds"')
+    cfg = _from_block(RunConfig, config, "", keys={k: k for k in _RUN_KEYS[args.command]})
+    seed = cfg.seed if args.seed is None else args.seed
+    return cfg, seed, _resolve_scene(cfg.scene, cfg.env), *_resolve_system(cfg)
+
+
+def _tube_configs(cfg: RunConfig):
+    """The solver config and the Monte-Carlo settings of a verify /
+    safe-set config; the ``mc`` horizon defaults to the solver's."""
+    solver = _from_block(SolverConfig, cfg.solver, "solver")
+    mc_base = RunConfig(plant="true_land", horizon=solver.horizon)
+    return solver, _from_block(RunConfig, cfg.mc, "mc", mc_base, {k: k for k in _MC_KEYS})
 
 
 def _write_ground_truth(mc, n: int, path) -> None:
@@ -197,10 +242,10 @@ def _write_ground_truth(mc, n: int, path) -> None:
 
 def cmd_train(args) -> int:
     config = _load_json(args.config)
-    run_cfg = _train_run_config(config)
+    run_cfg, scene_path = _train_run_config(config)
     if args.seed is not None:
         run_cfg = dataclasses.replace(run_cfg, seed=args.seed)
-    scene = _resolve_scene(config)
+    scene = _resolve_scene(scene_path, run_cfg.env)
     result = train_loop(run_cfg, scene)
 
     out = args.out
@@ -232,8 +277,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config, seed, scene, sys_cl, prov = _run_inputs(args)
-    solver_cfg = _from_block(SolverConfig, config.get("solver", {}), "solver")
+    cfg, seed, scene, sys_cl, prov = _run_inputs(args)
+    solver_cfg, _ = _tube_configs(cfg)
 
     frt = solve_frt(scene.initial_set, sys_cl, solver_cfg, scene.grid)
     verdict, flags = classify_policy(frt, scene.obstacles, scene.grid)
@@ -260,8 +305,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_safe_set(args) -> int:
-    config, seed, scene, sys_cl, prov = _run_inputs(args)
-    solver_cfg = _from_block(SolverConfig, config.get("solver", {}), "solver")
+    cfg, seed, scene, sys_cl, prov = _run_inputs(args)
+    solver_cfg, mc_cfg = _tube_configs(cfg)
 
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -305,22 +350,13 @@ def cmd_safe_set(args) -> int:
     }
 
     if args.compare_mc:
-        mc_cfg = config.get("mc", {})
-        plant_kind = mc_cfg.get("plant", "true_land")
-        mc_plant = make_plant(plant_kind) if plant_kind != "learned" else sys_cl.plant
+        mc_plant = make_plant(mc_cfg.plant) if mc_cfg.plant != "learned" else sys_cl.plant
         mc_sys = ClosedLoopSystem(
             mc_plant, sys_cl.policy, eb.DisturbanceBounds.zero(mc_plant.n_state)
         )
-        mc = mc_ground_truth(
-            mc_sys,
-            scene.initial_set,
-            scene.obstacles,
-            horizon=float(mc_cfg.get("horizon", solver_cfg.horizon)),
-            dt=float(mc_cfg.get("dt", 0.1)),
-            num_samples=int(mc_cfg.get("num_samples", 1000)),
-            num_disturbance_draws=int(mc_cfg.get("draws", 0)),
-            seed=seed,
-        )
+        # The box is zero, so any disturbance draw would repeat the zero draw.
+        mc = mc_ground_truth(mc_sys, scene.initial_set, scene.obstacles, mc_cfg.horizon,
+                             mc_cfg.dt, mc_cfg.num_samples, num_disturbance_draws=0, seed=seed)
         brt_safe = interpolate_many(union_field, mc.samples) > 0.0
         agreement = float(np.mean(brt_safe == mc.safe))
         doc["mc_comparison"] = {
@@ -336,19 +372,9 @@ def cmd_safe_set(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    config, seed, scene, sys_cl, prov = _run_inputs(args)
-    include_zero_draw = bool(config.get("include_zero_draw", True))
-    mc = mc_ground_truth(
-        sys_cl,
-        scene.initial_set,
-        scene.obstacles,
-        horizon=float(config.get("horizon", 10.0)),
-        dt=float(config.get("dt", 0.1)),
-        num_samples=int(config.get("num_samples", 1000)),
-        num_disturbance_draws=int(config.get("draws", 16)),
-        include_zero_draw=include_zero_draw,
-        seed=seed,
-    )
+    cfg, seed, scene, sys_cl, prov = _run_inputs(args)
+    mc = mc_ground_truth(sys_cl, scene.initial_set, scene.obstacles, cfg.horizon, cfg.dt,
+                         cfg.num_samples, cfg.draws, cfg.include_zero_draw, seed)
     out = args.out
     os.makedirs(out, exist_ok=True)
     _write_ground_truth(mc, scene.grid.dims, os.path.join(out, "ground_truth.csv"))
@@ -360,7 +386,7 @@ def cmd_oracle(args) -> int:
             "num_samples": len(mc.samples),
             "strategy": {
                 "disturbance_draws": mc.num_draws,
-                "include_zero_draw": include_zero_draw,
+                "include_zero_draw": cfg.include_zero_draw,
                 "horizon": mc.horizon,
                 "dt": mc.dt,
             },

@@ -15,13 +15,13 @@ zero-pitch slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .error_bounds import DisturbanceBounds
 from .geometry import Grid, ScalarField, interpolate_many
-from .nn import MlpModel, ModelMeta, forward, forward_batch, load_model, save_model
+from .nn import MlpModel, forward, forward_batch, load_model, save_model
 
 __all__ = [
     "ActionBounds",
@@ -252,26 +252,9 @@ def nominal_rate_batch(sys: ClosedLoopSystem, states: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_policy(policy: MlpPolicy, path) -> None:
-    meta = ModelMeta(
-        n_state=policy.model.meta.n_state,
-        n_action=policy.model.meta.n_action,
-        dt_env=policy.model.meta.dt_env,
-        role="policy",
-        action_lo=tuple(policy.bounds.lo),
-        action_hi=tuple(policy.bounds.hi),
-    )
-    save_model(
-        MlpModel(
-            layer_sizes=policy.model.layer_sizes,
-            weights=policy.model.weights,
-            biases=policy.model.biases,
-            hidden_activation=policy.model.hidden_activation,
-            output_activation=policy.model.output_activation,
-            output_scale=policy.model.output_scale,
-            meta=meta,
-        ),
-        path,
-    )
+    meta = replace(policy.model.meta, role="policy", action_lo=tuple(policy.bounds.lo),
+                   action_hi=tuple(policy.bounds.hi))
+    save_model(replace(policy.model, meta=meta), path)
 
 
 def load_policy(path) -> MlpPolicy:

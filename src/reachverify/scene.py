@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dynamics import ActionBounds, ConstantPolicy, TabulatedPolicy
 from .geometry import (
     AxisBox,
     AxisCylinder,
@@ -132,13 +134,17 @@ def _shapes_from_list(items) -> ShapeSet:
     return ShapeSet(tuple(primitive_from_dict(d) for d in items))
 
 
+def _grid_to_dict(grid: Grid) -> dict:
+    return {"lo": grid.lo.tolist(), "hi": grid.hi.tolist(), "counts": list(grid.counts)}
+
+
+def _grid_from_dict(g: dict) -> Grid:
+    return build_grid(g["lo"], g["hi"], g["counts"])
+
+
 def scene_to_dict(scene: Scene) -> dict:
     return {
-        "grid": {
-            "lo": scene.grid.lo.tolist(),
-            "hi": scene.grid.hi.tolist(),
-            "counts": list(scene.grid.counts),
-        },
+        "grid": _grid_to_dict(scene.grid),
         "initial_set": _shapes_to_list(scene.initial_set),
         "goal_set": _shapes_to_list(scene.goal_set),
         "obstacles": _shapes_to_list(scene.obstacles),
@@ -146,9 +152,8 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(doc: dict) -> Scene:
-    g = doc["grid"]
     return Scene(
-        grid=build_grid(g["lo"], g["hi"], g["counts"]),
+        grid=_grid_from_dict(doc["grid"]),
         initial_set=_shapes_from_list(doc["initial_set"]),
         goal_set=_shapes_from_list(doc["goal_set"]),
         obstacles=_shapes_from_list(doc["obstacles"]),
@@ -157,8 +162,6 @@ def scene_from_dict(doc: dict) -> Scene:
 
 def policy_to_dict(policy) -> dict:
     """Inline JSON form for the non-network policy kinds."""
-    from .dynamics import ConstantPolicy, TabulatedPolicy
-
     if isinstance(policy, ConstantPolicy):
         return {
             "kind": "constant",
@@ -169,11 +172,7 @@ def policy_to_dict(policy) -> dict:
     if isinstance(policy, TabulatedPolicy):
         return {
             "kind": "tabulated",
-            "grid": {
-                "lo": policy.grid.lo.tolist(),
-                "hi": policy.grid.hi.tolist(),
-                "counts": list(policy.grid.counts),
-            },
+            "grid": _grid_to_dict(policy.grid),
             "table": policy.table.tolist(),
             "action_lo": policy.bounds.lo.tolist(),
             "action_hi": policy.bounds.hi.tolist(),
@@ -183,15 +182,12 @@ def policy_to_dict(policy) -> dict:
 
 
 def policy_from_dict(d: dict):
-    from .dynamics import ActionBounds, ConstantPolicy, TabulatedPolicy
-
     bounds = ActionBounds(d["action_lo"], d["action_hi"])
     kind = d.get("kind")
     if kind == "constant":
         return ConstantPolicy(d["action"], bounds)
     if kind == "tabulated":
-        g = d["grid"]
-        grid = build_grid(g["lo"], g["hi"], g["counts"])
+        grid = _grid_from_dict(d["grid"])
         return TabulatedPolicy(grid, np.asarray(d["table"], dtype=float), bounds)
     raise ValueError(f"unknown policy kind {kind!r}")
 
@@ -273,8 +269,6 @@ def export_tube(tube: TubeResult, out_dir, prefix: str = "snapshot"):
     grid, the solver configuration with the tube's direction, and the
     per-file names in order.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     files = []
     for k, (t, fld) in enumerate(tube.snapshots):
@@ -283,11 +277,7 @@ def export_tube(tube: TubeResult, out_dir, prefix: str = "snapshot"):
         files.append({"time": t, "file": name})
     manifest = {
         "times": [t for t, _ in tube.snapshots],
-        "grid": {
-            "lo": tube.grid.lo.tolist(),
-            "hi": tube.grid.hi.tolist(),
-            "counts": list(tube.grid.counts),
-        },
+        "grid": _grid_to_dict(tube.grid),
         "config": {**asdict(tube.config), "direction": tube.direction},
         "steps_taken": tube.steps_taken,
         "max_abs_hamiltonian": tube.max_abs_h,
@@ -302,12 +292,9 @@ def export_tube(tube: TubeResult, out_dir, prefix: str = "snapshot"):
 
 def load_tube_manifest(manifest_path):
     """Read back a tube export: the grid and the time-ordered fields."""
-    import os
-
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    g = manifest["grid"]
-    grid = build_grid(g["lo"], g["hi"], g["counts"])
+    grid = _grid_from_dict(manifest["grid"])
     base = os.path.dirname(manifest_path)
     snapshots = [
         (entry["time"], field_from_csv(os.path.join(base, entry["file"]), grid, entry["time"]))

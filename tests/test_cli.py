@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 from types import SimpleNamespace
@@ -166,7 +167,7 @@ def test_safe_set_fractions(tmp_path):
 def test_safe_set_with_mc_comparison(tmp_path):
     scene_path = make_scene(tmp_path, [0.8, 0.8], 0.1)
     cfg_doc = json.loads((verify_config(tmp_path, scene_path)).read_text())
-    cfg_doc["mc"] = {"plant": "learned", "num_samples": 50, "draws": 0, "horizon": 0.4}
+    cfg_doc["mc"] = {"plant": "learned", "num_samples": 50, "horizon": 0.4}
     cfg = tmp_path / "cfg_mc.json"
     cfg.write_text(json.dumps(cfg_doc))
     out = tmp_path / "mc_run"
@@ -202,6 +203,7 @@ def test_oracle_command(tmp_path):
     scene_path = make_scene(tmp_path, [0.8, 0.8], 0.1)
     cfg = verify_config(tmp_path, scene_path)
     doc = json.loads(cfg.read_text())
+    del doc["solver"]  # oracle has no tube solve
     doc.update({"horizon": 0.3, "dt": 0.1, "num_samples": 20, "draws": 1})
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "oracle"
@@ -396,6 +398,114 @@ def test_verify_rejects_k_sigma_bounds_config(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
     assert "bounds.json" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def run_config(tmp_path, command):
+    """A small config that ``command`` accepts: the verify config, without
+    the ``solver`` block for oracle, or a minimal train config."""
+    if command == "train":
+        return {"env": "true_land"}
+    doc = json.loads(verify_config(tmp_path, make_scene(tmp_path, [0.8, 0.8], 0.1)).read_text())
+    if command == "oracle":
+        del doc["solver"]
+    return doc
+
+
+def run_argv(command, cfg, out):
+    flags = ["--compare-mc"] if command == "safe-set" else []
+    return [command, "--config", str(cfg), "--out", str(out), *flags]
+
+
+@pytest.mark.parametrize(
+    "command,edit,key",
+    [
+        ("verify", {"bounds": None, "bound": "bounds.json"}, "bound"),
+        ("verify", {"seed": "3"}, "seed"),
+        ("safe-set", {"seed": 2.7}, "seed"),
+        ("oracle", {"seed": True}, "seed"),
+        ("oracle", {"include_zero_draw": "false"}, "include_zero_draw"),
+        ("oracle", {"num_sample": 50}, "num_sample"),
+        ("oracle", {"solver": {"horizon": 0.4}}, "solver"),
+        ("safe-set", {"mc": {"plant": "learned", "draws": 8}}, "draws"),
+        ("safe-set", {"mc": {"plant": "learned", "horizon": "0.4"}}, "horizon"),
+        ("safe-set", {"mc": {"plant": "learned", "num_samples": 50.9}}, "num_samples"),
+        ("verify", {"policy": 5}, "policy"),
+        ("verify", {"scene": 7}, "scene"),
+        ("train", {"scene": 7}, "scene"),
+    ],
+)
+def test_bad_run_config_key_exits_config_error(tmp_path, monkeypatch, capsys, command, edit, key):
+    # A misspelled or wrongly typed key stops the run before it writes
+    # anything; none of them may fall back to a default.
+    monkeypatch.setattr(cli, "train_loop", lambda *a: pytest.fail("config reached train_loop"))
+    doc = run_config(tmp_path, command)
+    for k, v in edit.items():
+        if v is None:
+            del doc[k]
+        else:
+            doc[k] = v
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(run_argv(command, cfg, out)) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "report.json").exists() and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "verify", "oracle"])
+def test_non_object_config_exits_config_error(tmp_path, monkeypatch, capsys, command):
+    # A list of pairs is not read as the object it would convert to.
+    monkeypatch.setattr(cli, "train_loop", lambda *a: pytest.fail("config reached train_loop"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([["env", "true_land"]]))
+    assert main(run_argv(command, cfg, tmp_path / "run")) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,edit,expected",
+    [
+        # the benchmark's mc block
+        ("safe-set", {"mc": {"plant": "true_land", "num_samples": 1000, "horizon": 10.0,
+                             "dt": 0.1}}, (10.0, 0.1, 1000, 0, True)),
+        # an mc block without horizon takes the solver's
+        ("safe-set", {"mc": {"plant": "learned", "num_samples": 50, "dt": 0.05}},
+         (0.4, 0.05, 50, 0, True)),
+        # an oracle config with only the artifact keys
+        ("oracle", {}, (10.0, 0.1, 1000, 16, True)),
+        ("oracle", {"horizon": 1, "dt": 0.05, "num_samples": 20, "draws": 0,
+                    "include_zero_draw": False}, (1.0, 0.05, 20, 0, False)),
+    ],
+)
+def test_monte_carlo_settings_are_decoded(tmp_path, monkeypatch, command, edit, expected):
+    seen = []
+    signature = inspect.signature(cli.mc_ground_truth)
+
+    def capture(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        seen.append(tuple(call.arguments[k] for k in (
+            "horizon", "dt", "num_samples", "num_disturbance_draws", "include_zero_draw")))
+        raise RuntimeError("stop after decoding")
+
+    monkeypatch.setattr(cli, "mc_ground_truth", capture)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**run_config(tmp_path, command), **edit}))
+    assert main(run_argv(command, cfg, tmp_path / "run")) == 3
+    assert seen == [expected]
+    assert [type(v) for v in seen[0]] == [float, float, int, int, bool]
+
+
+def test_integer_convergence_eps_decodes_to_float(tmp_path):
+    scene_path = make_scene(tmp_path, [0.8, 0.8], 0.1)
+    cfg = verify_config(tmp_path, scene_path)
+    doc = json.loads(cfg.read_text())
+    doc["solver"]["convergence_eps"] = 0
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    eps = json.loads((out / "report.json").read_text())["provenance"]["solver"]["convergence_eps"]
+    assert type(eps) is float and eps == 0.0
 
 
 def _reference_polyline(prim, z):
