@@ -161,6 +161,16 @@ class RunConfig:
     draws: int = 16
     include_zero_draw: bool = True
 
+    def __post_init__(self):
+        if not self.horizon > 0:
+            raise ValueError("horizon must be > 0")
+        if not self.dt > 0:
+            raise ValueError("dt must be > 0")
+        if self.num_samples < 1:
+            raise ValueError("num_samples must be >= 1")
+        if self.draws < 0:
+            raise ValueError("draws must be >= 0")
+
 
 _ARTIFACT_KEYS = ("scene", "env", "plant", "model", "policy", "bounds", "seed")
 _RUN_KEYS = {

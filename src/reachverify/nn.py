@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -43,7 +44,27 @@ __all__ = [
 ]
 
 _HIDDEN_ACTS = ("tanh", "sigmoid", "relu")
+
 _OUTPUT_ACTS = ("tanh", "linear")
+
+
+def json_number(value, key: str, integer: bool = False):
+    """``value`` read from a file where a number (with ``integer``, an
+    int) is due, returned unchanged.  A string, a bool or, for an int, a
+    float is a ValueError naming ``key``: it is never converted."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}, not {value!r}")
+
+
+def json_numbers(values, key: str, integer: bool = False) -> list:
+    """``values`` checked as a list of numbers (see :func:`json_number`)."""
+    if type(values) is not list:
+        raise ValueError(f"{key} must be a list, not {values!r}")
+    for value in values:
+        json_number(value, key, integer)
+    return values
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
@@ -95,13 +116,17 @@ class ModelMeta:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelMeta":
+        role = d.get("role", "dynamics")
+        if type(role) is not str:
+            raise ValueError(f"role must be a string, not {role!r}")
+        lo, hi = d.get("action_lo"), d.get("action_hi")
         return ModelMeta(
-            n_state=int(d["n_state"]),
-            n_action=int(d["n_action"]),
-            dt_env=float(d["dt_env"]),
-            role=str(d.get("role", "dynamics")),
-            action_lo=None if d.get("action_lo") is None else tuple(d["action_lo"]),
-            action_hi=None if d.get("action_hi") is None else tuple(d["action_hi"]),
+            n_state=json_number(d["n_state"], "n_state", integer=True),
+            n_action=json_number(d["n_action"], "n_action", integer=True),
+            dt_env=float(json_number(d["dt_env"], "dt_env")),
+            role=role,
+            action_lo=None if lo is None else tuple(json_numbers(lo, "action_lo")),
+            action_hi=None if hi is None else tuple(json_numbers(hi, "action_hi")),
         )
 
 
@@ -532,7 +557,7 @@ def load_model(path) -> MlpModel:
         with open(path) as fh:
             doc = json.load(fh)
         return MlpModel(
-            layer_sizes=tuple(doc["layer_sizes"]),
+            layer_sizes=tuple(json_numbers(doc["layer_sizes"], "layer_sizes", integer=True)),
             weights=tuple(np.asarray(w, dtype=float) for w in doc["weights"]),
             biases=tuple(np.asarray(b, dtype=float) for b in doc["biases"]),
             hidden_activation=doc["hidden_activation"],
@@ -540,7 +565,7 @@ def load_model(path) -> MlpModel:
             output_scale=np.asarray(doc["output_scale"], dtype=float),
             meta=ModelMeta.from_dict(doc["meta"]),
         )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from exc
 
 

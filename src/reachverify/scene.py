@@ -31,6 +31,7 @@ from .geometry import (
     ShapeSet,
     build_grid,
 )
+from .nn import json_number, json_numbers
 from .solver import TubeResult
 
 __all__ = [
@@ -114,16 +115,19 @@ def primitive_to_dict(prim) -> dict:
 
 
 def primitive_from_dict(d: dict):
+    """The primitive a :func:`primitive_to_dict` entry describes; a value
+    of the wrong type is a ValueError naming its key."""
     kind = d.get("kind")
-    if kind == "ball":
-        return Ball(d["center"], float(d["radius"]))
+    if kind not in ("ball", "box", "cylinder"):
+        raise ValueError(f"unknown primitive kind {kind!r}")
+    center = json_numbers(d["center"], "center")
     if kind == "box":
-        return AxisBox(d["center"], d["half_widths"])
-    if kind == "cylinder":
-        return AxisCylinder(
-            d["center"], float(d["radius"]), int(d["axis_index"]), float(d["half_height"])
-        )
-    raise ValueError(f"unknown primitive kind {kind!r}")
+        return AxisBox(center, json_numbers(d["half_widths"], "half_widths"))
+    radius = float(json_number(d["radius"], "radius"))
+    if kind == "ball":
+        return Ball(center, radius)
+    return AxisCylinder(center, radius, json_number(d["axis_index"], "axis_index", integer=True),
+                        float(json_number(d["half_height"], "half_height")))
 
 
 def _shapes_to_list(shapes: ShapeSet) -> list:
@@ -201,7 +205,7 @@ def load_scene(path) -> Scene:
     try:
         with open(path) as fh:
             return scene_from_dict(json.load(fh))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed scene file {path}: {exc}") from exc
 
 
@@ -243,10 +247,16 @@ def field_to_csv(field: ScalarField, path) -> None:
 
 
 def field_from_csv(path, grid: Grid, time_tag: float = 0.0) -> ScalarField:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Read a :func:`field_to_csv` file back; only the index and value
+    columns are parsed."""
     n = grid.dims
-    if raw.shape[1] != 2 * n + 1:
-        raise ValueError(f"field file has {raw.shape[1]} columns, expected {2 * n + 1}")
+    with open(path) as fh:
+        columns = fh.readline().count(",") + 1
+        if columns != 2 * n + 1:
+            raise ValueError(f"field file has {columns} columns, expected {2 * n + 1}")
+        raw = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=(*range(n), 2 * n))
+    if raw.shape[0] != grid.num_nodes:
+        raise ValueError(f"field file has {raw.shape[0]} rows, expected {grid.num_nodes}")
     idx = raw[:, :n].astype(int)
     values = np.empty(grid.counts)
     values[tuple(idx.T)] = raw[:, -1]

@@ -13,6 +13,20 @@ exact signed distance of the seed set.  Each explicit step combines:
 * per-stage freezing ``min(0, H)`` so values never increase and the tube
   only grows; consecutive tube masks are therefore nested by construction.
 
+The stepper works on flat arrays over the nodes in C order, in buffers
+allocated once per solve; the step loop allocates none.  Along an axis of
+flat stride ``s`` (the product of the later node counts) one zero-padded
+buffer of ``N + s`` entries holds both one-sided differences: at flat node
+``j`` the backward difference is ``diff[j]`` and the forward one
+``diff[j + s]``, and zeros at the first node along the axis stand in for
+both copy ghosts.  Every operation is then a contiguous 1-D ufunc with an
+output buffer.  The kernel keeps the operations and their order of the
+allocating array expressions it replaced, so tubes are bitwise-identical
+to theirs; a rewrite is allowed only where it is exact in IEEE arithmetic
+(``max |dV|`` as ``max(V_old - V_new)``, since no stage raises a value),
+never a reciprocal of the spacing or a reassociated sum.  The tests keep
+the allocating form as the reference.
+
 The entry point fixes the tube's direction and the disturbance sense, and
 both are the conservative choice for a safety question:
 
@@ -36,6 +50,7 @@ sense as their ``mode`` argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +137,8 @@ class TubeResult:
 # ---------------------------------------------------------------------------
 
 def _one_sided_diffs(values: np.ndarray, axis: int, h: float):
-    """Backward and forward differences with zero-slope (copy) ghost values.
+    """Backward and forward differences with zero-slope (copy) ghost values:
+    the stepper's differences, as whole arrays.
 
     With copied ghosts the stepper's boundary update is a monotone function
     of its neighbors, so the discrete comparison principle holds up to the
@@ -254,12 +270,13 @@ def cfl_dt(config: SolverConfig, alpha, grid: Grid) -> float:
 # ---------------------------------------------------------------------------
 
 class _Workspace:
-    """Precomputed grid-resident quantities for one tube solve.
+    """Grid-resident buffers and coefficients for one tube solve.
 
     The evolution is always the backward, reach-unsafe one; a forward tube
     is the backward tube of the reversed flow with the disturbance box
     reflected, which keeps the extremum cooperative so the tube
-    over-approximates.
+    over-approximates.  Every array is flat over the nodes in C order and
+    allocated here; ``rk2_step`` advances ``values`` in place.
     """
 
     def __init__(self, sys: ClosedLoopSystem, grid: Grid, forward: bool, alpha_floor=None):
@@ -267,13 +284,12 @@ class _Workspace:
         if n != grid.dims:
             raise ValueError("system state dimension does not match grid dimension")
         rates = nominal_rate_batch(sys, grid.flat_points())
-        rate_grid = rates.T.reshape((n, *grid.counts))
         if forward:
-            self.rate_grid = -rate_grid
+            self.rate = np.ascontiguousarray(-rates.T)
             self.hi = -sys.bounds.lower
             self.lo = -sys.bounds.upper
         else:
-            self.rate_grid = rate_grid
+            self.rate = np.ascontiguousarray(rates.T)
             self.hi = sys.bounds.upper
             self.lo = sys.bounds.lower
         self.grid = grid
@@ -284,33 +300,83 @@ class _Workspace:
                 raise ValueError("alpha_floor must dominate the computed wave-speed bounds")
             alpha = floor
         self.alpha = alpha
+        size = grid.num_nodes
+        self._strides = [math.prod(grid.counts[axis + 1:]) for axis in range(n)]
+        self.values = np.empty(size)
+        self._next = np.empty(size)
+        self._h, self._p, self._a, self._b = (np.empty(size) for _ in range(4))
+        # Shared by every axis; entries past ``size`` stay zero for good.
+        self._diff = np.zeros(size + max(self._strides))
+
+    def snapshot(self, time_tag: float) -> ScalarField:
+        """A copy of ``values`` as a field; the buffers are reused."""
+        return ScalarField(self.grid, self.values.reshape(self.grid.counts), time_tag)
+
+    def _differences(self, v: np.ndarray, axis: int):
+        # Backward differences at flat node j sit in diff[j], forward ones in
+        # diff[j + s]; the first node along the axis holds a zero slope,
+        # which is both its own copy ghost and the last node's.
+        s, size = self._strides[axis], v.size
+        d = self._diff[s:size]
+        np.subtract(v[s:], v[:-s], out=d)
+        np.divide(d, self.grid.spacing[axis], out=d)
+        self._diff[:size].reshape(-1, self.grid.counts[axis], s)[:, 0, :] = 0.0
+        return self._diff[:size], self._diff[s:size + s]
 
     def numerical_hamiltonian(self, values: np.ndarray) -> np.ndarray:
-        # Dissipated Hamiltonian for the update V += dt * min(0, H_hat).
-        # The evolution variable runs opposite to physical time, so the
-        # Lax-Friedrichs term enters with a plus sign here; distributing the
-        # update shows it acts as forward diffusion.  Equivalent to one full
-        # step of the unfrozen reversed-flow PDE clamped by min(V_new, V_old).
-        h_total = np.zeros_like(values)
+        """Dissipated Hamiltonian of ``values`` in a grid-shaped view of a
+        buffer that the next call overwrites.
+
+        The update is V += dt * min(0, H_hat).  The evolution variable runs
+        opposite to physical time, so the Lax-Friedrichs term enters with
+        a plus sign here; distributing the update shows it acts as forward
+        diffusion.  Equivalent to one full step of the unfrozen
+        reversed-flow PDE clamped by min(V_new, V_old).
+        """
+        v = values.reshape(-1)
+        h, p, a, b = self._h, self._p, self._a, self._b
+        h.fill(0.0)
         for axis in range(self.grid.dims):
-            pm, pp = _one_sided_diffs(values, axis, self.grid.spacing[axis])
-            pmid = 0.5 * (pm + pp)
-            h_total += pmid * self.rate_grid[axis] + np.minimum(
-                pmid * self.hi[axis], pmid * self.lo[axis]
-            )
-            h_total += self.alpha[axis] * 0.5 * (pp - pm)
-        return h_total
+            pm, pp = self._differences(v, axis)
+            np.add(pm, pp, out=p)
+            np.multiply(p, 0.5, out=p)
+            np.multiply(p, self.rate[axis], out=a)
+            np.multiply(p, self.hi[axis], out=b)
+            np.multiply(p, self.lo[axis], out=p)
+            np.minimum(b, p, out=b)
+            np.add(a, b, out=a)
+            np.add(h, a, out=h)
+            np.subtract(pp, pm, out=a)
+            np.multiply(a, self.alpha[axis] * 0.5, out=a)
+            np.add(h, a, out=h)
+        return h.reshape(self.grid.counts)
 
-    def rhs(self, values: np.ndarray):
-        h_hat = self.numerical_hamiltonian(values)
-        return np.minimum(0.0, h_hat), float(np.max(np.abs(h_hat)))
+    def _stage(self, v: np.ndarray, out: np.ndarray, dt: float) -> float:
+        # out = v + dt * min(0, H_hat(v)); returns max |H_hat(v)|.
+        self.numerical_hamiltonian(v)
+        h = self._h
+        h_abs = max(float(h.max()), -float(h.min()))
+        np.minimum(0.0, h, out=h)
+        np.multiply(h, dt, out=h)
+        np.add(v, h, out=out)
+        return h_abs
 
-    def rk2_step(self, values: np.ndarray, dt: float):
-        r1, h1 = self.rhs(values)
-        v1 = values + dt * r1
-        r2, h2 = self.rhs(v1)
-        v2 = v1 + dt * r2
-        return 0.5 * (values + v2), max(h1, h2)
+    def rk2_step(self, dt: float):
+        """Advance ``values`` one TVD-RK2 freezing step.
+
+        Returns the step's max |H_hat| and max |change|.  The change is
+        taken as ``max(values - new)``: each stage only lowers values, so
+        ``new <= values`` holds exactly, and a NaN or -inf among the new
+        values makes it non-finite.
+        """
+        values, new = self.values, self._next
+        h1 = self._stage(values, new, dt)
+        h2 = self._stage(new, new, dt)
+        np.add(values, new, out=new)
+        np.multiply(new, 0.5, out=new)
+        np.subtract(values, new, out=self._h)
+        self.values, self._next = new, values
+        return max(h1, h2), float(self._h.max())
 
 
 def step(field: ScalarField, sys: ClosedLoopSystem, config: SolverConfig, dt: float) -> ScalarField:
@@ -326,8 +392,9 @@ def step(field: ScalarField, sys: ClosedLoopSystem, config: SolverConfig, dt: fl
         raise ValueError("dt must be nonnegative")
     if dt > limit * (1 + 1e-9):
         raise ValueError(f"dt={dt} violates the CFL bound {limit}")
-    new_values, _ = ws.rk2_step(field.values, dt)
-    return ScalarField(field.grid, new_values, field.time_tag - dt)
+    ws.values[:] = field.values.ravel()
+    ws.rk2_step(dt)
+    return ws.snapshot(field.time_tag - dt)
 
 
 def _check_inside_grid(shapes: ShapeSet, grid: Grid, label: str) -> None:
@@ -348,8 +415,9 @@ def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Gr
         eps = 1e-6 * float(np.linalg.norm(grid.hi - grid.lo))
     sign = 1.0 if forward else -1.0
 
-    values = level_set_from_shapes(grid, seed).values
-    snapshots = [(0.0, ScalarField(grid, values, 0.0))]
+    seed_field = level_set_from_shapes(grid, seed)
+    ws.values[:] = seed_field.values.ravel()
+    snapshots = [(0.0, seed_field)]
     max_h = 0.0
     tau = 0.0
     steps = 0
@@ -358,23 +426,21 @@ def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Gr
 
     while tau < config.horizon * (1 - 1e-12):
         dt = min(dt_nom, config.horizon - tau)
-        new_values, h_seen = ws.rk2_step(values, dt)
-        if not np.isfinite(new_values).all():
+        h_seen, delta = ws.rk2_step(dt)
+        if not math.isfinite(delta):
             raise RuntimeError(f"tube solve produced non-finite values at step {steps}")
         steps += 1
         tau += dt
         max_h = max(max_h, h_seen)
-        delta = float(np.max(np.abs(new_values - values)))
-        values = new_values
         if steps % config.snapshot_stride == 0:
-            snapshots.append((sign * tau, ScalarField(grid, values, sign * tau)))
+            snapshots.append((sign * tau, ws.snapshot(sign * tau)))
             last_snap_tau = tau
         if delta < eps:
             converged = True
             break
 
     if last_snap_tau != tau:
-        snapshots.append((sign * tau, ScalarField(grid, values, sign * tau)))
+        snapshots.append((sign * tau, ws.snapshot(sign * tau)))
 
     return TubeResult(
         snapshots=tuple(snapshots),

@@ -130,6 +130,29 @@ def test_corrupt_model_exits_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "file,edit,key",
+    [
+        ("scene.json", lambda d: d["obstacles"][0].update(radius="0.1"), "radius"),
+        ("scene.json", lambda d: d["obstacles"][0].update(radius=True), "radius"),
+        ("scene.json", lambda d: d["initial_set"][0].update(center=[0.0, True]), "center"),
+        ("model.json", lambda d: d["meta"].update(n_state=2.0), "n_state"),
+        ("model.json", lambda d: d["meta"].update(dt_env="0.1"), "dt_env"),
+        ("model.json", lambda d: d.update(layer_sizes=[4, 4.5, 2]), "layer_sizes"),
+        ("policy.json", lambda d: d["meta"].update(action_lo=["-1", -1.0]), "action_lo"),
+    ],
+)
+def test_wrongly_typed_artifact_exits_config_error(tmp_path, capsys, file, edit, key):
+    # Scene and model files are not coerced: a string, a bool or a float
+    # where an int is due stops the run and names the key.
+    cfg = verify_config(tmp_path, make_scene(tmp_path, [0.8, 0.8], 0.1))
+    doc = json.loads((tmp_path / file).read_text())
+    edit(doc)
+    (tmp_path / file).write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_nonfinite_model_exits_numerical_failure(tmp_path):
     scene_path = make_scene(tmp_path, [0.8, 0.8], 0.1, counts=(11, 11))
     cfg = verify_config(tmp_path, scene_path, horizon=0.3)
@@ -432,6 +455,13 @@ def run_argv(command, cfg, out):
         ("verify", {"policy": 5}, "policy"),
         ("verify", {"scene": 7}, "scene"),
         ("train", {"scene": 7}, "scene"),
+        # values of the right type but out of range
+        ("oracle", {"dt": 0}, "dt"),
+        ("oracle", {"dt": -0.1}, "dt"),
+        ("oracle", {"horizon": -1.0}, "horizon"),
+        ("oracle", {"draws": -3}, "draws"),
+        ("oracle", {"num_samples": 0}, "num_samples"),
+        ("safe-set", {"mc": {"plant": "learned", "dt": 0.0}}, "dt"),
     ],
 )
 def test_bad_run_config_key_exits_config_error(tmp_path, monkeypatch, capsys, command, edit, key):

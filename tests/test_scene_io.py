@@ -36,6 +36,26 @@ def test_primitive_round_trip():
         primitive_from_dict({"kind": "torus"})
 
 
+@pytest.mark.parametrize(
+    "edit,key",
+    [
+        ({"radius": "0.5"}, "radius"),
+        ({"axis_index": 2.7}, "axis_index"),
+        ({"axis_index": 2.0}, "axis_index"),
+        ({"half_height": True}, "half_height"),
+        ({"center": [0, "0", 0]}, "center"),
+        ({"center": "0,0,0"}, "center"),
+    ],
+)
+def test_primitive_rejects_wrongly_typed_values(edit, key):
+    d = {"kind": "cylinder", "center": [0, 0, 0], "radius": 0.5, "axis_index": 2,
+         "half_height": 1}
+    ok = primitive_from_dict(d)
+    assert (ok.axis_index, ok.half_height) == (2, 1.0)
+    with pytest.raises(ValueError, match=key):
+        primitive_from_dict({**d, **edit})
+
+
 def test_scene_round_trip(tmp_path):
     scene = land_scene((41, 41))
     path = tmp_path / "scene.json"
@@ -68,6 +88,21 @@ def test_field_csv_round_trip_and_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     back = field_from_csv(p1, grid)
     assert np.array_equal(back.values, field.values)
+
+
+def test_field_csv_rejects_wrong_shape(tmp_path):
+    grid = build_grid([-1, 0], [1, 2], [3, 4])
+    path = tmp_path / "f.csv"
+    field_to_csv(ScalarField(grid, np.zeros(grid.counts)), path)
+    lines = path.read_text().splitlines()
+    with pytest.raises(ValueError, match="columns"):
+        field_from_csv(path, build_grid([-1, 0, 0], [1, 2, 1], [3, 4, 3]))
+    (tmp_path / "cut.csv").write_text("\n".join(line.rsplit(",", 1)[0] for line in lines))
+    with pytest.raises(ValueError, match="columns"):
+        field_from_csv(tmp_path / "cut.csv", grid)
+    (tmp_path / "short.csv").write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError, match="rows"):
+        field_from_csv(tmp_path / "short.csv", grid)
 
 
 def test_mask_csv(tmp_path):

@@ -8,9 +8,24 @@ from conftest import (
     hausdorff_between_masks,
     masks_nested,
 )
-from reachverify.dynamics import ActionBounds, ClosedLoopSystem, ConstantPolicy, LearnedPlant
+from reachverify import solver
+from reachverify.dynamics import (
+    ActionBounds,
+    ClosedLoopSystem,
+    ConstantPolicy,
+    LearnedPlant,
+    nominal_rate_batch,
+)
 from reachverify.error_bounds import DisturbanceBounds
-from reachverify.geometry import Ball, ScalarField, ShapeSet, build_grid, zero_sublevel_mask
+from reachverify.geometry import (
+    Ball,
+    Grid,
+    ScalarField,
+    ShapeSet,
+    build_grid,
+    level_set_from_shapes,
+    zero_sublevel_mask,
+)
 from reachverify.nn import MlpModel, ModelMeta
 from reachverify.oracle import corner_extremum
 from reachverify.solver import (
@@ -474,3 +489,121 @@ def test_solve_rejects_seed_outside_grid():
             ShapeSet((Ball([0.0, 0.9], 0.5),)), sys_cl,
             SolverConfig(horizon=1.0), grid,
         )
+
+
+# ---------------------------------------------------------------------------
+# Whole solves against the allocating stepper
+# ---------------------------------------------------------------------------
+
+def _reference_solve(seed, sys_cl, config, grid, forward):
+    """The stepper as first written, a fresh array per operation:
+    ``(snapshots, steps_taken, max_abs_h, converged_early)``."""
+    rates = nominal_rate_batch(sys_cl, grid.flat_points())
+    rate_grid = rates.T.reshape((grid.dims, *grid.counts))
+    b = sys_cl.bounds
+    if forward:
+        rate_grid, hi, lo = -rate_grid, -b.lower, -b.upper
+    else:
+        hi, lo = b.upper, b.lower
+    alpha = dissipation_coefficients(sys_cl, b, grid)
+
+    def rhs(values):
+        h_total = np.zeros_like(values)
+        for axis in range(grid.dims):
+            pm, pp = _one_sided_diffs(values, axis, grid.spacing[axis])
+            pmid = 0.5 * (pm + pp)
+            h_total += pmid * rate_grid[axis] + np.minimum(pmid * hi[axis], pmid * lo[axis])
+            h_total += alpha[axis] * 0.5 * (pp - pm)
+        return np.minimum(0.0, h_total), float(np.max(np.abs(h_total)))
+
+    def rk2_step(values, dt):
+        r1, h1 = rhs(values)
+        v1 = values + dt * r1
+        r2, h2 = rhs(v1)
+        v2 = v1 + dt * r2
+        return 0.5 * (values + v2), max(h1, h2)
+
+    dt_nom = cfl_dt(config, alpha, grid)
+    sign = 1.0 if forward else -1.0
+    values = level_set_from_shapes(grid, seed).values
+    snapshots = [(0.0, values)]
+    max_h, tau, steps, last_snap_tau, converged = 0.0, 0.0, 0, 0.0, False
+    while tau < config.horizon * (1 - 1e-12):
+        dt = min(dt_nom, config.horizon - tau)
+        new_values, h_seen = rk2_step(values, dt)
+        steps += 1
+        tau += dt
+        max_h = max(max_h, h_seen)
+        delta = float(np.max(np.abs(new_values - values)))
+        values = new_values
+        if steps % config.snapshot_stride == 0:
+            snapshots.append((sign * tau, values))
+            last_snap_tau = tau
+        if delta < config.convergence_eps:
+            converged = True
+            break
+    if last_snap_tau != tau:
+        snapshots.append((sign * tau, values))
+    return snapshots, steps, max_h, converged
+
+
+def _grid(lo, hi, counts):
+    # Built directly so that an axis may have 2 nodes, where the first and
+    # the last node (and so both copy ghosts) are neighbours.
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    return Grid(lo, hi, tuple(counts), (hi - lo) / (np.array(counts) - 1))
+
+
+_GRIDS = {
+    1: ([-2.0], [1.3], (23,)),
+    2: ([-1.0, -0.7], [1.3, 0.9], (17, 2)),
+    3: ([-1.0, -0.9, -0.8], [1.1, 1.0, 0.7], (9, 3, 7)),
+    4: ([-1.0, -0.9, -0.8, -1.2], [1.1, 1.0, 0.7, 0.9], (5, 4, 2, 6)),
+}
+
+
+def _linear_system(dims):
+    rng = np.random.default_rng(dims)
+    bounds = DisturbanceBounds(upper=rng.uniform(0.0, 0.3, dims),
+                               lower=-rng.uniform(0.0, 0.2, dims))
+    policy = ConstantPolicy([0.0], ActionBounds([0.0], [0.0]))
+    return ClosedLoopSystem(LinearPlant(rng.normal(size=(dims, dims))), policy, bounds)
+
+
+@pytest.mark.parametrize("forward", [False, True], ids=["backward", "forward"])
+@pytest.mark.parametrize(
+    "dims,stride,eps,stops_early",
+    [(1, 1, 0.0, False), (2, 3, 0.0, False), (3, 1, 0.0, False), (4, 3, 0.0, False),
+     (2, 3, 2e-3, True)],
+)
+def test_solve_bitwise_equals_allocating_stepper(forward, dims, stride, eps, stops_early):
+    lo, hi, counts = _GRIDS[dims]
+    grid = _grid(lo, hi, counts)
+    sys_cl = _linear_system(dims)
+    seed = ShapeSet((Ball(0.5 * (grid.lo + grid.hi) - 0.05, 0.3),))
+    cfg = SolverConfig(horizon=0.6, snapshot_stride=stride, convergence_eps=eps)
+    solve = solve_frt if forward else solve_brt
+    tube = solve(seed, sys_cl, cfg, grid)
+    snapshots, steps, max_h, converged = _reference_solve(seed, sys_cl, cfg, grid, forward)
+
+    assert (tube.steps_taken, tube.max_abs_h, tube.converged_early) == (steps, max_h, converged)
+    assert converged is stops_early and steps > 4
+    assert tube.times == [t for t, _ in snapshots]
+    for (_, field), (_, expected) in zip(tube.snapshots, snapshots):
+        assert np.array_equal(field.values.view(np.int64), expected.view(np.int64))
+
+
+def test_nonfinite_value_mid_solve_names_the_step(monkeypatch):
+    # A NaN rate at one node from step 4 on makes that node's value NaN.
+    class PoisonedWorkspace(solver._Workspace):
+        def rk2_step(self, dt):
+            self.steps = getattr(self, "steps", 0) + 1
+            if self.steps == 5:
+                self.rate[0, 7] = np.nan
+            return super().rk2_step(dt)
+
+    monkeypatch.setattr(solver, "_Workspace", PoisonedWorkspace)
+    grid = build_grid([-1, -1], [1, 1], [11, 11])
+    with pytest.raises(RuntimeError, match="non-finite values at step 4$"):
+        solve_brt(ShapeSet((Ball([0.0, 0.0], 0.4),)), const_system([0.3, -0.2]),
+                  SolverConfig(horizon=2.0, snapshot_stride=2, convergence_eps=0.0), grid)
