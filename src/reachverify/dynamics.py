@@ -201,7 +201,8 @@ class LearnedPlant:
         return forward(self.model, x) / self.dt_env
 
     def rate_batch(self, states, actions):
-        return forward_batch(self.model, np.hstack([states, actions])) / self.dt_env
+        rates = forward_batch(self.model, np.hstack([states, actions]))
+        return np.divide(rates, self.dt_env, out=rates)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,15 @@ per-layer arrays are views into it), writes the gradients of each
 mini-batch into one buffer of the same layout, and applies the Adam update
 to the whole vector with in-place ufuncs.
 
+Batched evaluation runs over the rows in fixed blocks of 4096, so its
+working memory is one block of hidden activations per layer (about 1 MB at
+width 32) whatever the batch size: a rate scan over every grid node or a
+planning batch over every candidate costs the result array and little
+more.  Each row goes through the same operations in the same order as in a
+whole-batch pass, but the BLAS library may pick its matmul kernel by the
+block's shape, so a row's last bits can depend on the block it falls in
+(differences of about 1e-15 have been seen against one whole-batch call).
+
 Dynamics models map ``[state; action]`` to a per-step state delta; the same
 machinery fits policy networks mapping state to action.
 """
@@ -188,20 +197,34 @@ class MlpModel:
         return self.layer_sizes[-1]
 
 
+# About 1 MB of hidden activations per block at width 32.
+_BLOCK_ROWS = 4096
+
+
 def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a batch of rows; no input validation."""
-    h = inputs
+    """Evaluate the network on a batch of rows; no input validation.
+
+    Rows are evaluated in blocks of ``_BLOCK_ROWS``: each hidden layer has
+    one block-sized buffer, and the output layer writes straight into the
+    ``(n, n_outputs)`` result.
+    """
+    n = len(inputs)
     last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w
-        z += b
-        if i < last:
-            h = _activate(model.hidden_activation, z)
-        elif model.output_activation == "tanh":
-            h = model.output_scale * np.tanh(z, out=z)
-        else:
-            h = z
-    return h
+    out = np.empty((n, model.n_outputs))
+    hidden = [np.empty((min(n, _BLOCK_ROWS), w.shape[1])) for w in model.weights[:-1]]
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        h = inputs[start:stop]
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            z = out[start:stop] if i == last else hidden[i][: stop - start]
+            np.matmul(h, w, out=z)
+            z += b
+            if i < last:
+                h = _activate(model.hidden_activation, z)
+            elif model.output_activation == "tanh":
+                np.tanh(z, out=z)
+                z *= model.output_scale
+    return out
 
 
 def forward(model: MlpModel, input_vector) -> np.ndarray:

@@ -217,31 +217,28 @@ def mc_ground_truth(
 
     hit = obstacles.signed_distance(samples) <= 0.0
 
-    draws: list[np.ndarray | None] = []
-    if include_zero_draw:
-        draws.append(None)
-    for j in range(num_disturbance_draws):
-        seq = np.stack(
-            [_disturbance_sequences(sys.bounds, n_steps, i, j, seed) for i in range(num_samples)]
-        )
-        draws.append(seq)
-
-    for seq in draws:
+    # None is the zero draw.  A draw's sequences are built when it runs,
+    # and only for the starts no earlier draw has hit.
+    draws = ([None] if include_zero_draw else []) + list(range(num_disturbance_draws))
+    for j in draws:
         if hit.all():
             break
-        active = ~hit
-        states = samples[active].copy()
-        idx = np.where(active)[0]
+        idx = np.flatnonzero(~hit)
+        seq = None if j is None else np.stack(
+            [_disturbance_sequences(sys.bounds, n_steps, i, j, seed) for i in idx]
+        )
+        rows = np.arange(len(idx))  # rows of seq still running
+        states = samples[idx]
         for k in range(n_steps):
             if len(states) == 0:
                 break
-            d = np.zeros_like(states) if seq is None else seq[idx, k]
+            d = np.zeros_like(states) if seq is None else seq[rows, k]
             states = _rk4_batch(sys, states, d, dt)
             now_hit = obstacles.signed_distance(states) <= 0.0
             if now_hit.any():
-                hit[idx[now_hit]] = True
+                hit[idx[rows[now_hit]]] = True
                 states = states[~now_hit]
-                idx = idx[~now_hit]
+                rows = rows[~now_hit]
 
     return MonteCarloResult(
         samples=samples,

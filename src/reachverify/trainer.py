@@ -180,7 +180,8 @@ def mpc_actions(
     states = np.asarray(states, dtype=float)
     m = action_bounds.dims
     out = np.empty((len(states), m))
-    # Chunked so large state sets times large candidate counts stay in memory.
+    # Chunked to bound the candidate arrays (actions, rolled-out states,
+    # returns) of large state sets; forward_batch bounds its own activations.
     chunk = max(1, 131072 // candidates)
     for start in range(0, len(states), chunk):
         block = states[start : start + chunk]

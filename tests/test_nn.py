@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,57 @@ def test_forward_matches_naive_oracle():
             for _ in range(5):
                 x = rng.normal(size=2)
                 assert np.allclose(forward(model, x), naive_forward(model, x), atol=1e-12)
+
+
+def _whole_batch_forward(model, X):
+    # Reference: each layer over all rows at once, as separate numpy steps.
+    h = X
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ w + b
+        if i < len(model.weights) - 1:
+            if model.hidden_activation == "tanh":
+                h = np.tanh(z)
+            elif model.hidden_activation == "sigmoid":
+                h = 1.0 / (1.0 + np.exp(-z))
+            else:
+                h = np.maximum(z, 0.0)
+        elif model.output_activation == "tanh":
+            h = model.output_scale * np.tanh(z)
+        else:
+            h = z
+    return h
+
+
+@pytest.mark.parametrize("hidden,output", [("tanh", "tanh"), ("sigmoid", "linear"), ("relu", "tanh")])
+def test_forward_batch_blocks_cover_every_row(hidden, output):
+    # Three full 4096-row blocks and a 17-row remainder.
+    rng = np.random.default_rng(11)
+    model = random_model((4, 32, 16, 3), rng, hidden, output, scale=1.4)
+    X = rng.normal(size=(3 * 4096 + 17, 4))
+    got = forward_batch(model, X)
+    assert got.shape == (len(X), 3)
+    assert np.allclose(got, _whole_batch_forward(model, X), rtol=0.0, atol=1e-12)
+
+
+def test_forward_batch_of_no_rows():
+    model = random_model((3, 8, 2), np.random.default_rng(12))
+    assert forward_batch(model, np.empty((0, 3))).shape == (0, 2)
+
+
+def test_forward_batch_memory_is_bounded_by_the_block():
+    # The air rate scan: 45^3 rows through a 6->32->32->3 net.  Whole-batch
+    # evaluation holds two 91125 x 32 activations (about 47 MB); blocked,
+    # the call needs the 2.2 MB result and two 1 MB block buffers.
+    rng = np.random.default_rng(13)
+    model = random_model((6, 32, 32, 3), rng)
+    X = rng.uniform(-1.0, 1.0, size=(45**3, 6))
+    tracemalloc.start()
+    try:
+        forward_batch(model, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_output_bound_property():

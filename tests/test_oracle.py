@@ -108,6 +108,30 @@ def test_mc_trivially_safe_and_unsafe():
     assert not mc2.safe.any()
 
 
+def test_mc_builds_disturbances_only_for_running_starts(monkeypatch):
+    from reachverify import oracle
+
+    calls = []
+    real = oracle._disturbance_sequences
+
+    def counting(bounds, n_steps, sample_idx, draw_idx, seed):
+        calls.append((int(sample_idx), draw_idx))
+        return real(bounds, n_steps, sample_idx, draw_idx, seed)
+
+    monkeypatch.setattr(oracle, "_disturbance_sequences", counting)
+    initial = ShapeSet((Ball([0.0, 0.0], 0.5),))
+    sys_cl = const_system([0.0, 0.0], upper=[0.1, 0.1])
+    mc = mc_ground_truth(sys_cl, initial, ShapeSet((Ball([0.0, 0.0], 2.0),)), horizon=1.0,
+                         dt=0.1, num_samples=40, num_disturbance_draws=3, seed=0)
+    assert not mc.safe.any()
+    assert calls == []
+
+    mc = mc_ground_truth(sys_cl, initial, ShapeSet((Ball([5.0, 5.0], 0.5),)), horizon=1.0,
+                         dt=0.1, num_samples=40, num_disturbance_draws=3, seed=0)
+    assert mc.safe.all()
+    assert sorted(calls) == [(i, j) for i in range(40) for j in range(3)]
+
+
 def test_mc_deterministic_under_seed():
     initial = ShapeSet((Ball([0.0, 0.0], 0.5),))
     obstacle = ShapeSet((Ball([1.2, 0.0], 0.3),))
