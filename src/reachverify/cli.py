@@ -17,10 +17,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import shutil
 import sys
-import types
 import typing
 
 import numpy as np
@@ -74,23 +74,6 @@ def _write_json(doc, path) -> None:
         json.dump(doc, fh, indent=2)
 
 
-def _typed(tp, value, key: str):
-    """``value`` checked as a ``tp`` field: an int may stand for a float,
-    a list for a tuple, but a bool never for an int.  A union takes the
-    value as its first member that fits."""
-    union = typing.get_origin(tp) in (typing.Union, types.UnionType)
-    options = typing.get_args(tp) if union else (tp,)
-    for option in options:
-        if typing.get_origin(option) is tuple and type(value) is list:
-            return tuple(_typed(typing.get_args(option)[0], v, key) for v in value)
-        if option is float and type(value) is int:
-            return float(value)
-        if type(value) is option:
-            return value
-    names = " or ".join("null" if t is type(None) else t.__name__ for t in options)
-    raise ValueError(f"{key} must be {names}, not {json.dumps(value)}")
-
-
 def _from_block(cls, block, name: str, base=None, keys=None):
     """A ``cls`` from the JSON block ``name`` (the whole file if empty):
     ``keys`` maps block keys to fields (default: all, by name), and fields
@@ -105,7 +88,7 @@ def _from_block(cls, block, name: str, base=None, keys=None):
         raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
     hints = typing.get_type_hints(cls)
     prefix = f"{name}." if name else ""
-    values = {keys[k]: _typed(hints[keys[k]], v, prefix + k) for k, v in block.items()}
+    values = {keys[k]: nn.json_value(hints[keys[k]], v, prefix + k) for k, v in block.items()}
     try:
         return dataclasses.replace(cls() if base is None else base, **values)
     except ValueError as exc:
@@ -127,7 +110,7 @@ def _train_run_config(config: dict):
     path; every key it leaves out keeps its ``TrainRunConfig()`` value."""
     run = dict(config)
     blocks = {name: run.pop(name, {}) for name in (*_TRAIN_GROUPS, *_TRAIN_NETS)}
-    scene = _typed(str | None, run.pop("scene", None), "scene")
+    scene = nn.json_value(str | None, run.pop("scene", None), "scene")
     grouped = [f for keys in (*_TRAIN_GROUPS.values(), _TRAIN_NETS) for f in keys.values()]
     top = {f.name: f.name for f in dataclasses.fields(TrainRunConfig) if f.name not in grouped}
     cfg = _from_block(TrainRunConfig, run, "", keys=top)
@@ -241,9 +224,7 @@ def _write_ground_truth(mc, n: int, path) -> None:
     """One row per Monte-Carlo start: its ``n`` coordinates and a 0/1 safe flag."""
     cols = [map(repr, mc.samples[:, i].tolist()) for i in range(n)]
     cols.append(map(str, np.asarray(mc.safe, dtype=int).tolist()))
-    with open(path, "w") as fh:
-        fh.write(",".join([f"s{i}" for i in range(n)] + ["safe"]) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
+    nn.write_csv(path, [f"s{i}" for i in range(n)] + ["safe"], [cols])
 
 
 # ---------------------------------------------------------------------------
@@ -451,37 +432,50 @@ def _polyline(prim, z: float | None):
 
 
 def _export_geometry(scene: Scene, path, z: float | None) -> None:
-    rows = []
-    groups = [
-        ("initial", scene.initial_set),
-        ("goal", scene.goal_set),
-        ("obstacle", scene.obstacles),
-    ]
-    for label, shapes in groups:
-        for i, prim in enumerate(shapes.primitives):
-            poly = _polyline(prim, z)
-            if poly is None:
-                continue
-            for k, (x, y) in enumerate(poly.tolist()):
-                rows.append(f"{label}_{i},{k},{x!r},{y!r}")
-    with open(path, "w") as fh:
-        fh.write("shape,vertex,x0,x1\n")
-        for row in rows:
-            fh.write(row + "\n")
+    shapes = [(f"{label}_{i}", _polyline(prim, z))
+              for label, group in (("initial", scene.initial_set), ("goal", scene.goal_set),
+                                   ("obstacle", scene.obstacles))
+              for i, prim in enumerate(group.primitives)]
+    nn.write_csv(path, ["shape", "vertex", "x0", "x1"], (
+        [[name] * len(poly), map(str, range(len(poly))),
+         map(repr, poly[:, 0].tolist()), map(repr, poly[:, 1].tolist())]
+        for name, poly in shapes if poly is not None))
+
+
+def _z_planes(grid, z_values) -> list:
+    """Index of the z plane nearest each ``--z`` height.  A height on a 2-D
+    grid, or one not finite or outside the z range by more than
+    interpolate_many's tolerance, is a ValueError."""
+    if grid.dims == 2:
+        if z_values:
+            raise ValueError(f"--z {z_values[0]!r}: a 2-D run has no z axis to slice")
+        return []
+    if grid.dims != 3:
+        raise ValueError(f"cannot slice a {grid.dims}-D run")
+    if not z_values:
+        raise ValueError("3-D run: pass --z with comma-separated slice heights")
+    lo, hi = float(grid.lo[2]), float(grid.hi[2])
+    tol = 1e-9 * (1.0 + (hi - lo))
+    for z in z_values:
+        if not (math.isfinite(z) and lo - tol <= z <= hi + tol):
+            raise ValueError(f"--z {z!r} is not a height in the grid's z range [{lo!r}, {hi!r}]")
+    zs = grid.axis_coords(2)
+    return [int(np.argmin(np.abs(zs - z))) for z in z_values]
 
 
 def cmd_export_plots(args) -> int:
     run_dir = args.run
     if not os.path.isdir(run_dir):
         raise FileNotFoundError(f"run directory not found: {run_dir}")
-    slices_dir = os.path.join(run_dir, "slices")
-    os.makedirs(slices_dir, exist_ok=True)
     z_values = [float(z) for z in args.z.split(",")] if args.z else []
 
     scene = None
     scene_path = os.path.join(run_dir, "scene.json")
     if os.path.exists(scene_path):
         scene = load_scene(scene_path)
+        _z_planes(scene.grid, z_values)  # a bad --z stops the export before any write
+    slices_dir = os.path.join(run_dir, "slices")
+    os.makedirs(slices_dir, exist_ok=True)
 
     wrote = 0
     for entry in sorted(os.listdir(run_dir)):
@@ -489,37 +483,28 @@ def cmd_export_plots(args) -> int:
         if not os.path.isfile(manifest_path):
             continue
         manifest = _load_json(manifest_path)
-        dims = len(manifest["grid"]["counts"])
-        if dims == 2:
+        if len(manifest["grid"]["counts"]) == 2 and not z_values:
             # Snapshot files already have the slice format: copy the bytes.
+            # With --z, the 2-D tube is read below and _z_planes rejects it.
             for k, snap in enumerate(manifest["snapshots"]):
                 shutil.copyfile(os.path.join(run_dir, entry, snap["file"]),
                                 os.path.join(slices_dir, f"{entry}_{k:04d}.csv"))
                 wrote += 1
-        elif dims == 3:
-            if not z_values:
-                raise ValueError("3-D run: pass --z with comma-separated slice heights")
-            grid, snapshots, _ = load_tube_manifest(manifest_path)
-            plane_grid = build_grid(grid.lo[:2], grid.hi[:2], grid.counts[:2])
-            zs = grid.axis_coords(2)
-            for k, (t, fld) in enumerate(snapshots):
-                for z in z_values:
-                    j = int(np.argmin(np.abs(zs - z)))
-                    name = f"{entry}_{k:04d}_{_slice_tag(z)}.csv"
-                    field_to_csv(ScalarField(plane_grid, fld.values[:, :, j], t),
-                                 os.path.join(slices_dir, name))
-                    wrote += 1
-        else:
-            raise ValueError(f"cannot slice a {dims}-D run")
+            continue
+        grid, snapshots, _ = load_tube_manifest(manifest_path)
+        planes = _z_planes(grid, z_values)
+        plane_grid = build_grid(grid.lo[:2], grid.hi[:2], grid.counts[:2])
+        for k, (t, fld) in enumerate(snapshots):
+            for z, j in zip(z_values, planes):
+                name = f"{entry}_{k:04d}_{_slice_tag(z)}.csv"
+                field_to_csv(ScalarField(plane_grid, fld.values[:, :, j], t),
+                             os.path.join(slices_dir, name))
+                wrote += 1
 
-    if scene is not None:
-        if scene.grid.dims == 2:
-            _export_geometry(scene, os.path.join(slices_dir, "geometry.csv"), None)
-        else:
-            for z in z_values:
-                _export_geometry(
-                    scene, os.path.join(slices_dir, f"geometry_{_slice_tag(z)}.csv"), z
-                )
+    if scene is not None:  # a checked --z: heights on a 3-D scene, none on a 2-D one
+        for z in z_values or [None]:
+            tag = "" if z is None else "_" + _slice_tag(z)
+            _export_geometry(scene, os.path.join(slices_dir, f"geometry{tag}.csv"), z)
 
     gt = os.path.join(run_dir, "ground_truth.csv")
     if os.path.exists(gt):

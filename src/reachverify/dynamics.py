@@ -38,6 +38,7 @@ __all__ = [
     "rate",
     "nominal_rate",
     "nominal_rate_batch",
+    "rk4_increment",
     "save_policy",
     "load_policy",
 ]
@@ -248,6 +249,16 @@ def nominal_rate_batch(sys: ClosedLoopSystem, states: np.ndarray) -> np.ndarray:
     return sys.plant.rate_batch(states, actions)
 
 
+def rk4_increment(rate, states: np.ndarray, dt: float) -> np.ndarray:
+    """Classical RK4 increment over one step of ``dt`` for the batched rate
+    function ``rate(states)``; inputs it closes over are held for the step."""
+    k1 = rate(states)
+    k2 = rate(states + 0.5 * dt * k1)
+    k3 = rate(states + 0.5 * dt * k2)
+    k4 = rate(states + dt * k3)
+    return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 # ---------------------------------------------------------------------------
 # Policy serialization (same JSON format as dynamics models)
 # ---------------------------------------------------------------------------
@@ -262,7 +273,4 @@ def load_policy(path) -> MlpPolicy:
     model = load_model(path)
     if model.meta.role != "policy" or model.meta.action_lo is None:
         raise ValueError(f"{path} is not a policy file")
-    bounds = ActionBounds(
-        np.asarray(model.meta.action_lo), np.asarray(model.meta.action_hi)
-    )
-    return MlpPolicy(model, bounds)
+    return MlpPolicy(model, ActionBounds(model.meta.action_lo, model.meta.action_hi))

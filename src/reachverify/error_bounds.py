@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import MlpModel, TransitionDataset, forward_batch
+from .nn import MlpModel, TransitionDataset, forward_batch, json_value
 
 __all__ = [
     "ResidualStats",
@@ -144,14 +144,15 @@ def save_bounds(bounds: DisturbanceBounds, path) -> None:
 
 
 def load_bounds(path) -> DisturbanceBounds:
+    """Load a :func:`save_bounds` file; a malformed one is a ValueError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
         return DisturbanceBounds(
-            upper=np.asarray(doc["upper"], dtype=float),
-            lower=np.asarray(doc["lower"], dtype=float),
-            k_sigma=float(doc["k_sigma"]),
-            dt_env=float(doc["dt_env"]),
+            upper=json_value(tuple[float, ...], doc["upper"], "upper"),
+            lower=json_value(tuple[float, ...], doc["lower"], "lower"),
+            k_sigma=json_value(float, doc["k_sigma"], "k_sigma"),
+            dt_env=json_value(float, doc["dt_env"], "dt_env"),
         )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed bounds file {path}: {exc}") from exc

@@ -22,13 +22,19 @@ block's shape, so a row's last bits can depend on the block it falls in
 
 Dynamics models map ``[state; action]`` to a per-step state delta; the same
 machinery fits policy networks mapping state to action.
+
+Every module that reads or writes package files imports ``nn``, so the
+one decoder of JSON values (:func:`json_value`: scenes, models, policies,
+bounds, tube manifests, run configs) and the one CSV row writer
+(:func:`write_csv`) live here.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
+import types
+import typing
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -57,23 +63,22 @@ _HIDDEN_ACTS = ("tanh", "sigmoid", "relu")
 _OUTPUT_ACTS = ("tanh", "linear")
 
 
-def json_number(value, key: str, integer: bool = False):
-    """``value`` read from a file where a number (with ``integer``, an
-    int) is due, returned unchanged.  A string, a bool or, for an int, a
-    float is a ValueError naming ``key``: it is never converted."""
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, kind) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}, not {value!r}")
-
-
-def json_numbers(values, key: str, integer: bool = False) -> list:
-    """``values`` checked as a list of numbers (see :func:`json_number`)."""
-    if type(values) is not list:
-        raise ValueError(f"{key} must be a list, not {values!r}")
-    for value in values:
-        json_number(value, key, integer)
-    return values
+def json_value(tp, value, key: str):
+    """``value``, read from a JSON file, checked as a ``tp``: an int may stand
+    for a float and a list for a tuple, but a bool or a string is never a
+    number and a float never an int.  A union takes the first member that
+    fits.  Only types are checked; a mismatch is a ValueError naming ``key``."""
+    union = typing.get_origin(tp) in (typing.Union, types.UnionType)
+    options = typing.get_args(tp) if union else (tp,)
+    for option in options:
+        if typing.get_origin(option) is tuple and type(value) is list:
+            return tuple(json_value(typing.get_args(option)[0], v, key) for v in value)
+        if option is float and type(value) is int:
+            return float(value)
+        if type(value) is option:
+            return value
+    names = " or ".join("null" if t is type(None) else t.__name__ for t in options)
+    raise ValueError(f"{key} must be {names}, not {json.dumps(value)}")
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
@@ -114,29 +119,17 @@ class ModelMeta:
     n_action: int
     dt_env: float
     role: str = "dynamics"
-    action_lo: tuple | None = None
-    action_hi: tuple | None = None
+    action_lo: tuple[float, ...] | None = None
+    action_hi: tuple[float, ...] | None = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["action_lo"] = None if self.action_lo is None else list(self.action_lo)
-        d["action_hi"] = None if self.action_hi is None else list(self.action_hi)
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ModelMeta":
-        role = d.get("role", "dynamics")
-        if type(role) is not str:
-            raise ValueError(f"role must be a string, not {role!r}")
-        lo, hi = d.get("action_lo"), d.get("action_hi")
-        return ModelMeta(
-            n_state=json_number(d["n_state"], "n_state", integer=True),
-            n_action=json_number(d["n_action"], "n_action", integer=True),
-            dt_env=float(json_number(d["dt_env"], "dt_env")),
-            role=role,
-            action_lo=None if lo is None else tuple(json_numbers(lo, "action_lo")),
-            action_hi=None if hi is None else tuple(json_numbers(hi, "action_hi")),
-        )
+        """A model file's meta block; each value is decoded as its field's type."""
+        hints = typing.get_type_hints(ModelMeta)
+        return ModelMeta(**{k: json_value(hints[k], d[k], k) for k in hints if k in d})
 
 
 @dataclass(frozen=True)
@@ -579,17 +572,30 @@ def load_model(path) -> MlpModel:
     try:
         with open(path) as fh:
             doc = json.load(fh)
+        floats = tuple[float, ...]
         return MlpModel(
-            layer_sizes=tuple(json_numbers(doc["layer_sizes"], "layer_sizes", integer=True)),
-            weights=tuple(np.asarray(w, dtype=float) for w in doc["weights"]),
-            biases=tuple(np.asarray(b, dtype=float) for b in doc["biases"]),
-            hidden_activation=doc["hidden_activation"],
-            output_activation=doc["output_activation"],
-            output_scale=np.asarray(doc["output_scale"], dtype=float),
+            layer_sizes=json_value(tuple[int, ...], doc["layer_sizes"], "layer_sizes"),
+            weights=json_value(tuple[tuple[floats, ...], ...], doc["weights"], "weights"),
+            biases=json_value(tuple[floats, ...], doc["biases"], "biases"),
+            hidden_activation=json_value(str, doc["hidden_activation"], "hidden_activation"),
+            output_activation=json_value(str, doc["output_activation"], "output_activation"),
+            output_scale=json_value(floats | float, doc["output_scale"], "output_scale"),
             meta=ModelMeta.from_dict(doc["meta"]),
         )
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from exc
+
+
+def write_csv(path, header, chunks) -> None:
+    """Write the ``header`` line, then each chunk of ``chunks``: a list of
+    equal-length columns of cell text, written one line per row with the
+    cells joined by ``,``.  Without rows only the header is written."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for cols in chunks:
+            rows = list(map(",".join, zip(*cols)))
+            if rows:
+                fh.write("\n".join(rows) + "\n")
 
 
 def save_dataset(data: TransitionDataset, path) -> None:
@@ -604,9 +610,7 @@ def save_dataset(data: TransitionDataset, path) -> None:
         for block in (data.states, data.actions, data.deltas)
         for col in block.T
     ]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
+    write_csv(path, header, [cols])
 
 
 def load_dataset(path, n_state: int, n_action: int) -> TransitionDataset:

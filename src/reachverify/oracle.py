@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ClosedLoopSystem, nominal_rate_batch
+from .dynamics import ClosedLoopSystem, nominal_rate_batch, rk4_increment
 from .error_bounds import DisturbanceBounds
 from .geometry import Grid, ShapeSet, signed_distance
 
@@ -59,11 +59,7 @@ class Trajectory:
 
 def _rk4_batch(sys: ClosedLoopSystem, states: np.ndarray, d: np.ndarray, dt: float) -> np.ndarray:
     # Disturbance held constant over the step (zero-order hold).
-    k1 = nominal_rate_batch(sys, states) + d
-    k2 = nominal_rate_batch(sys, states + 0.5 * dt * k1) + d
-    k3 = nominal_rate_batch(sys, states + 0.5 * dt * k2) + d
-    k4 = nominal_rate_batch(sys, states + dt * k3) + d
-    return states + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return states + rk4_increment(lambda s: nominal_rate_batch(sys, s) + d, states, dt)
 
 
 def _draw_disturbance(strategy, bounds: DisturbanceBounds, state, t, rng) -> np.ndarray:

@@ -31,7 +31,7 @@ from .geometry import (
     ShapeSet,
     build_grid,
 )
-from .nn import json_number, json_numbers
+from .nn import json_value, write_csv
 from .solver import TubeResult
 
 __all__ = [
@@ -120,14 +120,15 @@ def primitive_from_dict(d: dict):
     kind = d.get("kind")
     if kind not in ("ball", "box", "cylinder"):
         raise ValueError(f"unknown primitive kind {kind!r}")
-    center = json_numbers(d["center"], "center")
+    floats = tuple[float, ...]
+    center = json_value(floats, d["center"], "center")
     if kind == "box":
-        return AxisBox(center, json_numbers(d["half_widths"], "half_widths"))
-    radius = float(json_number(d["radius"], "radius"))
+        return AxisBox(center, json_value(floats, d["half_widths"], "half_widths"))
+    radius = json_value(float, d["radius"], "radius")
     if kind == "ball":
         return Ball(center, radius)
-    return AxisCylinder(center, radius, json_number(d["axis_index"], "axis_index", integer=True),
-                        float(json_number(d["half_height"], "half_height")))
+    return AxisCylinder(center, radius, json_value(int, d["axis_index"], "axis_index"),
+                        json_value(float, d["half_height"], "half_height"))
 
 
 def _shapes_to_list(shapes: ShapeSet) -> list:
@@ -142,8 +143,11 @@ def _grid_to_dict(grid: Grid) -> dict:
     return {"lo": grid.lo.tolist(), "hi": grid.hi.tolist(), "counts": list(grid.counts)}
 
 
-def _grid_from_dict(g: dict) -> Grid:
-    return build_grid(g["lo"], g["hi"], g["counts"])
+def _grid_from_dict(g) -> Grid:
+    g = json_value(dict, g, "grid")
+    return build_grid(json_value(tuple[float, ...], g["lo"], "grid.lo"),
+                      json_value(tuple[float, ...], g["hi"], "grid.hi"),
+                      json_value(tuple[int, ...], g["counts"], "grid.counts"))
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -186,13 +190,19 @@ def policy_to_dict(policy) -> dict:
 
 
 def policy_from_dict(d: dict):
-    bounds = ActionBounds(d["action_lo"], d["action_hi"])
-    kind = d.get("kind")
+    """The policy of a :func:`policy_to_dict` object, its values type-checked."""
+    floats = tuple[float, ...]
+    bounds = ActionBounds(json_value(floats, d["action_lo"], "action_lo"),
+                          json_value(floats, d["action_hi"], "action_hi"))
+    kind = json_value(str, d.get("kind"), "kind")
     if kind == "constant":
-        return ConstantPolicy(d["action"], bounds)
+        return ConstantPolicy(json_value(floats, d["action"], "action"), bounds)
     if kind == "tabulated":
         grid = _grid_from_dict(d["grid"])
-        return TabulatedPolicy(grid, np.asarray(d["table"], dtype=float), bounds)
+        table = float  # nested one level per grid axis, then the action
+        for _ in range(grid.dims + 1):
+            table = tuple[table, ...]
+        return TabulatedPolicy(grid, json_value(table, d["table"], "table"), bounds)
     raise ValueError(f"unknown policy kind {kind!r}")
 
 
@@ -230,15 +240,17 @@ def _write_node_rows(path, grid: Grid, last_name: str, last, fmt) -> None:
     header = [f"i{k}" for k in range(n)] + [f"x{k}" for k in range(n)] + [last_name]
     index_text = [list(map(str, range(c))) for c in grid.counts]
     coord_text = [list(map(repr, grid.axis_coords(k).tolist())) for k in range(n)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+
+    def chunks():
         for start in range(0, grid.num_nodes, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, grid.num_nodes)
             idx = [i.tolist() for i in np.unravel_index(np.arange(start, stop), grid.counts)]
             cols = [map(index_text[k].__getitem__, idx[k]) for k in range(n)]
             cols += [map(coord_text[k].__getitem__, idx[k]) for k in range(n)]
             cols.append(map(fmt, last[start:stop].tolist()))
-            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+            yield cols
+
+    write_csv(path, header, chunks())
 
 
 def field_to_csv(field: ScalarField, path) -> None:
@@ -304,7 +316,10 @@ def load_tube_manifest(manifest_path):
     """Read back a tube export: the grid and the time-ordered fields."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    grid = _grid_from_dict(manifest["grid"])
+    try:
+        grid = _grid_from_dict(manifest["grid"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed tube manifest {manifest_path}: {exc}") from exc
     base = os.path.dirname(manifest_path)
     snapshots = [
         (entry["time"], field_from_csv(os.path.join(base, entry["file"]), grid, entry["time"]))

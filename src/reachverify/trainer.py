@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import ActionBounds, AirPlant, LandPlant, MlpPolicy, Policy
+from .dynamics import ActionBounds, AirPlant, LandPlant, MlpPolicy, Policy, rk4_increment
 from .error_bounds import DisturbanceBounds, k_sigma_bounds, residuals
 from .nn import (
     MlpModel,
@@ -72,15 +72,6 @@ def merge_datasets(a: TransitionDataset, b: TransitionDataset) -> TransitionData
     )
 
 
-def _rk4_delta(plant, states, actions, dt):
-    # One integration step of the plant under a held action.
-    k1 = plant.rate_batch(states, actions)
-    k2 = plant.rate_batch(states + 0.5 * dt * k1, actions)
-    k3 = plant.rate_batch(states + 0.5 * dt * k2, actions)
-    k4 = plant.rate_batch(states + dt * k3, actions)
-    return (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def collect_random_data(
     plant,
     action_bounds: ActionBounds,
@@ -107,7 +98,7 @@ def collect_random_data(
     if policy is None:
         states = rng.uniform(lo, hi, size=(count, plant.n_state))
         actions = action_bounds.sample(rng, count)
-        deltas = _rk4_delta(plant, states, actions, dt)
+        deltas = rk4_increment(lambda s: plant.rate_batch(s, actions), states, dt)
         return TransitionDataset(states, actions, deltas)
 
     all_s, all_a, all_d = [], [], []
@@ -117,7 +108,7 @@ def collect_random_data(
         states = rng.uniform(lo, hi, size=(batch, plant.n_state))
         for _ in range(rollout_steps):
             actions = policy.batch(states)
-            deltas = _rk4_delta(plant, states, actions, dt)
+            deltas = rk4_increment(lambda s: plant.rate_batch(s, actions), states, dt)
             all_s.append(states)
             all_a.append(actions)
             all_d.append(deltas)

@@ -140,11 +140,18 @@ def test_corrupt_model_exits_config_error(tmp_path):
         ("model.json", lambda d: d["meta"].update(dt_env="0.1"), "dt_env"),
         ("model.json", lambda d: d.update(layer_sizes=[4, 4.5, 2]), "layer_sizes"),
         ("policy.json", lambda d: d["meta"].update(action_lo=["-1", -1.0]), "action_lo"),
+        ("bounds.json", lambda d: d["upper"].__setitem__(0, True), "upper"),
+        ("bounds.json", lambda d: d.update(k_sigma="3"), "k_sigma"),
+        ("scene.json", lambda d: d["grid"]["counts"].__setitem__(0, 31.9), "grid.counts"),
+        ("scene.json", lambda d: d["grid"]["lo"].__setitem__(0, "-1"), "grid.lo"),
+        ("model.json", lambda d: d["weights"][0][0].__setitem__(0, "0.25"), "weights"),
+        ("model.json", lambda d: d["biases"][0].__setitem__(0, True), "biases"),
+        ("model.json", lambda d: d["output_scale"].__setitem__(0, "1"), "output_scale"),
     ],
 )
 def test_wrongly_typed_artifact_exits_config_error(tmp_path, capsys, file, edit, key):
-    # Scene and model files are not coerced: a string, a bool or a float
-    # where an int is due stops the run and names the key.
+    # Scene, model, policy and bounds files are not coerced: a string, a
+    # bool or a float where an int is due stops the run and names the key.
     cfg = verify_config(tmp_path, make_scene(tmp_path, [0.8, 0.8], 0.1))
     doc = json.loads((tmp_path / file).read_text())
     edit(doc)
@@ -264,11 +271,15 @@ def test_train_command_and_seed_reproducibility(tmp_path):
     assert m1["hashes"] == m2["hashes"]
 
 
-def test_export_plots_2d_and_idempotent(tmp_path):
+def test_export_plots_2d_and_idempotent(tmp_path, capsys):
     scene_path = make_scene(tmp_path, [0.8, 0.8], 0.1)
     cfg = verify_config(tmp_path, scene_path)
     out = tmp_path / "run"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    # a 2-D run has no heights to slice at: --z stops it before any write
+    assert main(["export-plots", "--run", str(out), "--z", "0.0"]) == 2
+    assert "0.0" in capsys.readouterr().err
+    assert not (out / "slices").exists()
     assert main(["export-plots", "--run", str(out)]) == 0
     slices = sorted(os.listdir(out / "slices"))
     n_snapshots = len(json.loads((out / "frt" / "manifest.json").read_text())["snapshots"])
@@ -284,9 +295,11 @@ def test_export_plots_2d_and_idempotent(tmp_path):
     assert main(["export-plots", "--run", str(out)]) == 0
     after = {s: (out / "slices" / s).read_bytes() for s in sorted(os.listdir(out / "slices"))}
     assert before == after
+    assert main(["export-plots", "--run", str(out), "--z", "0.5"]) == 2
+    assert sorted(os.listdir(out / "slices")) == slices
 
 
-def test_export_plots_3d_slices(tmp_path):
+def test_export_plots_3d_slices(tmp_path, capsys):
     grid = build_grid([-1, -1, -1], [1, 1, 1], [9, 9, 9])
     scene = Scene(
         grid=grid,
@@ -310,8 +323,18 @@ def test_export_plots_3d_slices(tmp_path):
     cfg.write_text(json.dumps(config))
     out = tmp_path / "run3"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
-    # 3-D export without slice heights is a config error
+    # 3-D export without slice heights is a config error, and so is a
+    # height that is not finite or lies outside the grid's z range [-1, 1]:
+    # it names the height and writes nothing.
     assert main(["export-plots", "--run", str(out)]) == 2
+    for z, named in [("100", "100.0"), ("0.0,-50", "-50.0"), ("nan", "nan"), ("inf", "inf"),
+                     ("1.0000001", "1.0000001")]:
+        assert main(["export-plots", "--run", str(out), "--z", z]) == 2
+        assert named in capsys.readouterr().err
+        assert not (out / "slices").exists()
+    # heights within interpolate_many's tolerance of the range still snap
+    assert main(["export-plots", "--run", str(out), "--z", "1.0000000001"]) == 0
+    assert any("z1p0000000001" in s for s in os.listdir(out / "slices"))
     assert main(["export-plots", "--run", str(out), "--z", "0.0,0.5"]) == 0
     slices = os.listdir(out / "slices")
     assert any("z0p0" in s for s in slices)
@@ -462,6 +485,15 @@ def run_argv(command, cfg, out):
         ("oracle", {"draws": -3}, "draws"),
         ("oracle", {"num_samples": 0}, "num_samples"),
         ("safe-set", {"mc": {"plant": "learned", "dt": 0.0}}, "dt"),
+        # inline policies are decoded like files
+        ("verify", {"policy": {"kind": "constant", "action": [True, 0.3],
+                               "action_lo": [-1, -1], "action_hi": [1, 1]}}, "action"),
+        ("verify", {"policy": {"kind": "tabulated", "action_lo": [-1, -1], "action_hi": [1, 1],
+                               "grid": {"lo": [-1, -1], "hi": [1, 1], "counts": [3, 3]},
+                               "table": [[[0.0, 0.0]] * 3, [[0.0, 0.0]] * 3,
+                                         [[0.0, 0.0]] * 2 + [["0.5", 0.0]]]}}, "table"),
+        ("verify", {"policy": {"kind": "tabulated", "action_lo": [-1, -1], "action_hi": [1, 1],
+                               "grid": [3, 3], "table": []}}, "grid"),
     ],
 )
 def test_bad_run_config_key_exits_config_error(tmp_path, monkeypatch, capsys, command, edit, key):

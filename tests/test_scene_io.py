@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,11 @@ def test_tube_export_and_reload(tmp_path):
         assert np.array_equal(f1.values, f2.values)
     assert manifest["config"]["direction"] == "backward"
     assert manifest["steps_taken"] == tube.steps_taken
+    # a wrongly typed grid value is not coerced: the error names the file
+    manifest["grid"]["counts"] = ["15", 15]
+    (tmp_path / "tube" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="manifest.json.*grid.counts"):
+        load_tube_manifest(manifest_path)
 
 
 def test_dataset_csv_round_trip(tmp_path):
