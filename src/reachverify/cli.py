@@ -32,7 +32,6 @@ from .geometry import (
     AxisBox,
     AxisCylinder,
     Ball,
-    ScalarField,
     ShapeSet,
     build_grid,
     interpolate_many,
@@ -46,10 +45,13 @@ from .scene import (
     file_sha256,
     land_scene,
     load_scene,
-    load_tube_manifest,
+    load_tube_manifest,  # noqa: F401  (perfbench's tracer wraps this name)
     mask_to_csv,
     policy_from_dict,
+    read_store_text,
     save_scene,
+    slices_to_csv,
+    tube_snapshot_files,
 )
 from .solver import SolverConfig, solve_brt, solve_frt
 from .trainer import TrainRunConfig, make_plant, train_loop
@@ -463,6 +465,19 @@ def _z_planes(grid, z_values) -> list:
     return [int(np.argmin(np.abs(zs - z))) for z in z_values]
 
 
+def _plane_text(path, grid, planes) -> list:
+    """The stored value text of each z plane ``planes[p]`` of a snapshot
+    file, read block by block; a 2-D field is its own plane 0."""
+    step = grid.counts[2] if grid.dims == 3 else 1
+    kept = [[] for _ in planes]
+    start = 0
+    for text in read_store_text(path, grid):
+        for rows, j in zip(kept, planes):
+            rows += text[(j - start) % step::step]
+        start += len(text)
+    return kept
+
+
 def cmd_export_plots(args) -> int:
     run_dir = args.run
     if not os.path.isdir(run_dir):
@@ -482,24 +497,14 @@ def cmd_export_plots(args) -> int:
         manifest_path = os.path.join(run_dir, entry, "manifest.json")
         if not os.path.isfile(manifest_path):
             continue
-        manifest = _load_json(manifest_path)
-        if len(manifest["grid"]["counts"]) == 2 and not z_values:
-            # Snapshot files already have the slice format: copy the bytes.
-            # With --z, the 2-D tube is read below and _z_planes rejects it.
-            for k, snap in enumerate(manifest["snapshots"]):
-                shutil.copyfile(os.path.join(run_dir, entry, snap["file"]),
-                                os.path.join(slices_dir, f"{entry}_{k:04d}.csv"))
-                wrote += 1
-            continue
-        grid, snapshots, _ = load_tube_manifest(manifest_path)
+        grid, snapshots, _ = tube_snapshot_files(manifest_path)
         planes = _z_planes(grid, z_values)
-        plane_grid = build_grid(grid.lo[:2], grid.hi[:2], grid.counts[:2])
-        for k, (t, fld) in enumerate(snapshots):
-            for z, j in zip(z_values, planes):
-                name = f"{entry}_{k:04d}_{_slice_tag(z)}.csv"
-                field_to_csv(ScalarField(plane_grid, fld.values[:, :, j], t),
-                             os.path.join(slices_dir, name))
-                wrote += 1
+        tags = ["_" + _slice_tag(z) for z in z_values] if planes else [""]
+        slices = ((os.path.join(slices_dir, f"{entry}_{k:04d}{tag}.csv"), text)
+                  for k, (_, path) in enumerate(snapshots)
+                  for tag, text in zip(tags, _plane_text(path, grid, planes or [0])))
+        slices_to_csv(build_grid(grid.lo[:2], grid.hi[:2], grid.counts[:2]), slices)
+        wrote += len(snapshots) * len(tags)
 
     if scene is not None:  # a checked --z: heights on a 3-D scene, none on a 2-D one
         for z in z_values or [None]:

@@ -3,6 +3,8 @@
 A scene bundles the grid with the initial, goal, and obstacle shape sets.
 Scenes, disturbance bounds, models, and reports are JSON; fields, masks,
 datasets, and Monte-Carlo samples are CSV with one row per node or sample.
+Fields and masks are stored as each node's index columns and its value;
+only the plot slices of ``export-plots`` add the node coordinates.
 All writers format floats with ``repr``, the shortest exact decimal form,
 so identical inputs produce byte-identical files.
 
@@ -15,6 +17,7 @@ obstacles).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -47,6 +50,9 @@ __all__ = [
     "export_tube",
     "load_tube_manifest",
     "mask_to_csv",
+    "read_store_text",
+    "slices_to_csv",
+    "tube_snapshot_files",
     "file_sha256",
 ]
 
@@ -223,61 +229,140 @@ def load_scene(path) -> Scene:
 # CSV field export
 # ---------------------------------------------------------------------------
 
-# Rows formatted and written per chunk: enough that the per-chunk numpy
-# calls cost nothing, few enough that a chunk's strings stay under a MB.
+# Rows formatted and written per chunk, and characters read per block:
+# enough that the per-chunk numpy and list calls cost nothing, few enough
+# that a chunk's strings stay under a MB.
 _CHUNK_ROWS = 2048
+_CHUNK_BYTES = 1 << 16
 
 
-def _write_node_rows(path, grid: Grid, last_name: str, last, fmt) -> None:
-    """One row per node in C order: index coordinates, physical
-    coordinates, then ``fmt`` of the node's entry of the flat ``last``.
+def _node_cells(tables, counts, start: int, stop: int) -> list:
+    """Cell text of nodes ``start..stop-1`` (C order), one list per table:
+    table ``k``, an object array, maps a node's index on axis ``k mod n``
+    to its cell text."""
+    idx = np.unravel_index(np.arange(start, stop), counts)
+    return [t[idx[k % len(counts)]].tolist() for k, t in enumerate(tables)]
 
-    Each axis's index and coordinate text is formatted once per call and
-    looked up per node, so every row is the ``str`` / ``repr`` text the
-    per-row form ``",".join(...)`` would give, byte for byte.
+
+def _index_tables(grid: Grid) -> list:
+    return [np.array([str(i) for i in range(c)], dtype=object) for c in grid.counts]
+
+
+def _write_node_rows(path, grid: Grid, last_name: str, last_text) -> None:
+    """One row per node in C order: the index columns, then
+    ``last_text(start, stop)``, the last cell's text for the nodes
+    ``start..stop-1``.
+
+    Each axis's index text is formatted once per call and looked up per
+    node, so every row is the text the per-row form ``",".join(...)``
+    would give, byte for byte.
     """
-    n = grid.dims
-    header = [f"i{k}" for k in range(n)] + [f"x{k}" for k in range(n)] + [last_name]
-    index_text = [list(map(str, range(c))) for c in grid.counts]
-    coord_text = [list(map(repr, grid.axis_coords(k).tolist())) for k in range(n)]
+    tables = _index_tables(grid)
 
     def chunks():
         for start in range(0, grid.num_nodes, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, grid.num_nodes)
-            idx = [i.tolist() for i in np.unravel_index(np.arange(start, stop), grid.counts)]
-            cols = [map(index_text[k].__getitem__, idx[k]) for k in range(n)]
-            cols += [map(coord_text[k].__getitem__, idx[k]) for k in range(n)]
-            cols.append(map(fmt, last[start:stop].tolist()))
-            yield cols
+            yield [*_node_cells(tables, grid.counts, start, stop), last_text(start, stop)]
 
-    write_csv(path, header, chunks())
+    write_csv(path, [f"i{k}" for k in range(grid.dims)] + [last_name], chunks())
 
 
 def field_to_csv(field: ScalarField, path) -> None:
-    """One row per node: index coordinates, physical coordinates, value."""
-    _write_node_rows(path, field.grid, "value", field.values.ravel(), repr)
+    """The store format: one row per node in C order, its index columns
+    ``i0..i{n-1}``, then its ``value``."""
+    flat = field.values.ravel()
+    _write_node_rows(path, field.grid, "value", lambda a, b: map(repr, flat[a:b].tolist()))
+
+
+def _line_blocks(fh):
+    """The text of ``fh`` in blocks of about ``_CHUNK_BYTES`` characters,
+    each block whole lines ending in a line end."""
+    rest = ""
+    for more in iter(lambda: fh.read(_CHUNK_BYTES), ""):
+        cut = more.rfind("\n") + 1
+        if cut:
+            yield rest + more[:cut]
+            rest = more[cut:]
+        else:
+            rest += more
+    if rest:
+        yield rest + "\n"
+
+
+def _block_values(path, block: str, grid: Grid, tables, start: int) -> list:
+    """The value cells of the rows of ``block``, which must be the nodes
+    ``start, start + 1, ...`` in C order, each its index cells as
+    ``tables`` gives them, then one value cell; else a ValueError."""
+    n, rows = grid.dims, block.count("\n")
+    if start + rows > grid.num_nodes:
+        raise ValueError(f"{path} has more than {grid.num_nodes} rows")
+    # Each row becomes its n + 1 cells and a "\n" marker cell, so one
+    # split checks every row's cell count.
+    cells = block[:-1].replace("\n", ",\n,").split(",")
+    if not (len(cells) == (n + 2) * rows - 1
+            and cells[n + 1::n + 2] == ["\n"] * (rows - 1)
+            and all(cells[k::n + 2] == col for k, col in
+                    enumerate(_node_cells(tables, grid.counts, start, start + rows)))):
+        names = ",".join([f"i{k}" for k in range(n)] + ["value"])
+        raise ValueError(f"{path}: rows {start}..{start + rows - 1} do not list the grid "
+                         f"nodes in C order, one {names} row each")
+    return cells[n::n + 2]
+
+
+def read_store_text(path, grid: Grid):
+    """The value text of a :func:`field_to_csv` file, one list per block of
+    rows, in node order.
+
+    The header must be ``i0..i{n-1},value``, and the rows must list every
+    node of ``grid`` once, in C order, with its index text as written;
+    anything else (a missing, repeated, negative or out-of-range index, a
+    row with a cell too many or too few) is a ValueError naming the file.
+    """
+    n = grid.dims
+    expected = [f"i{k}" for k in range(n)] + ["value"]
+    tables = _index_tables(grid)
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header != expected:
+            raise ValueError(f"{path} has {len(header)} columns {','.join(header)}, "
+                             f"expected {n + 1}: {','.join(expected)}")
+        start = 0
+        for block in _line_blocks(fh):
+            values = _block_values(path, block, grid, tables, start)
+            start += len(values)
+            yield values
+    if start < grid.num_nodes:
+        raise ValueError(f"{path} has {start} rows, expected {grid.num_nodes}")
 
 
 def field_from_csv(path, grid: Grid, time_tag: float = 0.0) -> ScalarField:
-    """Read a :func:`field_to_csv` file back; only the index and value
-    columns are parsed."""
-    n = grid.dims
-    with open(path) as fh:
-        columns = fh.readline().count(",") + 1
-        if columns != 2 * n + 1:
-            raise ValueError(f"field file has {columns} columns, expected {2 * n + 1}")
-        raw = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=(*range(n), 2 * n))
-    if raw.shape[0] != grid.num_nodes:
-        raise ValueError(f"field file has {raw.shape[0]} rows, expected {grid.num_nodes}")
-    idx = raw[:, :n].astype(int)
-    values = np.empty(grid.counts)
-    values[tuple(idx.T)] = raw[:, -1]
-    return ScalarField(grid, values, time_tag)
+    """Read a :func:`field_to_csv` file back, checked by :func:`read_store_text`."""
+    text = itertools.chain.from_iterable(read_store_text(path, grid))
+    return ScalarField(grid, np.fromiter(map(float, text), float).reshape(grid.counts), time_tag)
 
 
 def mask_to_csv(grid: Grid, mask: np.ndarray, path) -> None:
-    """One row per node: index coordinates, physical coordinates, 0/1 flag."""
-    _write_node_rows(path, grid, "inside", mask.ravel().astype(int), str)
+    """The store format with a 0/1 flag: index columns, then ``inside``."""
+    flags = mask.ravel().astype(int)
+    _write_node_rows(path, grid, "inside", lambda a, b: map(str, flags[a:b].tolist()))
+
+
+def slices_to_csv(grid: Grid, slices) -> None:
+    """Plot slices of the 2-D ``grid``: for each ``(path, value_text)`` of
+    ``slices``, one row per node in C order, its index columns, its
+    coordinates ``x0,x1``, then ``value_text[node]``.
+
+    The row text before the value is formatted once for all the slices,
+    from each axis's index and ``repr`` coordinate text.
+    """
+    n = grid.dims
+    tables = _index_tables(grid) + [np.array(list(map(repr, grid.axis_coords(k).tolist())),
+                                             dtype=object) for k in range(n)]
+    rows = list(map(",".join, zip(*_node_cells(tables, grid.counts, 0, grid.num_nodes))))
+    header = [f"i{k}" for k in range(n)] + [f"x{k}" for k in range(n)] + ["value"]
+    for path, text in slices:
+        write_csv(path, header, ([rows[a:a + _CHUNK_ROWS], text[a:a + _CHUNK_ROWS]]
+                                 for a in range(0, grid.num_nodes, _CHUNK_ROWS)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +397,34 @@ def export_tube(tube: TubeResult, out_dir, prefix: str = "snapshot"):
     return manifest_path
 
 
-def load_tube_manifest(manifest_path):
-    """Read back a tube export: the grid and the time-ordered fields."""
+def tube_snapshot_files(manifest_path):
+    """The grid, the ``(time, csv path)`` of each snapshot and the manifest
+    of a tube export.  A snapshot's ``time`` must be a number and its
+    ``file`` the bare name of a file in the manifest's directory."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    base = os.path.dirname(manifest_path)
     try:
         grid = _grid_from_dict(manifest["grid"])
+        files = []
+        for k, entry in enumerate(json_value(list, manifest["snapshots"], "snapshots")):
+            key = f"snapshots[{k}]"
+            entry = json_value(dict, entry, key)
+            name = json_value(str, entry["file"], f"{key}.file")
+            if name in ("", ".", "..") or os.path.basename(name) != name:
+                raise ValueError(f"{key}.file must name a file in the tube directory, "
+                                 f"not {json.dumps(name)}")
+            files.append((json_value(float, entry["time"], f"{key}.time"),
+                          os.path.join(base, name)))
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed tube manifest {manifest_path}: {exc}") from exc
-    base = os.path.dirname(manifest_path)
-    snapshots = [
-        (entry["time"], field_from_csv(os.path.join(base, entry["file"]), grid, entry["time"]))
-        for entry in manifest["snapshots"]
-    ]
-    return grid, snapshots, manifest
+    return grid, files, manifest
+
+
+def load_tube_manifest(manifest_path):
+    """Read back a tube export: the grid and the time-ordered fields."""
+    grid, files, manifest = tube_snapshot_files(manifest_path)
+    return grid, [(t, field_from_csv(path, grid, t)) for t, path in files], manifest
 
 
 def file_sha256(path) -> str:

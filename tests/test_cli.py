@@ -2,6 +2,8 @@ import csv
 import inspect
 import json
 import os
+import shutil
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,9 +14,19 @@ from reachverify import cli
 from reachverify.cli import _write_ground_truth, main
 from reachverify.dynamics import ActionBounds, MlpPolicy, save_policy
 from reachverify.error_bounds import DisturbanceBounds, save_bounds
-from reachverify.geometry import AxisBox, AxisCylinder, Ball, ShapeSet, build_grid
+from reachverify.geometry import AxisBox, AxisCylinder, Ball, ScalarField, ShapeSet, build_grid
 from reachverify.nn import MlpModel, ModelMeta, TransitionDataset, save_dataset, save_model
-from reachverify.scene import Scene, air_scene, land_scene, save_scene
+from reachverify.scene import (
+    Scene,
+    air_scene,
+    export_tube,
+    field_from_csv,
+    land_scene,
+    load_tube_manifest,
+    save_scene,
+)
+from reachverify.solver import SolverConfig, TubeResult
+from test_scene_io import _SPECIAL_VALUES, _reference_field_to_csv
 
 
 def write_zero_model(path, n_state=2, n_action=2, dt=0.1):
@@ -286,10 +298,12 @@ def test_export_plots_2d_and_idempotent(tmp_path, capsys):
     csvs = [s for s in slices if s.startswith("frt_")]
     assert len(csvs) == n_snapshots
     assert "geometry.csv" in slices
-    # 2-D slices are byte copies of the tube's snapshot files
-    for k, snap in enumerate(json.loads((out / "frt" / "manifest.json").read_text())["snapshots"]):
+    # 2-D slices are the snapshot fields in the field format with coordinates
+    _, snapshots, _ = load_tube_manifest(out / "frt" / "manifest.json")
+    for k, (_, field) in enumerate(snapshots):
+        _reference_field_to_csv(field, tmp_path / "ref.csv")
         assert (out / "slices" / f"frt_{k:04d}.csv").read_bytes() == (
-            out / "frt" / snap["file"]).read_bytes()
+            tmp_path / "ref.csv").read_bytes()
     assert_slice_cells_are_floats(out / "slices")
     before = {s: (out / "slices" / s).read_bytes() for s in slices}
     assert main(["export-plots", "--run", str(out)]) == 0
@@ -345,6 +359,114 @@ def test_export_plots_3d_slices(tmp_path, capsys):
     assert rows[0] == ["i0", "i1", "x0", "x1", "value"]
     assert len(rows) == 1 + 9 * 9
     assert rows[1 + 9 * 2 + 3][:4] == ["2", "3", "-0.5", "-0.25"]
+
+
+def unchecked_field(grid, values):
+    # ScalarField rejects nan and inf; set them behind its back so that
+    # their text is exported too.
+    field = ScalarField(grid, np.zeros(grid.counts))
+    object.__setattr__(field, "values", values.reshape(grid.counts))
+    return field
+
+
+def write_tube_run(run, fields):
+    """A run directory holding one exported tube, ``tube/``, of ``fields``."""
+    snapshots = tuple((0.5 * k, f) for k, f in enumerate(fields))
+    tube = TubeResult(snapshots, SolverConfig(), fields[0].grid, "forward", len(fields), 0.0,
+                      False)
+    return export_tube(tube, run / "tube", prefix="tube")
+
+
+@pytest.mark.parametrize("counts", [(67, 71), (47, 45, 5)])
+def test_export_plots_slices_match_per_row_reference(tmp_path, counts):
+    # Both stores span several of the reader's 64 KB blocks and end inside
+    # one; the slices cross the writer's 2 048-row chunks and end inside one.
+    grid = build_grid([-1.0] * len(counts), [1.0] * len(counts), counts)
+    rng = np.random.default_rng(5)
+    fields = []
+    for _ in range(2):
+        values = rng.normal(scale=10.0, size=grid.num_nodes)
+        picks = rng.choice(grid.num_nodes, size=64, replace=False)
+        values[picks] = np.resize(_SPECIAL_VALUES, len(picks))
+        fields.append(unchecked_field(grid, values))
+    write_tube_run(tmp_path / "run", fields)
+    z_values = [-1.0, 0.0, 1.0] if grid.dims == 3 else []
+    argv = ["--z=" + ",".join(map(repr, z_values))] if z_values else []
+    assert main(["export-plots", "--run", str(tmp_path / "run"), *argv]) == 0
+    plane_grid = build_grid(grid.lo[:2], grid.hi[:2], grid.counts[:2])
+    for k, field in enumerate(fields):
+        if grid.dims == 2:
+            expected = {f"tube_{k:04d}.csv": field}
+        else:
+            expected = {f"tube_{k:04d}_{cli._slice_tag(z)}.csv":
+                        unchecked_field(plane_grid, field.values[:, :, j].copy())
+                        for z, j in zip(z_values, (0, 2, 4))}
+        for name, plane in expected.items():
+            _reference_field_to_csv(plane, tmp_path / "ref.csv")
+            assert (tmp_path / "run" / "slices" / name).read_bytes() == (
+                tmp_path / "ref.csv").read_bytes()
+
+
+def test_export_plots_memory_is_bounded(tmp_path):
+    # Snapshots are streamed in blocks of rows, so only the requested
+    # planes' text is held: 3 x 2 025 values, not the 91 125 of a snapshot.
+    grid = build_grid([-1.0] * 3, [1.0] * 3, (45, 45, 45))
+    rng = np.random.default_rng(6)
+    write_tube_run(tmp_path / "run",
+                   [ScalarField(grid, rng.normal(size=grid.counts)) for _ in range(2)])
+    tracemalloc.start()
+    try:
+        assert main(["export-plots", "--run", str(tmp_path / "run"), "--z=-0.5,0.0,0.5"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(os.listdir(tmp_path / "run" / "slices")) == 6
+    assert peak < 3e6
+
+
+def _set_snapshot_entry(key, value):
+    return lambda m: m["snapshots"][0].update({key: value})
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda m: m["grid"].update(counts=31), "grid.counts"),
+    (_set_snapshot_entry("time", "0.5"), "snapshots[0].time"),
+    (_set_snapshot_entry("file", 3), "snapshots[0].file"),
+    (_set_snapshot_entry("file", "../x.csv"), "snapshots[0].file"),
+])
+def test_malformed_tube_manifest_exits_config_error(tmp_path, capsys, edit, key):
+    grid = build_grid([-1.0, -1.0], [1.0, 1.0], (5, 4))
+    run = tmp_path / "run"
+    fields = [ScalarField(grid, np.full(grid.counts, k)) for k in (1, 2)]
+    manifest_path = write_tube_run(run, fields)
+    assert main(["export-plots", "--run", str(run)]) == 0
+    shutil.copyfile(run / "tube" / "tube_0000.csv", run / "x.csv")  # what "../x.csv" names
+    manifest = json.loads((run / "tube" / "manifest.json").read_text())
+    edit(manifest)
+    (run / "tube" / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["export-plots", "--run", str(run)]) == 2
+    assert key in capsys.readouterr().err
+    with pytest.raises(ValueError, match=r"manifest.json: " + key.replace("[", r"\[")):
+        load_tube_manifest(manifest_path)
+
+
+@pytest.mark.parametrize("index", ["118,43", "118,-1", "118,45"],
+                         ids=["duplicated", "negative", "out_of_range"])
+def test_store_rows_out_of_node_order_exit_config_error(tmp_path, capsys, index):
+    # Node 118,44 is row 5 354 of 5 400, in the last block the reader takes.
+    grid = build_grid([-1.0, -1.0], [1.0, 1.0], (120, 45))
+    run = tmp_path / "run"
+    write_tube_run(run, [ScalarField(grid, np.arange(grid.num_nodes).reshape(grid.counts) / 7)])
+    path = run / "tube" / "tube_0000.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[1 + 5354] == f"118,44,{5354 / 7!r}\n"
+    lines[1 + 5354] = f"{index},{5354 / 7!r}\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=r"rows [1-9]\d*\.\.5399 do not list the grid nodes"):
+        field_from_csv(path, grid)
+    assert main(["export-plots", "--run", str(run)]) == 2
+    assert "tube_0000.csv" in capsys.readouterr().err
+    assert not (run / "slices" / "tube_0000.csv").exists()
 
 
 def test_ground_truth_writer_matches_per_row_reference(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from reachverify.scene import (
     mask_to_csv,
     primitive_from_dict,
     primitive_to_dict,
+    read_store_text,
     save_scene,
 )
 from reachverify.solver import SolverConfig, solve_brt
@@ -105,6 +107,14 @@ def test_field_csv_rejects_wrong_shape(tmp_path):
     (tmp_path / "short.csv").write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError, match="rows"):
         field_from_csv(tmp_path / "short.csv", grid)
+    (tmp_path / "long.csv").write_text("\n".join(lines + lines[-1:]) + "\n")
+    with pytest.raises(ValueError, match="more than 12 rows"):
+        field_from_csv(tmp_path / "long.csv", grid)
+    # a file of the old format, with the coordinates x0..x{n-1}, is refused
+    _reference_field_to_csv(ScalarField(grid, np.zeros(grid.counts)), tmp_path / "old.csv")
+    with pytest.raises(ValueError,
+                       match="old.csv has 5 columns i0,i1,x0,x1,value, expected 3: i0,i1,value"):
+        field_from_csv(tmp_path / "old.csv", grid)
 
 
 def test_mask_csv(tmp_path):
@@ -114,14 +124,15 @@ def test_mask_csv(tmp_path):
     path = tmp_path / "mask.csv"
     mask_to_csv(grid, mask, path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "i0,i1,x0,x1,inside"
+    assert lines[0] == "i0,i1,inside"
     assert len(lines) == 17
     flags = [int(l.split(",")[-1]) for l in lines[1:]]
     assert sum(flags) == 1
 
 
 def _reference_field_to_csv(field, path):
-    # The per-row writer the chunked one replaced, kept as its reference.
+    # The per-row writer of the field format that had the coordinates
+    # x0..x{n-1}, kept as the byte reference of the plot slices.
     grid = field.grid
     n = grid.dims
     header = [f"i{k}" for k in range(n)] + [f"x{k}" for k in range(n)] + ["value"]
@@ -135,17 +146,14 @@ def _reference_field_to_csv(field, path):
             fh.write(",".join(cells) + "\n")
 
 
-def _reference_mask_to_csv(grid, mask, path):
+def _reference_store_to_csv(grid, last_name, cells, path):
+    # Per-row writer of the store format: index columns, then one cell.
     n = grid.dims
-    header = [f"i{k}" for k in range(n)] + [f"x{k}" for k in range(n)] + ["inside"]
     indices = np.indices(grid.counts).reshape(n, -1).T
-    coords = grid.flat_points()
-    flags = mask.ravel().astype(int)
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for idx, xyz, f in zip(indices, coords, flags):
-            cells = [str(int(i)) for i in idx] + [repr(float(x)) for x in xyz] + [str(int(f))]
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join([f"i{k}" for k in range(n)] + [last_name]) + "\n")
+        for idx, cell in zip(indices, cells):
+            fh.write(",".join([str(int(i)) for i in idx] + [cell]) + "\n")
 
 
 _SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e17, -1e17, np.nan, np.inf, -np.inf,
@@ -171,15 +179,19 @@ def test_node_writers_match_per_row_reference(tmp_path, lo, hi, counts):
     # ScalarField rejects nan and inf; set them behind its back so the
     # writers' text for them is compared too.
     object.__setattr__(field, "values", values.reshape(counts))
+    text = [repr(float(v)) for v in values]
     field_to_csv(field, tmp_path / "new.csv")
-    _reference_field_to_csv(field, tmp_path / "ref.csv")
+    _reference_store_to_csv(grid, "value", text, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # the reader gives back the stored text, block by block, in node order
+    assert list(itertools.chain.from_iterable(read_store_text(tmp_path / "new.csv", grid))) == text
 
     masks = [np.zeros(counts, dtype=bool), np.ones(counts, dtype=bool),
              rng.random(counts) < 0.3]
     for k, mask in enumerate(masks):
         mask_to_csv(grid, mask, tmp_path / f"mask_new_{k}.csv")
-        _reference_mask_to_csv(grid, mask, tmp_path / f"mask_ref_{k}.csv")
+        _reference_store_to_csv(grid, "inside", [str(int(f)) for f in mask.ravel()],
+                                tmp_path / f"mask_ref_{k}.csv")
         assert ((tmp_path / f"mask_new_{k}.csv").read_bytes()
                 == (tmp_path / f"mask_ref_{k}.csv").read_bytes())
 
