@@ -70,7 +70,6 @@ from .solver import (
     optimal_disturbance,
     solve_brt,
     solve_frt,
-    step,
     upwind_gradients,
 )
 from .verification import (

@@ -55,7 +55,7 @@ from .scene import (
 )
 from .solver import SolverConfig, solve_brt, solve_frt
 from .trainer import TrainRunConfig, make_plant, train_loop
-from .verification import build_report, classify_policy, union_brt_field
+from .verification import build_report, classify_policy, union_brt_field, unsafe_initial_states
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -311,11 +311,6 @@ def cmd_safe_set(args) -> int:
         finals.append(tube.final_field())
         brt_manifests.append(os.path.relpath(manifest, out))
 
-    from .verification import unsafe_initial_states
-
-    per_obstacle = [
-        bool(unsafe_initial_states(f, scene.initial_set).any()) for f in finals
-    ]
     union_field = union_brt_field(finals)
     report = build_report(
         scene.grid,
@@ -323,6 +318,7 @@ def cmd_safe_set(args) -> int:
         union_field,
         provenance={**prov, "seed": seed},
     )
+    per_obstacle = [bool(unsafe_initial_states(f, report.initial_mask).any()) for f in finals]
     field_to_csv(union_field, os.path.join(out, "brt_union.csv"))
     mask_to_csv(scene.grid, report.safe_mask, os.path.join(out, "safe_mask.csv"))
     mask_to_csv(scene.grid, report.unsafe_mask, os.path.join(out, "unsafe_mask.csv"))
@@ -478,20 +474,9 @@ def _plane_text(path, grid, planes) -> list:
     return kept
 
 
-def cmd_export_plots(args) -> int:
-    run_dir = args.run
-    if not os.path.isdir(run_dir):
-        raise FileNotFoundError(f"run directory not found: {run_dir}")
-    z_values = [float(z) for z in args.z.split(",")] if args.z else []
-
-    scene = None
-    scene_path = os.path.join(run_dir, "scene.json")
-    if os.path.exists(scene_path):
-        scene = load_scene(scene_path)
-        _z_planes(scene.grid, z_values)  # a bad --z stops the export before any write
-    slices_dir = os.path.join(run_dir, "slices")
-    os.makedirs(slices_dir, exist_ok=True)
-
+def _write_slices(run_dir, slices_dir, scene, z_values) -> int:
+    """Write every slice, geometry and scatter file of a run into
+    ``slices_dir``; returns the number of slice files."""
     wrote = 0
     for entry in sorted(os.listdir(run_dir)):
         manifest_path = os.path.join(run_dir, entry, "manifest.json")
@@ -514,6 +499,38 @@ def cmd_export_plots(args) -> int:
     gt = os.path.join(run_dir, "ground_truth.csv")
     if os.path.exists(gt):
         shutil.copyfile(gt, os.path.join(slices_dir, "scatter.csv"))
+    return wrote
+
+
+def cmd_export_plots(args) -> int:
+    run_dir = args.run
+    if not os.path.isdir(run_dir):
+        raise FileNotFoundError(f"run directory not found: {run_dir}")
+    z_values = [float(z) for z in args.z.split(",")] if args.z else []
+
+    scene = None
+    scene_path = os.path.join(run_dir, "scene.json")
+    if os.path.exists(scene_path):
+        scene = load_scene(scene_path)
+        _z_planes(scene.grid, z_values)  # a bad --z stops the export before any write
+
+    # The export is built in a sibling directory that replaces slices/ only
+    # once every file is written, so a failed export leaves slices/ as it was.
+    slices_dir = os.path.join(run_dir, "slices")
+    staging = os.path.join(run_dir, ".slices.partial")
+    old = os.path.join(run_dir, ".slices.old")
+    for leftover in (staging, old):  # from an export that was killed
+        shutil.rmtree(leftover, ignore_errors=True)
+    os.makedirs(staging)
+    try:
+        wrote = _write_slices(run_dir, staging, scene, z_values)
+    except BaseException:
+        shutil.rmtree(staging)
+        raise
+    if os.path.isdir(slices_dir):
+        os.rename(slices_dir, old)
+    os.rename(staging, slices_dir)
+    shutil.rmtree(old, ignore_errors=True)
 
     print(f"export-plots: wrote {wrote} slice files to {slices_dir}")
     return EXIT_OK

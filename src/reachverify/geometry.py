@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nn import _BLOCK_ROWS
+
 __all__ = [
     "Grid",
     "ScalarField",
@@ -81,6 +83,17 @@ class Grid:
     def flat_points(self) -> np.ndarray:
         """All node coordinates as a ``(num_nodes, dims)`` array in C order."""
         return self.node_points().reshape(-1, self.dims)
+
+    def point_blocks(self):
+        """Yield ``(a, points)`` over the nodes in C order, ``_BLOCK_ROWS``
+        at a time: ``points`` holds the ``(b - a, dims)`` coordinates of
+        nodes ``a .. b-1``, the rows ``a:b`` of :meth:`flat_points`, taken
+        from the per-axis tables without building a whole-grid array."""
+        axes = [self.axis_coords(i) for i in range(self.dims)]
+        n = self.num_nodes
+        for a in range(0, n, _BLOCK_ROWS):
+            index = np.unravel_index(np.arange(a, min(a + _BLOCK_ROWS, n)), self.counts)
+            yield a, np.stack([x[i] for x, i in zip(axes, index)], axis=1)
 
 
 def build_grid(lo, hi, counts) -> Grid:
@@ -297,13 +310,16 @@ def signed_distance(shape, point) -> float | np.ndarray:
 
 
 def level_set_from_shapes(grid: Grid, shape) -> ScalarField:
-    """Sample the exact signed distance of ``shape`` at every grid node."""
+    """Sample the exact signed distance of ``shape`` at every grid node,
+    one block of nodes at a time."""
     if shape.dims != grid.dims:
         raise ValueError(
             f"shape dimension {shape.dims} does not match grid dimension {grid.dims}"
         )
-    values = shape.signed_distance(grid.node_points())
-    return ScalarField(grid=grid, values=values)
+    values = np.empty(grid.num_nodes)
+    for a, points in grid.point_blocks():
+        values[a:a + len(points)] = shape.signed_distance(points)
+    return ScalarField(grid=grid, values=values.reshape(grid.counts))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,6 @@ __all__ = [
     "dissipation_coefficients",
     "lax_friedrichs_H",
     "cfl_dt",
-    "step",
     "solve_brt",
     "solve_frt",
 ]
@@ -234,7 +233,25 @@ def dissipation_coefficients(
     ``|rate_i| + max(|d_i^-|, d_i^+)`` maximized over all nodes bounds the
     derivative exactly on the sampled set.
     """
-    return _wave_speeds(nominal_rate_batch(sys, grid.flat_points()), bounds)
+    return _rate_scan(sys, bounds, grid)
+
+
+def _rate_scan(sys: ClosedLoopSystem, bounds: DisturbanceBounds, grid: Grid,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Wave speeds of a full-grid rate scan, one block of nodes at a time;
+    with ``out``, the rates also land in that ``(n, num_nodes)`` buffer.
+
+    The running maximum of the blocks' wave speeds is bitwise
+    ``_wave_speeds`` of all the rates: rounding ``m + c`` is monotone in
+    ``m``.
+    """
+    alpha = np.zeros(grid.dims)
+    for a, points in grid.point_blocks():
+        rates = nominal_rate_batch(sys, points)
+        np.maximum(alpha, _wave_speeds(rates, bounds), out=alpha)
+        if out is not None:
+            out[:, a:a + len(points)] = rates.T
+    return alpha
 
 
 def lax_friedrichs_H(s, p_minus, p_plus, sys: ClosedLoopSystem, mode: str, alpha) -> float:
@@ -283,17 +300,16 @@ class _Workspace:
         n = sys.n_state
         if n != grid.dims:
             raise ValueError("system state dimension does not match grid dimension")
-        rates = nominal_rate_batch(sys, grid.flat_points())
+        self.rate = np.empty((n, grid.num_nodes))
+        alpha = _rate_scan(sys, sys.bounds, grid, self.rate)
         if forward:
-            self.rate = np.ascontiguousarray(-rates.T)
+            np.negative(self.rate, out=self.rate)
             self.hi = -sys.bounds.lower
             self.lo = -sys.bounds.upper
         else:
-            self.rate = np.ascontiguousarray(rates.T)
             self.hi = sys.bounds.upper
             self.lo = sys.bounds.lower
         self.grid = grid
-        alpha = _wave_speeds(rates, sys.bounds)
         if alpha_floor is not None:
             floor = np.asarray(alpha_floor, dtype=float)
             if np.any(floor < alpha - 1e-12):
@@ -377,24 +393,6 @@ class _Workspace:
         np.subtract(values, new, out=self._h)
         self.values, self._next = new, values
         return max(h1, h2), float(self._h.max())
-
-
-def step(field: ScalarField, sys: ClosedLoopSystem, config: SolverConfig, dt: float) -> ScalarField:
-    """One backward TVD-RK2 freezing step; values never increase pointwise.
-
-    The time tag moves by ``-dt``.  A forward step is a backward step of
-    the reversed system (negated rates, reflected disturbance box).
-    Raises on steps beyond the CFL bound.
-    """
-    ws = _Workspace(sys, field.grid, False)
-    limit = cfl_dt(config, ws.alpha, field.grid)
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    if dt > limit * (1 + 1e-9):
-        raise ValueError(f"dt={dt} violates the CFL bound {limit}")
-    ws.values[:] = field.values.ravel()
-    ws.rk2_step(dt)
-    return ws.snapshot(field.time_tag - dt)
 
 
 def _check_inside_grid(shapes: ShapeSet, grid: Grid, label: str) -> None:

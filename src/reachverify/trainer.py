@@ -23,6 +23,7 @@ import numpy as np
 from .dynamics import ActionBounds, AirPlant, LandPlant, MlpPolicy, Policy, rk4_increment
 from .error_bounds import DisturbanceBounds, k_sigma_bounds, residuals
 from .nn import (
+    _BLOCK_ROWS,
     MlpModel,
     ModelMeta,
     TrainingConfig,
@@ -162,18 +163,19 @@ def mpc_actions(
 
     Each candidate sequence is one action drawn uniformly from the action
     set and held over the whole lookahead, which keeps the scored return
-    attributable to the action being ranked.  All candidates for all
-    states roll through the model in one batch; returns are discounted
-    sums of rewards at the predicted successor states.
+    attributable to the action being ranked.  States are planned in chunks
+    of ``_BLOCK_ROWS // candidates`` (at least one), so each chunk's
+    candidates roll through the model as one network block; returns are
+    discounted sums of rewards at the predicted successor states.  The
+    chunks draw their candidates in state order, the order of one draw
+    for all states.
     """
     if horizon < 1 or candidates < 1:
         raise ValueError("horizon and candidates must be >= 1")
     states = np.asarray(states, dtype=float)
     m = action_bounds.dims
     out = np.empty((len(states), m))
-    # Chunked to bound the candidate arrays (actions, rolled-out states,
-    # returns) of large state sets; forward_batch bounds its own activations.
-    chunk = max(1, 131072 // candidates)
+    chunk = max(1, _BLOCK_ROWS // candidates)
     for start in range(0, len(states), chunk):
         block = states[start : start + chunk]
         k = len(block)

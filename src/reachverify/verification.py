@@ -72,9 +72,11 @@ def union_brt_field(brt_finals) -> ScalarField:
     return out
 
 
-def unsafe_initial_states(brt_final: ScalarField, initial: ShapeSet) -> np.ndarray:
-    """Nodes of the initial set from which the target region is reachable."""
-    initial_mask = zero_sublevel_mask(level_set_from_shapes(brt_final.grid, initial))
+def unsafe_initial_states(brt_final: ScalarField, initial_mask: np.ndarray) -> np.ndarray:
+    """Nodes of the initial set (given by its node mask) from which the
+    target region is reachable."""
+    if initial_mask.shape != brt_final.grid.counts:
+        raise ValueError("masks live on different grids")
     return zero_sublevel_mask(brt_final) & initial_mask
 
 
@@ -119,7 +121,7 @@ def build_report(
     initial_mask = zero_sublevel_mask(level_set_from_shapes(grid, initial))
     if not initial_mask.any():
         raise ValueError("the grid does not resolve the initial set")
-    unsafe = unsafe_initial_states(brt_final, initial)
+    unsafe = unsafe_initial_states(brt_final, initial_mask)
     safe = safe_initial_states(unsafe, initial_mask)
     n_initial = int(initial_mask.sum())
     n_safe = int(safe.sum())

@@ -16,6 +16,15 @@ from reachverify.solver import SolverConfig, solve_brt, solve_frt
 from reachverify.trainer import TrainRunConfig, train_loop
 
 
+# Node counts below one block of nn._BLOCK_ROWS (4096) nodes, and above it
+# but not a multiple of it, in 2, 3 and 4 dimensions.
+BLOCKED_GRIDS = [(37, 29), (101, 103), (9, 7, 5), (23, 19, 17), (5, 4, 6, 7), (9, 9, 8, 9)]
+
+
+def blocked_grid(counts):
+    return build_grid(-np.ones(len(counts)), np.linspace(1.0, 2.0, len(counts)), counts)
+
+
 class ConstantPlant:
     """Test plant with a state-independent rate vector."""
 

@@ -469,6 +469,25 @@ def test_store_rows_out_of_node_order_exit_config_error(tmp_path, capsys, index)
     assert not (run / "slices" / "tube_0000.csv").exists()
 
 
+def test_failed_export_leaves_previous_slices(tmp_path, capsys):
+    # Three snapshots; the third store lists node 3,2 twice.  The first two
+    # slices are written before the bad store is read, and must not land.
+    grid = build_grid([-1.0, -1.0], [1.0, 1.0], (5, 4))
+    run = tmp_path / "run"
+    write_tube_run(run, [ScalarField(grid, np.full(grid.counts, k)) for k in (1, 2, 3)])
+    path = run / "tube" / "tube_0002.csv"
+    path.write_text(path.read_text().replace("3,3,", "3,2,"))
+    assert main(["export-plots", "--run", str(run)]) == 2
+    assert "tube_0002.csv" in capsys.readouterr().err
+    assert sorted(os.listdir(run)) == ["tube"]
+
+    (run / "slices").mkdir()
+    (run / "slices" / "keep.csv").write_text("kept\n")
+    assert main(["export-plots", "--run", str(run)]) == 2
+    assert sorted(os.listdir(run)) == ["slices", "tube"]
+    assert os.listdir(run / "slices") == ["keep.csv"]
+
+
 def test_ground_truth_writer_matches_per_row_reference(tmp_path):
     rng = np.random.default_rng(3)
     mc = SimpleNamespace(samples=rng.normal(size=(37, 3)), safe=rng.random(37) < 0.5)

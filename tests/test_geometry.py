@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import BLOCKED_GRIDS, blocked_grid
 from reachverify.geometry import (
     AxisBox,
     AxisCylinder,
@@ -20,7 +21,16 @@ from reachverify.geometry import (
     strict_sublevel_mask,
     zero_sublevel_mask,
 )
+from reachverify.nn import _BLOCK_ROWS
 from reachverify.scene import air_scene
+
+
+def _shapes(dims):
+    center = np.linspace(-0.3, 0.4, dims)
+    prims = [Ball(center, 0.5), AxisBox(-center, np.linspace(0.2, 0.6, dims))]
+    if dims >= 3:
+        prims.append(AxisCylinder(0.5 * center, 0.3, dims - 1, 0.4))
+    return ShapeSet(tuple(prims))
 
 
 def test_build_grid_spacing():
@@ -222,3 +232,22 @@ def test_shape_validation():
         ShapeSet(())
     with pytest.raises(ValueError):
         ShapeSet((Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0, 0.0], 1.0)))
+
+
+@pytest.mark.parametrize("counts", BLOCKED_GRIDS)
+def test_point_blocks_are_the_flat_points_in_blocks(counts):
+    grid = blocked_grid(counts)
+    blocks = list(grid.point_blocks())
+    assert [a for a, _ in blocks] == list(range(0, grid.num_nodes, _BLOCK_ROWS))
+    assert all(len(points) == _BLOCK_ROWS for _, points in blocks[:-1])
+    stacked = np.concatenate([points for _, points in blocks])
+    assert np.array_equal(stacked.view(np.int64), grid.flat_points().view(np.int64))
+
+
+@pytest.mark.parametrize("counts", BLOCKED_GRIDS)
+def test_blocked_level_set_equals_whole_grid_distance(counts):
+    grid = blocked_grid(counts)
+    shape = _shapes(len(counts))
+    expected = shape.signed_distance(grid.flat_points()).reshape(counts)
+    values = level_set_from_shapes(grid, shape).values
+    assert np.array_equal(values.view(np.int64), expected.view(np.int64))

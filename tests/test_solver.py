@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import (
+    BLOCKED_GRIDS,
     LinearPlant,
+    blocked_grid,
     capsule_distance,
     const_system,
     hausdorff_between_masks,
@@ -14,6 +18,7 @@ from reachverify.dynamics import (
     ClosedLoopSystem,
     ConstantPolicy,
     LearnedPlant,
+    MlpPolicy,
     nominal_rate_batch,
 )
 from reachverify.error_bounds import DisturbanceBounds
@@ -31,6 +36,7 @@ from reachverify.oracle import corner_extremum
 from reachverify.solver import (
     SolverConfig,
     _one_sided_diffs,
+    _wave_speeds,
     _Workspace,
     analytic_hamiltonian,
     cfl_dt,
@@ -39,9 +45,22 @@ from reachverify.solver import (
     optimal_disturbance,
     solve_brt,
     solve_frt,
-    step,
     upwind_gradients,
 )
+
+
+def step(field, sys_cl, config, dt):
+    """One backward TVD-RK2 freezing step of ``field`` on a fresh workspace;
+    the time tag moves by ``-dt``.  Raises on steps beyond the CFL bound."""
+    ws = _Workspace(sys_cl, field.grid, False)
+    limit = cfl_dt(config, ws.alpha, field.grid)
+    if dt < 0:
+        raise ValueError("dt must be nonnegative")
+    if dt > limit * (1 + 1e-9):
+        raise ValueError(f"dt={dt} violates the CFL bound {limit}")
+    ws.values[:] = field.values.ravel()
+    ws.rk2_step(dt)
+    return ws.snapshot(field.time_tag - dt)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +465,8 @@ def test_forward_and_backward_verdicts_consistent_when_safe():
     brt = solve_brt(obstacle, sys_cl,
                     SolverConfig(horizon=1.5, convergence_eps=0.0),
                     grid)
-    assert not unsafe_initial_states(brt.final_field(), initial).any()
+    initial_mask = zero_sublevel_mask(level_set_from_shapes(grid, initial))
+    assert not unsafe_initial_states(brt.final_field(), initial_mask).any()
 
 
 def test_tube_result_metadata():
@@ -505,7 +525,7 @@ def _reference_solve(seed, sys_cl, config, grid, forward):
         rate_grid, hi, lo = -rate_grid, -b.lower, -b.upper
     else:
         hi, lo = b.upper, b.lower
-    alpha = dissipation_coefficients(sys_cl, b, grid)
+    alpha = _wave_speeds(rates, b)
 
     def rhs(values):
         h_total = np.zeros_like(values)
@@ -525,7 +545,7 @@ def _reference_solve(seed, sys_cl, config, grid, forward):
 
     dt_nom = cfl_dt(config, alpha, grid)
     sign = 1.0 if forward else -1.0
-    values = level_set_from_shapes(grid, seed).values
+    values = seed.signed_distance(grid.flat_points()).reshape(grid.counts)
     snapshots = [(0.0, values)]
     max_h, tau, steps, last_snap_tau, converged = 0.0, 0.0, 0, 0.0, False
     while tau < config.horizon * (1 - 1e-12):
@@ -607,3 +627,69 @@ def test_nonfinite_value_mid_solve_names_the_step(monkeypatch):
     with pytest.raises(RuntimeError, match="non-finite values at step 4$"):
         solve_brt(ShapeSet((Ball([0.0, 0.0], 0.4),)), const_system([0.3, -0.2]),
                   SolverConfig(horizon=2.0, snapshot_stride=2, convergence_eps=0.0), grid)
+
+
+# ---------------------------------------------------------------------------
+# Blocked rate scan
+# ---------------------------------------------------------------------------
+
+def _random_net(sizes, rng, meta, scale):
+    return MlpModel(
+        layer_sizes=tuple(sizes),
+        weights=tuple(rng.normal(size=(a, b)) for a, b in zip(sizes[:-1], sizes[1:])),
+        biases=tuple(rng.normal(size=b) for b in sizes[1:]),
+        hidden_activation="tanh",
+        output_activation="tanh",
+        output_scale=np.full(sizes[-1], scale),
+        meta=meta,
+    )
+
+
+def _network_system(dims, seed):
+    """A learned plant under a network policy, so both halves of a rate go
+    through the network's row blocks."""
+    rng = np.random.default_rng(seed)
+    meta = ModelMeta(n_state=dims, n_action=2, dt_env=0.1)
+    plant = LearnedPlant(_random_net((dims + 2, 32, 32, dims), rng, meta, 0.15))
+    policy = MlpPolicy(_random_net((dims, 16, 16, 2), rng, meta, 4.0),
+                       ActionBounds([0.0, -np.pi], [1.0, np.pi]))
+    bounds = DisturbanceBounds(rng.uniform(0.0, 0.3, dims), -rng.uniform(0.0, 0.2, dims))
+    return ClosedLoopSystem(plant, policy, bounds)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("forward", [False, True], ids=["backward", "forward"])
+@pytest.mark.parametrize("counts", BLOCKED_GRIDS)
+def test_blocked_rate_scan_equals_whole_grid_scan(counts, forward):
+    grid = blocked_grid(counts)
+    sys_cl = _network_system(grid.dims, sum(counts))
+    rates = nominal_rate_batch(sys_cl, grid.flat_points())
+    ws = _Workspace(sys_cl, grid, forward)
+    assert np.array_equal(_bits(ws.rate), _bits(-rates.T if forward else rates.T))
+    alpha = _wave_speeds(rates, sys_cl.bounds)
+    assert np.array_equal(_bits(ws.alpha), _bits(alpha))
+    scanned = dissipation_coefficients(sys_cl, sys_cl.bounds, grid)
+    assert np.array_equal(_bits(scanned), _bits(alpha))
+
+
+def test_workspace_and_seed_memory_is_bounded_by_the_workspace():
+    # At 45^3 the whole-grid forms held the points, the (N, n) rates and a
+    # transposed copy (4.3 MB over the workspace), then the level set's
+    # point mesh and distance temporaries (8.0 MB).  Blocked, the scan adds
+    # one block and the level set its value array and the field's copy
+    # (1.5 MB).
+    grid = build_grid([-5.0] * 3, [5.0] * 3, [45] * 3)
+    sys_cl = _network_system(3, 45)
+    seed = ShapeSet((Ball([0.0, 0.0, 0.0], 1.0),))
+    tracemalloc.start()
+    try:
+        ws = _Workspace(sys_cl, grid, True)
+        level_set_from_shapes(grid, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for a in vars(ws).values() if isinstance(a, np.ndarray))
+    assert peak <= size + 2e6

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from reachverify.dynamics import ActionBounds
-from reachverify.nn import MlpModel, ModelMeta, TrainingConfig
+from reachverify.nn import _BLOCK_ROWS, MlpModel, ModelMeta, TrainingConfig, forward_batch
 from reachverify.scene import land_scene
 from reachverify.trainer import (
     TrainRunConfig,
@@ -187,6 +189,42 @@ def test_distilled_policy_tracks_planner_on_held_out_states(land_run):
                          np.random.default_rng(556))
     err = np.abs(result.policy.batch(held) - labels).mean(axis=0)
     assert np.all(err < 0.1 * (LAND_BOUNDS.hi - LAND_BOUNDS.lo))
+
+
+def _one_chunk_mpc(model, reward, states, horizon, candidates, discount, bounds, rng):
+    """Random shooting with every state's candidates in one batch."""
+    k, m = len(states), bounds.dims
+    acts = bounds.sample(rng, (k, candidates)).reshape(k * candidates, m)
+    cur = np.repeat(states, candidates, axis=0)
+    returns = np.zeros(k * candidates)
+    for t in range(horizon):
+        cur = cur + forward_batch(model, np.hstack([cur, acts]))
+        returns += discount**t * reward(cur, acts)
+    best = returns.reshape(k, candidates).argmax(axis=1)
+    return acts.reshape(k, candidates, m)[np.arange(k), best]
+
+
+def test_mpc_memory_is_bounded_by_the_network_block(land_run):
+    # The land distillation call: 400 states x 192 candidates.  In one
+    # 76 800-row chunk it held 8.9 MB; chunked to one network block of
+    # 21 x 192 rows it holds forward_batch's two block-sized hidden buffers
+    # (2.1 MB at width 32) and under 0.5 MB of candidate arrays.
+    scene, result, _ = land_run
+    model, reward = result.model, make_navigation_reward(scene)
+    states = np.random.default_rng(31).uniform(scene.grid.lo, scene.grid.hi, size=(400, 2))
+    tracemalloc.start()
+    try:
+        labels = mpc_actions(model, reward, states, 6, 192, 0.9, LAND_BOUNDS,
+                             np.random.default_rng(32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = _BLOCK_ROWS // 192 * 192
+    buffers = sum(rows * w.shape[1] * 8 for w in model.weights[:-1])
+    assert peak <= buffers + 1e6
+    expected = _one_chunk_mpc(model, reward, states, 6, 192, 0.9, LAND_BOUNDS,
+                              np.random.default_rng(32))
+    assert np.array_equal(labels, expected)
 
 
 FAST_CONFIG = TrainRunConfig(

@@ -58,12 +58,12 @@ def test_classify_unsafe_at_time_zero_when_overlapping():
 def test_unsafe_initial_states_disjoint_and_covering():
     grid = build_grid([-2, -2], [2, 2], [41, 41])
     initial = ShapeSet((Ball([0.0, 0.0], 0.5),))
+    initial_mask = zero_sublevel_mask(level_set_from_shapes(grid, initial))
     far = level_set_from_shapes(grid, ShapeSet((Ball([1.8, 1.8], 0.1),)))
-    assert not unsafe_initial_states(far, initial).any()
+    assert not unsafe_initial_states(far, initial_mask).any()
 
     covering = level_set_from_shapes(grid, ShapeSet((Ball([0.0, 0.0], 1.5),)))
-    initial_mask = zero_sublevel_mask(level_set_from_shapes(grid, initial))
-    assert np.array_equal(unsafe_initial_states(covering, initial), initial_mask)
+    assert np.array_equal(unsafe_initial_states(covering, initial_mask), initial_mask)
 
 
 def test_safe_initial_states_partition_on_random_fields():
@@ -73,7 +73,7 @@ def test_safe_initial_states_partition_on_random_fields():
     initial_mask = zero_sublevel_mask(level_set_from_shapes(grid, initial))
     for _ in range(200):
         brt = ScalarField(grid, rng.normal(size=grid.counts))
-        unsafe = unsafe_initial_states(brt, initial)
+        unsafe = unsafe_initial_states(brt, initial_mask)
         safe = safe_initial_states(unsafe, initial_mask)
         assert not np.any(safe & unsafe)
         assert np.array_equal(safe | unsafe, initial_mask)
@@ -161,8 +161,8 @@ def test_land_qualitative_structure(land_run, land_tubes):
     assert land_tubes["frt_flags"] == [False, True]
 
     s0_mask = zero_sublevel_mask(level_set_from_shapes(scene.grid, scene.initial_set))
-    unsafe_0 = unsafe_initial_states(land_tubes["brts"][0].final_field(), scene.initial_set)
-    unsafe_1 = unsafe_initial_states(land_tubes["brts"][1].final_field(), scene.initial_set)
+    unsafe_0 = unsafe_initial_states(land_tubes["brts"][0].final_field(), s0_mask)
+    unsafe_1 = unsafe_initial_states(land_tubes["brts"][1].final_field(), s0_mask)
     assert not unsafe_0.any()
     assert unsafe_1.any()
     assert unsafe_1.sum() < s0_mask.sum()
@@ -179,8 +179,9 @@ def test_monotone_conservatism_on_small_scene():
     cfg = SolverConfig(horizon=1.5, convergence_eps=0.0)
     brt_small = solve_brt(target, small, cfg, grid, alpha_floor=alpha)
     brt_big = solve_brt(target, big, cfg, grid, alpha_floor=alpha)
-    unsafe_small = unsafe_initial_states(brt_small.final_field(), initial)
-    unsafe_big = unsafe_initial_states(brt_big.final_field(), initial)
+    initial_mask = zero_sublevel_mask(level_set_from_shapes(grid, initial))
+    unsafe_small = unsafe_initial_states(brt_small.final_field(), initial_mask)
+    unsafe_big = unsafe_initial_states(brt_big.final_field(), initial_mask)
     # enlarging the disturbance never moves a cell from unsafe to safe
     assert np.all(unsafe_small <= unsafe_big)
 
