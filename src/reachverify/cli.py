@@ -216,9 +216,10 @@ def _run_inputs(args):
 
 def _tube_configs(cfg: RunConfig):
     """The solver config and the Monte-Carlo settings of a verify /
-    safe-set config; the ``mc`` horizon defaults to the solver's."""
+    safe-set config; the ``mc`` plant defaults to the run's ``env`` and
+    its horizon to the solver's."""
     solver = _from_block(SolverConfig, cfg.solver, "solver")
-    mc_base = RunConfig(plant="true_land", horizon=solver.horizon)
+    mc_base = RunConfig(plant=cfg.env, horizon=solver.horizon)
     return solver, _from_block(RunConfig, cfg.mc, "mc", mc_base, {k: k for k in _MC_KEYS})
 
 

@@ -22,10 +22,23 @@ buffer of ``N + s`` entries holds both one-sided differences: at flat node
 both copy ghosts.  Every operation is then a contiguous 1-D ufunc with an
 output buffer.  The kernel keeps the operations and their order of the
 allocating array expressions it replaced, so tubes are bitwise-identical
-to theirs; a rewrite is allowed only where it is exact in IEEE arithmetic
-(``max |dV|`` as ``max(V_old - V_new)``, since no stage raises a value),
-never a reciprocal of the spacing or a reassociated sum.  The tests keep
-the allocating form as the reference.
+to theirs; a rewrite is allowed only where it is exact in IEEE arithmetic,
+never a reciprocal of the spacing or a reassociated sum.  The exact
+rewrites are:
+
+* ``max |dV|`` as ``max(V_old - V_new)``, since no stage raises a value;
+* the 1/2 of the gradient midpoint folded into the stored rates, box
+  bounds and dissipation coefficients: halving a normal number is exact,
+  so ``(p/2) r == p (r/2)``;
+* products and sums updated in place (``p *= rate/2; p += box; H += p``),
+  which round exactly as the expressions that wrote a fresh array;
+* ``min(p d, -p d)`` as ``-|p| d`` when the box is symmetric
+  (``lower == -upper``, the zero box included).
+
+The last two may flip the sign of a zero term, never a bit of ``H``: it
+starts at +0.0, and a sum is -0.0 only when both terms are, so ``H``, the
+values, ``max |H|`` and every snapshot are unchanged.  The tests keep the
+allocating form as the reference.
 
 The entry point fixes the tube's direction and the disturbance sense, and
 both are the conservative choice for a safety question:
@@ -237,9 +250,10 @@ def dissipation_coefficients(
 
 
 def _rate_scan(sys: ClosedLoopSystem, bounds: DisturbanceBounds, grid: Grid,
-               out: np.ndarray | None = None) -> np.ndarray:
+               out: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
     """Wave speeds of a full-grid rate scan, one block of nodes at a time;
-    with ``out``, the rates also land in that ``(n, num_nodes)`` buffer.
+    with ``out``, ``scale`` times the rates also land in that
+    ``(n, num_nodes)`` buffer.
 
     The running maximum of the blocks' wave speeds is bitwise
     ``_wave_speeds`` of all the rates: rounding ``m + c`` is monotone in
@@ -250,7 +264,7 @@ def _rate_scan(sys: ClosedLoopSystem, bounds: DisturbanceBounds, grid: Grid,
         rates = nominal_rate_batch(sys, points)
         np.maximum(alpha, _wave_speeds(rates, bounds), out=alpha)
         if out is not None:
-            out[:, a:a + len(points)] = rates.T
+            np.multiply(rates.T, scale, out=out[:, a:a + len(points)])
     return alpha
 
 
@@ -300,15 +314,14 @@ class _Workspace:
         n = sys.n_state
         if n != grid.dims:
             raise ValueError("system state dimension does not match grid dimension")
-        self.rate = np.empty((n, grid.num_nodes))
-        alpha = _rate_scan(sys, sys.bounds, grid, self.rate)
-        if forward:
-            np.negative(self.rate, out=self.rate)
-            self.hi = -sys.bounds.lower
-            self.lo = -sys.bounds.upper
-        else:
-            self.hi = sys.bounds.upper
-            self.lo = sys.bounds.lower
+        # Every coefficient of the Hamiltonian is stored halved, so the
+        # kernel never halves the central difference.
+        self.half_rate = np.empty((n, grid.num_nodes))
+        alpha = _rate_scan(sys, sys.bounds, grid, self.half_rate, -0.5 if forward else 0.5)
+        upper, lower = sys.bounds.upper, sys.bounds.lower
+        hi, lo = (-lower, -upper) if forward else (upper, lower)
+        self._half_hi, self._half_lo = 0.5 * hi, 0.5 * lo
+        self._symmetric = bool(np.array_equal(lower, -upper))
         self.grid = grid
         if alpha_floor is not None:
             floor = np.asarray(alpha_floor, dtype=float)
@@ -316,6 +329,7 @@ class _Workspace:
                 raise ValueError("alpha_floor must dominate the computed wave-speed bounds")
             alpha = floor
         self.alpha = alpha
+        self._half_alpha = 0.5 * alpha
         size = grid.num_nodes
         self._strides = [math.prod(grid.counts[axis + 1:]) for axis in range(n)]
         self.values = np.empty(size)
@@ -355,15 +369,19 @@ class _Workspace:
         for axis in range(self.grid.dims):
             pm, pp = self._differences(v, axis)
             np.add(pm, pp, out=p)
-            np.multiply(p, 0.5, out=p)
-            np.multiply(p, self.rate[axis], out=a)
-            np.multiply(p, self.hi[axis], out=b)
-            np.multiply(p, self.lo[axis], out=p)
-            np.minimum(b, p, out=b)
-            np.add(a, b, out=a)
-            np.add(h, a, out=h)
+            if self._symmetric:
+                # min(p d, -p d) with d = hi/2 >= 0
+                np.absolute(p, out=b)
+                np.multiply(b, -self._half_hi[axis], out=b)
+            else:
+                np.multiply(p, self._half_hi[axis], out=b)
+                np.multiply(p, self._half_lo[axis], out=a)
+                np.minimum(b, a, out=b)
+            np.multiply(p, self.half_rate[axis], out=p)
+            np.add(p, b, out=p)
+            np.add(h, p, out=h)
             np.subtract(pp, pm, out=a)
-            np.multiply(a, self.alpha[axis] * 0.5, out=a)
+            np.multiply(a, self._half_alpha[axis], out=a)
             np.add(h, a, out=h)
         return h.reshape(self.grid.counts)
 

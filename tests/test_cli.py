@@ -219,6 +219,32 @@ def test_safe_set_with_mc_comparison(tmp_path):
     assert (out / "ground_truth.csv").exists()
 
 
+def test_mc_plant_defaults_to_the_run_env(tmp_path):
+    # An mc block without "plant" rolls out the run's env, here the 3-action
+    # air plant, not the 2-action land plant.
+    scene_path = tmp_path / "scene.json"
+    save_scene(air_scene((15, 15, 15)), scene_path)
+    config = {
+        "scene": str(scene_path),
+        "env": "true_air",
+        "plant": "true_air",
+        "policy": {
+            "kind": "constant",
+            "action": [0.9, 0.87, 0.65],
+            "action_lo": [0.0, -3.14159, -1.5708],
+            "action_hi": [1.0, 3.14159, 1.5708],
+        },
+        "solver": {"horizon": 0.3, "snapshot_stride": 10},
+        "mc": {"num_samples": 20},
+    }
+    cfg = tmp_path / "air.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "air_run"
+    assert main(["safe-set", "--config", str(cfg), "--out", str(out), "--compare-mc"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["mc_comparison"]["num_samples"] == 20
+
+
 def test_verify_with_inline_constant_policy(tmp_path):
     scene_path = make_scene(tmp_path, [0.8, 0.8], 0.1)
     config = {

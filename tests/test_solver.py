@@ -11,6 +11,7 @@ from conftest import (
     const_system,
     hausdorff_between_masks,
     masks_nested,
+    reference_solve,
 )
 from reachverify import solver
 from reachverify.dynamics import (
@@ -204,6 +205,12 @@ def test_lax_friedrichs_reduces_to_h_and_arithmetic():
         ([-1.0, -1.0, 0.0], [1.0, 2.0, 1.5], (5, 6, 4),
          [[0.1, -0.7, 0.4], [0.9, -0.3, 0.0], [-0.5, 0.2, 0.6]],
          [0.2, 0.0, 0.35], [-0.05, -0.3, -0.1]),
+        # A symmetric box and the zero box take the stepper's -|p| d path.
+        ([-1.0, -1.0, 0.0], [1.0, 2.0, 1.5], (5, 6, 4),
+         [[0.1, -0.7, 0.4], [0.9, -0.3, 0.0], [-0.5, 0.2, 0.6]],
+         [0.2, 0.0, 0.35], [-0.2, -0.0, -0.35]),
+        ([-1.0, -2.0], [2.0, 1.0], (9, 7),
+         [[0.3, -1.1], [0.8, -0.2]], [0.0, 0.0], [0.0, 0.0]),
     ],
 )
 def test_stepper_hamiltonian_equals_pointwise_lax_friedrichs(
@@ -515,58 +522,6 @@ def test_solve_rejects_seed_outside_grid():
 # Whole solves against the allocating stepper
 # ---------------------------------------------------------------------------
 
-def _reference_solve(seed, sys_cl, config, grid, forward):
-    """The stepper as first written, a fresh array per operation:
-    ``(snapshots, steps_taken, max_abs_h, converged_early)``."""
-    rates = nominal_rate_batch(sys_cl, grid.flat_points())
-    rate_grid = rates.T.reshape((grid.dims, *grid.counts))
-    b = sys_cl.bounds
-    if forward:
-        rate_grid, hi, lo = -rate_grid, -b.lower, -b.upper
-    else:
-        hi, lo = b.upper, b.lower
-    alpha = _wave_speeds(rates, b)
-
-    def rhs(values):
-        h_total = np.zeros_like(values)
-        for axis in range(grid.dims):
-            pm, pp = _one_sided_diffs(values, axis, grid.spacing[axis])
-            pmid = 0.5 * (pm + pp)
-            h_total += pmid * rate_grid[axis] + np.minimum(pmid * hi[axis], pmid * lo[axis])
-            h_total += alpha[axis] * 0.5 * (pp - pm)
-        return np.minimum(0.0, h_total), float(np.max(np.abs(h_total)))
-
-    def rk2_step(values, dt):
-        r1, h1 = rhs(values)
-        v1 = values + dt * r1
-        r2, h2 = rhs(v1)
-        v2 = v1 + dt * r2
-        return 0.5 * (values + v2), max(h1, h2)
-
-    dt_nom = cfl_dt(config, alpha, grid)
-    sign = 1.0 if forward else -1.0
-    values = seed.signed_distance(grid.flat_points()).reshape(grid.counts)
-    snapshots = [(0.0, values)]
-    max_h, tau, steps, last_snap_tau, converged = 0.0, 0.0, 0, 0.0, False
-    while tau < config.horizon * (1 - 1e-12):
-        dt = min(dt_nom, config.horizon - tau)
-        new_values, h_seen = rk2_step(values, dt)
-        steps += 1
-        tau += dt
-        max_h = max(max_h, h_seen)
-        delta = float(np.max(np.abs(new_values - values)))
-        values = new_values
-        if steps % config.snapshot_stride == 0:
-            snapshots.append((sign * tau, values))
-            last_snap_tau = tau
-        if delta < config.convergence_eps:
-            converged = True
-            break
-    if last_snap_tau != tau:
-        snapshots.append((sign * tau, values))
-    return snapshots, steps, max_h, converged
-
-
 def _grid(lo, hi, counts):
     # Built directly so that an axis may have 2 nodes, where the first and
     # the last node (and so both copy ghosts) are neighbours.
@@ -582,29 +537,44 @@ _GRIDS = {
 }
 
 
-def _linear_system(dims):
+def _linear_system(dims, box):
     rng = np.random.default_rng(dims)
-    bounds = DisturbanceBounds(upper=rng.uniform(0.0, 0.3, dims),
-                               lower=-rng.uniform(0.0, 0.2, dims))
+    upper, lower = rng.uniform(0.0, 0.3, dims), -rng.uniform(0.0, 0.2, dims)
+    if box == "symmetric":
+        lower = -upper
+    elif box == "zero":
+        upper, lower = np.zeros(dims), np.zeros(dims)
     policy = ConstantPolicy([0.0], ActionBounds([0.0], [0.0]))
+    bounds = DisturbanceBounds(upper=upper, lower=lower)
     return ClosedLoopSystem(LinearPlant(rng.normal(size=(dims, dims))), policy, bounds)
+
+
+# (dims, stride, eps, stops_early, box); the stepper takes its -|p| d path
+# on the symmetric and the zero box, its min-of-products path otherwise.
+# Ids name the box only when it is not the asymmetric one.
+_SOLVE_CASES = [
+    (1, 1, 0.0, False, "asymmetric"), (2, 3, 0.0, False, "asymmetric"),
+    (3, 1, 0.0, False, "asymmetric"), (4, 3, 0.0, False, "asymmetric"),
+    (2, 3, 2e-3, True, "asymmetric"),
+    (2, 3, 0.0, False, "symmetric"), (3, 1, 0.0, False, "symmetric"),
+    (2, 3, 0.0, False, "zero"), (3, 1, 0.0, False, "zero"),
+]
 
 
 @pytest.mark.parametrize("forward", [False, True], ids=["backward", "forward"])
 @pytest.mark.parametrize(
-    "dims,stride,eps,stops_early",
-    [(1, 1, 0.0, False), (2, 3, 0.0, False), (3, 1, 0.0, False), (4, 3, 0.0, False),
-     (2, 3, 2e-3, True)],
+    "dims,stride,eps,stops_early,box", _SOLVE_CASES,
+    ids=["-".join(map(str, c[:4] if c[4] == "asymmetric" else c)) for c in _SOLVE_CASES],
 )
-def test_solve_bitwise_equals_allocating_stepper(forward, dims, stride, eps, stops_early):
+def test_solve_bitwise_equals_allocating_stepper(forward, dims, stride, eps, stops_early, box):
     lo, hi, counts = _GRIDS[dims]
     grid = _grid(lo, hi, counts)
-    sys_cl = _linear_system(dims)
+    sys_cl = _linear_system(dims, box)
     seed = ShapeSet((Ball(0.5 * (grid.lo + grid.hi) - 0.05, 0.3),))
     cfg = SolverConfig(horizon=0.6, snapshot_stride=stride, convergence_eps=eps)
     solve = solve_frt if forward else solve_brt
     tube = solve(seed, sys_cl, cfg, grid)
-    snapshots, steps, max_h, converged = _reference_solve(seed, sys_cl, cfg, grid, forward)
+    snapshots, steps, max_h, converged = reference_solve(seed, sys_cl, cfg, grid, forward)
 
     assert (tube.steps_taken, tube.max_abs_h, tube.converged_early) == (steps, max_h, converged)
     assert converged is stops_early and steps > 4
@@ -619,7 +589,7 @@ def test_nonfinite_value_mid_solve_names_the_step(monkeypatch):
         def rk2_step(self, dt):
             self.steps = getattr(self, "steps", 0) + 1
             if self.steps == 5:
-                self.rate[0, 7] = np.nan
+                self.half_rate[0, 7] = np.nan
             return super().rk2_step(dt)
 
     monkeypatch.setattr(solver, "_Workspace", PoisonedWorkspace)
@@ -668,7 +638,7 @@ def test_blocked_rate_scan_equals_whole_grid_scan(counts, forward):
     sys_cl = _network_system(grid.dims, sum(counts))
     rates = nominal_rate_batch(sys_cl, grid.flat_points())
     ws = _Workspace(sys_cl, grid, forward)
-    assert np.array_equal(_bits(ws.rate), _bits(-rates.T if forward else rates.T))
+    assert np.array_equal(_bits(ws.half_rate), _bits((-0.5 if forward else 0.5) * rates.T))
     alpha = _wave_speeds(rates, sys_cl.bounds)
     assert np.array_equal(_bits(ws.alpha), _bits(alpha))
     scanned = dissipation_coefficients(sys_cl, sys_cl.bounds, grid)
