@@ -26,13 +26,9 @@ from reachverify import (
 class ConstantPlant:
     n_state = 2
     n_action = 1
-    name = "constant"
 
     def __init__(self, c):
         self.c = np.asarray(c, dtype=float)
-
-    def rate(self, state, action):
-        return self.c.copy()
 
     def rate_batch(self, states, actions):
         return np.broadcast_to(self.c, (len(states), 2)).copy()

@@ -25,7 +25,6 @@ from .nn import (
     ModelMeta,
     TrainingConfig,
     TransitionDataset,
-    forward,
     forward_batch,
     load_model,
     save_model,
@@ -57,8 +56,6 @@ from .dynamics import (
     nominal_rate_batch,
     rate,
     save_policy,
-    true_air_rate,
-    true_land_rate,
 )
 from .solver import (
     SolverConfig,
@@ -99,7 +96,6 @@ from .trainer import (
     make_navigation_reward,
     make_plant,
     merge_datasets,
-    mpc_action,
     mpc_actions,
     train_loop,
 )

@@ -7,6 +7,11 @@ disturbances.  The closed-loop rate is ``plant_rate(s, policy(s)) + d``,
 so the disturbance enters purely additively and
 ``rate(s, d) - rate(s, 0) = d`` exactly.
 
+Everything runs on ``(k, n)`` stacks of rows: a plant is any object with
+``n_state``, ``n_action`` and ``rate_batch(states, actions)``, a policy
+clips its actions in ``batch``, and :func:`rate` and :func:`nominal_rate`
+evaluate a one-row batch.
+
 Reference plants are first-order kinematic point masses: planar motion
 commanded by speed and heading, and spatial motion commanded by speed,
 heading, and pitch.  The spatial plant reduces to the planar one on the
@@ -21,7 +26,7 @@ import numpy as np
 
 from .error_bounds import DisturbanceBounds
 from .geometry import Grid, ScalarField, interpolate_many
-from .nn import MlpModel, forward, forward_batch, load_model, save_model
+from .nn import MlpModel, forward_batch, load_model, save_model
 
 __all__ = [
     "ActionBounds",
@@ -33,8 +38,6 @@ __all__ = [
     "LandPlant",
     "AirPlant",
     "ClosedLoopSystem",
-    "true_land_rate",
-    "true_air_rate",
     "rate",
     "nominal_rate",
     "nominal_rate_batch",
@@ -81,10 +84,6 @@ class Policy:
 
     def _raw(self, states: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, state) -> np.ndarray:
-        s = np.asarray(state, dtype=float)
-        return self.bounds.clip(self._raw(s[None, :])[0])
 
     def batch(self, states: np.ndarray) -> np.ndarray:
         return self.bounds.clip(self._raw(np.asarray(states, dtype=float)))
@@ -138,27 +137,11 @@ class TabulatedPolicy(Policy):
 # Plants
 # ---------------------------------------------------------------------------
 
-def true_land_rate(state, action) -> np.ndarray:
-    """Planar point mass: speed and heading command the velocity vector."""
-    v, psi = float(action[0]), float(action[1])
-    return np.array([v * np.cos(psi), v * np.sin(psi)])
-
-
-def true_air_rate(state, action) -> np.ndarray:
-    """Spatial point mass commanded by speed, heading, and pitch."""
-    v, psi, phi = float(action[0]), float(action[1]), float(action[2])
-    return np.array(
-        [v * np.cos(phi) * np.cos(psi), v * np.cos(phi) * np.sin(psi), v * np.sin(phi)]
-    )
-
-
 class LandPlant:
+    """Planar point mass: speed and heading command the velocity vector."""
+
     n_state = 2
     n_action = 2
-    name = "true_land"
-
-    def rate(self, state, action):
-        return true_land_rate(state, action)
 
     def rate_batch(self, states, actions):
         v, psi = actions[:, 0], actions[:, 1]
@@ -166,12 +149,10 @@ class LandPlant:
 
 
 class AirPlant:
+    """Spatial point mass commanded by speed, heading, and pitch."""
+
     n_state = 3
     n_action = 3
-    name = "true_air"
-
-    def rate(self, state, action):
-        return true_air_rate(state, action)
 
     def rate_batch(self, states, actions):
         v, psi, phi = actions[:, 0], actions[:, 1], actions[:, 2]
@@ -181,8 +162,6 @@ class AirPlant:
 
 class LearnedPlant:
     """One-step delta model interpreted as a rate via its sample period."""
-
-    name = "learned"
 
     def __init__(self, model: MlpModel):
         meta = model.meta
@@ -196,10 +175,6 @@ class LearnedPlant:
         self.n_state = meta.n_state
         self.n_action = meta.n_action
         self.dt_env = meta.dt_env
-
-    def rate(self, state, action):
-        x = np.concatenate([np.asarray(state, dtype=float), np.asarray(action, dtype=float)])
-        return forward(self.model, x) / self.dt_env
 
     def rate_batch(self, states, actions):
         rates = forward_batch(self.model, np.hstack([states, actions]))
@@ -235,12 +210,13 @@ def rate(sys: ClosedLoopSystem, state, d) -> np.ndarray:
         raise ValueError("state contains non-finite values")
     if not sys.bounds.contains(d):
         raise ValueError(f"disturbance {d} lies outside the bounded error set")
-    return sys.plant.rate(s, sys.policy(s)) + d
+    return nominal_rate(sys, s) + d
 
 
 def nominal_rate(sys: ClosedLoopSystem, state) -> np.ndarray:
+    """Undisturbed closed-loop rate at one state: a one-row batch."""
     s = np.asarray(state, dtype=float)
-    return sys.plant.rate(s, sys.policy(s))
+    return nominal_rate_batch(sys, s[None, :])[0]
 
 
 def nominal_rate_batch(sys: ClosedLoopSystem, states: np.ndarray) -> np.ndarray:

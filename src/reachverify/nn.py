@@ -45,7 +45,6 @@ __all__ = [
     "TransitionDataset",
     "TrainingConfig",
     "DynamicsTrainResult",
-    "forward",
     "forward_batch",
     "loss_and_gradient",
     "fit_mlp",
@@ -218,19 +217,6 @@ def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
                 np.tanh(z, out=z)
                 z *= model.output_scale
     return out
-
-
-def forward(model: MlpModel, input_vector) -> np.ndarray:
-    """Evaluate the network on a single input vector.
-
-    Rejects wrongly sized or non-finite inputs.
-    """
-    x = np.asarray(input_vector, dtype=float)
-    if x.shape != (model.n_inputs,):
-        raise ValueError(f"expected input of shape ({model.n_inputs},), got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("input contains non-finite values")
-    return forward_batch(model, x[None, :])[0]
 
 
 # ---------------------------------------------------------------------------

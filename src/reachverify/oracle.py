@@ -118,7 +118,7 @@ def rollout(
         n_steps = int(round(horizon / dt))
         for k in range(n_steps):
             d = _draw_disturbance(disturbance_strategy, sys.bounds, s, k * dt, rng)
-            a = sys.policy(s)
+            a = sys.policy.batch(s[None, :])[0]
             s = _rk4_batch(sys, s[None, :], d[None, :], dt)[0]
             times.append((k + 1) * dt)
             states.append(s.copy())
@@ -207,6 +207,9 @@ def mc_ground_truth(
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
+    if num_disturbance_draws < 1 and not include_zero_draw:
+        raise ValueError("no rollout would run: 0 disturbance draws and include_zero_draw "
+                         "is false")
     rng = np.random.default_rng([seed, 7])
     samples = sample_in_shapes(initial, num_samples, rng)
     n_steps = int(round(horizon / dt))

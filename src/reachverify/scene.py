@@ -120,29 +120,32 @@ def primitive_to_dict(prim) -> dict:
     raise ValueError(f"unknown primitive type {type(prim).__name__}")
 
 
-def primitive_from_dict(d: dict):
-    """The primitive a :func:`primitive_to_dict` entry describes; a value
-    of the wrong type is a ValueError naming its key."""
+def primitive_from_dict(d, key: str = "shape"):
+    """The primitive a :func:`primitive_to_dict` entry describes; an entry
+    that is not an object, or a value of the wrong type, is a ValueError
+    naming ``key`` and the value's key."""
+    d = json_value(dict, d, key)
     kind = d.get("kind")
     if kind not in ("ball", "box", "cylinder"):
-        raise ValueError(f"unknown primitive kind {kind!r}")
+        raise ValueError(f"{key}: unknown primitive kind {kind!r}")
     floats = tuple[float, ...]
-    center = json_value(floats, d["center"], "center")
+    center = json_value(floats, d["center"], f"{key}.center")
     if kind == "box":
-        return AxisBox(center, json_value(floats, d["half_widths"], "half_widths"))
-    radius = json_value(float, d["radius"], "radius")
+        return AxisBox(center, json_value(floats, d["half_widths"], f"{key}.half_widths"))
+    radius = json_value(float, d["radius"], f"{key}.radius")
     if kind == "ball":
         return Ball(center, radius)
-    return AxisCylinder(center, radius, json_value(int, d["axis_index"], "axis_index"),
-                        json_value(float, d["half_height"], "half_height"))
+    return AxisCylinder(center, radius, json_value(int, d["axis_index"], f"{key}.axis_index"),
+                        json_value(float, d["half_height"], f"{key}.half_height"))
 
 
 def _shapes_to_list(shapes: ShapeSet) -> list:
     return [primitive_to_dict(p) for p in shapes.primitives]
 
 
-def _shapes_from_list(items) -> ShapeSet:
-    return ShapeSet(tuple(primitive_from_dict(d) for d in items))
+def _shapes_from_list(items, key: str) -> ShapeSet:
+    items = json_value(list, items, key)
+    return ShapeSet(tuple(primitive_from_dict(d, f"{key}[{i}]") for i, d in enumerate(items)))
 
 
 def _grid_to_dict(grid: Grid) -> dict:
@@ -168,9 +171,9 @@ def scene_to_dict(scene: Scene) -> dict:
 def scene_from_dict(doc: dict) -> Scene:
     return Scene(
         grid=_grid_from_dict(doc["grid"]),
-        initial_set=_shapes_from_list(doc["initial_set"]),
-        goal_set=_shapes_from_list(doc["goal_set"]),
-        obstacles=_shapes_from_list(doc["obstacles"]),
+        initial_set=_shapes_from_list(doc["initial_set"], "initial_set"),
+        goal_set=_shapes_from_list(doc["goal_set"], "goal_set"),
+        obstacles=_shapes_from_list(doc["obstacles"], "obstacles"),
     )
 
 

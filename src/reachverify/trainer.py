@@ -41,7 +41,6 @@ __all__ = [
     "default_action_bounds",
     "make_navigation_reward",
     "collect_random_data",
-    "mpc_action",
     "mpc_actions",
     "distill_policy",
     "train_loop",
@@ -188,21 +187,6 @@ def mpc_actions(
         best = returns.reshape(k, candidates).argmax(axis=1)
         out[start : start + chunk] = acts.reshape(k, candidates, m)[np.arange(k), best]
     return out
-
-
-def mpc_action(
-    model: MlpModel,
-    reward,
-    state,
-    horizon: int,
-    candidates: int,
-    discount: float,
-    action_bounds: ActionBounds,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Planned action for a single state."""
-    s = np.asarray(state, dtype=float)
-    return mpc_actions(model, reward, s[None, :], horizon, candidates, discount, action_bounds, rng)[0]
 
 
 def distill_policy(

@@ -35,15 +35,10 @@ def blocked_grid(counts):
 class ConstantPlant:
     """Test plant with a state-independent rate vector."""
 
-    name = "constant"
-
     def __init__(self, c, n_action=1):
         self.c = np.asarray(c, dtype=float)
         self.n_state = len(self.c)
         self.n_action = n_action
-
-    def rate(self, state, action):
-        return self.c.copy()
 
     def rate_batch(self, states, actions):
         return np.broadcast_to(self.c, (len(states), self.n_state)).copy()
@@ -52,15 +47,10 @@ class ConstantPlant:
 class LinearPlant:
     """Test plant with rate A @ s, for matrix-exponential cross-checks."""
 
-    name = "linear"
-
     def __init__(self, A):
         self.A = np.asarray(A, dtype=float)
         self.n_state = self.A.shape[0]
         self.n_action = 1
-
-    def rate(self, state, action):
-        return self.A @ state
 
     def rate_batch(self, states, actions):
         return states @ self.A.T

@@ -148,6 +148,11 @@ def test_corrupt_model_exits_config_error(tmp_path):
         ("scene.json", lambda d: d["obstacles"][0].update(radius="0.1"), "radius"),
         ("scene.json", lambda d: d["obstacles"][0].update(radius=True), "radius"),
         ("scene.json", lambda d: d["initial_set"][0].update(center=[0.0, True]), "center"),
+        # a shape entry that is not an object
+        ("scene.json", lambda d: d["obstacles"].__setitem__(0, 1), "obstacles[0]"),
+        ("scene.json", lambda d: d["obstacles"].__setitem__(0, "x"), "obstacles[0]"),
+        ("scene.json", lambda d: d["goal_set"].__setitem__(0, None), "goal_set[0]"),
+        ("scene.json", lambda d: d.update(initial_set={"kind": "ball"}), "initial_set"),
         ("model.json", lambda d: d["meta"].update(n_state=2.0), "n_state"),
         ("model.json", lambda d: d["meta"].update(dt_env="0.1"), "dt_env"),
         ("model.json", lambda d: d.update(layer_sizes=[4, 4.5, 2]), "layer_sizes"),
@@ -280,6 +285,21 @@ def test_oracle_command(tmp_path):
     assert len(lines) == 21
     manifest = json.loads((out / "oracle_manifest.json").read_text())
     assert manifest["safe_fraction"] == 1.0
+
+
+def test_oracle_with_no_draw_exits_config_error(tmp_path, capsys):
+    # With no random draw and no zero draw no rollout runs, and that must
+    # not report every start safe.
+    doc = run_config(tmp_path, "oracle")
+    doc.update({"horizon": 0.3, "dt": 0.1, "num_samples": 20, "draws": 0,
+                "include_zero_draw": False})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "oracle"
+    assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "draws" in err and "include_zero_draw" in err
+    assert not out.exists()
 
 
 def test_train_command_and_seed_reproducibility(tmp_path):

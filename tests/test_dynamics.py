@@ -3,6 +3,7 @@ import pytest
 
 from reachverify.dynamics import (
     ActionBounds,
+    AirPlant,
     ClosedLoopSystem,
     ConstantPolicy,
     LandPlant,
@@ -14,12 +15,10 @@ from reachverify.dynamics import (
     nominal_rate_batch,
     rate,
     save_policy,
-    true_air_rate,
-    true_land_rate,
 )
 from reachverify.error_bounds import DisturbanceBounds
 from reachverify.geometry import build_grid
-from reachverify.nn import MlpModel, ModelMeta, forward
+from reachverify.nn import MlpModel, ModelMeta, forward_batch
 
 
 def small_model(rng, n_state=2, n_action=2, dt=0.1):
@@ -77,38 +76,38 @@ def test_zero_weight_model_rate_equals_disturbance():
 def test_learned_rate_is_scaled_forward_pass():
     sys_cl, model = learned_system(np.random.default_rng(2))
     s = np.array([0.0, 0.0])
-    a = sys_cl.policy(s)
-    expected = forward(model, np.concatenate([s, a])) / model.meta.dt_env
+    a = sys_cl.policy.batch(s[None, :])[0]
+    expected = forward_batch(model, np.concatenate([s, a])[None, :])[0] / model.meta.dt_env
+    assert np.array_equal(nominal_rate(sys_cl, s), expected)
     d = np.array([0.05, -0.05])
     assert np.allclose(rate(sys_cl, s, d) - expected, d, atol=1e-15)
 
 
-def test_true_land_rate_cases():
-    assert np.allclose(true_land_rate([0, 0], [1.0, 0.0]), [1.0, 0.0])
-    assert np.allclose(true_land_rate([0, 0], [1.0, np.pi / 2]), [0.0, 1.0], atol=1e-15)
-    assert np.allclose(
-        true_land_rate([5, -3], [2.0, np.pi / 4]), [np.sqrt(2), np.sqrt(2)]
-    )
+def test_land_plant_rate_cases():
+    states = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, -3.0]])
+    actions = np.array([[1.0, 0.0], [1.0, np.pi / 2], [2.0, np.pi / 4]])
+    expected = [[1.0, 0.0], [0.0, 1.0], [np.sqrt(2), np.sqrt(2)]]
+    assert np.allclose(LandPlant().rate_batch(states, actions), expected, atol=1e-15)
 
 
-def test_true_air_rate_cases_and_norm():
-    assert np.allclose(true_air_rate([0, 0, 0], [1.0, 0.0, 0.0]), [1, 0, 0])
-    assert np.allclose(true_air_rate([0, 0, 0], [1.0, 0.3, np.pi / 2]), [0, 0, 1], atol=1e-15)
+def test_air_plant_rate_cases_and_norm():
+    states = np.zeros((2, 3))
+    actions = np.array([[1.0, 0.0, 0.0], [1.0, 0.3, np.pi / 2]])
+    assert np.allclose(AirPlant().rate_batch(states, actions), [[1, 0, 0], [0, 0, 1]], atol=1e-15)
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        v = rng.uniform(0, 2)
-        psi, phi = rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi / 2, np.pi / 2)
-        assert np.linalg.norm(true_air_rate([0, 0, 0], [v, psi, phi])) == pytest.approx(v)
+    v = rng.uniform(0, 2, 50)
+    psi, phi = rng.uniform(-np.pi, np.pi, 50), rng.uniform(-np.pi / 2, np.pi / 2, 50)
+    rates = AirPlant().rate_batch(np.zeros((50, 3)), np.stack([v, psi, phi], axis=1))
+    assert np.linalg.norm(rates, axis=1) == pytest.approx(v)
 
 
 def test_air_reduces_to_land_at_zero_pitch():
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        v, psi = rng.uniform(0, 1), rng.uniform(-np.pi, np.pi)
-        air = true_air_rate([0, 0, 0], [v, psi, 0.0])
-        land = true_land_rate([0, 0], [v, psi])
-        assert np.allclose(air[:2], land)
-        assert air[2] == pytest.approx(0.0)
+    v, psi = rng.uniform(0, 1, 20), rng.uniform(-np.pi, np.pi, 20)
+    air = AirPlant().rate_batch(np.zeros((20, 3)), np.stack([v, psi, np.zeros(20)], axis=1))
+    land = LandPlant().rate_batch(np.zeros((20, 2)), np.stack([v, psi], axis=1))
+    assert np.allclose(air[:, :2], land)
+    assert air[:, 2] == pytest.approx(0.0)
 
 
 def test_policy_determinism_bitwise():
@@ -125,15 +124,15 @@ def test_policy_determinism_bitwise():
     )
     policy = MlpPolicy(pol_model, ActionBounds([0, -np.pi], [1, np.pi]))
     s = np.array([0.37, -1.2])
-    a1 = policy(s)
-    a2 = policy(s)
+    a1 = policy.batch(s[None, :])
+    a2 = policy.batch(s[None, :])
     assert np.array_equal(a1, a2)
 
 
 def test_policy_clipping():
     bounds = ActionBounds([0.0, -1.0], [1.0, 1.0])
     pol = ConstantPolicy([5.0, -3.0], bounds)
-    assert np.array_equal(pol([0.0, 0.0]), [1.0, -1.0])
+    assert np.array_equal(pol.batch(np.zeros((1, 2))), [[1.0, -1.0]])
 
     rng = np.random.default_rng(6)
     pol_model = MlpModel(
@@ -156,8 +155,8 @@ def test_tabulated_policy_interpolates():
     table = np.zeros((3, 3, 1))
     table[..., 0] = grid.node_points()[..., 0]  # action = x coordinate
     pol = TabulatedPolicy(grid, table, ActionBounds([-2.0], [2.0]))
-    assert pol([0.5, 0.5])[0] == pytest.approx(0.5)
-    assert pol([0.25, 0.9])[0] == pytest.approx(0.25)
+    actions = pol.batch(np.array([[0.5, 0.5], [0.25, 0.9]]))
+    assert actions[:, 0] == pytest.approx([0.5, 0.25])
 
 
 def test_rate_rejects_out_of_bounds_disturbance():
@@ -168,13 +167,34 @@ def test_rate_rejects_out_of_bounds_disturbance():
         rate(sys_cl, [0.0, 0.0], [0.05, 0.05, 0.05])
 
 
+def _tabulated_system(plant, upper):
+    # A closed loop of an analytic plant under a random action table.
+    upper = np.asarray(upper, dtype=float)
+    n = len(upper)
+    grid = build_grid(-np.ones(n), np.ones(n), [5] * n)
+    table = np.random.default_rng(8).uniform(-upper, upper, size=(*grid.counts, n))
+    policy = TabulatedPolicy(grid, table, ActionBounds(-upper, upper))
+    return ClosedLoopSystem(plant, policy, DisturbanceBounds.zero(n))
+
+
 def test_nominal_rate_batch_matches_single():
-    sys_cl, _ = learned_system(np.random.default_rng(8))
+    systems = {
+        "land": _tabulated_system(LandPlant(), [1.0, np.pi]),
+        "air": _tabulated_system(AirPlant(), [1.0, np.pi, 1.0]),
+        "learned": learned_system(np.random.default_rng(8))[0],
+    }
     rng = np.random.default_rng(9)
-    states = rng.uniform(-1, 1, size=(40, 2))
-    batch = nominal_rate_batch(sys_cl, states)
-    for i in range(0, 40, 7):
-        assert np.allclose(batch[i], nominal_rate(sys_cl, states[i]), atol=1e-14)
+    for name, sys_cl in systems.items():
+        states = rng.uniform(-1, 1, size=(40, sys_cl.n_state))
+        batch = nominal_rate_batch(sys_cl, states)
+        for i in range(0, 40, 7):
+            single = nominal_rate(sys_cl, states[i])
+            if name == "learned":
+                # BLAS picks its matmul kernel by the row count, so a one-row
+                # network pass may differ from a 40-row one in the last bits.
+                assert np.allclose(batch[i], single, rtol=0.0, atol=1e-14)
+            else:
+                assert np.array_equal(batch[i], single)
 
 
 def test_policy_save_load_round_trip(tmp_path):

@@ -10,7 +10,6 @@ from reachverify.nn import (
     TrainingConfig,
     TransitionDataset,
     fit_mlp,
-    forward,
     forward_batch,
     load_model,
     loss_and_gradient,
@@ -72,7 +71,7 @@ def test_zero_weights_tanh_gives_zero():
         output_scale=np.ones(2),
         meta=META,
     )
-    assert np.array_equal(forward(model, [1.0, -2.0, 3.0]), np.zeros(2))
+    assert np.array_equal(forward_batch(model, np.array([[1.0, -2.0, 3.0]]))[0], np.zeros(2))
 
 
 def test_single_linear_identity_layer():
@@ -86,7 +85,7 @@ def test_single_linear_identity_layer():
         meta=META,
     )
     x = np.array([0.3, -1.2, 4.0])
-    assert np.array_equal(forward(model, x), x)
+    assert np.array_equal(forward_batch(model, x[None, :])[0], x)
 
 
 def test_forward_matches_naive_oracle():
@@ -96,7 +95,8 @@ def test_forward_matches_naive_oracle():
             model = random_model((2, 16, 16, 2), rng, hidden, output, scale=1.7)
             for _ in range(5):
                 x = rng.normal(size=2)
-                assert np.allclose(forward(model, x), naive_forward(model, x), atol=1e-12)
+                got = forward_batch(model, x[None, :])[0]
+                assert np.allclose(got, naive_forward(model, x), atol=1e-12)
 
 
 def _whole_batch_forward(model, X):
@@ -156,16 +156,8 @@ def test_output_bound_property():
         scale = float(rng.uniform(0.1, 5.0))
         model = random_model((4, 8, 3), rng, scale=scale)
         x = rng.normal(scale=100.0, size=4)
-        y = forward(model, x)
+        y = forward_batch(model, x[None, :])[0]
         assert np.all(np.abs(y) <= scale + 1e-12)
-
-
-def test_forward_input_validation():
-    model = random_model((3, 4, 2), np.random.default_rng(1))
-    with pytest.raises(ValueError):
-        forward(model, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        forward(model, [1.0, np.nan, 2.0])
 
 
 def test_analytic_gradient_matches_central_differences():

@@ -108,6 +108,18 @@ def test_mc_trivially_safe_and_unsafe():
     assert not mc2.safe.any()
 
 
+def test_mc_with_no_draw_raises():
+    initial = ShapeSet((Ball([0.0, 0.0], 0.5),))
+    obstacle = ShapeSet((Ball([1.0, 0.0], 0.3),))
+    sys_cl = const_system([1.0, 0.0])
+    mc = mc_ground_truth(sys_cl, initial, obstacle, horizon=1.0, dt=0.1, num_samples=50,
+                         num_disturbance_draws=0, seed=0)
+    assert not mc.safe.all()
+    with pytest.raises(ValueError, match="include_zero_draw"):
+        mc_ground_truth(sys_cl, initial, obstacle, horizon=1.0, dt=0.1, num_samples=50,
+                        num_disturbance_draws=0, include_zero_draw=False, seed=0)
+
+
 def test_mc_builds_disturbances_only_for_running_starts(monkeypatch):
     from reachverify import oracle
 

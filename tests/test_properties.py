@@ -63,3 +63,30 @@ def test_solve_bitwise_equals_allocating_stepper_on_random_systems(case):
     assert tube.times == [t for t, _ in snapshots]
     for (_, field), (_, expected) in zip(tube.snapshots, snapshots):
         assert np.array_equal(field.values.view(np.int64), expected.view(np.int64))
+
+
+@st.composite
+def nested_seeds(draw):
+    """A :func:`solves` case plus a larger seed: the original ball and a
+    second ball anywhere inside the grid."""
+    seed, sys_cl, config, grid, _ = draw(solves())
+    # The grid holds [-0.5, 0.5] on every axis, so a centre at least 0.5
+    # inside its faces keeps a ball of radius up to 0.4 inside it.
+    frac = draw(_vector(grid.dims, st.floats(0.0, 1.0)))
+    extra = Ball(grid.lo + 0.5 + frac * (grid.hi - grid.lo - 1.0), draw(st.floats(0.1, 0.4)))
+    return seed, ShapeSet((*seed.primitives, extra)), sys_cl, config, grid
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(nested_seeds())
+def test_larger_seed_gives_pointwise_smaller_tubes(case):
+    # Comparison principle: seed A inside seed B means V_B(0) <= V_A(0),
+    # and the monotone scheme keeps V_B(t) <= V_A(t) at every node and
+    # snapshot, so tube A lies inside tube B.
+    seed_a, seed_b, sys_cl, config, grid = case
+    for solve in (solve_frt, solve_brt):
+        tube_a = solve(seed_a, sys_cl, config, grid)
+        tube_b = solve(seed_b, sys_cl, config, grid)
+        assert tube_a.times == tube_b.times
+        for (_, field_a), (_, field_b) in zip(tube_a.snapshots, tube_b.snapshots):
+            assert np.all(field_b.values <= field_a.values)

@@ -281,7 +281,8 @@ def test_inline_policy_round_trip():
     bounds = ActionBounds([0.0, -1.0], [1.0, 1.0])
     const = ConstantPolicy([0.5, 0.2], bounds)
     back = policy_from_dict(policy_to_dict(const))
-    assert np.array_equal(back([0.0, 0.0]), const([0.0, 0.0]))
+    origin = np.zeros((1, 2))
+    assert np.array_equal(back.batch(origin), const.batch(origin))
 
     grid = build_grid([0, 0], [1, 1], [3, 3])
     table = np.zeros((3, 3, 2))

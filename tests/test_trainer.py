@@ -14,7 +14,6 @@ from reachverify.trainer import (
     make_navigation_reward,
     make_plant,
     merge_datasets,
-    mpc_action,
     mpc_actions,
     train_loop,
 )
@@ -83,7 +82,7 @@ def test_mpc_single_candidate_returns_that_action():
     model = linear_delta_model()
     reward = lambda s, a: -np.linalg.norm(s, axis=1)
     rng_pick = np.random.default_rng(11)
-    action = mpc_action(model, reward, [0.0, 0.0], 4, 1, 0.9, LAND_BOUNDS, rng_pick)
+    action = mpc_actions(model, reward, np.zeros((1, 2)), 4, 1, 0.9, LAND_BOUNDS, rng_pick)[0]
     rng_ref = np.random.default_rng(11)
     expected = LAND_BOUNDS.sample(rng_ref, (1, 1))[0, 0]
     assert np.array_equal(action, expected)
@@ -95,7 +94,8 @@ def test_mpc_argmax_property():
     reward = lambda s, a: -np.linalg.norm(s - goal, axis=1)
     state = np.array([0.0, 0.0])
     seed = 21
-    action = mpc_action(model, reward, state, 5, 32, 0.9, LAND_BOUNDS, np.random.default_rng(seed))
+    action = mpc_actions(model, reward, state[None, :], 5, 32, 0.9, LAND_BOUNDS,
+                         np.random.default_rng(seed))[0]
 
     # independent recomputation of every candidate's return
     rng = np.random.default_rng(seed)
@@ -122,8 +122,8 @@ def test_mpc_discount_zero_uses_first_step_only():
 
     state = np.array([0.0, 0.0])
     seed = 5
-    chosen = mpc_action(model, first_step_reward, state, 6, 64, 0.0, LAND_BOUNDS,
-                        np.random.default_rng(seed))
+    chosen = mpc_actions(model, first_step_reward, state[None, :], 6, 64, 0.0, LAND_BOUNDS,
+                         np.random.default_rng(seed))[0]
     rng = np.random.default_rng(seed)
     acts = LAND_BOUNDS.sample(rng, (1, 64))[0]
     successors = state + 0.1 * acts
