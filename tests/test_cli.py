@@ -2,8 +2,10 @@ import csv
 import inspect
 import json
 import os
+import re
 import shutil
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -548,6 +550,20 @@ def test_ground_truth_writer_matches_per_row_reference(tmp_path):
 
 def test_no_subcommand_exits_config_error(capsys):
     assert main([]) == 2
+
+
+def test_readme_gives_the_solver_defaults():
+    # The README's config section states the solver block's defaults in one
+    # sentence; it must name the values SolverConfig() really has.
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    found = re.search(
+        r"The `solver` block takes `horizon` \(default ([^)]+)\), `cfl_factor` \(default "
+        r"([^)]+)\), `snapshot_stride` \(default ([^)]+)\)", readme)
+    assert found, "README lost the sentence on the solver block's defaults"
+    defaults = SolverConfig()
+    assert float(found[1]) == defaults.horizon
+    assert float(found[2]) == defaults.cfl_factor
+    assert int(found[3]) == defaults.snapshot_stride
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,14 @@ from conftest import LinearPlant, reference_solve
 from reachverify.dynamics import ActionBounds, ClosedLoopSystem, ConstantPolicy
 from reachverify.error_bounds import DisturbanceBounds
 from reachverify.geometry import Ball, ShapeSet, build_grid
-from reachverify.solver import SolverConfig, cfl_dt, dissipation_coefficients, solve_brt, solve_frt
+from reachverify.solver import (
+    SolverConfig,
+    _Workspace,
+    cfl_dt,
+    dissipation_coefficients,
+    solve_brt,
+    solve_frt,
+)
 
 _MAX_COUNT = {2: 15, 3: 9}
 
@@ -31,9 +38,8 @@ def boxes(draw, dims):
 
 
 @st.composite
-def solves(draw):
-    """A grid, a linear closed loop with a box, a ball seed inside the grid,
-    a direction and a config that takes two or three steps."""
+def systems(draw):
+    """A small 2-D or 3-D grid and a linear closed loop with a box on it."""
     dims = draw(st.sampled_from((2, 3)))
     counts = draw(st.lists(st.integers(3, _MAX_COUNT[dims]), min_size=dims, max_size=dims))
     lo = draw(_vector(dims, st.floats(-2.0, -0.5)))
@@ -41,7 +47,15 @@ def solves(draw):
     grid = build_grid(lo, hi, counts)
     A = draw(st.lists(_vector(dims, st.floats(-2.0, 2.0)), min_size=dims, max_size=dims))
     policy = ConstantPolicy([0.0], ActionBounds([0.0], [0.0]))
-    sys_cl = ClosedLoopSystem(LinearPlant(np.array(A)), policy, draw(boxes(dims)))
+    return ClosedLoopSystem(LinearPlant(np.array(A)), policy, draw(boxes(dims))), grid
+
+
+@st.composite
+def solves(draw):
+    """A :func:`systems` case, a ball seed inside the grid, a direction and
+    a config that takes two or three steps."""
+    sys_cl, grid = draw(systems())
+    dims = grid.dims
     seed = ShapeSet((Ball(draw(_vector(dims, st.floats(-0.1, 0.1))), draw(st.floats(0.1, 0.4))),))
     # A horizon of 1.5 to 3 nominal steps; with no wave speed at all the
     # step is a hundredth of any horizon, so keep that one short.
@@ -90,3 +104,38 @@ def test_larger_seed_gives_pointwise_smaller_tubes(case):
         assert tube_a.times == tube_b.times
         for (_, field_a), (_, field_b) in zip(tube_a.snapshots, tube_b.snapshots):
             assert np.all(field_b.values <= field_a.values)
+
+
+@st.composite
+def raised_nodes(draw):
+    """A :func:`systems` case, a direction, random node values, one node
+    and the amount it is raised by."""
+    sys_cl, grid = draw(systems())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-1.0, 1.0, grid.num_nodes)
+    node = draw(st.integers(0, grid.num_nodes - 1))
+    return sys_cl, grid, draw(st.booleans()), values, node, draw(st.floats(0.01, 1.0))
+
+
+def _stepped(ws, values, dt):
+    ws.values[:] = values
+    ws.rk2_step(dt)
+    return ws.values.copy()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(raised_nodes())
+def test_rk2_step_is_monotone_up_to_the_limit(case):
+    # Lax-Friedrichs with TVD-RK2 and the freezing min(0, H) is monotone for
+    # dt * sum_i alpha_i / h_i <= 1: raising one node never lowers a value.
+    # The update sums neighbour values, so its rounding is on the scale of
+    # the largest value it reads, not of a result near zero.
+    sys_cl, grid, forward, values, node, delta = case
+    raised = values.copy()
+    raised[node] += delta
+    slack = 4 * np.spacing(np.abs(raised).max())
+    ws = _Workspace(sys_cl, grid, forward)
+    for cfl in (0.5, SolverConfig().cfl_factor, 1.0):
+        dt = cfl_dt(SolverConfig(cfl_factor=cfl), ws.alpha, grid)
+        low, high = _stepped(ws, values, dt), _stepped(ws, raised, dt)
+        assert np.all(high >= low - slack), cfl

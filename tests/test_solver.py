@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -549,29 +550,38 @@ def _linear_system(dims, box):
     return ClosedLoopSystem(LinearPlant(rng.normal(size=(dims, dims))), policy, bounds)
 
 
-# (dims, stride, eps, stops_early, box); the stepper takes its -|p| d path
-# on the symmetric and the zero box, its min-of-products path otherwise.
-# Ids name the box only when it is not the asymmetric one.
+# (dims, stride, eps, stops_early, box, cfl_factor); the stepper takes its
+# -|p| d path on the symmetric and the zero box, its min-of-products path
+# otherwise.  The table was built for the step at cfl_factor 0.5 (more than
+# 4 steps, the early stop at eps 2e-3); the last case takes the default step,
+# where eps 1e-2 stops both directions before the horizon.  Ids name the box
+# only when it is not the asymmetric one, and the step only when it is not 0.5.
 _SOLVE_CASES = [
-    (1, 1, 0.0, False, "asymmetric"), (2, 3, 0.0, False, "asymmetric"),
-    (3, 1, 0.0, False, "asymmetric"), (4, 3, 0.0, False, "asymmetric"),
-    (2, 3, 2e-3, True, "asymmetric"),
-    (2, 3, 0.0, False, "symmetric"), (3, 1, 0.0, False, "symmetric"),
-    (2, 3, 0.0, False, "zero"), (3, 1, 0.0, False, "zero"),
+    (1, 1, 0.0, False, "asymmetric", 0.5), (2, 3, 0.0, False, "asymmetric", 0.5),
+    (3, 1, 0.0, False, "asymmetric", 0.5), (4, 3, 0.0, False, "asymmetric", 0.5),
+    (2, 3, 2e-3, True, "asymmetric", 0.5),
+    (2, 3, 0.0, False, "symmetric", 0.5), (3, 1, 0.0, False, "symmetric", 0.5),
+    (2, 3, 0.0, False, "zero", 0.5), (3, 1, 0.0, False, "zero", 0.5),
+    (2, 3, 1e-2, True, "asymmetric", SolverConfig().cfl_factor),
 ]
+
+
+def _solve_case_id(case):
+    dims, stride, eps, stops_early, box, cfl = case
+    parts = [dims, stride, eps, stops_early] + ([] if box == "asymmetric" else [box])
+    return "-".join(map(str, parts + ([] if cfl == 0.5 else [f"cfl{cfl}"])))
 
 
 @pytest.mark.parametrize("forward", [False, True], ids=["backward", "forward"])
 @pytest.mark.parametrize(
-    "dims,stride,eps,stops_early,box", _SOLVE_CASES,
-    ids=["-".join(map(str, c[:4] if c[4] == "asymmetric" else c)) for c in _SOLVE_CASES],
+    "dims,stride,eps,stops_early,box,cfl", _SOLVE_CASES, ids=map(_solve_case_id, _SOLVE_CASES),
 )
-def test_solve_bitwise_equals_allocating_stepper(forward, dims, stride, eps, stops_early, box):
+def test_solve_bitwise_equals_allocating_stepper(forward, dims, stride, eps, stops_early, box, cfl):
     lo, hi, counts = _GRIDS[dims]
     grid = _grid(lo, hi, counts)
     sys_cl = _linear_system(dims, box)
     seed = ShapeSet((Ball(0.5 * (grid.lo + grid.hi) - 0.05, 0.3),))
-    cfg = SolverConfig(horizon=0.6, snapshot_stride=stride, convergence_eps=eps)
+    cfg = SolverConfig(horizon=0.6, cfl_factor=cfl, snapshot_stride=stride, convergence_eps=eps)
     solve = solve_frt if forward else solve_brt
     tube = solve(seed, sys_cl, cfg, grid)
     snapshots, steps, max_h, converged = reference_solve(seed, sys_cl, cfg, grid, forward)
@@ -597,6 +607,40 @@ def test_nonfinite_value_mid_solve_names_the_step(monkeypatch):
     with pytest.raises(RuntimeError, match="non-finite values at step 4$"):
         solve_brt(ShapeSet((Ball([0.0, 0.0], 0.4),)), const_system([0.3, -0.2]),
                   SolverConfig(horizon=2.0, snapshot_stride=2, convergence_eps=0.0), grid)
+
+
+def test_default_step_gives_the_tubes_of_the_half_limit_step(capsule_runs):
+    # Pins the step size, not the tubes' accuracy: at the default cfl_factor
+    # and at 0.5 the final masks lie within one cell diagonal of each other
+    # and the forward tubes give the same verdicts.
+    from reachverify.dynamics import AirPlant
+    from reachverify.scene import air_scene
+    from reachverify.trainer import default_action_bounds
+    from reachverify.verification import classify_policy
+
+    run = capsule_runs[201]
+    assert run["frt"].config.cfl_factor == SolverConfig().cfl_factor
+    half = replace(run["frt"].config, cfl_factor=0.5)
+    capsule = const_system([1.0, 0.0])
+    start, target = ShapeSet((Ball([0.5, 0.0], 0.7),)), ShapeSet((Ball([3.5, 0.0], 0.7),))
+    # The 41^3 air case whose first-order forward tube under-approximates.
+    scene = air_scene((41, 41, 41))
+    policy = ConstantPolicy([0.9, 0.87, 0.65], default_action_bounds("true_air"))
+    sys_air = ClosedLoopSystem(AirPlant(), policy, DisturbanceBounds.zero(3))
+    # (tube at the default step, the same tube at 0.5, obstacles or None)
+    cases = [
+        (run["brt"], solve_brt(target, capsule, half, run["grid"]), None),
+        (run["frt"], solve_frt(start, capsule, half, run["grid"]), target),
+        (*(solve_frt(scene.initial_set, sys_air, cfg, scene.grid)
+           for cfg in (SolverConfig(), SolverConfig(cfl_factor=0.5))), scene.obstacles),
+    ]
+    for default, halved, obstacles in cases:
+        grid = default.grid
+        distance = hausdorff_between_masks(grid, default.final_mask(), halved.final_mask())
+        assert distance <= np.linalg.norm(grid.spacing)
+        if obstacles is not None:
+            assert classify_policy(default, obstacles, grid) == classify_policy(
+                halved, obstacles, grid)
 
 
 # ---------------------------------------------------------------------------
