@@ -11,7 +11,6 @@ from .geometry import (
     ShapeSet,
     build_grid,
     field_complement,
-    field_intersection,
     field_union,
     interpolate,
     interpolate_many,
@@ -52,28 +51,20 @@ from .dynamics import (
     Policy,
     TabulatedPolicy,
     load_policy,
-    nominal_rate,
     nominal_rate_batch,
-    rate,
     save_policy,
 )
 from .solver import (
     SolverConfig,
     TubeResult,
-    analytic_hamiltonian,
     cfl_dt,
-    dissipation_coefficients,
-    lax_friedrichs_H,
-    optimal_disturbance,
     solve_brt,
     solve_frt,
-    upwind_gradients,
 )
 from .verification import (
     VerificationReport,
     build_report,
     classify_policy,
-    is_state_safe,
     safe_initial_states,
     union_brt_field,
     unsafe_initial_states,
@@ -81,8 +72,6 @@ from .verification import (
 from .oracle import (
     MonteCarloResult,
     Trajectory,
-    corner_extremum,
-    exhaustive_brt_small,
     mc_ground_truth,
     rollout,
     sample_in_shapes,

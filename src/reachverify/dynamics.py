@@ -9,8 +9,7 @@ so the disturbance enters purely additively and
 
 Everything runs on ``(k, n)`` stacks of rows: a plant is any object with
 ``n_state``, ``n_action`` and ``rate_batch(states, actions)``, a policy
-clips its actions in ``batch``, and :func:`rate` and :func:`nominal_rate`
-evaluate a one-row batch.
+clips its actions in ``batch``, and a single state is a one-row batch.
 
 Reference plants are first-order kinematic point masses: planar motion
 commanded by speed and heading, and spatial motion commanded by speed,
@@ -38,8 +37,6 @@ __all__ = [
     "LandPlant",
     "AirPlant",
     "ClosedLoopSystem",
-    "rate",
-    "nominal_rate",
     "nominal_rate_batch",
     "rk4_increment",
     "save_policy",
@@ -198,25 +195,6 @@ class ClosedLoopSystem:
     @property
     def n_state(self) -> int:
         return self.plant.n_state
-
-
-def rate(sys: ClosedLoopSystem, state, d) -> np.ndarray:
-    """Closed-loop rate ``plant(s, policy(s)) + d`` with ``d`` validated."""
-    s = np.asarray(state, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if s.shape != (sys.n_state,) or d.shape != (sys.n_state,):
-        raise ValueError(f"state and disturbance must have shape ({sys.n_state},)")
-    if not np.isfinite(s).all():
-        raise ValueError("state contains non-finite values")
-    if not sys.bounds.contains(d):
-        raise ValueError(f"disturbance {d} lies outside the bounded error set")
-    return nominal_rate(sys, s) + d
-
-
-def nominal_rate(sys: ClosedLoopSystem, state) -> np.ndarray:
-    """Undisturbed closed-loop rate at one state: a one-row batch."""
-    s = np.asarray(state, dtype=float)
-    return nominal_rate_batch(sys, s[None, :])[0]
 
 
 def nominal_rate_batch(sys: ClosedLoopSystem, states: np.ndarray) -> np.ndarray:

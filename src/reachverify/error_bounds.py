@@ -60,6 +60,8 @@ class DisturbanceBounds:
         lower = np.asarray(self.lower, dtype=float)
         if upper.shape != lower.shape or upper.ndim != 1:
             raise ValueError("upper and lower bounds must be 1-D arrays of equal length")
+        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+            raise ValueError("upper and lower bounds must be finite")
         if np.any(upper < 0) or np.any(lower > 0):
             raise ValueError("upper bounds must be >= 0 and lower bounds <= 0")
         upper.setflags(write=False)

@@ -8,7 +8,7 @@ distances of geometric primitives (balls, axis-aligned boxes, capped
 cylinders).  Unions of primitives take the pointwise minimum distance.
 
 Field algebra follows the usual min/max rules: union is the pointwise
-minimum, intersection the pointwise maximum, complement the negation.
+minimum and complement the negation.
 The boundary belongs to a set (``<= 0``); complemented fields pair with
 the strict mask (``< 0``) so that complement masks are exact logical
 negations of the original masks.
@@ -35,7 +35,6 @@ __all__ = [
     "signed_distance",
     "level_set_from_shapes",
     "field_union",
-    "field_intersection",
     "field_complement",
     "zero_sublevel_mask",
     "strict_sublevel_mask",
@@ -335,12 +334,6 @@ def field_union(a: ScalarField, b: ScalarField) -> ScalarField:
     """Pointwise minimum; sublevel sets union."""
     _check_same_grid(a, b)
     return ScalarField(a.grid, np.minimum(a.values, b.values), a.time_tag)
-
-
-def field_intersection(a: ScalarField, b: ScalarField) -> ScalarField:
-    """Pointwise maximum; sublevel sets intersect."""
-    _check_same_grid(a, b)
-    return ScalarField(a.grid, np.maximum(a.values, b.values), a.time_tag)
 
 
 def field_complement(a: ScalarField) -> ScalarField:

@@ -2,15 +2,12 @@
 
 Everything here answers reachability questions by integrating actual
 trajectories: fixed-step RK4 rollouts with pluggable disturbance
-strategies, Monte-Carlo estimation of the safe initial states, exhaustive
-corner enumeration of the disturbance-box extremum, and a brute-force
-tube builder on coarse grids.  These are the cross-checks the analytic
-solver components are validated against.
+strategies and Monte-Carlo estimation of the safe initial states, the
+cross-check the tubes are compared with.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +21,6 @@ __all__ = [
     "MonteCarloResult",
     "rollout",
     "mc_ground_truth",
-    "corner_extremum",
-    "exhaustive_brt_small",
     "sample_in_shapes",
 ]
 
@@ -247,76 +242,3 @@ def mc_ground_truth(
         num_draws=num_disturbance_draws,
         seed=seed,
     )
-
-
-# ---------------------------------------------------------------------------
-# Brute-force extrema and tubes
-# ---------------------------------------------------------------------------
-
-def corner_extremum(p, bounds: DisturbanceBounds, mode: str = "reach_goal"):
-    """Exhaustive extremum of ``p . d`` over the box corners plus ``d = 0``.
-
-    Returns ``(value, d_star)``; ties prefer the zero disturbance.
-    """
-    p = np.asarray(p, dtype=float)
-    n = bounds.dims
-    if n > 10:
-        raise ValueError("corner enumeration is limited to 10 dimensions")
-    candidates = [np.zeros(n)]
-    for corner in itertools.product(*zip(bounds.lower, bounds.upper)):
-        candidates.append(np.asarray(corner))
-    values = [float(p @ d) for d in candidates]
-    pick = int(np.argmax(values)) if mode == "reach_goal" else int(np.argmin(values))
-    return values[pick], candidates[pick]
-
-
-def exhaustive_brt_small(
-    sys: ClosedLoopSystem,
-    target: ShapeSet,
-    grid: Grid,
-    horizon: float,
-    dt: float,
-) -> np.ndarray:
-    """Greedy rollout tube on a coarse grid, used as a sanity oracle.
-
-    Every node is rolled out under the per-step corner disturbance that
-    most decreases the signed distance to the target; nodes whose
-    trajectory touches the target within the horizon are marked.  This is
-    a conservative cross-check, not an exact tube.
-    """
-    if grid.dims > 2:
-        raise ValueError("the exhaustive oracle is limited to 2 dimensions")
-    if any(c > 41 for c in grid.counts):
-        raise ValueError("the exhaustive oracle is limited to 41 nodes per dimension")
-
-    candidates = [np.zeros(grid.dims)]
-    if np.any(sys.bounds.upper > 0) or np.any(sys.bounds.lower < 0):
-        for corner in itertools.product(*zip(sys.bounds.lower, sys.bounds.upper)):
-            candidates.append(np.asarray(corner))
-
-    states = grid.flat_points().copy()
-    reached = target.signed_distance(states) <= 0.0
-    n_steps = int(round(horizon / dt))
-
-    for _ in range(n_steps):
-        active = ~reached
-        if not active.any():
-            break
-        cur = states[active]
-        best_next = None
-        best_sd = None
-        for d in candidates:
-            nxt = _rk4_batch(sys, cur, np.broadcast_to(d, cur.shape), dt)
-            sd = target.signed_distance(nxt)
-            if best_sd is None:
-                best_next, best_sd = nxt, sd
-            else:
-                better = sd < best_sd
-                best_next = np.where(better[:, None], nxt, best_next)
-                best_sd = np.where(better, sd, best_sd)
-        states[active] = best_next
-        newly = best_sd <= 0.0
-        idx = np.where(active)[0]
-        reached[idx[newly]] = True
-
-    return reached.reshape(grid.counts)

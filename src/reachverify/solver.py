@@ -3,10 +3,9 @@
 The tube is the zero sublevel set of a value function evolved from the
 exact signed distance of the seed set.  Each explicit step combines:
 
-* first-order one-sided differences (the stepper closes the boundary with
-  zero-slope ghost values, which keeps the update monotone up to the
-  domain edge; the standalone gradient routine fills each boundary entry
-  with the adjacent interior difference instead, exact for linear fields),
+* first-order one-sided differences, closed at the boundary with
+  zero-slope (copy) ghost values, which keep the update monotone up to the
+  domain edge, so enlarging the disturbance box never shrinks a tube,
 * a Lax-Friedrichs numerical Hamiltonian with per-dimension dissipation
   bounds ``alpha_i >= max |rate_i| + max(|d_i^-|, |d_i^+|)``,
 * two-stage TVD Runge-Kutta time integration, and
@@ -53,12 +52,10 @@ both are the conservative choice for a safety question:
   the disturbance helps the tube grow, so it over-approximates everything
   reachable under some admissible disturbance.
 
-The disturbance extremum over its box has a closed form: each component
-contributes ``max(p_i d_i^+, p_i d_i^-)`` when maximizing the Hamiltonian
-(seed set is a goal) and the minimum of the two when minimizing (seed set
-is an unsafe region), which for symmetric bounds is ``+/- |p_i| d_i^+``.
-The tube stepper always minimizes; the scalar references below take the
-sense as their ``mode`` argument.
+The stepper always minimizes the Hamiltonian over the disturbance box,
+and the minimum has a closed form: each component contributes
+``min(p_i d_i^+, p_i d_i^-)``, which for symmetric bounds is
+``-|p_i| d_i^+``.
 """
 
 from __future__ import annotations
@@ -68,24 +65,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ClosedLoopSystem, nominal_rate, nominal_rate_batch
+from .dynamics import ClosedLoopSystem, nominal_rate_batch
 from .error_bounds import DisturbanceBounds
 from .geometry import Grid, ScalarField, ShapeSet, level_set_from_shapes, zero_sublevel_mask
 
 __all__ = [
     "SolverConfig",
     "TubeResult",
-    "upwind_gradients",
-    "optimal_disturbance",
-    "analytic_hamiltonian",
-    "dissipation_coefficients",
-    "lax_friedrichs_H",
     "cfl_dt",
     "solve_brt",
     "solve_frt",
 ]
 
-_MODES = ("reach_goal", "reach_unsafe")
 _MAX_STEPS = 2_000_000
 
 
@@ -125,6 +116,8 @@ class TubeResult:
     Snapshot times run 0 to -T for backward tubes and 0 to +T for forward
     tubes; the first snapshot is always the seed field and the last the
     final field.  ``direction`` is ``"backward"`` or ``"forward"``.
+    ``converged_early`` says the solve stopped on ``convergence_eps``
+    before the horizon; a change below it on the last step does not count.
     """
 
     snapshots: tuple
@@ -150,108 +143,13 @@ class TubeResult:
 
 
 # ---------------------------------------------------------------------------
-# Spatial derivatives
+# Wave speeds and the step size
 # ---------------------------------------------------------------------------
-
-def _one_sided_diffs(values: np.ndarray, axis: int, h: float):
-    """Backward and forward differences with zero-slope (copy) ghost values:
-    the stepper's differences, as whole arrays.
-
-    With copied ghosts the stepper's boundary update is a monotone function
-    of its neighbors, so the discrete comparison principle holds up to the
-    domain edge and enlarging the disturbance box can never shrink a tube
-    anywhere.  Extrapolating ghosts lose that property at boundary nodes the
-    flow crosses.
-    """
-    nd = values.ndim
-    sl_hi = [slice(None)] * nd
-    sl_lo = [slice(None)] * nd
-    sl_hi[axis] = slice(1, None)
-    sl_lo[axis] = slice(None, -1)
-    interior = (values[tuple(sl_hi)] - values[tuple(sl_lo)]) / h
-
-    zero_shape = list(values.shape)
-    zero_shape[axis] = 1
-    zeros = np.zeros(zero_shape)
-    p_minus = np.concatenate([zeros, interior], axis=axis)
-    p_plus = np.concatenate([interior, zeros], axis=axis)
-    return p_minus, p_plus
-
-
-def upwind_gradients(field: ScalarField):
-    """Per-dimension one-sided gradients ``(p_minus, p_plus)``.
-
-    Both lists hold value arrays shaped like the field.  At boundary nodes
-    the missing one-sided difference is the adjacent interior difference
-    (a linearly extrapolated ghost value), so linear fields differentiate
-    exactly everywhere.
-    """
-    grid = field.grid
-    p_minus, p_plus = [], []
-    for axis in range(grid.dims):
-        pm, pp = _one_sided_diffs(field.values, axis, grid.spacing[axis])
-        pm_t, pp_t = np.moveaxis(pm, axis, 0), np.moveaxis(pp, axis, 0)
-        pm_t[0] = pm_t[1]
-        pp_t[-1] = pp_t[-2]
-        p_minus.append(pm)
-        p_plus.append(pp)
-    return p_minus, p_plus
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonian pieces
-# ---------------------------------------------------------------------------
-
-def optimal_disturbance(p, bounds: DisturbanceBounds, mode: str = "reach_goal") -> np.ndarray:
-    """Box extremizer of ``p . d``: the matching-sign corner, zero on ties."""
-    p = np.asarray(p, dtype=float)
-    if mode == "reach_goal":
-        hi, lo = bounds.upper, bounds.lower
-    elif mode == "reach_unsafe":
-        hi, lo = bounds.lower, bounds.upper
-    else:
-        raise ValueError(f"mode must be one of {_MODES}")
-    return np.where(p > 0, hi, np.where(p < 0, lo, 0.0))
-
-
-def _box_extremum(p, bounds: DisturbanceBounds, mode: str):
-    # Componentwise closed form of extremum over the box of p . d.
-    a = p * bounds.upper
-    b = p * bounds.lower
-    if mode == "reach_goal":
-        return np.maximum(a, b)
-    return np.minimum(a, b)
-
-
-def analytic_hamiltonian(s, p, sys: ClosedLoopSystem, mode: str = "reach_goal") -> float:
-    """Closed-form extremized Hamiltonian ``p . f(s) +/- sum_i |p_i| d_i``.
-
-    Equals ``p . rate(sys, s, optimal_disturbance(p, bounds, mode))`` for
-    any costate ``p``.
-    """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
-    p = np.asarray(p, dtype=float)
-    f = nominal_rate(sys, s)
-    return float(p @ f + np.sum(_box_extremum(p, sys.bounds, mode)))
-
 
 def _wave_speeds(rates: np.ndarray, bounds: DisturbanceBounds) -> np.ndarray:
     return np.max(np.abs(rates), axis=0) + np.maximum(
         np.abs(bounds.upper), np.abs(bounds.lower)
     )
-
-
-def dissipation_coefficients(
-    sys: ClosedLoopSystem, bounds: DisturbanceBounds, grid: Grid
-) -> np.ndarray:
-    """Per-dimension bounds on ``|dH/dp_i|`` from a full-grid rate scan.
-
-    The Hamiltonian is piecewise linear in the costate, so
-    ``|rate_i| + max(|d_i^-|, d_i^+)`` maximized over all nodes bounds the
-    derivative exactly on the sampled set.
-    """
-    return _rate_scan(sys, bounds, grid)
 
 
 def _rate_scan(sys: ClosedLoopSystem, bounds: DisturbanceBounds, grid: Grid,
@@ -271,21 +169,6 @@ def _rate_scan(sys: ClosedLoopSystem, bounds: DisturbanceBounds, grid: Grid,
         if out is not None:
             np.multiply(rates.T, scale, out=out[:, a:a + len(points)])
     return alpha
-
-
-def lax_friedrichs_H(s, p_minus, p_plus, sys: ClosedLoopSystem, mode: str, alpha) -> float:
-    """Dissipated numerical Hamiltonian at one state.
-
-    Evaluates the analytic Hamiltonian at the gradient midpoint and
-    subtracts ``sum_i alpha_i (p_i^+ - p_i^-) / 2``.
-    """
-    pm = np.asarray(p_minus, dtype=float)
-    pp = np.asarray(p_plus, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha < 0):
-        raise ValueError("dissipation coefficients must be nonnegative")
-    h_mid = analytic_hamiltonian(s, 0.5 * (pm + pp), sys, mode)
-    return float(h_mid - np.sum(alpha * (pp - pm) * 0.5))
 
 
 def cfl_dt(config: SolverConfig, alpha, grid: Grid) -> float:
@@ -459,7 +342,7 @@ def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Gr
             snapshots.append((sign * tau, ws.snapshot(sign * tau)))
             last_snap_tau = tau
         if delta < eps:
-            converged = True
+            converged = tau < config.horizon * (1 - 1e-12)
             break
 
     if last_snap_tau != tau:

@@ -20,10 +20,8 @@ from .geometry import (
     ScalarField,
     ShapeSet,
     field_union,
-    interpolate,
     level_set_from_shapes,
     same_grid,
-    signed_distance,
     zero_sublevel_mask,
 )
 from .solver import TubeResult
@@ -35,7 +33,6 @@ __all__ = [
     "union_brt_field",
     "safe_initial_states",
     "build_report",
-    "is_state_safe",
 ]
 
 VERDICTS = ("completely_safe", "completely_unsafe", "partially_safe")
@@ -141,17 +138,3 @@ def build_report(
         brt_field=brt_final,
         initial_set=initial,
     )
-
-
-def is_state_safe(report: VerificationReport, state) -> bool:
-    """Off-grid safety query via the interpolated backward-tube value.
-
-    The state must lie inside the initial set; safe means the interpolated
-    union tube value is strictly positive there.
-    """
-    if report.brt_field is None or report.initial_set is None:
-        raise ValueError("report carries no tube field for off-grid queries")
-    s = np.asarray(state, dtype=float)
-    if signed_distance(report.initial_set, s) > 0.0:
-        raise ValueError(f"state {s} lies outside the initial set")
-    return interpolate(report.brt_field, s) > 0.0

@@ -7,19 +7,12 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from reachverify.dynamics import ActionBounds, ClosedLoopSystem, ConstantPolicy, nominal_rate_batch
+from reachverify.dynamics import ActionBounds, ClosedLoopSystem, ConstantPolicy
 from reachverify.error_bounds import DisturbanceBounds
 from reachverify.geometry import Ball, ShapeSet, build_grid
 from reachverify.nn import TrainingConfig
 from reachverify.scene import air_scene, land_scene
-from reachverify.solver import (
-    SolverConfig,
-    _one_sided_diffs,
-    _wave_speeds,
-    cfl_dt,
-    solve_brt,
-    solve_frt,
-)
+from reachverify.solver import SolverConfig, solve_brt, solve_frt
 from reachverify.trainer import TrainRunConfig, train_loop
 
 
@@ -68,58 +61,6 @@ def const_system(c, dims=None, upper=None):
         upper = np.asarray(upper, dtype=float)
         bounds = DisturbanceBounds(upper=upper, lower=-upper)
     return ClosedLoopSystem(plant, policy, bounds)
-
-
-def reference_solve(seed, sys_cl, config, grid, forward):
-    """The stepper as first written, a fresh array per operation:
-    ``(snapshots, steps_taken, max_abs_h, converged_early)``."""
-    rates = nominal_rate_batch(sys_cl, grid.flat_points())
-    rate_grid = rates.T.reshape((grid.dims, *grid.counts))
-    b = sys_cl.bounds
-    if forward:
-        rate_grid, hi, lo = -rate_grid, -b.lower, -b.upper
-    else:
-        hi, lo = b.upper, b.lower
-    alpha = _wave_speeds(rates, b)
-
-    def rhs(values):
-        h_total = np.zeros_like(values)
-        for axis in range(grid.dims):
-            pm, pp = _one_sided_diffs(values, axis, grid.spacing[axis])
-            pmid = 0.5 * (pm + pp)
-            h_total += pmid * rate_grid[axis] + np.minimum(pmid * hi[axis], pmid * lo[axis])
-            h_total += alpha[axis] * 0.5 * (pp - pm)
-        return np.minimum(0.0, h_total), float(np.max(np.abs(h_total)))
-
-    def rk2_step(values, dt):
-        r1, h1 = rhs(values)
-        v1 = values + dt * r1
-        r2, h2 = rhs(v1)
-        v2 = v1 + dt * r2
-        return 0.5 * (values + v2), max(h1, h2)
-
-    dt_nom = cfl_dt(config, alpha, grid)
-    sign = 1.0 if forward else -1.0
-    values = seed.signed_distance(grid.flat_points()).reshape(grid.counts)
-    snapshots = [(0.0, values)]
-    max_h, tau, steps, last_snap_tau, converged = 0.0, 0.0, 0, 0.0, False
-    while tau < config.horizon * (1 - 1e-12):
-        dt = min(dt_nom, config.horizon - tau)
-        new_values, h_seen = rk2_step(values, dt)
-        steps += 1
-        tau += dt
-        max_h = max(max_h, h_seen)
-        delta = float(np.max(np.abs(new_values - values)))
-        values = new_values
-        if steps % config.snapshot_stride == 0:
-            snapshots.append((sign * tau, values))
-            last_snap_tau = tau
-        if delta < config.convergence_eps:
-            converged = True
-            break
-    if last_snap_tau != tau:
-        snapshots.append((sign * tau, values))
-    return snapshots, steps, max_h, converged
 
 
 def capsule_distance(points, seg_a, seg_b, radius):

@@ -1,0 +1,313 @@
+"""Pointwise and allocating references for the tube kernel.
+
+The package computes tubes with one flat, in-place stepper
+(``reachverify.solver._Workspace``).  The tests check it against the
+independent forms kept here: scalar one-sided differences, the closed-form
+Hamiltonian in both disturbance senses, the dissipated Lax-Friedrichs
+Hamiltonian at one state, a single-state closed-loop rate, the exhaustive
+box-corner extremum, a greedy rollout tube on coarse grids, an off-grid
+safety query, the field intersection, and the stepper as first written
+with a fresh array per operation.  No command runs any of them.
+"""
+
+import itertools
+
+import numpy as np
+
+from reachverify.dynamics import ClosedLoopSystem, nominal_rate_batch
+from reachverify.error_bounds import DisturbanceBounds
+from reachverify.geometry import (
+    Grid,
+    ScalarField,
+    ShapeSet,
+    _check_same_grid,
+    interpolate,
+    signed_distance,
+)
+from reachverify.oracle import _rk4_batch
+from reachverify.solver import _rate_scan, _wave_speeds, cfl_dt
+from reachverify.verification import VerificationReport
+
+_MODES = ("reach_goal", "reach_unsafe")
+
+
+# ---------------------------------------------------------------------------
+# Geometry and single-state rates
+# ---------------------------------------------------------------------------
+
+def field_intersection(a: ScalarField, b: ScalarField) -> ScalarField:
+    """Pointwise maximum; sublevel sets intersect."""
+    _check_same_grid(a, b)
+    return ScalarField(a.grid, np.maximum(a.values, b.values), a.time_tag)
+
+
+def rate(sys: ClosedLoopSystem, state, d) -> np.ndarray:
+    """Closed-loop rate ``plant(s, policy(s)) + d`` with ``d`` validated."""
+    s = np.asarray(state, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if s.shape != (sys.n_state,) or d.shape != (sys.n_state,):
+        raise ValueError(f"state and disturbance must have shape ({sys.n_state},)")
+    if not np.isfinite(s).all():
+        raise ValueError("state contains non-finite values")
+    if not sys.bounds.contains(d):
+        raise ValueError(f"disturbance {d} lies outside the bounded error set")
+    return nominal_rate(sys, s) + d
+
+
+def nominal_rate(sys: ClosedLoopSystem, state) -> np.ndarray:
+    """Undisturbed closed-loop rate at one state: a one-row batch."""
+    s = np.asarray(state, dtype=float)
+    return nominal_rate_batch(sys, s[None, :])[0]
+
+
+# ---------------------------------------------------------------------------
+# Spatial derivatives and Hamiltonian pieces
+# ---------------------------------------------------------------------------
+
+def _one_sided_diffs(values: np.ndarray, axis: int, h: float):
+    """Backward and forward differences with zero-slope (copy) ghost values:
+    the stepper's differences, as whole arrays.
+
+    With copied ghosts the stepper's boundary update is a monotone function
+    of its neighbors, so the discrete comparison principle holds up to the
+    domain edge and enlarging the disturbance box can never shrink a tube
+    anywhere.  Extrapolating ghosts lose that property at boundary nodes the
+    flow crosses.
+    """
+    nd = values.ndim
+    sl_hi = [slice(None)] * nd
+    sl_lo = [slice(None)] * nd
+    sl_hi[axis] = slice(1, None)
+    sl_lo[axis] = slice(None, -1)
+    interior = (values[tuple(sl_hi)] - values[tuple(sl_lo)]) / h
+
+    zero_shape = list(values.shape)
+    zero_shape[axis] = 1
+    zeros = np.zeros(zero_shape)
+    p_minus = np.concatenate([zeros, interior], axis=axis)
+    p_plus = np.concatenate([interior, zeros], axis=axis)
+    return p_minus, p_plus
+
+
+def upwind_gradients(field: ScalarField):
+    """Per-dimension one-sided gradients ``(p_minus, p_plus)``.
+
+    Both lists hold value arrays shaped like the field.  At boundary nodes
+    the missing one-sided difference is the adjacent interior difference
+    (a linearly extrapolated ghost value), so linear fields differentiate
+    exactly everywhere.
+    """
+    grid = field.grid
+    p_minus, p_plus = [], []
+    for axis in range(grid.dims):
+        pm, pp = _one_sided_diffs(field.values, axis, grid.spacing[axis])
+        pm_t, pp_t = np.moveaxis(pm, axis, 0), np.moveaxis(pp, axis, 0)
+        pm_t[0] = pm_t[1]
+        pp_t[-1] = pp_t[-2]
+        p_minus.append(pm)
+        p_plus.append(pp)
+    return p_minus, p_plus
+
+
+def optimal_disturbance(p, bounds: DisturbanceBounds, mode: str = "reach_goal") -> np.ndarray:
+    """Box extremizer of ``p . d``: the matching-sign corner, zero on ties."""
+    p = np.asarray(p, dtype=float)
+    if mode == "reach_goal":
+        hi, lo = bounds.upper, bounds.lower
+    elif mode == "reach_unsafe":
+        hi, lo = bounds.lower, bounds.upper
+    else:
+        raise ValueError(f"mode must be one of {_MODES}")
+    return np.where(p > 0, hi, np.where(p < 0, lo, 0.0))
+
+
+def _box_extremum(p, bounds: DisturbanceBounds, mode: str):
+    # Componentwise closed form of extremum over the box of p . d.
+    a = p * bounds.upper
+    b = p * bounds.lower
+    if mode == "reach_goal":
+        return np.maximum(a, b)
+    return np.minimum(a, b)
+
+
+def analytic_hamiltonian(s, p, sys: ClosedLoopSystem, mode: str = "reach_goal") -> float:
+    """Closed-form extremized Hamiltonian ``p . f(s) +/- sum_i |p_i| d_i``.
+
+    Equals ``p . rate(sys, s, optimal_disturbance(p, bounds, mode))`` for
+    any costate ``p``.
+    """
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}")
+    p = np.asarray(p, dtype=float)
+    f = nominal_rate(sys, s)
+    return float(p @ f + np.sum(_box_extremum(p, sys.bounds, mode)))
+
+
+def dissipation_coefficients(
+    sys: ClosedLoopSystem, bounds: DisturbanceBounds, grid: Grid
+) -> np.ndarray:
+    """Per-dimension bounds on ``|dH/dp_i|`` from a full-grid rate scan.
+
+    The Hamiltonian is piecewise linear in the costate, so
+    ``|rate_i| + max(|d_i^-|, d_i^+)`` maximized over all nodes bounds the
+    derivative exactly on the sampled set.
+    """
+    return _rate_scan(sys, bounds, grid)
+
+
+def lax_friedrichs_H(s, p_minus, p_plus, sys: ClosedLoopSystem, mode: str, alpha) -> float:
+    """Dissipated numerical Hamiltonian at one state.
+
+    Evaluates the analytic Hamiltonian at the gradient midpoint and
+    subtracts ``sum_i alpha_i (p_i^+ - p_i^-) / 2``.
+    """
+    pm = np.asarray(p_minus, dtype=float)
+    pp = np.asarray(p_plus, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha < 0):
+        raise ValueError("dissipation coefficients must be nonnegative")
+    h_mid = analytic_hamiltonian(s, 0.5 * (pm + pp), sys, mode)
+    return float(h_mid - np.sum(alpha * (pp - pm) * 0.5))
+
+
+# ---------------------------------------------------------------------------
+# Brute-force extrema, tubes and queries
+# ---------------------------------------------------------------------------
+
+def corner_extremum(p, bounds: DisturbanceBounds, mode: str = "reach_goal"):
+    """Exhaustive extremum of ``p . d`` over the box corners plus ``d = 0``.
+
+    Returns ``(value, d_star)``; ties prefer the zero disturbance.
+    """
+    p = np.asarray(p, dtype=float)
+    n = bounds.dims
+    if n > 10:
+        raise ValueError("corner enumeration is limited to 10 dimensions")
+    candidates = [np.zeros(n)]
+    for corner in itertools.product(*zip(bounds.lower, bounds.upper)):
+        candidates.append(np.asarray(corner))
+    values = [float(p @ d) for d in candidates]
+    pick = int(np.argmax(values)) if mode == "reach_goal" else int(np.argmin(values))
+    return values[pick], candidates[pick]
+
+
+def exhaustive_brt_small(
+    sys: ClosedLoopSystem,
+    target: ShapeSet,
+    grid: Grid,
+    horizon: float,
+    dt: float,
+) -> np.ndarray:
+    """Greedy rollout tube on a coarse grid, used as a sanity oracle.
+
+    Every node is rolled out under the per-step corner disturbance that
+    most decreases the signed distance to the target; nodes whose
+    trajectory touches the target within the horizon are marked.  This is
+    a conservative cross-check, not an exact tube.
+    """
+    if grid.dims > 2:
+        raise ValueError("the exhaustive oracle is limited to 2 dimensions")
+    if any(c > 41 for c in grid.counts):
+        raise ValueError("the exhaustive oracle is limited to 41 nodes per dimension")
+
+    candidates = [np.zeros(grid.dims)]
+    if np.any(sys.bounds.upper > 0) or np.any(sys.bounds.lower < 0):
+        for corner in itertools.product(*zip(sys.bounds.lower, sys.bounds.upper)):
+            candidates.append(np.asarray(corner))
+
+    states = grid.flat_points().copy()
+    reached = target.signed_distance(states) <= 0.0
+    n_steps = int(round(horizon / dt))
+
+    for _ in range(n_steps):
+        active = ~reached
+        if not active.any():
+            break
+        cur = states[active]
+        best_next = None
+        best_sd = None
+        for d in candidates:
+            nxt = _rk4_batch(sys, cur, np.broadcast_to(d, cur.shape), dt)
+            sd = target.signed_distance(nxt)
+            if best_sd is None:
+                best_next, best_sd = nxt, sd
+            else:
+                better = sd < best_sd
+                best_next = np.where(better[:, None], nxt, best_next)
+                best_sd = np.where(better, sd, best_sd)
+        states[active] = best_next
+        newly = best_sd <= 0.0
+        idx = np.where(active)[0]
+        reached[idx[newly]] = True
+
+    return reached.reshape(grid.counts)
+
+
+def is_state_safe(report: VerificationReport, state) -> bool:
+    """Off-grid safety query via the interpolated backward-tube value.
+
+    The state must lie inside the initial set; safe means the interpolated
+    union tube value is strictly positive there.
+    """
+    if report.brt_field is None or report.initial_set is None:
+        raise ValueError("report carries no tube field for off-grid queries")
+    s = np.asarray(state, dtype=float)
+    if signed_distance(report.initial_set, s) > 0.0:
+        raise ValueError(f"state {s} lies outside the initial set")
+    return interpolate(report.brt_field, s) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# The allocating stepper
+# ---------------------------------------------------------------------------
+
+def reference_solve(seed, sys_cl, config, grid, forward):
+    """The stepper as first written, a fresh array per operation:
+    ``(snapshots, steps_taken, max_abs_h, converged_early)``."""
+    rates = nominal_rate_batch(sys_cl, grid.flat_points())
+    rate_grid = rates.T.reshape((grid.dims, *grid.counts))
+    b = sys_cl.bounds
+    if forward:
+        rate_grid, hi, lo = -rate_grid, -b.lower, -b.upper
+    else:
+        hi, lo = b.upper, b.lower
+    alpha = _wave_speeds(rates, b)
+
+    def rhs(values):
+        h_total = np.zeros_like(values)
+        for axis in range(grid.dims):
+            pm, pp = _one_sided_diffs(values, axis, grid.spacing[axis])
+            pmid = 0.5 * (pm + pp)
+            h_total += pmid * rate_grid[axis] + np.minimum(pmid * hi[axis], pmid * lo[axis])
+            h_total += alpha[axis] * 0.5 * (pp - pm)
+        return np.minimum(0.0, h_total), float(np.max(np.abs(h_total)))
+
+    def rk2_step(values, dt):
+        r1, h1 = rhs(values)
+        v1 = values + dt * r1
+        r2, h2 = rhs(v1)
+        v2 = v1 + dt * r2
+        return 0.5 * (values + v2), max(h1, h2)
+
+    dt_nom = cfl_dt(config, alpha, grid)
+    sign = 1.0 if forward else -1.0
+    values = seed.signed_distance(grid.flat_points()).reshape(grid.counts)
+    snapshots = [(0.0, values)]
+    max_h, tau, steps, last_snap_tau, converged = 0.0, 0.0, 0, 0.0, False
+    while tau < config.horizon * (1 - 1e-12):
+        dt = min(dt_nom, config.horizon - tau)
+        new_values, h_seen = rk2_step(values, dt)
+        steps += 1
+        tau += dt
+        max_h = max(max_h, h_seen)
+        delta = float(np.max(np.abs(new_values - values)))
+        values = new_values
+        if steps % config.snapshot_stride == 0:
+            snapshots.append((sign * tau, values))
+            last_snap_tau = tau
+        if delta < config.convergence_eps:
+            converged = tau < config.horizon * (1 - 1e-12)
+            break
+    if last_snap_tau != tau:
+        snapshots.append((sign * tau, values))
+    return snapshots, steps, max_h, converged

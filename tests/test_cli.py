@@ -717,6 +717,23 @@ def test_bad_run_config_key_exits_config_error(tmp_path, monkeypatch, capsys, co
     assert not (out / "report.json").exists() and not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("upper", "NaN"), ("upper", "Infinity"),
+                                       ("lower", "-Infinity")])
+@pytest.mark.parametrize("command", ["verify", "safe-set", "oracle"])
+def test_nonfinite_bounds_exit_config_error(tmp_path, capsys, command, key, value):
+    # json reads NaN and the infinities as floats; a box with one of them
+    # is no disturbance set, so the run stops before it solves or samples.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(run_config(tmp_path, command)))
+    doc = json.loads((tmp_path / "bounds.json").read_text())
+    doc[key][1] = float(value)
+    (tmp_path / "bounds.json").write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(run_argv(command, cfg, out)) == 2
+    assert "malformed bounds file" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "verify", "oracle"])
 def test_non_object_config_exits_config_error(tmp_path, monkeypatch, capsys, command):
     # A list of pairs is not read as the object it would convert to.

@@ -11,14 +11,13 @@ from reachverify.dynamics import (
     MlpPolicy,
     TabulatedPolicy,
     load_policy,
-    nominal_rate,
     nominal_rate_batch,
-    rate,
     save_policy,
 )
 from reachverify.error_bounds import DisturbanceBounds
 from reachverify.geometry import build_grid
 from reachverify.nn import MlpModel, ModelMeta, forward_batch
+from reference import nominal_rate, rate
 
 
 def small_model(rng, n_state=2, n_action=2, dt=0.1):

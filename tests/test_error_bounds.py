@@ -155,6 +155,13 @@ def test_bounds_validation_and_round_trip(tmp_path):
     assert loaded.k_sigma == b.k_sigma and loaded.dt_env == b.dt_env
 
 
+@pytest.mark.parametrize("upper,lower", [([np.nan], [-0.1]), ([np.inf], [-0.1]),
+                                         ([0.1], [-np.inf]), ([0.1], [np.nan])])
+def test_bounds_reject_nonfinite_entries(upper, lower):
+    with pytest.raises(ValueError, match="finite"):
+        DisturbanceBounds(upper=np.array(upper), lower=np.array(lower))
+
+
 def test_stats_validation():
     with pytest.raises(ValueError):
         ResidualStats(mean=np.zeros(2), sd=np.zeros(2), min=np.zeros(2), max=np.zeros(2), count=1)

@@ -12,7 +12,6 @@ from reachverify.geometry import (
     ShapeSet,
     build_grid,
     field_complement,
-    field_intersection,
     field_union,
     interpolate,
     interpolate_many,
@@ -23,6 +22,7 @@ from reachverify.geometry import (
 )
 from reachverify.nn import _BLOCK_ROWS
 from reachverify.scene import air_scene
+from reference import field_intersection
 
 
 def _shapes(dims):

@@ -6,15 +6,9 @@ from conftest import LinearPlant, capsule_distance, const_system
 from reachverify.dynamics import ActionBounds, ClosedLoopSystem, ConstantPolicy, LandPlant
 from reachverify.error_bounds import DisturbanceBounds
 from reachverify.geometry import Ball, ShapeSet, build_grid, level_set_from_shapes, zero_sublevel_mask
-from reachverify.oracle import (
-    Trajectory,
-    corner_extremum,
-    exhaustive_brt_small,
-    mc_ground_truth,
-    rollout,
-    sample_in_shapes,
-)
+from reachverify.oracle import Trajectory, mc_ground_truth, rollout, sample_in_shapes
 from reachverify.solver import SolverConfig, solve_brt
+from reference import corner_extremum, exhaustive_brt_small
 
 
 def test_rollout_zero_dynamics_stays_put():

@@ -1,21 +1,17 @@
 """Property tests of the tube solver, drawn by hypothesis on small grids."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LinearPlant, reference_solve
+from conftest import LinearPlant
 from reachverify.dynamics import ActionBounds, ClosedLoopSystem, ConstantPolicy
 from reachverify.error_bounds import DisturbanceBounds
 from reachverify.geometry import Ball, ShapeSet, build_grid
-from reachverify.solver import (
-    SolverConfig,
-    _Workspace,
-    cfl_dt,
-    dissipation_coefficients,
-    solve_brt,
-    solve_frt,
-)
+from reachverify.solver import SolverConfig, _Workspace, cfl_dt, solve_brt, solve_frt
+from reference import dissipation_coefficients, reference_solve
 
 _MAX_COUNT = {2: 15, 3: 9}
 
@@ -50,6 +46,15 @@ def systems(draw):
     return ClosedLoopSystem(LinearPlant(np.array(A)), policy, draw(boxes(dims))), grid
 
 
+def _config(draw, alpha, grid):
+    # A horizon of 1.5 to 3 nominal steps at wave speeds alpha; with no wave
+    # speed at all the step is a hundredth of any horizon, so keep that one
+    # short.
+    steps = draw(st.floats(1.5, 3.0))
+    horizon = steps * cfl_dt(SolverConfig(), alpha, grid) if alpha.any() else 0.1
+    return SolverConfig(horizon=horizon, snapshot_stride=1, convergence_eps=0.0)
+
+
 @st.composite
 def solves(draw):
     """A :func:`systems` case, a ball seed inside the grid, a direction and
@@ -57,12 +62,7 @@ def solves(draw):
     sys_cl, grid = draw(systems())
     dims = grid.dims
     seed = ShapeSet((Ball(draw(_vector(dims, st.floats(-0.1, 0.1))), draw(st.floats(0.1, 0.4))),))
-    # A horizon of 1.5 to 3 nominal steps; with no wave speed at all the
-    # step is a hundredth of any horizon, so keep that one short.
-    alpha = dissipation_coefficients(sys_cl, sys_cl.bounds, grid)
-    steps = draw(st.floats(1.5, 3.0))
-    horizon = steps * cfl_dt(SolverConfig(), alpha, grid) if alpha.any() else 0.1
-    config = SolverConfig(horizon=horizon, snapshot_stride=1, convergence_eps=0.0)
+    config = _config(draw, dissipation_coefficients(sys_cl, sys_cl.bounds, grid), grid)
     return seed, sys_cl, config, grid, draw(st.booleans())
 
 
@@ -104,6 +104,40 @@ def test_larger_seed_gives_pointwise_smaller_tubes(case):
         assert tube_a.times == tube_b.times
         for (_, field_a), (_, field_b) in zip(tube_a.snapshots, tube_b.snapshots):
             assert np.all(field_b.values <= field_a.values)
+
+
+@st.composite
+def nested_boxes(draw):
+    """A :func:`solves` case, the same system on a box that contains its
+    box, the larger box's wave speeds as the floor both solves share, and a
+    config that takes two or three steps at that floor."""
+    seed, sys_cl, _, grid, forward = draw(solves())
+    grow_up = draw(_vector(grid.dims, st.floats(0.0, 0.3)))
+    # Growing both faces alike keeps a symmetric box symmetric.
+    grow_down = grow_up if draw(st.booleans()) else draw(_vector(grid.dims, st.floats(0.0, 0.3)))
+    b = sys_cl.bounds
+    big = replace(sys_cl, bounds=DisturbanceBounds(upper=b.upper + grow_up,
+                                                   lower=b.lower - grow_down))
+    floor = dissipation_coefficients(big, big.bounds, grid)
+    return seed, sys_cl, big, floor, _config(draw, floor, grid), grid, forward
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(nested_boxes())
+def test_larger_box_gives_pointwise_smaller_tubes(case):
+    # Criterion 4 beyond its land pairs: under one shared alpha_floor the
+    # scheme is monotone and a larger box lowers every Hamiltonian, so the
+    # larger box's final values never exceed the smaller box's.  The slack
+    # is that of the one-step monotonicity property below, on the largest
+    # value either solve holds.
+    seed, small, big, floor, config, grid, forward = case
+    solve = solve_frt if forward else solve_brt
+    tube_small = solve(seed, small, config, grid, alpha_floor=floor)
+    tube_big = solve(seed, big, config, grid, alpha_floor=floor)
+    largest = max(np.abs(field.values).max()
+                  for tube in (tube_small, tube_big) for _, field in tube.snapshots)
+    slack = 4 * np.spacing(largest)
+    assert np.all(tube_big.final_field().values <= tube_small.final_field().values + slack)
 
 
 @st.composite

@@ -12,7 +12,6 @@ from conftest import (
     const_system,
     hausdorff_between_masks,
     masks_nested,
-    reference_solve,
 )
 from reachverify import solver
 from reachverify.dynamics import (
@@ -34,19 +33,22 @@ from reachverify.geometry import (
     zero_sublevel_mask,
 )
 from reachverify.nn import MlpModel, ModelMeta
-from reachverify.oracle import corner_extremum
 from reachverify.solver import (
     SolverConfig,
-    _one_sided_diffs,
     _wave_speeds,
     _Workspace,
-    analytic_hamiltonian,
     cfl_dt,
+    solve_brt,
+    solve_frt,
+)
+from reference import (
+    _one_sided_diffs,
+    analytic_hamiltonian,
+    corner_extremum,
     dissipation_coefficients,
     lax_friedrichs_H,
     optimal_disturbance,
-    solve_brt,
-    solve_frt,
+    reference_solve,
     upwind_gradients,
 )
 
@@ -245,6 +247,62 @@ def test_stepper_hamiltonian_equals_pointwise_lax_friedrichs(
             points[idx], p_plus, p_minus, sys_ref, "reach_unsafe", ws.alpha
         )
     assert np.max(np.abs(vectorised - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+# The kernel itself on linear fields V = c . x: away from the copy ghosts
+# both one-sided differences are c, so p- = p+ and the dissipation term
+# vanishes, leaving the analytic Hamiltonian of the kernel's sense.
+_LINEAR_CASES = [
+    ([-1.0, -2.0], [2.0, 1.0], (9, 7), [[0.3, -1.1], [0.8, -0.2]], [0.7, -1.3]),
+    ([-1.0, -1.0, 0.0], [1.0, 2.0, 1.5], (5, 6, 4),
+     [[0.1, -0.7, 0.4], [0.9, -0.3, 0.0], [-0.5, 0.2, 0.6]], [-0.4, 1.1, 0.9]),
+]
+
+
+def _linear_case(case, box):
+    lo, hi, counts, A, c = case
+    grid = build_grid(lo, hi, counts)
+    upper = np.linspace(0.1, 0.3, grid.dims)
+    lower = -upper if box == "symmetric" else -np.linspace(0.25, 0.05, grid.dims)
+    policy = ConstantPolicy([0.0], ActionBounds([0.0], [0.0]))
+    sys_cl = ClosedLoopSystem(LinearPlant(A), policy, DisturbanceBounds(upper, lower))
+    c = np.array(c)
+    return grid, sys_cl, c, grid.node_points() @ c + 0.25
+
+
+@pytest.mark.parametrize("forward", [False, True], ids=["backward", "forward"])
+@pytest.mark.parametrize("box", ["symmetric", "asymmetric"])
+@pytest.mark.parametrize("case", _LINEAR_CASES, ids=["2d", "3d"])
+def test_numerical_hamiltonian_on_linear_field_is_p_dot_f_plus_box_minimum(case, box, forward):
+    # The stepper minimizes over the box; a forward one steps the reversed
+    # flow with the reflected box.
+    grid, sys_cl, c, V = _linear_case(case, box)
+    ws = _Workspace(sys_cl, grid, forward)
+    H = ws.numerical_hamiltonian(V)
+    rates = nominal_rate_batch(sys_cl, grid.flat_points()).reshape(*grid.counts, grid.dims)
+    b = sys_cl.bounds
+    if forward:
+        rates, b = -rates, DisturbanceBounds(upper=-b.lower, lower=-b.upper)
+    expected = rates @ c + corner_extremum(c, b, "reach_unsafe")[0]
+    interior = (slice(1, -1),) * grid.dims
+    assert np.max(np.abs(H[interior] - expected[interior])) <= 1e-12
+
+
+@pytest.mark.parametrize("case", _LINEAR_CASES, ids=["2d", "3d"])
+def test_differences_are_exact_and_zero_at_the_copy_ghosts(case):
+    grid, sys_cl, c, V = _linear_case(case, "asymmetric")
+    ws = _Workspace(sys_cl, grid, False)
+    for axis in range(grid.dims):
+        backward, forward = (np.moveaxis(d.copy().reshape(grid.counts), axis, 0)
+                             for d in ws._differences(V.ravel(), axis))
+        direct = np.moveaxis(np.diff(V, axis=axis) / grid.spacing[axis], axis, 0)
+        # Backward differences from the second node on, forward ones up to
+        # the last but one, are the direct differences bit for bit, and c.
+        assert np.array_equal(backward[1:], direct) and np.array_equal(forward[:-1], direct)
+        assert np.max(np.abs(direct - c[axis])) <= 1e-12
+        # Zero slopes stand in for both copy ghosts: backward at the first
+        # node of each line, forward at its last.
+        assert not backward[0].any() and not forward[-1].any()
 
 
 def test_lax_friedrichs_consistency_order():
@@ -553,13 +611,14 @@ def _linear_system(dims, box):
 # (dims, stride, eps, stops_early, box, cfl_factor); the stepper takes its
 # -|p| d path on the symmetric and the zero box, its min-of-products path
 # otherwise.  The table was built for the step at cfl_factor 0.5 (more than
-# 4 steps, the early stop at eps 2e-3); the last case takes the default step,
-# where eps 1e-2 stops both directions before the horizon.  Ids name the box
-# only when it is not the asymmetric one, and the step only when it is not 0.5.
+# 4 steps); at eps 2e-3 the change falls below eps only on the last step,
+# which is no early stop.  The last case takes the default step, where eps
+# 1e-2 stops both directions before the horizon.  Ids name the box only when
+# it is not the asymmetric one, and the step only when it is not 0.5.
 _SOLVE_CASES = [
     (1, 1, 0.0, False, "asymmetric", 0.5), (2, 3, 0.0, False, "asymmetric", 0.5),
     (3, 1, 0.0, False, "asymmetric", 0.5), (4, 3, 0.0, False, "asymmetric", 0.5),
-    (2, 3, 2e-3, True, "asymmetric", 0.5),
+    (2, 3, 2e-3, False, "asymmetric", 0.5),
     (2, 3, 0.0, False, "symmetric", 0.5), (3, 1, 0.0, False, "symmetric", 0.5),
     (2, 3, 0.0, False, "zero", 0.5), (3, 1, 0.0, False, "zero", 0.5),
     (2, 3, 1e-2, True, "asymmetric", SolverConfig().cfl_factor),
@@ -591,6 +650,23 @@ def test_solve_bitwise_equals_allocating_stepper(forward, dims, stride, eps, sto
     assert tube.times == [t for t, _ in snapshots]
     for (_, field), (_, expected) in zip(tube.snapshots, snapshots):
         assert np.array_equal(field.values.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("forward", [False, True], ids=["backward", "forward"])
+def test_converged_early_only_when_the_stop_precedes_the_horizon(forward):
+    # Every change lies below a convergence_eps of 1e3, so each solve stops
+    # after its first step: before a horizon of two and a half steps, and
+    # at a horizon of half a step, where the stop is the horizon's.
+    grid = build_grid([-1, -1], [1, 1], [21, 21])
+    sys_cl = const_system([0.5, -0.3], upper=[0.1, 0.1])
+    seed = ShapeSet((Ball([0.0, 0.0], 0.4),))
+    dt = cfl_dt(SolverConfig(), _Workspace(sys_cl, grid, forward).alpha, grid)
+    for steps, early in ((2.5, True), (0.5, False)):
+        cfg = SolverConfig(horizon=steps * dt, convergence_eps=1e3)
+        tube = (solve_frt if forward else solve_brt)(seed, sys_cl, cfg, grid)
+        _, ref_steps, _, ref_early = reference_solve(seed, sys_cl, cfg, grid, forward)
+        assert (tube.steps_taken, tube.converged_early) == (ref_steps, ref_early) == (1, early)
+        assert abs(tube.times[-1]) == pytest.approx(min(steps, 1.0) * dt)
 
 
 def test_nonfinite_value_mid_solve_names_the_step(monkeypatch):

@@ -10,22 +10,16 @@ from reachverify.geometry import (
     level_set_from_shapes,
     zero_sublevel_mask,
 )
-from reachverify.solver import (
-    SolverConfig,
-    TubeResult,
-    dissipation_coefficients,
-    solve_brt,
-    solve_frt,
-)
+from reachverify.solver import SolverConfig, TubeResult, solve_brt, solve_frt
 from reachverify.verification import (
     VerificationReport,
     build_report,
     classify_policy,
-    is_state_safe,
     safe_initial_states,
     union_brt_field,
     unsafe_initial_states,
 )
+from reference import dissipation_coefficients, is_state_safe
 
 
 def _frt(grid, initial, sys_cl, horizon=0.5):
