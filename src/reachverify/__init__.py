@@ -71,9 +71,7 @@ from .verification import (
 )
 from .oracle import (
     MonteCarloResult,
-    Trajectory,
     mc_ground_truth,
-    rollout,
     sample_in_shapes,
 )
 from .trainer import (

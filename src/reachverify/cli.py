@@ -36,7 +36,7 @@ from .geometry import (
     build_grid,
     interpolate_many,
 )
-from .oracle import mc_ground_truth
+from .oracle import _step_count, mc_ground_truth
 from .scene import (
     Scene,
     air_scene,
@@ -144,13 +144,9 @@ class RunConfig:
     dt: float = 0.1
     num_samples: int = 1000
     draws: int = 16
-    include_zero_draw: bool = True
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError("horizon must be > 0")
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
+        _step_count(self.horizon, self.dt)
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
         if self.draws < 0:
@@ -161,7 +157,7 @@ _ARTIFACT_KEYS = ("scene", "env", "plant", "model", "policy", "bounds", "seed")
 _RUN_KEYS = {
     "verify": (*_ARTIFACT_KEYS, "solver", "mc"),
     "safe-set": (*_ARTIFACT_KEYS, "solver", "mc"),
-    "oracle": (*_ARTIFACT_KEYS, "horizon", "dt", "num_samples", "draws", "include_zero_draw"),
+    "oracle": (*_ARTIFACT_KEYS, "horizon", "dt", "num_samples", "draws"),
 }
 _MC_KEYS = ("plant", "horizon", "dt", "num_samples")
 
@@ -219,8 +215,8 @@ def _tube_configs(cfg: RunConfig):
     safe-set config; the ``mc`` plant defaults to the run's ``env`` and
     its horizon to the solver's."""
     solver = _from_block(SolverConfig, cfg.solver, "solver")
-    mc_base = RunConfig(plant=cfg.env, horizon=solver.horizon)
-    return solver, _from_block(RunConfig, cfg.mc, "mc", mc_base, {k: k for k in _MC_KEYS})
+    mc = {"plant": cfg.env, "horizon": solver.horizon, **cfg.mc}
+    return solver, _from_block(RunConfig, mc, "mc", keys={k: k for k in _MC_KEYS})
 
 
 def _write_ground_truth(mc, n: int, path) -> None:
@@ -364,7 +360,7 @@ def cmd_safe_set(args) -> int:
 def cmd_oracle(args) -> int:
     cfg, seed, scene, sys_cl, prov = _run_inputs(args)
     mc = mc_ground_truth(sys_cl, scene.initial_set, scene.obstacles, cfg.horizon, cfg.dt,
-                         cfg.num_samples, cfg.draws, cfg.include_zero_draw, seed)
+                         cfg.num_samples, cfg.draws, seed)
     out = args.out
     os.makedirs(out, exist_ok=True)
     _write_ground_truth(mc, scene.grid.dims, os.path.join(out, "ground_truth.csv"))
@@ -375,10 +371,9 @@ def cmd_oracle(args) -> int:
             "safe_fraction": mc.safe_fraction,
             "num_samples": len(mc.samples),
             "strategy": {
-                "disturbance_draws": mc.num_draws,
-                "include_zero_draw": cfg.include_zero_draw,
-                "horizon": mc.horizon,
-                "dt": mc.dt,
+                "disturbance_draws": cfg.draws,
+                "horizon": cfg.horizon,
+                "dt": cfg.dt,
             },
             "provenance": prov,
         },

@@ -261,8 +261,12 @@ class TrainRunConfig:
     )
 
     def __post_init__(self):
-        if self.initial_samples < 1 or self.outer_iterations < 1:
-            raise ValueError("sample and iteration counts must be positive")
+        for name in ("initial_samples", "outer_iterations", "samples_per_iteration",
+                     "rollout_steps", "mpc_horizon", "mpc_candidates"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, not {getattr(self, name)}")
+        if self.distill_states < 100:
+            raise ValueError(f"distill_states must be >= 100, not {self.distill_states}")
         if not 0 <= self.discount < 1:
             raise ValueError("discount must lie in [0, 1)")
 

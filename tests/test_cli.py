@@ -289,21 +289,6 @@ def test_oracle_command(tmp_path):
     assert manifest["safe_fraction"] == 1.0
 
 
-def test_oracle_with_no_draw_exits_config_error(tmp_path, capsys):
-    # With no random draw and no zero draw no rollout runs, and that must
-    # not report every start safe.
-    doc = run_config(tmp_path, "oracle")
-    doc.update({"horizon": 0.3, "dt": 0.1, "num_samples": 20, "draws": 0,
-                "include_zero_draw": False})
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    out = tmp_path / "oracle"
-    assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "draws" in err and "include_zero_draw" in err
-    assert not out.exists()
-
-
 def test_train_command_and_seed_reproducibility(tmp_path):
     grid_scene = make_scene(tmp_path, [0.8, 0.8], 0.1)
     config = {
@@ -566,6 +551,16 @@ def test_readme_gives_the_solver_defaults():
     assert int(found[3]) == defaults.snapshot_stride
 
 
+def test_readme_run_config_table_lists_the_keys():
+    # The README's verify / safe-set / oracle key table has one row per key
+    # a run config accepts, and its mc row names the mc block's keys.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | type | default | read by |", 1)[1].split("\n\n", 1)[0]
+    rows = {m[1]: m[2] for m in re.finditer(r"^\| `(\w+)` \| ([^|]*) \|", table, re.M)}
+    assert set(rows) == {k for keys in cli._RUN_KEYS.values() for k in keys}
+    assert re.findall(r"`(\w+)`", rows["mc"]) == list(cli._MC_KEYS)
+
+
 @pytest.mark.parametrize(
     "solver,key",
     [
@@ -599,6 +594,13 @@ def test_unknown_solver_key_exits_config_error(tmp_path, capsys, solver, key):
         ({"mpc": {"candidates": True}}, "candidates"),
         ({"mpc": {"horizn": 6}}, "horizn"),
         ({"reward": {"goal_wieght": 1.0}}, "goal_wieght"),
+        # counts that would fail only after training, or never finish
+        ({"rollout_steps": 0}, "rollout_steps"),
+        ({"rollout_steps": -2}, "rollout_steps"),
+        ({"samples_per_iteration": 0}, "samples_per_iteration"),
+        ({"mpc": {"horizon": 0}}, "horizon"),
+        ({"mpc": {"candidates": 0}}, "candidates"),
+        ({"distill_states": 99}, "distill_states"),
     ],
 )
 def test_unknown_training_key_exits_config_error(tmp_path, monkeypatch, capsys, config, key):
@@ -672,7 +674,7 @@ def run_argv(command, cfg, out):
         ("verify", {"seed": "3"}, "seed"),
         ("safe-set", {"seed": 2.7}, "seed"),
         ("oracle", {"seed": True}, "seed"),
-        ("oracle", {"include_zero_draw": "false"}, "include_zero_draw"),
+        ("oracle", {"include_zero_draw": False}, "include_zero_draw"),  # a removed key
         ("oracle", {"num_sample": 50}, "num_sample"),
         ("oracle", {"solver": {"horizon": 0.4}}, "solver"),
         ("safe-set", {"mc": {"plant": "learned", "draws": 8}}, "draws"),
@@ -697,6 +699,9 @@ def run_argv(command, cfg, out):
                                          [[0.0, 0.0]] * 2 + [["0.5", 0.0]]]}}, "table"),
         ("verify", {"policy": {"kind": "tabulated", "action_lo": [-1, -1], "action_hi": [1, 1],
                                "grid": [3, 3], "table": []}}, "grid"),
+        # a Monte-Carlo horizon under half a dt step would integrate nothing
+        ("oracle", {"horizon": 0.04, "dt": 0.1}, "horizon"),
+        ("safe-set", {"mc": {"plant": "learned", "horizon": 0.04}}, "horizon"),
     ],
 )
 def test_bad_run_config_key_exits_config_error(tmp_path, monkeypatch, capsys, command, edit, key):
@@ -749,14 +754,14 @@ def test_non_object_config_exits_config_error(tmp_path, monkeypatch, capsys, com
     [
         # the benchmark's mc block
         ("safe-set", {"mc": {"plant": "true_land", "num_samples": 1000, "horizon": 10.0,
-                             "dt": 0.1}}, (10.0, 0.1, 1000, 0, True)),
+                             "dt": 0.1}}, (10.0, 0.1, 1000, 0)),
         # an mc block without horizon takes the solver's
         ("safe-set", {"mc": {"plant": "learned", "num_samples": 50, "dt": 0.05}},
-         (0.4, 0.05, 50, 0, True)),
+         (0.4, 0.05, 50, 0)),
         # an oracle config with only the artifact keys
-        ("oracle", {}, (10.0, 0.1, 1000, 16, True)),
-        ("oracle", {"horizon": 1, "dt": 0.05, "num_samples": 20, "draws": 0,
-                    "include_zero_draw": False}, (1.0, 0.05, 20, 0, False)),
+        ("oracle", {}, (10.0, 0.1, 1000, 16)),
+        ("oracle", {"horizon": 1, "dt": 0.05, "num_samples": 20, "draws": 0},
+         (1.0, 0.05, 20, 0)),
     ],
 )
 def test_monte_carlo_settings_are_decoded(tmp_path, monkeypatch, command, edit, expected):
@@ -767,7 +772,7 @@ def test_monte_carlo_settings_are_decoded(tmp_path, monkeypatch, command, edit, 
         call = signature.bind(*args, **kwargs)
         call.apply_defaults()
         seen.append(tuple(call.arguments[k] for k in (
-            "horizon", "dt", "num_samples", "num_disturbance_draws", "include_zero_draw")))
+            "horizon", "dt", "num_samples", "num_disturbance_draws")))
         raise RuntimeError("stop after decoding")
 
     monkeypatch.setattr(cli, "mc_ground_truth", capture)
@@ -775,7 +780,7 @@ def test_monte_carlo_settings_are_decoded(tmp_path, monkeypatch, command, edit, 
     cfg.write_text(json.dumps({**run_config(tmp_path, command), **edit}))
     assert main(run_argv(command, cfg, tmp_path / "run")) == 3
     assert seen == [expected]
-    assert [type(v) for v in seen[0]] == [float, float, int, int, bool]
+    assert [type(v) for v in seen[0]] == [float, float, int, int]
 
 
 def test_integer_convergence_eps_decodes_to_float(tmp_path):

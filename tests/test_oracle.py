@@ -6,32 +6,39 @@ from conftest import LinearPlant, capsule_distance, const_system
 from reachverify.dynamics import ActionBounds, ClosedLoopSystem, ConstantPolicy, LandPlant
 from reachverify.error_bounds import DisturbanceBounds
 from reachverify.geometry import Ball, ShapeSet, build_grid, level_set_from_shapes, zero_sublevel_mask
-from reachverify.oracle import Trajectory, mc_ground_truth, rollout, sample_in_shapes
+from reachverify.oracle import _rk4_batch, mc_ground_truth, sample_in_shapes
 from reachverify.solver import SolverConfig, solve_brt
 from reference import corner_extremum, exhaustive_brt_small
 
+STARTS = np.array([[0.0, 0.0], [0.25, -0.75], [1.5, 2.0], [-3.0, 0.5]])
+
+
+def _rollout(sys_cl, starts, steps, dt, d=(0.0, 0.0)):
+    """``steps`` RK4 steps of a batch of starts through the oracle's
+    integrator, the disturbance ``d`` held throughout."""
+    states = np.asarray(starts, dtype=float)
+    d = np.broadcast_to(np.asarray(d, dtype=float), states.shape)
+    for _ in range(steps):
+        states = _rk4_batch(sys_cl, states, d, dt)
+    return states
+
 
 def test_rollout_zero_dynamics_stays_put():
-    sys_cl = const_system([0.0, 0.0])
-    tr = rollout(sys_cl, [0.3, -0.4], horizon=1.0, dt=0.1)
-    assert np.allclose(tr.states, [0.3, -0.4])
-    assert tr.terminal == "horizon_exhausted"
-    assert len(tr.times) == 11
+    assert np.array_equal(_rollout(const_system([0.0, 0.0]), STARTS, 10, 0.1), STARTS)
 
 
 def test_rollout_constant_rate_exact():
-    sys_cl = const_system([1.0, 0.0])
-    tr = rollout(sys_cl, [0.0, 0.0], horizon=1.0, dt=0.1)
-    assert np.allclose(tr.final_state, [1.0, 0.0], atol=1e-9)
+    # Rate, disturbance, step and starts are dyadic, so RK4 is exact.
+    end = _rollout(const_system([1.0, -0.5]), STARTS, 8, 0.125, d=[0.5, 0.25])
+    assert np.array_equal(end, STARTS + [1.5, -0.25])
 
 
 def test_rollout_land_closed_form():
     plant = LandPlant()
-    policy = ConstantPolicy([1.0, 0.0], ActionBounds([0, -np.pi], [1, np.pi]))
+    policy = ConstantPolicy([1.0, 0.6], ActionBounds([0, -np.pi], [1, np.pi]))
     sys_cl = ClosedLoopSystem(plant, policy, DisturbanceBounds.zero(2))
-    tr = rollout(sys_cl, [0.0, 0.0], horizon=2.5, dt=0.1)
-    assert tr.final_state[0] == pytest.approx(2.5, abs=1e-9)
-    assert tr.final_state[1] == pytest.approx(0.0, abs=1e-12)
+    end = _rollout(sys_cl, STARTS, 25, 0.1)
+    assert np.allclose(end, STARTS + 2.5 * np.array([np.cos(0.6), np.sin(0.6)]), atol=1e-9)
 
 
 def test_rollout_rk4_matches_matrix_exponential():
@@ -40,52 +47,31 @@ def test_rollout_rk4_matches_matrix_exponential():
     sys_cl = ClosedLoopSystem(
         plant, ConstantPolicy([0.0], ActionBounds([0.0], [0.0])), DisturbanceBounds.zero(2)
     )
-    s0 = np.array([1.0, 0.5])
-    tr = rollout(sys_cl, s0, horizon=1.0, dt=0.01)
-    exact = expm(A) @ s0
-    assert np.allclose(tr.final_state, exact, atol=1e-6)
+    end = _rollout(sys_cl, STARTS, 100, 0.01)
+    assert np.allclose(end, STARTS @ expm(A).T, atol=1e-6)
 
 
-def test_rollout_terminates_on_obstacle_and_goal():
-    sys_cl = const_system([1.0, 0.0])
-    obstacle = ShapeSet((Ball([1.0, 0.0], 0.2),))
-    tr = rollout(sys_cl, [0.0, 0.0], horizon=5.0, dt=0.1, obstacles=obstacle)
-    assert tr.terminal == "hit_obstacle"
-    assert tr.times[-1] < 5.0
-
-    goal = ShapeSet((Ball([1.0, 0.0], 0.2),))
-    tr2 = rollout(sys_cl, [0.0, 0.0], horizon=5.0, dt=0.1, goal=goal)
-    assert tr2.terminal == "reached_goal"
-
-    inside = rollout(sys_cl, [1.0, 0.0], horizon=5.0, dt=0.1, obstacles=obstacle)
-    assert inside.terminal == "hit_obstacle"
-    assert len(inside.times) == 1
-
-
-def test_rollout_flags_domain_exit():
-    sys_cl = const_system([1.0, 0.0])
-    grid = build_grid([-1, -1], [1, 1], [5, 5])
-    tr = rollout(sys_cl, [0.0, 0.0], horizon=3.0, dt=0.1, domain=grid)
-    assert tr.left_domain
-
-
-def test_trajectory_alignment_validation():
-    with pytest.raises(ValueError):
-        Trajectory(
-            times=np.array([0.0, 0.1]),
-            states=np.zeros((2, 2)),
-            actions=np.zeros((2, 1)),
-            disturbances=np.zeros((1, 2)),
-            terminal="horizon_exhausted",
-        )
-    with pytest.raises(ValueError):
-        Trajectory(
-            times=np.array([0.0, 0.0]),
-            states=np.zeros((2, 2)),
-            actions=np.zeros((1, 1)),
-            disturbances=np.zeros((1, 2)),
-            terminal="horizon_exhausted",
-        )
+def test_mc_hit_rule_matches_straight_paths():
+    # Under a constant rate every path is a straight segment, so its least
+    # signed distance to a ball has a closed form.  The oracle checks the
+    # step points only, so it may differ from the segment within one
+    # step's travel of the ball and nowhere else.
+    c, horizon, dt = np.array([1.0, 0.0]), 0.5, 0.1
+    center, radius = np.array([1.5, 0.0]), 0.4
+    initial = ShapeSet((Ball([0.5, 0.0], 0.8),))
+    mc = mc_ground_truth(const_system(c), initial, ShapeSet((Ball(center, radius),)),
+                         horizon=horizon, dt=dt, num_samples=400, num_disturbance_draws=0,
+                         seed=1)
+    t = np.clip((center - mc.samples) @ c / (c @ c), 0.0, horizon)
+    closest = mc.samples + t[:, None] * c
+    least = np.linalg.norm(closest - center, axis=1) - radius
+    travel = np.linalg.norm(c) * dt
+    inside = np.linalg.norm(mc.samples - center, axis=1) <= radius
+    enters, misses = least < -travel, least > travel
+    assert inside.any() and (enters & ~inside).any() and misses.any()
+    assert not mc.safe[inside].any()
+    assert not mc.safe[enters].any()
+    assert mc.safe[misses].all()
 
 
 def test_mc_trivially_safe_and_unsafe():
@@ -100,18 +86,6 @@ def test_mc_trivially_safe_and_unsafe():
     mc2 = mc_ground_truth(sys_cl, initial, surrounding, horizon=1.0, dt=0.1,
                           num_samples=50, num_disturbance_draws=0, seed=0)
     assert not mc2.safe.any()
-
-
-def test_mc_with_no_draw_raises():
-    initial = ShapeSet((Ball([0.0, 0.0], 0.5),))
-    obstacle = ShapeSet((Ball([1.0, 0.0], 0.3),))
-    sys_cl = const_system([1.0, 0.0])
-    mc = mc_ground_truth(sys_cl, initial, obstacle, horizon=1.0, dt=0.1, num_samples=50,
-                         num_disturbance_draws=0, seed=0)
-    assert not mc.safe.all()
-    with pytest.raises(ValueError, match="include_zero_draw"):
-        mc_ground_truth(sys_cl, initial, obstacle, horizon=1.0, dt=0.1, num_samples=50,
-                        num_disturbance_draws=0, include_zero_draw=False, seed=0)
 
 
 def test_mc_builds_disturbances_only_for_running_starts(monkeypatch):
@@ -242,7 +216,27 @@ def test_mc_rejects_bad_args():
     sys_cl = const_system([0.0, 0.0])
     with pytest.raises(ValueError):
         mc_ground_truth(sys_cl, initial, initial, horizon=1.0, dt=0.1, num_samples=0)
-    with pytest.raises(ValueError):
-        rollout(sys_cl, [0.0, 0.0], horizon=1.0, dt=0.0)
-    with pytest.raises(ValueError):
-        rollout(sys_cl, [0.0, 0.0], horizon=1.0, dt=0.1, disturbance_strategy="bogus")
+
+
+@pytest.mark.parametrize(
+    "horizon,dt",
+    [(0.04, 0.1), (0.05, 0.1), (1.0, 0.0), (1.0, -0.1), (-1.0, 0.1),
+     (np.inf, 0.1), (1.0, np.nan), (1.0, np.inf)],
+)
+def test_mc_without_a_step_raises(horizon, dt):
+    # No step would run, and a run without a step calls every start that
+    # is not already inside an obstacle safe.
+    initial = ShapeSet((Ball([0.0, 0.0], 0.5),))
+    obstacle = ShapeSet((Ball([1.0, 0.0], 0.3),))
+    with pytest.raises(ValueError, match="horizon|dt"):
+        mc_ground_truth(const_system([1.0, 0.0]), initial, obstacle, horizon=horizon, dt=dt,
+                        num_samples=20, num_disturbance_draws=1)
+
+
+def test_mc_one_step_horizon_runs_the_step():
+    # A horizon of just over half a step rounds up to one step.
+    initial = ShapeSet((Ball([0.0, 0.0], 0.05),))
+    obstacle = ShapeSet((Ball([1.0, 0.0], 0.3),))
+    mc = mc_ground_truth(const_system([10.0, 0.0]), initial, obstacle, horizon=0.06, dt=0.1,
+                         num_samples=20, num_disturbance_draws=0)
+    assert not mc.safe.any()
