@@ -49,7 +49,6 @@ from .dynamics import (
     LearnedPlant,
     MlpPolicy,
     Policy,
-    TabulatedPolicy,
     load_policy,
     nominal_rate_batch,
     save_policy,

@@ -129,7 +129,9 @@ def _train_run_config(config: dict):
 class RunConfig:
     """A verify, safe-set or oracle config (keys: ``_RUN_KEYS``), or the
     ``mc`` block of a safe-set config (keys: ``_MC_KEYS``).  ``policy`` is
-    a policy file or an inline policy; without ``bounds`` the box is zero."""
+    a policy file or an inline policy; without ``bounds`` the box is zero.
+    ``horizon`` and ``dt`` are checked where a rollout runs: in ``oracle``
+    and ``safe-set --compare-mc``."""
 
     scene: str | None = None
     env: str = TrainRunConfig.env
@@ -146,7 +148,6 @@ class RunConfig:
     draws: int = 16
 
     def __post_init__(self):
-        _step_count(self.horizon, self.dt)
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
         if self.draws < 0:
@@ -297,6 +298,11 @@ def cmd_verify(args) -> int:
 def cmd_safe_set(args) -> int:
     cfg, seed, scene, sys_cl, prov = _run_inputs(args)
     solver_cfg, mc_cfg = _tube_configs(cfg)
+    if args.compare_mc:
+        try:
+            _step_count(mc_cfg.horizon, mc_cfg.dt)
+        except ValueError as exc:
+            raise ValueError(f"the 'mc' block: {exc}") from None
 
     out = args.out
     os.makedirs(out, exist_ok=True)

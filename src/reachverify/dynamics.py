@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .error_bounds import DisturbanceBounds
-from .geometry import Grid, ScalarField, interpolate_many
 from .nn import MlpModel, forward_batch, load_model, save_model
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "Policy",
     "ConstantPolicy",
     "MlpPolicy",
-    "TabulatedPolicy",
     "LearnedPlant",
     "LandPlant",
     "AirPlant",
@@ -106,28 +104,6 @@ class MlpPolicy(Policy):
 
     def _raw(self, states):
         return forward_batch(self.model, states)
-
-
-class TabulatedPolicy(Policy):
-    """Per-node action table with multilinear interpolation between nodes."""
-
-    def __init__(self, grid: Grid, table: np.ndarray, bounds: ActionBounds):
-        super().__init__(bounds)
-        table = np.asarray(table, dtype=float)
-        if table.shape != (*grid.counts, bounds.dims):
-            raise ValueError(
-                f"action table shape {table.shape} does not match grid {grid.counts} "
-                f"with {bounds.dims} action components"
-            )
-        self.grid = grid
-        self.table = table
-        self._fields = [
-            ScalarField(grid, table[..., j]) for j in range(bounds.dims)
-        ]
-
-    def _raw(self, states):
-        cols = [interpolate_many(f, states) for f in self._fields]
-        return np.stack(cols, axis=1)
 
 
 # ---------------------------------------------------------------------------

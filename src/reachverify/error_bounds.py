@@ -35,8 +35,6 @@ class ResidualStats:
 
     mean: np.ndarray
     sd: np.ndarray
-    min: np.ndarray
-    max: np.ndarray
     count: int
 
     def __post_init__(self):
@@ -98,8 +96,6 @@ def residuals(model: MlpModel, validation: TransitionDataset) -> ResidualStats:
     return ResidualStats(
         mean=r.mean(axis=0),
         sd=r.std(axis=0),
-        min=r.min(axis=0),
-        max=r.max(axis=0),
         count=len(r),
     )
 

@@ -1,8 +1,8 @@
 """Minimal feed-forward network engine built on numpy.
 
-Covers everything the verification pipeline needs from a network: batched
-forward evaluation with an optionally bounded output (``c * tanh``, which
-confines every output component to ``[-c, c]`` by construction), supervised
+Every network has one form: tanh hidden layers and a bounded output head
+``c * tanh``, which confines every output component to ``[-c, c]`` by
+construction.  The module covers batched forward evaluation, supervised
 training with analytic backpropagation and Adam updates, and a JSON weight
 format whose floats round-trip exactly.
 
@@ -57,11 +57,6 @@ __all__ = [
     "load_dataset",
 ]
 
-_HIDDEN_ACTS = ("tanh", "sigmoid", "relu")
-
-_OUTPUT_ACTS = ("tanh", "linear")
-
-
 def json_value(tp, value, key: str):
     """``value``, read from a JSON file, checked as a ``tp``: an int may stand
     for a float and a list for a tuple, but a bool or a string is never a
@@ -78,36 +73,6 @@ def json_value(tp, value, key: str):
             return value
     names = " or ".join("null" if t is type(None) else t.__name__ for t in options)
     raise ValueError(f"{key} must be {names}, not {json.dumps(value)}")
-
-
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    """Apply a hidden activation to ``z`` in place and return it."""
-    if name == "tanh":
-        return np.tanh(z, out=z)
-    if name == "sigmoid":
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        z += 1.0
-        return np.divide(1.0, z, out=z)
-    if name == "relu":
-        return np.maximum(z, 0.0, out=z)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _times_activate_deriv(name: str, delta: np.ndarray, a: np.ndarray) -> None:
-    # delta *= activation derivative w.r.t. the preactivation, given
-    # a = activate(z); overwrites a.
-    if name == "tanh":
-        np.multiply(a, a, out=a)
-        np.subtract(1.0, a, out=a)
-    elif name == "sigmoid":
-        d = 1.0 - a
-        a *= d
-    elif name == "relu":
-        a = a > 0.0
-    else:
-        raise ValueError(f"unknown activation {name!r}")
-    delta *= a
 
 
 @dataclass(frozen=True)
@@ -133,19 +98,18 @@ class ModelMeta:
 
 @dataclass(frozen=True)
 class MlpModel:
-    """Layered feed-forward network with a bounded or linear output head.
+    """Layered feed-forward network with tanh hidden layers and a bounded
+    output head.
 
-    ``weights[i]`` has shape ``(layer_sizes[i], layer_sizes[i+1])``; the
-    forward pass is ``h @ W + b``.  With a ``tanh`` output head the result
-    is ``output_scale * tanh(z)``, so each output component lies in
-    ``[-output_scale_i, output_scale_i]`` for any input.
+    ``weights[i]`` has shape ``(layer_sizes[i], layer_sizes[i+1])``; each
+    layer computes ``z = h @ W + b``, a hidden layer passes on ``tanh(z)``
+    and the output layer returns ``output_scale * tanh(z)``, so each output
+    component lies in ``[-output_scale_i, output_scale_i]`` for any input.
     """
 
     layer_sizes: tuple
     weights: tuple
     biases: tuple
-    hidden_activation: str
-    output_activation: str
     output_scale: np.ndarray
     meta: ModelMeta
 
@@ -153,10 +117,6 @@ class MlpModel:
         sizes = tuple(int(s) for s in self.layer_sizes)
         if len(sizes) < 2 or any(s <= 0 for s in sizes):
             raise ValueError(f"invalid layer sizes {sizes}")
-        if self.hidden_activation not in _HIDDEN_ACTS:
-            raise ValueError(f"hidden activation must be one of {_HIDDEN_ACTS}")
-        if self.output_activation not in _OUTPUT_ACTS:
-            raise ValueError(f"output activation must be one of {_OUTPUT_ACTS}")
         weights = tuple(np.asarray(w, dtype=float) for w in self.weights)
         biases = tuple(np.asarray(b, dtype=float) for b in self.biases)
         if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
@@ -211,11 +171,8 @@ def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
             z = out[start:stop] if i == last else hidden[i][: stop - start]
             np.matmul(h, w, out=z)
             z += b
-            if i < last:
-                h = _activate(model.hidden_activation, z)
-            elif model.output_activation == "tanh":
-                np.tanh(z, out=z)
-                z *= model.output_scale
+            h = np.tanh(z, out=z)
+        h *= model.output_scale
     return out
 
 
@@ -230,7 +187,6 @@ class TransitionDataset:
     states: np.ndarray
     actions: np.ndarray
     deltas: np.ndarray
-    split: str | None = None
 
     def __post_init__(self):
         s = np.asarray(self.states, dtype=float)
@@ -274,11 +230,9 @@ def split_dataset(
         raise ValueError("dataset too small to split")
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    train = TransitionDataset(
-        data.states[train_idx], data.actions[train_idx], data.deltas[train_idx], split="train"
-    )
-    val = TransitionDataset(
-        data.states[val_idx], data.actions[val_idx], data.deltas[val_idx], split="validation"
+    train, val = (
+        TransitionDataset(data.states[idx], data.actions[idx], data.deltas[idx])
+        for idx in (train_idx, val_idx)
     )
     return train, val
 
@@ -290,8 +244,6 @@ def split_dataset(
 @dataclass(frozen=True)
 class TrainingConfig:
     hidden_sizes: tuple[int, ...] = (32, 32)
-    hidden_activation: str = "tanh"
-    output_activation: str = "tanh"
     learning_rate: float = 1e-3
     batch_size: int = 64
     epochs: int = 500
@@ -334,7 +286,7 @@ def _init_params(sizes, rng) -> np.ndarray:
     return theta
 
 
-def _loss_and_grads(weights, biases, hidden_act, output_act, scale, X, Y, grads_w, grads_b):
+def _loss_and_grads(weights, biases, scale, X, Y, grads_w, grads_b):
     """Mean over rows of the squared error norm.
 
     Writes the parameter gradients into ``grads_w`` and ``grads_b``, arrays
@@ -343,37 +295,33 @@ def _loss_and_grads(weights, biases, hidden_act, output_act, scale, X, Y, grads_
     n = len(X)
     last = len(weights) - 1
     acts = [X]
-    for i, (w, b) in enumerate(zip(weights, biases)):
+    for w, b in zip(weights, biases):
         z = acts[-1] @ w
         z += b
-        if i < last:
-            acts.append(_activate(hidden_act, z))
-        elif output_act == "tanh":
-            t = np.tanh(z, out=z)
-            err = scale * t
-        else:
-            err = z
+        acts.append(np.tanh(z, out=z))
+    err = scale * acts[-1]
     err -= Y
     # Mean over rows of the row sums, as np.mean(np.sum(., axis=1)) adds
     # them, without the wrappers' per-call overhead.
     loss = float(np.add.reduce(np.add.reduce(err * err, axis=1))) / n
 
-    # delta = dLoss/dz of the output layer: 2 err / n, times scale (1 - t^2)
-    # through a tanh head.
+    # delta = dLoss/dz of each layer, from the top: 2 err / n times the
+    # head's scale at the output, the next layer's delta @ W.T below it,
+    # and at every layer times tanh' = 1 - a^2 of its output a, computed
+    # in a's buffer.
     err *= 2.0
     err /= n
-    if output_act == "tanh":
-        err *= scale
-        np.multiply(t, t, out=t)
-        np.subtract(1.0, t, out=t)
-        err *= t
+    err *= scale
     delta = err
     for i in range(last, -1, -1):
+        a = acts[i + 1]
+        np.multiply(a, a, out=a)
+        np.subtract(1.0, a, out=a)
+        delta *= a
         np.matmul(acts[i].T, delta, out=grads_w[i])
         np.add.reduce(delta, axis=0, out=grads_b[i])
         if i > 0:
             delta = delta @ weights[i].T
-            _times_activate_deriv(hidden_act, delta, acts[i])
     return loss
 
 
@@ -387,8 +335,6 @@ def loss_and_gradient(model: MlpModel, X: np.ndarray, Y: np.ndarray):
     loss = _loss_and_grads(
         model.weights,
         model.biases,
-        model.hidden_activation,
-        model.output_activation,
         model.output_scale,
         np.asarray(X, dtype=float),
         np.asarray(Y, dtype=float),
@@ -443,9 +389,8 @@ def fit_mlp(
         batch_losses = []
         for start in range(0, n, batch):
             loss = _loss_and_grads(
-                weights, biases, config.hidden_activation, config.output_activation,
-                scale, X_epoch[start : start + batch], Y_epoch[start : start + batch],
-                grads_w, grads_b,
+                weights, biases, scale, X_epoch[start : start + batch],
+                Y_epoch[start : start + batch], grads_w, grads_b,
             )
             if not math.isfinite(loss):
                 raise RuntimeError(
@@ -477,8 +422,6 @@ def fit_mlp(
         layer_sizes=sizes,
         weights=tuple(w.copy() for w in weights),
         biases=tuple(b.copy() for b in biases),
-        hidden_activation=config.hidden_activation,
-        output_activation=config.output_activation,
         output_scale=scale,
         meta=meta,
     )
@@ -488,7 +431,6 @@ def fit_mlp(
 @dataclass(frozen=True)
 class DynamicsTrainResult:
     model: MlpModel
-    train: TransitionDataset
     validation: TransitionDataset
     epoch_losses: list
     validation_error: float
@@ -514,15 +456,12 @@ def train_dynamics_model(
     scale = np.maximum(
         config.scale_margin * np.max(np.abs(train.deltas), axis=0), 1e-6
     )
-    if config.output_activation == "linear":
-        scale = np.ones(train.n_state)
     meta = ModelMeta(n_state=train.n_state, n_action=train.n_action, dt_env=dt_env)
     model, losses = fit_mlp(train.inputs(), train.deltas, config, scale, meta)
     val_err = prediction_error(model, val)
     baseline = float(np.mean(np.sum(val.deltas ** 2, axis=1)))
     return DynamicsTrainResult(
         model=model,
-        train=train,
         validation=val,
         epoch_losses=losses,
         validation_error=val_err,
@@ -535,11 +474,14 @@ def train_dynamics_model(
 # ---------------------------------------------------------------------------
 
 def save_model(model: MlpModel, path) -> None:
-    """Write the model as JSON; floats use shortest exact decimal form."""
+    """Write the model as JSON; floats use shortest exact decimal form.
+
+    Both activation names are written as ``"tanh"``, the one network form,
+    so :func:`load_model` can refuse a file of any other form."""
     doc = {
         "layer_sizes": list(model.layer_sizes),
-        "hidden_activation": model.hidden_activation,
-        "output_activation": model.output_activation,
+        "hidden_activation": "tanh",
+        "output_activation": "tanh",
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
         "output_scale": model.output_scale.tolist(),
@@ -552,19 +494,20 @@ def save_model(model: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     """Load a model written by :func:`save_model`; ``load(save(m))`` is exact.
 
-    Raises ``ValueError`` for malformed files or weight shapes that do not
-    chain with the declared layer sizes.
+    Raises ``ValueError`` for malformed files, weight shapes that do not
+    chain with the declared layer sizes, or an activation other than tanh.
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
+        for key in ("hidden_activation", "output_activation"):
+            if json_value(str, doc[key], key) != "tanh":
+                raise ValueError(f'{key} must be "tanh", not {json.dumps(doc[key])}')
         floats = tuple[float, ...]
         return MlpModel(
             layer_sizes=json_value(tuple[int, ...], doc["layer_sizes"], "layer_sizes"),
             weights=json_value(tuple[tuple[floats, ...], ...], doc["weights"], "weights"),
             biases=json_value(tuple[floats, ...], doc["biases"], "biases"),
-            hidden_activation=json_value(str, doc["hidden_activation"], "hidden_activation"),
-            output_activation=json_value(str, doc["output_activation"], "output_activation"),
             output_scale=json_value(floats | float, doc["output_scale"], "output_scale"),
             meta=ModelMeta.from_dict(doc["meta"]),
         )

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dynamics import ActionBounds, ConstantPolicy, TabulatedPolicy
+from .dynamics import ActionBounds, ConstantPolicy
 from .geometry import (
     AxisBox,
     AxisCylinder,
@@ -177,41 +177,16 @@ def scene_from_dict(doc: dict) -> Scene:
     )
 
 
-def policy_to_dict(policy) -> dict:
-    """Inline JSON form for the non-network policy kinds."""
-    if isinstance(policy, ConstantPolicy):
-        return {
-            "kind": "constant",
-            "action": policy.action.tolist(),
-            "action_lo": policy.bounds.lo.tolist(),
-            "action_hi": policy.bounds.hi.tolist(),
-        }
-    if isinstance(policy, TabulatedPolicy):
-        return {
-            "kind": "tabulated",
-            "grid": _grid_to_dict(policy.grid),
-            "table": policy.table.tolist(),
-            "action_lo": policy.bounds.lo.tolist(),
-            "action_hi": policy.bounds.hi.tolist(),
-        }
-    raise ValueError(f"cannot inline policy of type {type(policy).__name__}; "
-                     "network policies use the model file format")
-
-
 def policy_from_dict(d: dict):
-    """The policy of a :func:`policy_to_dict` object, its values type-checked."""
+    """The policy of an inline policy object, its values type-checked; the
+    one inline kind is ``{"kind": "constant", "action", "action_lo",
+    "action_hi"}``, and network policies are model files."""
     floats = tuple[float, ...]
     bounds = ActionBounds(json_value(floats, d["action_lo"], "action_lo"),
                           json_value(floats, d["action_hi"], "action_hi"))
     kind = json_value(str, d.get("kind"), "kind")
     if kind == "constant":
         return ConstantPolicy(json_value(floats, d["action"], "action"), bounds)
-    if kind == "tabulated":
-        grid = _grid_from_dict(d["grid"])
-        table = float  # nested one level per grid axis, then the action
-        for _ in range(grid.dims + 1):
-            table = tuple[table, ...]
-        return TabulatedPolicy(grid, json_value(table, d["table"], "table"), bounds)
     raise ValueError(f"unknown policy kind {kind!r}")
 
 

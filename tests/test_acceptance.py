@@ -171,8 +171,6 @@ def test_criterion_06_gradient_checks():
 
         m = MlpModel(
             layer_sizes=model.layer_sizes, weights=tuple(weights), biases=tuple(biases),
-            hidden_activation=model.hidden_activation,
-            output_activation=model.output_activation,
             output_scale=model.output_scale, meta=model.meta,
         )
         return loss_and_gradient(m, X, Y)[0]

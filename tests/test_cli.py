@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -17,7 +18,14 @@ from reachverify.cli import _write_ground_truth, main
 from reachverify.dynamics import ActionBounds, MlpPolicy, save_policy
 from reachverify.error_bounds import DisturbanceBounds, save_bounds
 from reachverify.geometry import AxisBox, AxisCylinder, Ball, ScalarField, ShapeSet, build_grid
-from reachverify.nn import MlpModel, ModelMeta, TransitionDataset, save_dataset, save_model
+from reachverify.nn import (
+    MlpModel,
+    ModelMeta,
+    TrainingConfig,
+    TransitionDataset,
+    save_dataset,
+    save_model,
+)
 from reachverify.scene import (
     Scene,
     air_scene,
@@ -37,8 +45,6 @@ def write_zero_model(path, n_state=2, n_action=2, dt=0.1):
         layer_sizes=(n_in, 4, n_state),
         weights=(np.zeros((n_in, 4)), np.zeros((4, n_state))),
         biases=(np.zeros(4), np.zeros(n_state)),
-        hidden_activation="tanh",
-        output_activation="tanh",
         output_scale=np.ones(n_state),
         meta=ModelMeta(n_state=n_state, n_action=n_action, dt_env=dt),
     )
@@ -52,8 +58,6 @@ def write_zero_policy(path, n_state=2, n_action=2):
         layer_sizes=(n_state, 4, n_action),
         weights=(np.zeros((n_state, 4)), np.zeros((4, n_action))),
         biases=(np.zeros(4), np.zeros(n_action)),
-        hidden_activation="tanh",
-        output_activation="tanh",
         output_scale=np.ones(n_action),
         meta=ModelMeta(n_state=n_state, n_action=n_action, dt_env=0.1, role="policy"),
     )
@@ -166,17 +170,22 @@ def test_corrupt_model_exits_config_error(tmp_path):
         ("model.json", lambda d: d["weights"][0][0].__setitem__(0, "0.25"), "weights"),
         ("model.json", lambda d: d["biases"][0].__setitem__(0, True), "biases"),
         ("model.json", lambda d: d["output_scale"].__setitem__(0, "1"), "output_scale"),
+        # every network is tanh with a c * tanh head; another form is refused
+        ("model.json", lambda d: d.update(hidden_activation="relu"), "hidden_activation"),
+        ("policy.json", lambda d: d.update(output_activation="linear"), "output_activation"),
     ],
 )
 def test_wrongly_typed_artifact_exits_config_error(tmp_path, capsys, file, edit, key):
     # Scene, model, policy and bounds files are not coerced: a string, a
-    # bool or a float where an int is due stops the run and names the key.
+    # bool or a float where an int is due stops the run and names the file
+    # and the key.
     cfg = verify_config(tmp_path, make_scene(tmp_path, [0.8, 0.8], 0.1))
     doc = json.loads((tmp_path / file).read_text())
     edit(doc)
     (tmp_path / file).write_text(json.dumps(doc))
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(tmp_path / file) in err and key in err
 
 
 def test_nonfinite_model_exits_numerical_failure(tmp_path):
@@ -250,6 +259,19 @@ def test_mc_plant_defaults_to_the_run_env(tmp_path):
     assert main(["safe-set", "--config", str(cfg), "--out", str(out), "--compare-mc"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["mc_comparison"]["num_samples"] == 20
+
+
+@pytest.mark.parametrize("command", ["verify", "safe-set"])
+def test_short_solver_horizon_needs_no_mc_step(tmp_path, command):
+    # The mc horizon defaults to the solver's, here under half a dt step;
+    # only a Monte-Carlo rollout needs a step, and these runs roll out none.
+    doc = json.loads(verify_config(tmp_path, make_scene(tmp_path, [0.8, 0.8], 0.1)).read_text())
+    doc["solver"]["horizon"] = 0.04
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "report.json").exists()
 
 
 def test_verify_with_inline_constant_policy(tmp_path):
@@ -551,6 +573,16 @@ def test_readme_gives_the_solver_defaults():
     assert int(found[3]) == defaults.snapshot_stride
 
 
+def test_readme_train_config_table_lists_the_training_keys():
+    # The README's train-config defaults table names, in its training row,
+    # every key a training block accepts: the TrainingConfig fields but seed.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    row = re.search(r"^\| `training` \| ([^|]*) \|", readme, re.M)
+    assert row, "README lost the training row of the train-config table"
+    fields = {f.name for f in dataclasses.fields(TrainingConfig)} - {"seed"}
+    assert set(re.findall(r"`(\w+)`", row[1])) == fields
+
+
 def test_readme_run_config_table_lists_the_keys():
     # The README's verify / safe-set / oracle key table has one row per key
     # a run config accepts, and its mc row names the mc block's keys.
@@ -601,6 +633,8 @@ def test_unknown_solver_key_exits_config_error(tmp_path, capsys, solver, key):
         ({"mpc": {"horizon": 0}}, "horizon"),
         ({"mpc": {"candidates": 0}}, "candidates"),
         ({"distill_states": 99}, "distill_states"),
+        # the one network form has no activation keys
+        ({"training": {"hidden_activation": "tanh"}}, "hidden_activation"),
     ],
 )
 def test_unknown_training_key_exits_config_error(tmp_path, monkeypatch, capsys, config, key):
@@ -693,12 +727,12 @@ def run_argv(command, cfg, out):
         # inline policies are decoded like files
         ("verify", {"policy": {"kind": "constant", "action": [True, 0.3],
                                "action_lo": [-1, -1], "action_hi": [1, 1]}}, "action"),
+        ("verify", {"policy": {"action": [0.3, 0.3], "action_lo": [-1, -1],
+                               "action_hi": [1, 1]}}, "kind"),
+        # constant is the one inline kind
         ("verify", {"policy": {"kind": "tabulated", "action_lo": [-1, -1], "action_hi": [1, 1],
                                "grid": {"lo": [-1, -1], "hi": [1, 1], "counts": [3, 3]},
-                               "table": [[[0.0, 0.0]] * 3, [[0.0, 0.0]] * 3,
-                                         [[0.0, 0.0]] * 2 + [["0.5", 0.0]]]}}, "table"),
-        ("verify", {"policy": {"kind": "tabulated", "action_lo": [-1, -1], "action_hi": [1, 1],
-                               "grid": [3, 3], "table": []}}, "grid"),
+                               "table": [[[0.0, 0.0]] * 3] * 3}}, "unknown policy kind"),
         # a Monte-Carlo horizon under half a dt step would integrate nothing
         ("oracle", {"horizon": 0.04, "dt": 0.1}, "horizon"),
         ("safe-set", {"mc": {"plant": "learned", "horizon": 0.04}}, "horizon"),

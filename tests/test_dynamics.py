@@ -9,13 +9,12 @@ from reachverify.dynamics import (
     LandPlant,
     LearnedPlant,
     MlpPolicy,
-    TabulatedPolicy,
+    Policy,
     load_policy,
     nominal_rate_batch,
     save_policy,
 )
 from reachverify.error_bounds import DisturbanceBounds
-from reachverify.geometry import build_grid
 from reachverify.nn import MlpModel, ModelMeta, forward_batch
 from reference import nominal_rate, rate
 
@@ -27,8 +26,6 @@ def small_model(rng, n_state=2, n_action=2, dt=0.1):
         layer_sizes=sizes,
         weights=tuple(rng.normal(size=(a, b)) * 0.5 for a, b in zip(sizes[:-1], sizes[1:])),
         biases=tuple(rng.normal(size=b) * 0.1 for b in sizes[1:]),
-        hidden_activation="tanh",
-        output_activation="tanh",
         output_scale=np.full(n_state, 0.2),
         meta=ModelMeta(n_state=n_state, n_action=n_action, dt_env=dt),
     )
@@ -58,8 +55,6 @@ def test_zero_weight_model_rate_equals_disturbance():
         layer_sizes=(4, 3, 2),
         weights=(np.zeros((4, 3)), np.zeros((3, 2))),
         biases=(np.zeros(3), np.zeros(2)),
-        hidden_activation="tanh",
-        output_activation="tanh",
         output_scale=np.ones(2),
         meta=ModelMeta(n_state=2, n_action=2, dt_env=0.1),
     )
@@ -116,8 +111,6 @@ def test_policy_determinism_bitwise():
         layer_sizes=(2, 8, 2),
         weights=(rng.normal(size=(2, 8)), rng.normal(size=(8, 2))),
         biases=(rng.normal(size=8), rng.normal(size=2)),
-        hidden_activation="tanh",
-        output_activation="tanh",
         output_scale=np.array([1.0, np.pi]),
         meta=ModelMeta(n_state=2, n_action=2, dt_env=0.1, role="policy"),
     )
@@ -138,8 +131,6 @@ def test_policy_clipping():
         layer_sizes=(2, 6, 2),
         weights=(rng.normal(size=(2, 6)) * 3, rng.normal(size=(6, 2)) * 3),
         biases=(rng.normal(size=6), rng.normal(size=2)),
-        hidden_activation="tanh",
-        output_activation="tanh",
         output_scale=np.array([2.0, 2.0]),  # wider than the box on purpose
         meta=ModelMeta(n_state=2, n_action=2, dt_env=0.1, role="policy"),
     )
@@ -147,15 +138,6 @@ def test_policy_clipping():
     states = rng.uniform(-3, 3, size=(1000, 2))
     acts = mlp_pol.batch(states)
     assert np.all(acts >= bounds.lo) and np.all(acts <= bounds.hi)
-
-
-def test_tabulated_policy_interpolates():
-    grid = build_grid([0, 0], [1, 1], [3, 3])
-    table = np.zeros((3, 3, 1))
-    table[..., 0] = grid.node_points()[..., 0]  # action = x coordinate
-    pol = TabulatedPolicy(grid, table, ActionBounds([-2.0], [2.0]))
-    actions = pol.batch(np.array([[0.5, 0.5], [0.25, 0.9]]))
-    assert actions[:, 0] == pytest.approx([0.5, 0.25])
 
 
 def test_rate_rejects_out_of_bounds_disturbance():
@@ -166,20 +148,28 @@ def test_rate_rejects_out_of_bounds_disturbance():
         rate(sys_cl, [0.0, 0.0], [0.05, 0.05, 0.05])
 
 
-def _tabulated_system(plant, upper):
-    # A closed loop of an analytic plant under a random action table.
+class _WavePolicy(Policy):
+    """Each action component a smooth function of the matching state
+    coordinate alone, computed elementwise, so a row's action does not
+    depend on the rows batched with it."""
+
+    def _raw(self, states):
+        return self.bounds.hi * np.sin(3.0 * states + 0.5)
+
+
+def _wave_system(plant, upper):
+    # A closed loop of an analytic plant under a state-dependent policy
+    # whose actions sweep the whole box, clipping at neither end.
     upper = np.asarray(upper, dtype=float)
     n = len(upper)
-    grid = build_grid(-np.ones(n), np.ones(n), [5] * n)
-    table = np.random.default_rng(8).uniform(-upper, upper, size=(*grid.counts, n))
-    policy = TabulatedPolicy(grid, table, ActionBounds(-upper, upper))
+    policy = _WavePolicy(ActionBounds(-upper, upper))
     return ClosedLoopSystem(plant, policy, DisturbanceBounds.zero(n))
 
 
 def test_nominal_rate_batch_matches_single():
     systems = {
-        "land": _tabulated_system(LandPlant(), [1.0, np.pi]),
-        "air": _tabulated_system(AirPlant(), [1.0, np.pi, 1.0]),
+        "land": _wave_system(LandPlant(), [1.0, np.pi]),
+        "air": _wave_system(AirPlant(), [1.0, np.pi, 1.0]),
         "learned": learned_system(np.random.default_rng(8))[0],
     }
     rng = np.random.default_rng(9)
@@ -202,8 +192,6 @@ def test_policy_save_load_round_trip(tmp_path):
         layer_sizes=(2, 8, 2),
         weights=(rng.normal(size=(2, 8)), rng.normal(size=(8, 2))),
         biases=(rng.normal(size=8), rng.normal(size=2)),
-        hidden_activation="tanh",
-        output_activation="tanh",
         output_scale=np.array([1.0, np.pi]),
         meta=ModelMeta(n_state=2, n_action=2, dt_env=0.1, role="policy"),
     )

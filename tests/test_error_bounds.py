@@ -20,8 +20,6 @@ def zero_model(n_state=2, n_action=1):
         layer_sizes=(n_in, 4, n_state),
         weights=(np.zeros((n_in, 4)), np.zeros((4, n_state))),
         biases=(np.zeros(4), np.zeros(n_state)),
-        hidden_activation="tanh",
-        output_activation="tanh",
         output_scale=np.ones(n_state),
         meta=ModelMeta(n_state=n_state, n_action=n_action, dt_env=0.1),
     )
@@ -50,10 +48,7 @@ def test_plus_minus_one_residuals():
 
 
 def test_k_sigma_arithmetic():
-    stats = ResidualStats(
-        mean=np.zeros(2), sd=np.array([0.001, 0.002]),
-        min=np.zeros(2), max=np.zeros(2), count=10,
-    )
+    stats = ResidualStats(mean=np.zeros(2), sd=np.array([0.001, 0.002]), count=10)
     b = k_sigma_bounds(stats, k=3.0, dt_env=0.1)
     assert np.allclose(b.upper, [0.03, 0.06])
     assert np.allclose(b.lower, [-0.03, -0.06])
@@ -61,10 +56,7 @@ def test_k_sigma_arithmetic():
 
 
 def test_k_sigma_degenerate_sd():
-    stats = ResidualStats(
-        mean=np.array([0.004, -0.002]), sd=np.zeros(2),
-        min=np.zeros(2), max=np.zeros(2), count=5,
-    )
+    stats = ResidualStats(mean=np.array([0.004, -0.002]), sd=np.zeros(2), count=5)
     b = k_sigma_bounds(stats, k=3.0, dt_env=0.1)
     assert np.allclose(b.upper, [0.04, 0.02])
 
@@ -73,10 +65,7 @@ def test_gaussian_coverage_at_three_sigma():
     # Oracle: direct counting on a large seeded sample.
     rng = np.random.default_rng(123)
     rows = rng.normal(scale=[0.01, 0.03], size=(100_000, 2))
-    stats = ResidualStats(
-        mean=rows.mean(axis=0), sd=rows.std(axis=0),
-        min=rows.min(axis=0), max=rows.max(axis=0), count=len(rows),
-    )
+    stats = ResidualStats(mean=rows.mean(axis=0), sd=rows.std(axis=0), count=len(rows))
     b = k_sigma_bounds(stats, k=3.0, dt_env=0.1)
     assert coverage_check(b, rows) >= 0.99
 
@@ -92,10 +81,7 @@ def test_coverage_extremes():
 
 
 def test_bounds_monotone_in_k():
-    stats = ResidualStats(
-        mean=np.array([0.001, 0.0]), sd=np.array([0.01, 0.02]),
-        min=np.zeros(2), max=np.zeros(2), count=10,
-    )
+    stats = ResidualStats(mean=np.array([0.001, 0.0]), sd=np.array([0.01, 0.02]), count=10)
     b1 = k_sigma_bounds(stats, k=1.0, dt_env=0.1)
     b2 = k_sigma_bounds(stats, k=2.5, dt_env=0.1)
     assert np.all(b1.upper <= b2.upper)
@@ -115,10 +101,7 @@ def test_residual_scaling_scales_bounds():
     lam = 3.7
 
     def make_bounds(r):
-        stats = ResidualStats(
-            mean=r.mean(axis=0), sd=r.std(axis=0),
-            min=r.min(axis=0), max=r.max(axis=0), count=len(r),
-        )
+        stats = ResidualStats(mean=r.mean(axis=0), sd=r.std(axis=0), count=len(r))
         return k_sigma_bounds(stats, k=3.0, dt_env=0.1)
 
     b1 = make_bounds(rows)
@@ -164,9 +147,6 @@ def test_bounds_reject_nonfinite_entries(upper, lower):
 
 def test_stats_validation():
     with pytest.raises(ValueError):
-        ResidualStats(mean=np.zeros(2), sd=np.zeros(2), min=np.zeros(2), max=np.zeros(2), count=1)
+        ResidualStats(mean=np.zeros(2), sd=np.zeros(2), count=1)
     with pytest.raises(ValueError):
-        ResidualStats(
-            mean=np.zeros(2), sd=np.array([-0.1, 0.0]),
-            min=np.zeros(2), max=np.zeros(2), count=5,
-        )
+        ResidualStats(mean=np.zeros(2), sd=np.array([-0.1, 0.0]), count=5)

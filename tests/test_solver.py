@@ -169,8 +169,6 @@ def test_dissipation_dominates_learned_rates_everywhere():
         layer_sizes=sizes,
         weights=tuple(rng.normal(size=(a, b)) for a, b in zip(sizes[:-1], sizes[1:])),
         biases=tuple(rng.normal(size=b) for b in sizes[1:]),
-        hidden_activation="tanh",
-        output_activation="tanh",
         output_scale=np.array([0.15, 0.15]),
         meta=ModelMeta(n_state=2, n_action=2, dt_env=0.1),
     )
@@ -467,8 +465,6 @@ def test_long_run_stability():
         layer_sizes=sizes,
         weights=tuple(rng.normal(size=(a, b)) for a, b in zip(sizes[:-1], sizes[1:])),
         biases=tuple(rng.normal(size=b) for b in sizes[1:]),
-        hidden_activation="tanh",
-        output_activation="tanh",
         output_scale=np.array([0.1, 0.1]),
         meta=ModelMeta(n_state=2, n_action=2, dt_env=0.1),
     )
@@ -728,8 +724,6 @@ def _random_net(sizes, rng, meta, scale):
         layer_sizes=tuple(sizes),
         weights=tuple(rng.normal(size=(a, b)) for a, b in zip(sizes[:-1], sizes[1:])),
         biases=tuple(rng.normal(size=b) for b in sizes[1:]),
-        hidden_activation="tanh",
-        output_activation="tanh",
         output_scale=np.full(sizes[-1], scale),
         meta=meta,
     )

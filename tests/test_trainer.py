@@ -21,18 +21,26 @@ from reachverify.trainer import (
 LAND_BOUNDS = default_action_bounds("true_land")
 
 
+# The head c * tanh(x / c) of a wide scale c: within 1e-7 of x for |x| < 0.4.
+HEAD_SCALE = 1e3
+
+
+def linear_delta(actions, gain=0.1):
+    """The delta linear_delta_model predicts: HEAD_SCALE * tanh(gain * a / HEAD_SCALE)."""
+    return HEAD_SCALE * np.tanh(actions * (gain / HEAD_SCALE))
+
+
 def linear_delta_model(gain=0.1):
-    """Hand-built model predicting delta = gain * action, exactly linear."""
+    """Hand-built one-layer model predicting delta = linear_delta(action),
+    nearly gain * action."""
     w1 = np.zeros((4, 2))
-    w1[2, 0] = gain
-    w1[3, 1] = gain
+    w1[2, 0] = gain / HEAD_SCALE
+    w1[3, 1] = gain / HEAD_SCALE
     return MlpModel(
         layer_sizes=(4, 2),
         weights=(w1,),
         biases=(np.zeros(2),),
-        hidden_activation="tanh",
-        output_activation="linear",
-        output_scale=np.ones(2),
+        output_scale=np.full(2, HEAD_SCALE),
         meta=ModelMeta(n_state=2, n_action=2, dt_env=0.1),
     )
 
@@ -106,7 +114,7 @@ def test_mpc_argmax_property():
         s = state.copy()
         total = 0.0
         for t in range(5):
-            s = s + 0.1 * a  # model is exactly delta = 0.1 * action
+            s = s + linear_delta(a)
             total += 0.9**t * float(reward(s[None, :], a[None, :])[0])
         if total > best_value:
             best_value, best_action = total, a
@@ -126,7 +134,7 @@ def test_mpc_discount_zero_uses_first_step_only():
                          np.random.default_rng(seed))[0]
     rng = np.random.default_rng(seed)
     acts = LAND_BOUNDS.sample(rng, (1, 64))[0]
-    successors = state + 0.1 * acts
+    successors = state + linear_delta(acts)
     returns = first_step_reward(successors, acts)
     assert np.allclose(chosen, acts[np.argmax(returns)])
 
