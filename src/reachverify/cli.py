@@ -36,11 +36,12 @@ from .geometry import (
     build_grid,
     interpolate_many,
 )
-from .oracle import _step_count, mc_ground_truth
+from .oracle import _rollout_steps, mc_ground_truth
 from .scene import (
     Scene,
+    TubeWriter,
     air_scene,
-    export_tube,
+    export_tube,  # noqa: F401  (perfbench's tracer wraps this name)
     field_to_csv,
     file_sha256,
     land_scene,
@@ -48,9 +49,11 @@ from .scene import (
     load_tube_manifest,  # noqa: F401  (perfbench's tracer wraps this name)
     mask_to_csv,
     policy_from_dict,
-    read_store_text,
+    replace_dir,
     save_scene,
-    slices_to_csv,
+    slice_row_prefixes,
+    staging_dir,
+    store_to_slices,
     tube_snapshot_files,
 )
 from .solver import SolverConfig, solve_brt, solve_frt
@@ -130,8 +133,8 @@ class RunConfig:
     """A verify, safe-set or oracle config (keys: ``_RUN_KEYS``), or the
     ``mc`` block of a safe-set config (keys: ``_MC_KEYS``).  ``policy`` is
     a policy file or an inline policy; without ``bounds`` the box is zero.
-    ``horizon`` and ``dt`` are checked where a rollout runs: in ``oracle``
-    and ``safe-set --compare-mc``."""
+    ``horizon``, ``dt``, ``num_samples`` and ``draws`` are checked where a
+    rollout runs: in ``oracle`` and ``safe-set --compare-mc``."""
 
     scene: str | None = None
     env: str = TrainRunConfig.env
@@ -146,12 +149,6 @@ class RunConfig:
     dt: float = 0.1
     num_samples: int = 1000
     draws: int = 16
-
-    def __post_init__(self):
-        if self.num_samples < 1:
-            raise ValueError("num_samples must be >= 1")
-        if self.draws < 0:
-            raise ValueError("draws must be >= 0")
 
 
 _ARTIFACT_KEYS = ("scene", "env", "plant", "model", "policy", "bounds", "seed")
@@ -271,12 +268,12 @@ def cmd_verify(args) -> int:
     cfg, seed, scene, sys_cl, prov = _run_inputs(args)
     solver_cfg, _ = _tube_configs(cfg)
 
-    frt = solve_frt(scene.initial_set, sys_cl, solver_cfg, scene.grid)
-    verdict, flags = classify_policy(frt, scene.obstacles, scene.grid)
-
     out = args.out
     os.makedirs(out, exist_ok=True)
-    frt_manifest = export_tube(frt, os.path.join(out, "frt"), prefix="frt")
+    with TubeWriter(os.path.join(out, "frt"), prefix="frt") as store:
+        frt = solve_frt(scene.initial_set, sys_cl, solver_cfg, scene.grid, sink=store)
+        frt_manifest = store.finish(frt)
+    verdict, flags = classify_policy(frt, scene.obstacles, scene.grid)
     save_scene(scene, os.path.join(out, "scene.json"))
     report = {
         "verdict": verdict,
@@ -300,7 +297,7 @@ def cmd_safe_set(args) -> int:
     solver_cfg, mc_cfg = _tube_configs(cfg)
     if args.compare_mc:
         try:
-            _step_count(mc_cfg.horizon, mc_cfg.dt)
+            _rollout_steps(mc_cfg.horizon, mc_cfg.dt, mc_cfg.num_samples)
         except ValueError as exc:
             raise ValueError(f"the 'mc' block: {exc}") from None
 
@@ -309,8 +306,9 @@ def cmd_safe_set(args) -> int:
     finals = []
     brt_manifests = []
     for i, prim in enumerate(scene.obstacles.primitives):
-        tube = solve_brt(ShapeSet((prim,)), sys_cl, solver_cfg, scene.grid)
-        manifest = export_tube(tube, os.path.join(out, f"brt_obstacle_{i}"), prefix="brt")
+        with TubeWriter(os.path.join(out, f"brt_obstacle_{i}"), prefix="brt") as store:
+            tube = solve_brt(ShapeSet((prim,)), sys_cl, solver_cfg, scene.grid, sink=store)
+            manifest = store.finish(tube)
         finals.append(tube.final_field())
         brt_manifests.append(os.path.relpath(manifest, out))
 
@@ -463,19 +461,6 @@ def _z_planes(grid, z_values) -> list:
     return [int(np.argmin(np.abs(zs - z))) for z in z_values]
 
 
-def _plane_text(path, grid, planes) -> list:
-    """The stored value text of each z plane ``planes[p]`` of a snapshot
-    file, read block by block; a 2-D field is its own plane 0."""
-    step = grid.counts[2] if grid.dims == 3 else 1
-    kept = [[] for _ in planes]
-    start = 0
-    for text in read_store_text(path, grid):
-        for rows, j in zip(kept, planes):
-            rows += text[(j - start) % step::step]
-        start += len(text)
-    return kept
-
-
 def _write_slices(run_dir, slices_dir, scene, z_values) -> int:
     """Write every slice, geometry and scatter file of a run into
     ``slices_dir``; returns the number of slice files."""
@@ -487,10 +472,10 @@ def _write_slices(run_dir, slices_dir, scene, z_values) -> int:
         grid, snapshots, _ = tube_snapshot_files(manifest_path)
         planes = _z_planes(grid, z_values)
         tags = ["_" + _slice_tag(z) for z in z_values] if planes else [""]
-        slices = ((os.path.join(slices_dir, f"{entry}_{k:04d}{tag}.csv"), text)
-                  for k, (_, path) in enumerate(snapshots)
-                  for tag, text in zip(tags, _plane_text(path, grid, planes or [0])))
-        slices_to_csv(build_grid(grid.lo[:2], grid.hi[:2], grid.counts[:2]), slices)
+        prefixes = slice_row_prefixes(build_grid(grid.lo[:2], grid.hi[:2], grid.counts[:2]))
+        for k, (_, path) in enumerate(snapshots):
+            outs = [os.path.join(slices_dir, f"{entry}_{k:04d}{tag}.csv") for tag in tags]
+            store_to_slices(path, grid, planes or [0], outs, prefixes)
         wrote += len(snapshots) * len(tags)
 
     if scene is not None:  # a checked --z: heights on a 3-D scene, none on a 2-D one
@@ -519,20 +504,13 @@ def cmd_export_plots(args) -> int:
     # The export is built in a sibling directory that replaces slices/ only
     # once every file is written, so a failed export leaves slices/ as it was.
     slices_dir = os.path.join(run_dir, "slices")
-    staging = os.path.join(run_dir, ".slices.partial")
-    old = os.path.join(run_dir, ".slices.old")
-    for leftover in (staging, old):  # from an export that was killed
-        shutil.rmtree(leftover, ignore_errors=True)
-    os.makedirs(staging)
+    staging = staging_dir(slices_dir)
     try:
         wrote = _write_slices(run_dir, staging, scene, z_values)
     except BaseException:
         shutil.rmtree(staging)
         raise
-    if os.path.isdir(slices_dir):
-        os.rename(slices_dir, old)
-    os.rename(staging, slices_dir)
-    shutil.rmtree(old, ignore_errors=True)
+    replace_dir(staging, slices_dir)
 
     print(f"export-plots: wrote {wrote} slice files to {slices_dir}")
     return EXIT_OK

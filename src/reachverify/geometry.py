@@ -17,7 +17,7 @@ negations of the original masks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -133,13 +133,19 @@ def same_grid(a: Grid, b: Grid) -> bool:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """One real value per grid node, tagged with a time in seconds."""
+    """One real value per grid node, tagged with a time in seconds.
+
+    The field keeps a read-only copy of ``values``.  ``copy=False`` hands
+    over a fresh float array that nothing else holds instead: the field
+    keeps it, made read-only, without a second copy.
+    """
 
     grid: Grid
     values: np.ndarray
     time_tag: float = 0.0
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, copy):
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.grid.counts:
             raise ValueError(
@@ -147,7 +153,8 @@ class ScalarField:
             )
         if not np.isfinite(values).all():
             raise ValueError("field values must all be finite")
-        values = values.copy()
+        if copy:
+            values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -318,7 +325,7 @@ def level_set_from_shapes(grid: Grid, shape) -> ScalarField:
     values = np.empty(grid.num_nodes)
     for a, points in grid.point_blocks():
         values[a:a + len(points)] = shape.signed_distance(points)
-    return ScalarField(grid=grid, values=values.reshape(grid.counts))
+    return ScalarField(grid, values.reshape(grid.counts), copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +340,12 @@ def _check_same_grid(a: ScalarField, b: ScalarField) -> None:
 def field_union(a: ScalarField, b: ScalarField) -> ScalarField:
     """Pointwise minimum; sublevel sets union."""
     _check_same_grid(a, b)
-    return ScalarField(a.grid, np.minimum(a.values, b.values), a.time_tag)
+    return ScalarField(a.grid, np.minimum(a.values, b.values), a.time_tag, copy=False)
 
 
 def field_complement(a: ScalarField) -> ScalarField:
     """Pointwise negation; pair with :func:`strict_sublevel_mask`."""
-    return ScalarField(a.grid, -a.values, a.time_tag)
+    return ScalarField(a.grid, -a.values, a.time_tag, copy=False)
 
 
 def zero_sublevel_mask(field: ScalarField) -> np.ndarray:

@@ -28,10 +28,14 @@ def _rk4_batch(sys: ClosedLoopSystem, states: np.ndarray, d: np.ndarray, dt: flo
     return states + rk4_increment(lambda s: nominal_rate_batch(sys, s) + d, states, dt)
 
 
-def _step_count(horizon: float, dt: float) -> int:
+def _rollout_steps(horizon: float, dt: float, num_samples: int, draws: int = 0) -> int:
     """The ``round(horizon / dt)`` fixed steps a rollout takes; a ValueError
     unless ``horizon`` and ``dt`` are finite and positive and give at
-    least one step."""
+    least one step, there is a sample and the draw count is not negative."""
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, not {num_samples}")
+    if draws < 0:
+        raise ValueError(f"the number of disturbance draws must be >= 0, not {draws}")
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, not {horizon}")
     if not (math.isfinite(dt) and dt > 0):
@@ -92,9 +96,7 @@ def mc_ground_truth(
     of its rollouts touches an obstacle (signed distance <= 0), at the
     start or after any step.  Fully reproducible from the seed.
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    n_steps = _step_count(horizon, dt)
+    n_steps = _rollout_steps(horizon, dt, num_samples, num_disturbance_draws)
     rng = np.random.default_rng([seed, 7])
     samples = sample_in_shapes(initial, num_samples, rng)
 

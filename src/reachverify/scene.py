@@ -8,6 +8,14 @@ only the plot slices of ``export-plots`` add the node coordinates.
 All writers format floats with ``repr``, the shortest exact decimal form,
 so identical inputs produce byte-identical files.
 
+A tube directory holds one store CSV per snapshot and a ``manifest.json``.
+:class:`TubeWriter` is the one writer of it: passed to ``solve_frt`` /
+``solve_brt`` as their snapshot sink, it writes each snapshot the moment
+the solve takes it, so no snapshot stays in memory; :func:`export_tube`
+feeds it the snapshots of an in-memory tube.  The files are staged in a
+hidden sibling directory that replaces the tube directory only once the
+manifest is written, so a failed solve leaves no tube directory.
+
 Two ready-made navigation scenes ship with the package: a planar indoor
 scene (circular start and goal regions, two rectangular obstacles) and a
 spatial urban scene (cuboid start and goal regions, two vertical cylinder
@@ -16,10 +24,12 @@ obstacles).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import os
+import shutil
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,6 +49,7 @@ from .solver import TubeResult
 
 __all__ = [
     "Scene",
+    "TubeWriter",
     "land_scene",
     "air_scene",
     "primitive_to_dict",
@@ -51,7 +62,10 @@ __all__ = [
     "load_tube_manifest",
     "mask_to_csv",
     "read_store_text",
-    "slices_to_csv",
+    "replace_dir",
+    "slice_row_prefixes",
+    "staging_dir",
+    "store_to_slices",
     "tube_snapshot_files",
     "file_sha256",
 ]
@@ -316,7 +330,8 @@ def read_store_text(path, grid: Grid):
 def field_from_csv(path, grid: Grid, time_tag: float = 0.0) -> ScalarField:
     """Read a :func:`field_to_csv` file back, checked by :func:`read_store_text`."""
     text = itertools.chain.from_iterable(read_store_text(path, grid))
-    return ScalarField(grid, np.fromiter(map(float, text), float).reshape(grid.counts), time_tag)
+    values = np.fromiter(map(float, text), float).reshape(grid.counts)
+    return ScalarField(grid, values, time_tag, copy=False)
 
 
 def mask_to_csv(grid: Grid, mask: np.ndarray, path) -> None:
@@ -325,54 +340,126 @@ def mask_to_csv(grid: Grid, mask: np.ndarray, path) -> None:
     _write_node_rows(path, grid, "inside", lambda a, b: map(str, flags[a:b].tolist()))
 
 
-def slices_to_csv(grid: Grid, slices) -> None:
-    """Plot slices of the 2-D ``grid``: for each ``(path, value_text)`` of
-    ``slices``, one row per node in C order, its index columns, its
-    coordinates ``x0,x1``, then ``value_text[node]``.
-
-    The row text before the value is formatted once for all the slices,
-    from each axis's index and ``repr`` coordinate text.
-    """
-    n = grid.dims
+def slice_row_prefixes(grid: Grid) -> list:
+    """The text before the value of each plot-slice row of the 2-D ``grid``,
+    in C order: the node's index columns and its ``repr`` coordinates."""
     tables = _index_tables(grid) + [np.array(list(map(repr, grid.axis_coords(k).tolist())),
-                                             dtype=object) for k in range(n)]
-    rows = list(map(",".join, zip(*_node_cells(tables, grid.counts, 0, grid.num_nodes))))
-    header = [f"i{k}" for k in range(n)] + [f"x{k}" for k in range(n)] + ["value"]
-    for path, text in slices:
-        write_csv(path, header, ([rows[a:a + _CHUNK_ROWS], text[a:a + _CHUNK_ROWS]]
-                                 for a in range(0, grid.num_nodes, _CHUNK_ROWS)))
+                                             dtype=object) for k in range(grid.dims)]
+    return list(map(",".join, zip(*_node_cells(tables, grid.counts, 0, grid.num_nodes))))
+
+
+def store_to_slices(path, grid: Grid, planes, out_paths, prefixes) -> None:
+    """Plot slices of the store file ``path`` of ``grid``: the z plane
+    ``planes[k]`` of a 3-D field, or a whole 2-D field as plane 0, goes to
+    ``out_paths[k]`` with columns ``i0,i1,x0,x1,value``, one row per node
+    of the plane in C order, ``prefixes[node]`` (from
+    :func:`slice_row_prefixes`) then the value text as stored.
+
+    Each block of the store is written to every slice as it is read.
+    """
+    step = grid.counts[2] if grid.dims == 3 else 1
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(p, "w")) for p in out_paths]
+        for fh in files:
+            fh.write("i0,i1,x0,x1,value\n")
+        done = [0] * len(files)  # rows written to each slice
+        start = 0  # the first node of the block
+        for text in read_store_text(path, grid):
+            for k, (fh, j) in enumerate(zip(files, planes)):
+                values = text[(j - start) % step::step]
+                if values:
+                    a = done[k]
+                    fh.write("\n".join(map(",".join, zip(prefixes[a:a + len(values)], values)))
+                             + "\n")
+                    done[k] = a + len(values)
+            start += len(text)
 
 
 # ---------------------------------------------------------------------------
 # Tube export
 # ---------------------------------------------------------------------------
 
-def export_tube(tube: TubeResult, out_dir, prefix: str = "snapshot"):
-    """Write one CSV per snapshot plus a JSON manifest.
+def staging_dir(path) -> str:
+    """Make and return ``.<name>.partial``, an empty sibling of the
+    directory ``path`` to build its new contents in, after removing what a
+    killed write left; :func:`replace_dir` then puts it in place."""
+    parent, name = os.path.split(os.path.normpath(path))
+    staging = os.path.join(parent, f".{name}.partial")
+    for leftover in (staging, os.path.join(parent, f".{name}.old")):
+        shutil.rmtree(leftover, ignore_errors=True)
+    os.makedirs(staging)
+    return staging
 
-    Returns the manifest path.  The manifest records snapshot times, the
-    grid, the solver configuration with the tube's direction, and the
-    per-file names in order.
+
+def replace_dir(staging, path) -> None:
+    """Replace the directory ``path``, if there is one, by the directory
+    ``staging`` from :func:`staging_dir`."""
+    parent, name = os.path.split(os.path.normpath(path))
+    old = os.path.join(parent, f".{name}.old")
+    if os.path.isdir(path):
+        os.rename(path, old)
+    os.rename(staging, path)
+    shutil.rmtree(old, ignore_errors=True)
+
+
+class TubeWriter:
+    """The store writer of a tube directory, a snapshot sink for
+    ``solve_frt`` / ``solve_brt``.
+
+    Used as a context manager.  Each call ``writer(time, field)`` writes
+    ``<prefix>_NNNN.csv`` (:func:`field_to_csv`, ``NNNN`` counting from
+    0000) at once and returns its name; :meth:`finish` then writes
+    ``manifest.json``.  The files go to a staging directory that replaces
+    ``out_dir`` only in ``finish``, so a solve that fails leaves
+    ``out_dir`` as it was: absent, or the previous tube.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    files = []
-    for k, (t, fld) in enumerate(tube.snapshots):
-        name = f"{prefix}_{k:04d}.csv"
-        field_to_csv(fld, os.path.join(out_dir, name))
-        files.append({"time": t, "file": name})
-    manifest = {
-        "times": [t for t, _ in tube.snapshots],
-        "grid": _grid_to_dict(tube.grid),
-        "config": {**asdict(tube.config), "direction": tube.direction},
-        "steps_taken": tube.steps_taken,
-        "max_abs_hamiltonian": tube.max_abs_h,
-        "converged_early": tube.converged_early,
-        "snapshots": files,
-    }
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    return manifest_path
+
+    def __init__(self, out_dir, prefix: str = "snapshot"):
+        self.out_dir = out_dir
+        self.prefix = prefix
+        self._files = []
+
+    def __enter__(self):
+        self._staging = staging_dir(self.out_dir)
+        return self
+
+    def __exit__(self, *exc):
+        shutil.rmtree(self._staging, ignore_errors=True)  # gone after finish
+
+    def __call__(self, time: float, field: ScalarField) -> str:
+        name = f"{self.prefix}_{len(self._files):04d}.csv"
+        field_to_csv(field, os.path.join(self._staging, name))
+        self._files.append({"time": time, "file": name})
+        return name
+
+    def finish(self, tube: TubeResult) -> str:
+        """Write the manifest of ``tube``, whose snapshots were written
+        here, put the directory in place and return the manifest path.  The
+        manifest records the snapshot times, the grid, the solver
+        configuration with the tube's direction, the diagnostics and the
+        per-file names in order."""
+        manifest = {
+            "times": [entry["time"] for entry in self._files],
+            "grid": _grid_to_dict(tube.grid),
+            "config": {**asdict(tube.config), "direction": tube.direction},
+            "steps_taken": tube.steps_taken,
+            "max_abs_hamiltonian": tube.max_abs_h,
+            "converged_early": tube.converged_early,
+            "snapshots": self._files,
+        }
+        with open(os.path.join(self._staging, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh, indent=2)
+        replace_dir(self._staging, self.out_dir)
+        return os.path.join(self.out_dir, "manifest.json")
+
+
+def export_tube(tube: TubeResult, out_dir, prefix: str = "snapshot"):
+    """Write the snapshots of an in-memory tube with :class:`TubeWriter`,
+    as a solve streams them; returns the manifest path."""
+    with TubeWriter(out_dir, prefix) as write:
+        for t, field in tube.snapshots:
+            write(t, field)
+        return write.finish(tube)
 
 
 def tube_snapshot_files(manifest_path):

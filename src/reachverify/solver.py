@@ -56,6 +56,14 @@ The stepper always minimizes the Hamiltonian over the disturbance box,
 and the minimum has a closed form: each component contributes
 ``min(p_i d_i^+, p_i d_i^-)``, which for symmetric bounds is
 ``-|p_i| d_i^+``.
+
+A solve hands each snapshot to its ``sink`` the moment it takes it: the
+seed field, the field every ``snapshot_stride`` steps, and the final
+field.  ``sink(time, field)`` returns what the ``TubeResult`` records for
+that snapshot.  The default sink returns the field, so the result holds
+every snapshot in memory.  ``scene.TubeWriter`` writes each one to the
+tube's store file and returns the file name instead, so a solve holds its
+workspace and one snapshot at a time; only the final field is kept.
 """
 
 from __future__ import annotations
@@ -111,13 +119,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TubeResult:
-    """Time-stamped value-function snapshots plus solve diagnostics.
+    """Time-stamped snapshots, the final field, and solve diagnostics.
 
     Snapshot times run 0 to -T for backward tubes and 0 to +T for forward
     tubes; the first snapshot is always the seed field and the last the
-    final field.  ``direction`` is ``"backward"`` or ``"forward"``.
-    ``converged_early`` says the solve stopped on ``convergence_eps``
-    before the horizon; a change below it on the last step does not count.
+    final field.  Each snapshot pairs its time with what the solve's sink
+    returned for it: the field itself by default, the name of the file it
+    was written to under a store writer (``scene.TubeWriter``), which
+    keeps no snapshot in memory.  ``final`` is the final field either way.
+    ``direction`` is ``"backward"`` or ``"forward"``.  ``converged_early``
+    says the solve stopped on ``convergence_eps`` before the horizon; a
+    change below it on the last step does not count.
     """
 
     snapshots: tuple
@@ -127,14 +139,16 @@ class TubeResult:
     steps_taken: int
     max_abs_h: float
     converged_early: bool
+    final: ScalarField
 
     def final_field(self) -> ScalarField:
-        return self.snapshots[-1][1]
+        return self.final
 
     def final_mask(self) -> np.ndarray:
-        return zero_sublevel_mask(self.final_field())
+        return zero_sublevel_mask(self.final)
 
     def masks(self):
+        """Each snapshot's time and tube mask; the snapshots must be fields."""
         return [(t, zero_sublevel_mask(f)) for t, f in self.snapshots]
 
     @property
@@ -309,8 +323,12 @@ def _check_inside_grid(shapes: ShapeSet, grid: Grid, label: str) -> None:
         raise ValueError(f"{label} set extends outside the grid bounds")
 
 
+def _keep(time: float, field: ScalarField) -> ScalarField:
+    return field
+
+
 def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Grid,
-           forward: bool, alpha_floor=None) -> TubeResult:
+           forward: bool, alpha_floor=None, sink=_keep) -> TubeResult:
     _check_inside_grid(seed, grid, "seed")
     ws = _Workspace(sys, grid, forward, alpha_floor)
     dt_nom = cfl_dt(config, ws.alpha, grid)
@@ -320,17 +338,18 @@ def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Gr
     if eps is None:
         eps = 1e-6 * float(np.linalg.norm(grid.hi - grid.lo))
     sign = 1.0 if forward else -1.0
+    end = config.horizon * (1 - 1e-12)
 
     seed_field = level_set_from_shapes(grid, seed)
     ws.values[:] = seed_field.values.ravel()
-    snapshots = [(0.0, seed_field)]
+    snapshots = [(0.0, sink(0.0, seed_field))]
+    del seed_field  # the sink holds it if it keeps snapshots; the solve does not
     max_h = 0.0
     tau = 0.0
     steps = 0
-    last_snap_tau = 0.0
     converged = False
 
-    while tau < config.horizon * (1 - 1e-12):
+    while tau < end:
         dt = min(dt_nom, config.horizon - tau)
         h_seen, delta = ws.rk2_step(dt)
         if not math.isfinite(delta):
@@ -338,16 +357,15 @@ def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Gr
         steps += 1
         tau += dt
         max_h = max(max_h, h_seen)
-        if steps % config.snapshot_stride == 0:
-            snapshots.append((sign * tau, ws.snapshot(sign * tau)))
-            last_snap_tau = tau
         if delta < eps:
-            converged = tau < config.horizon * (1 - 1e-12)
+            converged = tau < end
             break
+        if steps % config.snapshot_stride == 0 and tau < end:
+            snapshots.append((sign * tau, sink(sign * tau, ws.snapshot(sign * tau))))
 
-    if last_snap_tau != tau:
-        snapshots.append((sign * tau, ws.snapshot(sign * tau)))
-
+    # The last step's snapshot is the final field, whatever the stride.
+    final = ws.snapshot(sign * tau)
+    snapshots.append((sign * tau, sink(sign * tau, final)))
     return TubeResult(
         snapshots=tuple(snapshots),
         config=config,
@@ -356,26 +374,29 @@ def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Gr
         steps_taken=steps,
         max_abs_h=max_h,
         converged_early=converged,
+        final=final,
     )
 
 
 def solve_brt(target: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Grid,
-              alpha_floor=None) -> TubeResult:
+              alpha_floor=None, sink=_keep) -> TubeResult:
     """Backward reachable tube seeded from the target set's distance field.
 
     Snapshot masks are nested nondecreasing toward ``-horizon``; the final
     mask is the set of states that can reach the target within the horizon
     under some admissible disturbance (the disturbance helps reach it).
+    ``sink`` receives each snapshot as it is taken (see the module notes).
     """
-    return _solve(target, sys, config, grid, False, alpha_floor)
+    return _solve(target, sys, config, grid, False, alpha_floor, sink)
 
 
 def solve_frt(initial: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Grid,
-              alpha_floor=None) -> TubeResult:
+              alpha_floor=None, sink=_keep) -> TubeResult:
     """Forward reachable tube grown from the initial set.
 
     The disturbance is extremized to enlarge the tube, so the result
     over-approximates the states reachable under some admissible
     disturbance; an under-approximation could falsely certify safety.
+    ``sink`` receives each snapshot as it is taken (see the module notes).
     """
-    return _solve(initial, sys, config, grid, True, alpha_floor)
+    return _solve(initial, sys, config, grid, True, alpha_floor, sink)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import LAND_RUN_CONFIG
-from reachverify import cli
+from reachverify import cli, solver
 from reachverify.cli import _write_ground_truth, main
 from reachverify.dynamics import ActionBounds, MlpPolicy, save_policy
 from reachverify.error_bounds import DisturbanceBounds, save_bounds
@@ -274,6 +274,39 @@ def test_short_solver_horizon_needs_no_mc_step(tmp_path, command):
     assert (out / "report.json").exists()
 
 
+def test_verify_does_not_check_the_mc_sample_count(tmp_path):
+    # Only a rollout needs a sample; verify and safe-set without
+    # --compare-mc roll out none.
+    doc = run_config(tmp_path, "verify")
+    doc["mc"] = {"num_samples": 0}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    for command in ("verify", "safe-set"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command,tube", [("verify", "frt"), ("safe-set", "brt_obstacle_0")])
+def test_failed_solve_leaves_no_tube_directory(tmp_path, monkeypatch, capsys, command, tube):
+    # A NaN rate at one node from step 12 on makes that node's value NaN:
+    # the seed and the snapshots of steps 5 and 10 are written by then.
+    class PoisonedWorkspace(solver._Workspace):
+        def rk2_step(self, dt):
+            self.steps = getattr(self, "steps", 0) + 1
+            if self.steps == 12:
+                self.half_rate[0, 7] = np.nan
+            return super().rk2_step(dt)
+
+    monkeypatch.setattr(solver, "_Workspace", PoisonedWorkspace)
+    cfg = verify_config(tmp_path, make_scene(tmp_path, [0.8, 0.8], 0.1))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert "non-finite values at step 11" in capsys.readouterr().err
+    assert os.listdir(out) == []
+    assert not (out / tube).exists()
+
+
 def test_verify_with_inline_constant_policy(tmp_path):
     scene_path = make_scene(tmp_path, [0.8, 0.8], 0.1)
     config = {
@@ -428,7 +461,7 @@ def write_tube_run(run, fields):
     """A run directory holding one exported tube, ``tube/``, of ``fields``."""
     snapshots = tuple((0.5 * k, f) for k, f in enumerate(fields))
     tube = TubeResult(snapshots, SolverConfig(), fields[0].grid, "forward", len(fields), 0.0,
-                      False)
+                      False, fields[-1])
     return export_tube(tube, run / "tube", prefix="tube")
 
 
@@ -477,6 +510,25 @@ def test_export_plots_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert len(os.listdir(tmp_path / "run" / "slices")) == 6
     assert peak < 3e6
+
+
+def test_export_plots_2d_memory_is_bounded(tmp_path):
+    # Each block of a snapshot goes to its slice as it is read, so beside
+    # the per-tube row prefixes only one block is held, not the whole
+    # snapshot's 10 201 values (3.2 MB peak when each slice was collected
+    # before it was written, 2.2 MB streamed).
+    grid = build_grid([-1.0] * 2, [1.0] * 2, (101, 101))
+    rng = np.random.default_rng(6)
+    write_tube_run(tmp_path / "run",
+                   [ScalarField(grid, rng.normal(size=grid.counts)) for _ in range(3)])
+    tracemalloc.start()
+    try:
+        assert main(["export-plots", "--run", str(tmp_path / "run")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(os.listdir(tmp_path / "run" / "slices")) == 3
+    assert peak < 2.6e6
 
 
 def _set_snapshot_entry(key, value):
@@ -736,6 +788,9 @@ def run_argv(command, cfg, out):
         # a Monte-Carlo horizon under half a dt step would integrate nothing
         ("oracle", {"horizon": 0.04, "dt": 0.1}, "horizon"),
         ("safe-set", {"mc": {"plant": "learned", "horizon": 0.04}}, "horizon"),
+        # the sample and draw counts are checked where a rollout runs
+        ("oracle", {"draws": -1}, "draws"),
+        ("safe-set", {"mc": {"plant": "learned", "num_samples": 0}}, "the 'mc' block: num_samples"),
     ],
 )
 def test_bad_run_config_key_exits_config_error(tmp_path, monkeypatch, capsys, command, edit, key):

@@ -214,8 +214,11 @@ def test_land_mc_partially_safe(land_mc):
 def test_mc_rejects_bad_args():
     initial = ShapeSet((Ball([0.0, 0.0], 0.5),))
     sys_cl = const_system([0.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="num_samples"):
         mc_ground_truth(sys_cl, initial, initial, horizon=1.0, dt=0.1, num_samples=0)
+    with pytest.raises(ValueError, match="draws"):
+        mc_ground_truth(sys_cl, initial, initial, horizon=1.0, dt=0.1, num_samples=10,
+                        num_disturbance_draws=-1)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from reachverify.geometry import AxisBox, AxisCylinder, Ball, ScalarField, Shape
 from reachverify.nn import TransitionDataset, load_dataset, save_dataset
 from reachverify.scene import (
     _CHUNK_ROWS,
+    TubeWriter,
     air_scene,
     export_tube,
     field_from_csv,
@@ -23,7 +27,7 @@ from reachverify.scene import (
     read_store_text,
     save_scene,
 )
-from reachverify.solver import SolverConfig, solve_brt
+from reachverify.solver import SolverConfig, solve_brt, solve_frt
 
 
 def test_primitive_round_trip():
@@ -300,3 +304,51 @@ def test_file_sha256_stable(tmp_path):
     q = tmp_path / "y.txt"
     q.write_text("hello!")
     assert file_sha256(p) != file_sha256(q)
+
+
+def _streamed_and_in_memory(tmp_path, dims, stride):
+    """One forward tube solved twice, streamed to ``streamed/`` and in
+    memory, then exported to ``memory/`` over a stale file."""
+    grid = build_grid([-1.0] * dims, [1.0] * dims, [23, 19, 9][:dims])
+    sys_cl = const_system([0.4, -0.3, 0.2][:dims])
+    seed = ShapeSet((Ball([-0.3] * dims, 0.3),))
+    cfg = SolverConfig(horizon=0.6, snapshot_stride=stride, convergence_eps=0.0)
+    with TubeWriter(tmp_path / "streamed", prefix="frt") as store:
+        streamed = solve_frt(seed, sys_cl, cfg, grid, sink=store)
+        store.finish(streamed)
+    tube = solve_frt(seed, sys_cl, cfg, grid)
+    (tmp_path / "memory").mkdir()
+    (tmp_path / "memory" / "stale.csv").write_text("gone\n")
+    export_tube(tube, tmp_path / "memory", prefix="frt")
+    return streamed, tube
+
+
+@pytest.mark.parametrize("dims,stride", [(2, 3), (3, 2)])
+def test_streamed_tube_equals_export_of_the_in_memory_tube(tmp_path, dims, stride):
+    streamed, tube = _streamed_and_in_memory(tmp_path, dims, stride)
+    assert sorted(os.listdir(tmp_path)) == ["memory", "streamed"]  # no staging left
+    names = sorted(os.listdir(tmp_path / "streamed"))
+    assert len(names) == len(tube.snapshots) + 1 > 3
+    assert sorted(os.listdir(tmp_path / "memory")) == names
+    for name in names:
+        assert ((tmp_path / "streamed" / name).read_bytes()
+                == (tmp_path / "memory" / name).read_bytes())
+    assert streamed.snapshots == tuple((t, f"frt_{k:04d}.csv")
+                                       for k, (t, _) in enumerate(tube.snapshots))
+    assert tube.final is tube.snapshots[-1][1]
+    assert np.array_equal(streamed.final.values, tube.final.values)
+    assert streamed.final.time_tag == tube.final.time_tag == tube.times[-1]
+
+
+def test_tracer_counts_a_streamed_tube_as_an_in_memory_one(tmp_path):
+    # perfbench's tracer reads a tube's step and snapshot counts from the
+    # result, so traced passes count the same tubes as before.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    streamed, tube = _streamed_and_in_memory(tmp_path, 2, 3)
+    counts = tracing._tube((), {}, streamed)
+    assert counts == tracing._tube((), {}, tube)
+    assert counts["snapshots"] == len(tube.snapshots) > 3
+    assert counts["steps"] == tube.steps_taken > 0

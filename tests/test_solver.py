@@ -763,8 +763,7 @@ def test_workspace_and_seed_memory_is_bounded_by_the_workspace():
     # At 45^3 the whole-grid forms held the points, the (N, n) rates and a
     # transposed copy (4.3 MB over the workspace), then the level set's
     # point mesh and distance temporaries (8.0 MB).  Blocked, the scan adds
-    # one block and the level set its value array and the field's copy
-    # (1.5 MB).
+    # one block and the level set its value array (0.7 MB).
     grid = build_grid([-5.0] * 3, [5.0] * 3, [45] * 3)
     sys_cl = _network_system(3, 45)
     seed = ShapeSet((Ball([0.0, 0.0, 0.0], 1.0),))
@@ -777,3 +776,35 @@ def test_workspace_and_seed_memory_is_bounded_by_the_workspace():
         tracemalloc.stop()
     size = sum(a.nbytes for a in vars(ws).values() if isinstance(a, np.ndarray))
     assert peak <= size + 2e6
+
+
+def test_streamed_solve_memory_is_its_workspace_and_two_fields(tmp_path):
+    # Through the store writer a solve holds its workspace, the snapshot
+    # being written and, at the end, the final field.  Kept in memory, the
+    # 16 snapshots of the default 10 s horizon peaked at 19.0 MB (11.7 MB
+    # held) against 8.6 MB streamed; a shorter horizon keeps the test quick.
+    from reachverify.dynamics import AirPlant
+    from reachverify.scene import TubeWriter, air_scene
+    from reachverify.trainer import default_action_bounds
+
+    scene = air_scene((45, 45, 45))
+    grid, seed = scene.grid, scene.initial_set
+    policy = ConstantPolicy([0.9, 0.87, 0.65], default_action_bounds("true_air"))
+    sys_cl = ClosedLoopSystem(AirPlant(), policy, DisturbanceBounds([0.05] * 3, [-0.05] * 3))
+    ws = _Workspace(sys_cl, grid, True)
+    workspace = sum(a.nbytes for a in vars(ws).values() if isinstance(a, np.ndarray))
+    del ws
+    field = grid.num_nodes * 8
+    tracemalloc.start()
+    try:
+        with TubeWriter(tmp_path / "frt", prefix="frt") as store:
+            tube = solve_frt(seed, sys_cl, SolverConfig(horizon=2.5), grid, sink=store)
+            store.finish(tube)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tube.snapshots) > 4
+    assert [name for _, name in tube.snapshots] == [
+        f"frt_{k:04d}.csv" for k in range(len(tube.snapshots))]
+    assert peak <= workspace + 2 * field
+    assert held < 1.1 * field

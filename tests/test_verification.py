@@ -218,6 +218,7 @@ def test_classify_detects_contact_at_last_snapshot_only():
         steps_taken=2,
         max_abs_h=0.0,
         converged_early=False,
+        final=snapshots[-1][1],
     )
     obstacles = ShapeSet((Ball([1.1, 0.0], 0.3), Ball([-1.5, 1.5], 0.2)))
     first = ShapeSet(obstacles.primitives[:1])
