@@ -7,6 +7,12 @@ extracts the safe initial states; ``oracle`` runs Monte-Carlo ground
 truth; ``export-plots`` turns a finished run directory into plain CSV
 slices any plotting tool can consume.
 
+On grids of at least 32 768 nodes, ``safe-set`` solves its per-obstacle
+tubes concurrently, one thread per CPU the process may use (at most one
+per obstacle); the outputs are byte-identical to a serial run's.  Its tube
+directories are put in place only once every solve has succeeded, so a
+failed ``safe-set`` leaves none of them changed.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, and 4
 from ``verify --strict`` when the policy is unsafe.  Given identical
 configs and seeds every command writes byte-identical outputs.
@@ -15,6 +21,7 @@ configs and seeds every command writes byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -22,6 +29,7 @@ import os
 import shutil
 import sys
 import typing
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -64,6 +72,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_UNSAFE = 4
+
+# ``safe-set`` solves its per-obstacle tubes on threads on grids of at least
+# this many nodes.  numpy releases the GIL inside its array loops, so two
+# 250-step solves on two threads ran 1.73x as fast as one after the other
+# at 45^3, 1.50x at 33^3 and 1.55x at 201^2, but 1.01x at 27^3 and 0.78x at
+# 101^2, where the arrays are too short for the threads to gain (median of
+# 5, 2 vCPUs).
+_CONCURRENT_TUBE_NODES = 32768
 
 
 def _load_json(path) -> dict:
@@ -217,6 +233,14 @@ def _tube_configs(cfg: RunConfig):
     return solver, _from_block(RunConfig, mc, "mc", keys={k: k for k in _MC_KEYS})
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _write_ground_truth(mc, n: int, path) -> None:
     """One row per Monte-Carlo start: its ``n`` coordinates and a 0/1 safe flag."""
     cols = [map(repr, mc.samples[:, i].tolist()) for i in range(n)]
@@ -303,14 +327,28 @@ def cmd_safe_set(args) -> int:
 
     out = args.out
     os.makedirs(out, exist_ok=True)
-    finals = []
-    brt_manifests = []
-    for i, prim in enumerate(scene.obstacles.primitives):
-        with TubeWriter(os.path.join(out, f"brt_obstacle_{i}"), prefix="brt") as store:
-            tube = solve_brt(ShapeSet((prim,)), sys_cl, solver_cfg, scene.grid, sink=store)
-            manifest = store.finish(tube)
-        finals.append(tube.final_field())
-        brt_manifests.append(os.path.relpath(manifest, out))
+    prims = scene.obstacles.primitives
+
+    def solve(prim, store):
+        return solve_brt(ShapeSet((prim,)), sys_cl, solver_cfg, scene.grid, sink=store)
+
+    # Every tube is put in place only once every solve has returned, so a
+    # failed solve leaves each tube directory as it was.  The pool is
+    # entered after the writers and so shut down before their staging
+    # directories are removed.
+    with contextlib.ExitStack() as stack:
+        stores = [stack.enter_context(TubeWriter(os.path.join(out, f"brt_obstacle_{i}"),
+                                                 prefix="brt"))
+                  for i in range(len(prims))]
+        mapper = map
+        workers = min(len(prims), _usable_cpus())
+        if workers > 1 and scene.grid.num_nodes >= _CONCURRENT_TUBE_NODES:
+            mapper = stack.enter_context(ThreadPoolExecutor(workers)).map
+        # Results come in obstacle order, and so does the first error.
+        tubes = list(mapper(solve, prims, stores))
+        brt_manifests = [os.path.relpath(store.finish(tube), out)
+                         for store, tube in zip(stores, tubes)]
+    finals = [tube.final_field() for tube in tubes]
 
     union_field = union_brt_field(finals)
     report = build_report(

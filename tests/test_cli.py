@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +18,15 @@ from reachverify import cli, solver
 from reachverify.cli import _write_ground_truth, main
 from reachverify.dynamics import ActionBounds, MlpPolicy, save_policy
 from reachverify.error_bounds import DisturbanceBounds, save_bounds
-from reachverify.geometry import AxisBox, AxisCylinder, Ball, ScalarField, ShapeSet, build_grid
+from reachverify.geometry import (
+    AxisBox,
+    AxisCylinder,
+    Ball,
+    ScalarField,
+    ShapeSet,
+    build_grid,
+    level_set_from_shapes,
+)
 from reachverify.nn import (
     MlpModel,
     ModelMeta,
@@ -32,6 +41,7 @@ from reachverify.scene import (
     export_tube,
     field_from_csv,
     land_scene,
+    load_scene,
     load_tube_manifest,
     save_scene,
 )
@@ -78,7 +88,7 @@ def make_scene(tmp_path, obstacle_center, obstacle_radius, counts=(31, 31)):
     return path
 
 
-def verify_config(tmp_path, scene_path, horizon=0.4):
+def verify_config(tmp_path, scene_path, horizon=0.4, stride=5):
     model_path = tmp_path / "model.json"
     policy_path = tmp_path / "policy.json"
     bounds_path = tmp_path / "bounds.json"
@@ -90,7 +100,7 @@ def verify_config(tmp_path, scene_path, horizon=0.4):
         "model": str(model_path),
         "policy": str(policy_path),
         "bounds": str(bounds_path),
-        "solver": {"horizon": horizon, "snapshot_stride": 5, "convergence_eps": 0.0},
+        "solver": {"horizon": horizon, "snapshot_stride": stride, "convergence_eps": 0.0},
     }
     cfg_path = tmp_path / "verify.json"
     cfg_path.write_text(json.dumps(config))
@@ -287,24 +297,136 @@ def test_verify_does_not_check_the_mc_sample_count(tmp_path):
         assert (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("command,tube", [("verify", "frt"), ("safe-set", "brt_obstacle_0")])
-def test_failed_solve_leaves_no_tube_directory(tmp_path, monkeypatch, capsys, command, tube):
-    # A NaN rate at one node from step 12 on makes that node's value NaN:
-    # the seed and the snapshots of steps 5 and 10 are written by then.
+def poison_solves(monkeypatch, poison_step):
+    """Make tube solves fail: from step ``poison_step(seed)`` on (``None``:
+    never), where ``seed`` holds a solve's flat values before its first
+    step, a NaN rate at flat node 7 makes that node's value NaN."""
+
     class PoisonedWorkspace(solver._Workspace):
         def rk2_step(self, dt):
-            self.steps = getattr(self, "steps", 0) + 1
-            if self.steps == 12:
+            if not hasattr(self, "steps"):
+                self.steps, self.poison_at = 0, poison_step(self.values)
+            self.steps += 1
+            if self.steps == self.poison_at:
                 self.half_rate[0, 7] = np.nan
             return super().rk2_step(dt)
 
     monkeypatch.setattr(solver, "_Workspace", PoisonedWorkspace)
-    cfg = verify_config(tmp_path, make_scene(tmp_path, [0.8, 0.8], 0.1))
+
+
+def two_obstacle_scene(tmp_path, counts):
+    """A scene path and its two obstacles, which lie apart from each other
+    and from the initial set."""
+    obstacles = (Ball([0.6, 0.6], 0.15), Ball([-0.6, 0.6], 0.15))
+    scene = Scene(
+        grid=build_grid([-1, -1], [1, 1], counts),
+        initial_set=ShapeSet((Ball([0.0, -0.3], 0.3),)),
+        goal_set=ShapeSet((Ball([0.0, 0.8], 0.1),)),
+        obstacles=ShapeSet(obstacles),
+    )
+    path = tmp_path / "scene.json"
+    save_scene(scene, path)
+    return path, obstacles
+
+
+def inside(grid, shape) -> int:
+    """The flat index of the node deepest inside ``shape``."""
+    return int(np.argmin(level_set_from_shapes(grid, ShapeSet((shape,))).values))
+
+
+@pytest.mark.parametrize("command,tube", [("verify", "frt"), ("safe-set", "brt_obstacle_0"),
+                                          ("safe-set", "brt_obstacle_1")])
+def test_failed_solve_leaves_no_tube_directory(tmp_path, monkeypatch, capsys, command, tube):
+    # The seed and the snapshots of steps 5 and 10 are written by step 12.
+    # In the brt_obstacle_1 case only the second of two obstacles fails, on
+    # a grid that solves them on two threads: the first tube is solved and
+    # written in full, but it must not be put in place either.
+    if tube == "brt_obstacle_1":
+        scene_path, obstacles = two_obstacle_scene(tmp_path, (193, 193))
+        node = inside(load_scene(scene_path).grid, obstacles[1])
+        poison_solves(monkeypatch, lambda seed: 12 if seed[node] < 0 else None)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        cfg = verify_config(tmp_path, scene_path, stride=50)
+    else:
+        poison_solves(monkeypatch, lambda seed: 12)
+        cfg = verify_config(tmp_path, make_scene(tmp_path, [0.8, 0.8], 0.1))
     out = tmp_path / "run"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     assert "non-finite values at step 11" in capsys.readouterr().err
     assert os.listdir(out) == []
     assert not (out / tube).exists()
+
+
+def test_safe_set_reports_the_first_failing_obstacle(tmp_path, monkeypatch, capsys):
+    # Obstacle 1's solve fails first in time, obstacle 0's later; the error
+    # reported is obstacle 0's, as in a serial run, and a rerun that fails
+    # leaves the previous run's tubes as they were.
+    scene_path, obstacles = two_obstacle_scene(tmp_path, (193, 193))
+    node = inside(load_scene(scene_path).grid, obstacles[0])
+    cfg = verify_config(tmp_path, scene_path, stride=50)
+    out = tmp_path / "run"
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert main(["safe-set", "--config", str(cfg), "--out", str(out)]) == 0
+    before = {name: (out / name / "manifest.json").read_bytes()
+              for name in ("brt_obstacle_0", "brt_obstacle_1")}
+    poison_solves(monkeypatch, lambda seed: 20 if seed[node] < 0 else 12)
+    assert main(["safe-set", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite values at step 19" in err
+    assert "step 11" not in err
+    assert sorted(p for p in os.listdir(out) if "brt_obstacle" in p) == sorted(before)
+    for name, manifest in before.items():
+        assert (out / name / "manifest.json").read_bytes() == manifest
+
+
+def test_concurrent_safe_set_writes_the_serial_bytes(tmp_path, monkeypatch):
+    # A moving plant under a disturbance box, so the tubes grow.  Above the
+    # node threshold the two tubes are solved on two worker threads, and
+    # every file must equal the serial run's byte for byte; below it no
+    # thread is started.
+    solve_threads, started = [], []
+    real_solve, real_start = cli.solve_brt, threading.Thread.start
+
+    def solve_brt(*args, **kwargs):
+        solve_threads.append(threading.current_thread())
+        return real_solve(*args, **kwargs)
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(cli, "solve_brt", solve_brt)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    bounds_path = tmp_path / "bounds.json"
+    save_bounds(DisturbanceBounds([0.05, 0.05], [-0.05, -0.03], dt_env=0.1), bounds_path)
+    runs = {}
+    for side, cpus in ((193, 2), (193, 1), (101, 2)):
+        scene_path, _ = two_obstacle_scene(tmp_path, (side, side))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scene": str(scene_path),
+            "env": "true_land",
+            "plant": "true_land",
+            "policy": {"kind": "constant", "action": [0.6, 0.9],
+                       "action_lo": [0.0, -3.14159], "action_hi": [1.0, 3.14159]},
+            "bounds": str(bounds_path),
+            "solver": {"horizon": 0.3, "snapshot_stride": 20},
+            "mc": {"num_samples": 50},
+        }))
+        out = tmp_path / f"run_{side}_{cpus}"
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        solve_threads.clear()
+        started.clear()
+        assert main(["safe-set", "--config", str(cfg), "--out", str(out), "--compare-mc"]) == 0
+        runs[side, cpus] = {str(p.relative_to(out)): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()}
+        if (side, cpus) == (193, 2):
+            assert len(started) >= 1 and threading.main_thread() not in solve_threads
+        else:
+            assert started == [] and solve_threads == [threading.main_thread()] * 2
+    assert runs[193, 2] == runs[193, 1]
+    assert {"brt_obstacle_0/manifest.json", "brt_obstacle_1/manifest.json",
+            "ground_truth.csv"} <= set(runs[193, 2])
 
 
 def test_verify_with_inline_constant_policy(tmp_path):
