@@ -62,7 +62,7 @@ for i, prim in enumerate(scene.obstacles.primitives):
         SolverConfig(horizon=10.0, snapshot_stride=20),
         scene.grid,
     )
-    brt_finals.append(tube.final_field())
+    brt_finals.append(tube.final)
     print(f"backward tube from obstacle {i}: {tube.steps_taken} steps")
 
 report = build_report(scene.grid, scene.initial_set, union_brt_field(brt_finals))

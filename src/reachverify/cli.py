@@ -84,7 +84,10 @@ _CONCURRENT_TUBE_NODES = 32768
 
 def _load_json(path) -> dict:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"malformed config file {path}: {exc}") from exc
     if type(doc) is not dict:
         raise ValueError(f"{path} does not hold a JSON object")
     return doc
@@ -348,7 +351,7 @@ def cmd_safe_set(args) -> int:
         tubes = list(mapper(solve, prims, stores))
         brt_manifests = [os.path.relpath(store.finish(tube), out)
                          for store, tube in zip(stores, tubes)]
-    finals = [tube.final_field() for tube in tubes]
+    finals = [tube.final for tube in tubes]
 
     union_field = union_brt_field(finals)
     report = build_report(

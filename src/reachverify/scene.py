@@ -444,7 +444,6 @@ class TubeWriter:
             "config": {**asdict(tube.config), "direction": tube.direction},
             "steps_taken": tube.steps_taken,
             "max_abs_hamiltonian": tube.max_abs_h,
-            "converged_early": tube.converged_early,
             "snapshots": self._files,
         }
         with open(os.path.join(self._staging, "manifest.json"), "w") as fh:
@@ -466,10 +465,10 @@ def tube_snapshot_files(manifest_path):
     """The grid, the ``(time, csv path)`` of each snapshot and the manifest
     of a tube export.  A snapshot's ``time`` must be a number and its
     ``file`` the bare name of a file in the manifest's directory."""
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
     base = os.path.dirname(manifest_path)
     try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
         grid = _grid_from_dict(manifest["grid"])
         files = []
         for k, entry in enumerate(json_value(list, manifest["snapshots"], "snapshots")):

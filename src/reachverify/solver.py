@@ -96,15 +96,13 @@ class SolverConfig:
     ``dt * sum_i alpha_i / h_i <= 1`` of Lax-Friedrichs with TVD-RK2
     (see :func:`cfl_dt`); the default 0.7 keeps a margin below it.
     ``snapshot_stride`` counts steps, so a larger ``cfl_factor`` spaces
-    snapshots further apart in time.  ``convergence_eps`` stops early once
-    the largest per-step value change falls below it, so a larger step
-    stops later; ``None`` uses ``1e-6`` times the domain diameter.
+    snapshots further apart in time.  Every solve runs to ``horizon``:
+    an early stop would under-approximate the tube.
     """
 
     horizon: float = 10.0
     cfl_factor: float = 0.7
     snapshot_stride: int = 10
-    convergence_eps: float | None = None
 
     def __post_init__(self):
         if not self.horizon > 0:
@@ -113,8 +111,6 @@ class SolverConfig:
             raise ValueError("cfl_factor must lie in (0, 1]")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
-        if self.convergence_eps is not None and self.convergence_eps < 0:
-            raise ValueError("convergence_eps must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -123,13 +119,11 @@ class TubeResult:
 
     Snapshot times run 0 to -T for backward tubes and 0 to +T for forward
     tubes; the first snapshot is always the seed field and the last the
-    final field.  Each snapshot pairs its time with what the solve's sink
-    returned for it: the field itself by default, the name of the file it
-    was written to under a store writer (``scene.TubeWriter``), which
-    keeps no snapshot in memory.  ``final`` is the final field either way.
-    ``direction`` is ``"backward"`` or ``"forward"``.  ``converged_early``
-    says the solve stopped on ``convergence_eps`` before the horizon; a
-    change below it on the last step does not count.
+    final field, at time -T or +T.  Each snapshot pairs its time with what
+    the solve's sink returned for it: the field itself by default, the name
+    of the file it was written to under a store writer
+    (``scene.TubeWriter``), which keeps no snapshot in memory.  ``final`` is the final field either way.
+    ``direction`` is ``"backward"`` or ``"forward"``.
     """
 
     snapshots: tuple
@@ -138,11 +132,7 @@ class TubeResult:
     direction: str
     steps_taken: int
     max_abs_h: float
-    converged_early: bool
     final: ScalarField
-
-    def final_field(self) -> ScalarField:
-        return self.final
 
     def final_mask(self) -> np.ndarray:
         return zero_sublevel_mask(self.final)
@@ -190,13 +180,13 @@ def cfl_dt(config: SolverConfig, alpha, grid: Grid) -> float:
 
     The scheme is monotone for ``dt * sum_i alpha_i / spacing_i <= 1``
     (Osher & Shu, SIAM J. Numer. Anal. 1991), which ``cfl_factor <= 1``
-    keeps.  Degenerate all-zero wave speeds fall back to one hundredth of
-    the horizon.
+    keeps.  All-zero wave speeds leave ``H`` at zero everywhere, so
+    nothing moves and one step spans the whole horizon.
     """
     alpha = np.asarray(alpha, dtype=float)
     denom = float(np.sum(alpha / grid.spacing))
     if denom <= 0.0:
-        return config.horizon / 100.0
+        return config.horizon
     return config.cfl_factor / denom
 
 
@@ -334,9 +324,6 @@ def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Gr
     dt_nom = cfl_dt(config, ws.alpha, grid)
     if config.horizon / dt_nom > _MAX_STEPS:
         raise ValueError("configuration requires an unreasonable number of steps")
-    eps = config.convergence_eps
-    if eps is None:
-        eps = 1e-6 * float(np.linalg.norm(grid.hi - grid.lo))
     sign = 1.0 if forward else -1.0
     end = config.horizon * (1 - 1e-12)
 
@@ -347,7 +334,6 @@ def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Gr
     max_h = 0.0
     tau = 0.0
     steps = 0
-    converged = False
 
     while tau < end:
         dt = min(dt_nom, config.horizon - tau)
@@ -357,9 +343,6 @@ def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Gr
         steps += 1
         tau += dt
         max_h = max(max_h, h_seen)
-        if delta < eps:
-            converged = tau < end
-            break
         if steps % config.snapshot_stride == 0 and tau < end:
             snapshots.append((sign * tau, sink(sign * tau, ws.snapshot(sign * tau))))
 
@@ -373,7 +356,6 @@ def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Gr
         direction="forward" if forward else "backward",
         steps_taken=steps,
         max_abs_h=max_h,
-        converged_early=converged,
         final=final,
     )
 

@@ -148,7 +148,7 @@ def land_tubes(land_run):
         )
         for prim in scene.obstacles.primitives
     ]
-    union = union_brt_field([b.final_field() for b in brts])
+    union = union_brt_field([b.final for b in brts])
     report = build_report(scene.grid, scene.initial_set, union)
     return {
         "system": sys_learned,
@@ -190,7 +190,7 @@ def capsule_runs():
         brt = solve_brt(
             ShapeSet((Ball([3.5, 0.0], 0.7),)),
             sys_cl,
-            SolverConfig(horizon=3.0, snapshot_stride=50, convergence_eps=0.0),
+            SolverConfig(horizon=3.0, snapshot_stride=50),
             grid,
         )
         t_brt = time.time() - t0
@@ -198,7 +198,7 @@ def capsule_runs():
         frt = solve_frt(
             ShapeSet((Ball([0.5, 0.0], 0.7),)),
             sys_cl,
-            SolverConfig(horizon=3.0, snapshot_stride=50, convergence_eps=0.0),
+            SolverConfig(horizon=3.0, snapshot_stride=50),
             grid,
         )
         t_frt = time.time() - t0

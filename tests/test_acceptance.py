@@ -118,7 +118,7 @@ def test_criterion_04_disturbance_conservatism(land_run, land_tubes):
         ("backward", [ShapeSet((p,)) for p in scene.obstacles.primitives]),
     ):
         for seed_set in seeds:
-            cfg = SolverConfig(horizon=10.0, snapshot_stride=50, convergence_eps=0.0)
+            cfg = SolverConfig(horizon=10.0, snapshot_stride=50)
             solve = solve_frt if direction == "forward" else solve_brt
             small = solve(seed_set, sys_small, cfg, scene.grid, alpha_floor=alpha)
             big = solve(seed_set, sys_big, cfg, scene.grid, alpha_floor=alpha)

@@ -100,7 +100,7 @@ def verify_config(tmp_path, scene_path, horizon=0.4, stride=5):
         "model": str(model_path),
         "policy": str(policy_path),
         "bounds": str(bounds_path),
-        "solver": {"horizon": horizon, "snapshot_stride": stride, "convergence_eps": 0.0},
+        "solver": {"horizon": horizon, "snapshot_stride": stride},
     }
     cfg_path = tmp_path / "verify.json"
     cfg_path.write_text(json.dumps(config))
@@ -150,12 +150,14 @@ def test_missing_config_names_file(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
-def test_corrupt_model_exits_config_error(tmp_path):
+@pytest.mark.parametrize("name", ["verify.json", "scene.json", "model.json", "bounds.json"])
+def test_corrupt_model_exits_config_error(tmp_path, capsys, name):
     scene_path = make_scene(tmp_path, [0.8, 0.8], 0.1)
     cfg = verify_config(tmp_path, scene_path)
-    (tmp_path / "model.json").write_text("{broken")
+    (tmp_path / name).write_text("{broken")
     code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "run")])
     assert code == 2
+    assert f"{tmp_path / name}: Expecting property name" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -314,6 +316,13 @@ def poison_solves(monkeypatch, poison_step):
     monkeypatch.setattr(solver, "_Workspace", PoisonedWorkspace)
 
 
+def unit_box(tmp_path):
+    """Replace the zero box of :func:`verify_config` with a unit one.  The
+    zero model stands still, so only the box makes its tubes step: 18
+    steps of the 0.4 horizon on a 31-node grid, 110 on a 193-node one."""
+    save_bounds(DisturbanceBounds([1.0, 1.0], [-1.0, -1.0], dt_env=0.1), tmp_path / "bounds.json")
+
+
 def two_obstacle_scene(tmp_path, counts):
     """A scene path and its two obstacles, which lie apart from each other
     and from the initial set."""
@@ -350,6 +359,7 @@ def test_failed_solve_leaves_no_tube_directory(tmp_path, monkeypatch, capsys, co
     else:
         poison_solves(monkeypatch, lambda seed: 12)
         cfg = verify_config(tmp_path, make_scene(tmp_path, [0.8, 0.8], 0.1))
+    unit_box(tmp_path)
     out = tmp_path / "run"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     assert "non-finite values at step 11" in capsys.readouterr().err
@@ -364,6 +374,7 @@ def test_safe_set_reports_the_first_failing_obstacle(tmp_path, monkeypatch, caps
     scene_path, obstacles = two_obstacle_scene(tmp_path, (193, 193))
     node = inside(load_scene(scene_path).grid, obstacles[0])
     cfg = verify_config(tmp_path, scene_path, stride=50)
+    unit_box(tmp_path)
     out = tmp_path / "run"
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     assert main(["safe-set", "--config", str(cfg), "--out", str(out)]) == 0
@@ -440,7 +451,7 @@ def test_verify_with_inline_constant_policy(tmp_path):
             "action_lo": [0.0, -3.14159],
             "action_hi": [1.0, 3.14159],
         },
-        "solver": {"horizon": 0.3, "snapshot_stride": 10, "convergence_eps": 0.0},
+        "solver": {"horizon": 0.3, "snapshot_stride": 10},
     }
     cfg = tmp_path / "inline.json"
     cfg.write_text(json.dumps(config))
@@ -541,7 +552,7 @@ def test_export_plots_3d_slices(tmp_path, capsys):
         "scene": str(scene_path),
         "model": str(model_path),
         "policy": str(policy_path),
-        "solver": {"horizon": 0.2, "snapshot_stride": 50, "convergence_eps": 0.0},
+        "solver": {"horizon": 0.2, "snapshot_stride": 50},
     }
     cfg = tmp_path / "cfg3.json"
     cfg.write_text(json.dumps(config))
@@ -583,7 +594,7 @@ def write_tube_run(run, fields):
     """A run directory holding one exported tube, ``tube/``, of ``fields``."""
     snapshots = tuple((0.5 * k, f) for k, f in enumerate(fields))
     tube = TubeResult(snapshots, SolverConfig(), fields[0].grid, "forward", len(fields), 0.0,
-                      False, fields[-1])
+                      fields[-1])
     return export_tube(tube, run / "tube", prefix="tube")
 
 
@@ -657,11 +668,14 @@ def _set_snapshot_entry(key, value):
     return lambda m: m["snapshots"][0].update({key: value})
 
 
+# Each edit changes the manifest document in place, or returns the text that
+# replaces the manifest.
 @pytest.mark.parametrize("edit,key", [
     (lambda m: m["grid"].update(counts=31), "grid.counts"),
     (_set_snapshot_entry("time", "0.5"), "snapshots[0].time"),
     (_set_snapshot_entry("file", 3), "snapshots[0].file"),
     (_set_snapshot_entry("file", "../x.csv"), "snapshots[0].file"),
+    (lambda m: "{bad", "Expecting property name"),
 ])
 def test_malformed_tube_manifest_exits_config_error(tmp_path, capsys, edit, key):
     grid = build_grid([-1.0, -1.0], [1.0, 1.0], (5, 4))
@@ -671,10 +685,10 @@ def test_malformed_tube_manifest_exits_config_error(tmp_path, capsys, edit, key)
     assert main(["export-plots", "--run", str(run)]) == 0
     shutil.copyfile(run / "tube" / "tube_0000.csv", run / "x.csv")  # what "../x.csv" names
     manifest = json.loads((run / "tube" / "manifest.json").read_text())
-    edit(manifest)
-    (run / "tube" / "manifest.json").write_text(json.dumps(manifest))
+    text = edit(manifest)
+    (run / "tube" / "manifest.json").write_text(json.dumps(manifest) if text is None else text)
     assert main(["export-plots", "--run", str(run)]) == 2
-    assert key in capsys.readouterr().err
+    assert "manifest.json: " + key in capsys.readouterr().err
     with pytest.raises(ValueError, match=r"manifest.json: " + key.replace("[", r"\[")):
         load_tube_manifest(manifest_path)
 
@@ -994,16 +1008,16 @@ def test_monte_carlo_settings_are_decoded(tmp_path, monkeypatch, command, edit, 
     assert [type(v) for v in seen[0]] == [float, float, int, int]
 
 
-def test_integer_convergence_eps_decodes_to_float(tmp_path):
+def test_integer_solver_horizon_decodes_to_float(tmp_path):
     scene_path = make_scene(tmp_path, [0.8, 0.8], 0.1)
     cfg = verify_config(tmp_path, scene_path)
     doc = json.loads(cfg.read_text())
-    doc["solver"]["convergence_eps"] = 0
+    doc["solver"]["horizon"] = 1
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "run"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
-    eps = json.loads((out / "report.json").read_text())["provenance"]["solver"]["convergence_eps"]
-    assert type(eps) is float and eps == 0.0
+    horizon = json.loads((out / "report.json").read_text())["provenance"]["solver"]["horizon"]
+    assert type(horizon) is float and horizon == 1.0
 
 
 def _reference_polyline(prim, z):

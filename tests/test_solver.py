@@ -334,7 +334,7 @@ def test_cfl_dt_formula():
     assert cfl_dt(cfg, [1.0, 1.0], grid) == pytest.approx(0.025)
     fine = build_grid([0, 0], [1, 1], [21, 21])
     assert cfl_dt(cfg, [1.0, 1.0], fine) == pytest.approx(0.0125)
-    assert cfl_dt(cfg, [0.0, 0.0], grid) == pytest.approx(0.05)  # horizon / 100
+    assert cfl_dt(cfg, [0.0, 0.0], grid) == 5.0  # horizon
 
 
 def test_step_identity_when_hamiltonian_nonnegative():
@@ -373,7 +373,7 @@ def test_1d_advection_zero_crossing_speed():
     grid = build_grid([-4], [2], [241])
     sys_cl = const_system([1.0])
     target = ShapeSet((Ball([1.0], 0.5),))
-    cfg = SolverConfig(horizon=2.0, snapshot_stride=10**6, convergence_eps=0.0)
+    cfg = SolverConfig(horizon=2.0, snapshot_stride=10**6)
     tube = solve_brt(target, sys_cl, cfg, grid)
     x = grid.axis_coords(0)
     mask = tube.final_mask()
@@ -390,12 +390,27 @@ def test_solve_brt_zero_dynamics_keeps_target():
     target = ShapeSet((Ball([0.2, -0.1], 0.4),))
     tube = solve_brt(
         target, sys_cl,
-        SolverConfig(horizon=1.0, convergence_eps=0.0), grid,
+        SolverConfig(horizon=1.0), grid,
     )
     from reachverify.geometry import level_set_from_shapes
 
     expected = zero_sublevel_mask(level_set_from_shapes(grid, target))
     assert np.array_equal(tube.final_mask(), expected)
+
+
+@pytest.mark.parametrize("forward", [False, True], ids=["backward", "forward"])
+def test_still_system_spans_the_horizon_in_one_step(forward):
+    # No wave speed leaves H at zero everywhere: one step of the whole
+    # horizon, and the seed field unchanged.
+    grid = build_grid([-1, -1], [1, 1], [21, 21])
+    policy = ConstantPolicy([0.0], ActionBounds([0.0], [0.0]))
+    sys_cl = ClosedLoopSystem(LinearPlant(np.zeros((2, 2))), policy, DisturbanceBounds.zero(2))
+    seed = ShapeSet((Ball([0.2, -0.1], 0.4),))
+    config = SolverConfig()
+    tube = (solve_frt if forward else solve_brt)(seed, sys_cl, config, grid)
+    assert tube.times == [0.0, (1 if forward else -1) * config.horizon]
+    assert tube.steps_taken == 1
+    assert np.array_equal(tube.final.values, level_set_from_shapes(grid, seed).values)
 
 
 def test_solve_frt_zero_dynamics_keeps_initial():
@@ -404,7 +419,7 @@ def test_solve_frt_zero_dynamics_keeps_initial():
     initial = ShapeSet((Ball([0.0, 0.0], 0.3),))
     tube = solve_frt(
         initial, sys_cl,
-        SolverConfig(horizon=1.0, convergence_eps=0.0), grid,
+        SolverConfig(horizon=1.0), grid,
     )
     from reachverify.geometry import level_set_from_shapes
 
@@ -422,14 +437,14 @@ def test_capsule_small_grid_both_directions():
 
     brt = solve_brt(
         ShapeSet((Ball([3.5, 0.0], 0.7),)), sys_cl,
-        SolverConfig(horizon=3.0, convergence_eps=0.0), grid,
+        SolverConfig(horizon=3.0), grid,
     )
     assert hausdorff_between_masks(grid, brt.final_mask(), analytic) <= tol
     assert masks_nested(brt)
 
     frt = solve_frt(
         ShapeSet((Ball([0.5, 0.0], 0.7),)), sys_cl,
-        SolverConfig(horizon=3.0, convergence_eps=0.0), grid,
+        SolverConfig(horizon=3.0), grid,
     )
     assert hausdorff_between_masks(grid, frt.final_mask(), analytic) <= tol
     assert masks_nested(frt)
@@ -441,7 +456,7 @@ def test_disturbance_monotonicity_small():
     small = const_system([0.5, 0.1], upper=[0.05, 0.05])
     big = const_system([0.5, 0.1], upper=[0.1, 0.1])
     alpha = dissipation_coefficients(big, big.bounds, grid)
-    cfg = SolverConfig(horizon=1.5, convergence_eps=0.0)
+    cfg = SolverConfig(horizon=1.5)
     t_small = solve_brt(target, small, cfg, grid, alpha_floor=alpha)
     t_big = solve_brt(target, big, cfg, grid, alpha_floor=alpha)
     assert np.all(t_small.final_mask() <= t_big.final_mask())
@@ -450,10 +465,9 @@ def test_disturbance_monotonicity_small():
 def test_forward_equals_backward_on_reversed_flow():
     grid = build_grid([-2, -2], [2, 2], [41, 41])
     seed = ShapeSet((Ball([0.0, 0.0], 0.4),))
-    cfg_f = SolverConfig(horizon=1.0, convergence_eps=0.0)
-    cfg_b = SolverConfig(horizon=1.0, convergence_eps=0.0)
-    fwd = solve_frt(seed, const_system([0.7, -0.3], upper=[0.1, 0.1]), cfg_f, grid)
-    bwd = solve_brt(seed, const_system([-0.7, 0.3], upper=[0.1, 0.1]), cfg_b, grid)
+    cfg = SolverConfig(horizon=1.0)
+    fwd = solve_frt(seed, const_system([0.7, -0.3], upper=[0.1, 0.1]), cfg, grid)
+    bwd = solve_brt(seed, const_system([-0.7, 0.3], upper=[0.1, 0.1]), cfg, grid)
     assert np.array_equal(fwd.final_mask(), bwd.final_mask())
 
 
@@ -478,10 +492,10 @@ def test_long_run_stability():
     horizon = 10_000 * dt
     tube = solve_brt(
         ShapeSet((Ball([0.5, 0.5], 0.3),)), sys_cl,
-        SolverConfig(horizon=horizon, snapshot_stride=10**6, convergence_eps=0.0),
+        SolverConfig(horizon=horizon, snapshot_stride=10**6),
         grid,
     )
-    final = tube.final_field().values
+    final = tube.final.values
     assert np.isfinite(final).all()
     diameter = float(np.linalg.norm(grid.hi - grid.lo))
     initial_max = np.abs(
@@ -519,16 +533,16 @@ def test_forward_and_backward_verdicts_consistent_when_safe():
     obstacle = ShapeSet((Ball([-1.5, 0.0], 0.4),))
 
     frt = solve_frt(initial, sys_cl,
-                    SolverConfig(horizon=1.5, convergence_eps=0.0),
+                    SolverConfig(horizon=1.5),
                     grid)
     verdict, _ = classify_policy(frt, obstacle, grid)
     assert verdict == "safe"
 
     brt = solve_brt(obstacle, sys_cl,
-                    SolverConfig(horizon=1.5, convergence_eps=0.0),
+                    SolverConfig(horizon=1.5),
                     grid)
     initial_mask = zero_sublevel_mask(level_set_from_shapes(grid, initial))
-    assert not unsafe_initial_states(brt.final_field(), initial_mask).any()
+    assert not unsafe_initial_states(brt.final, initial_mask).any()
 
 
 def test_tube_result_metadata():
@@ -536,7 +550,7 @@ def test_tube_result_metadata():
     sys_cl = const_system([0.5, 0.0])
     tube = solve_brt(
         ShapeSet((Ball([0.3, 0.0], 0.3),)), sys_cl,
-        SolverConfig(horizon=0.5, snapshot_stride=3, convergence_eps=0.0),
+        SolverConfig(horizon=0.5, snapshot_stride=3),
         grid,
     )
     times = tube.times
@@ -552,8 +566,6 @@ def test_solver_config_validation():
         SolverConfig(horizon=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(horizon=1.0, cfl_factor=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(horizon=1.0, convergence_eps=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(horizon=1.0, snapshot_stride=0)
 
@@ -604,65 +616,43 @@ def _linear_system(dims, box):
     return ClosedLoopSystem(LinearPlant(rng.normal(size=(dims, dims))), policy, bounds)
 
 
-# (dims, stride, eps, stops_early, box, cfl_factor); the stepper takes its
-# -|p| d path on the symmetric and the zero box, its min-of-products path
-# otherwise.  The table was built for the step at cfl_factor 0.5 (more than
-# 4 steps); at eps 2e-3 the change falls below eps only on the last step,
-# which is no early stop.  The last case takes the default step, where eps
-# 1e-2 stops both directions before the horizon.  Ids name the box only when
-# it is not the asymmetric one, and the step only when it is not 0.5.
+# (dims, stride, box, cfl_factor); the stepper takes its -|p| d path on the
+# symmetric and the zero box, its min-of-products path otherwise.  The table
+# was built for the step at cfl_factor 0.5 (more than 4 steps); the last case
+# takes the default step.  Ids name the box only when it is not the
+# asymmetric one, and the step only when it is not 0.5.
 _SOLVE_CASES = [
-    (1, 1, 0.0, False, "asymmetric", 0.5), (2, 3, 0.0, False, "asymmetric", 0.5),
-    (3, 1, 0.0, False, "asymmetric", 0.5), (4, 3, 0.0, False, "asymmetric", 0.5),
-    (2, 3, 2e-3, False, "asymmetric", 0.5),
-    (2, 3, 0.0, False, "symmetric", 0.5), (3, 1, 0.0, False, "symmetric", 0.5),
-    (2, 3, 0.0, False, "zero", 0.5), (3, 1, 0.0, False, "zero", 0.5),
-    (2, 3, 1e-2, True, "asymmetric", SolverConfig().cfl_factor),
+    (1, 1, "asymmetric", 0.5), (2, 3, "asymmetric", 0.5),
+    (3, 1, "asymmetric", 0.5), (4, 3, "asymmetric", 0.5),
+    (2, 3, "symmetric", 0.5), (3, 1, "symmetric", 0.5),
+    (2, 3, "zero", 0.5), (3, 1, "zero", 0.5),
+    (2, 3, "asymmetric", SolverConfig().cfl_factor),
 ]
 
 
 def _solve_case_id(case):
-    dims, stride, eps, stops_early, box, cfl = case
-    parts = [dims, stride, eps, stops_early] + ([] if box == "asymmetric" else [box])
+    dims, stride, box, cfl = case
+    parts = [dims, stride] + ([] if box == "asymmetric" else [box])
     return "-".join(map(str, parts + ([] if cfl == 0.5 else [f"cfl{cfl}"])))
 
 
 @pytest.mark.parametrize("forward", [False, True], ids=["backward", "forward"])
-@pytest.mark.parametrize(
-    "dims,stride,eps,stops_early,box,cfl", _SOLVE_CASES, ids=map(_solve_case_id, _SOLVE_CASES),
-)
-def test_solve_bitwise_equals_allocating_stepper(forward, dims, stride, eps, stops_early, box, cfl):
+@pytest.mark.parametrize("dims,stride,box,cfl", _SOLVE_CASES, ids=map(_solve_case_id, _SOLVE_CASES))
+def test_solve_bitwise_equals_allocating_stepper(forward, dims, stride, box, cfl):
     lo, hi, counts = _GRIDS[dims]
     grid = _grid(lo, hi, counts)
     sys_cl = _linear_system(dims, box)
     seed = ShapeSet((Ball(0.5 * (grid.lo + grid.hi) - 0.05, 0.3),))
-    cfg = SolverConfig(horizon=0.6, cfl_factor=cfl, snapshot_stride=stride, convergence_eps=eps)
+    cfg = SolverConfig(horizon=0.6, cfl_factor=cfl, snapshot_stride=stride)
     solve = solve_frt if forward else solve_brt
     tube = solve(seed, sys_cl, cfg, grid)
-    snapshots, steps, max_h, converged = reference_solve(seed, sys_cl, cfg, grid, forward)
+    snapshots, steps, max_h = reference_solve(seed, sys_cl, cfg, grid, forward)
 
-    assert (tube.steps_taken, tube.max_abs_h, tube.converged_early) == (steps, max_h, converged)
-    assert converged is stops_early and steps > 4
+    assert (tube.steps_taken, tube.max_abs_h) == (steps, max_h)
+    assert steps > 4
     assert tube.times == [t for t, _ in snapshots]
     for (_, field), (_, expected) in zip(tube.snapshots, snapshots):
         assert np.array_equal(field.values.view(np.int64), expected.view(np.int64))
-
-
-@pytest.mark.parametrize("forward", [False, True], ids=["backward", "forward"])
-def test_converged_early_only_when_the_stop_precedes_the_horizon(forward):
-    # Every change lies below a convergence_eps of 1e3, so each solve stops
-    # after its first step: before a horizon of two and a half steps, and
-    # at a horizon of half a step, where the stop is the horizon's.
-    grid = build_grid([-1, -1], [1, 1], [21, 21])
-    sys_cl = const_system([0.5, -0.3], upper=[0.1, 0.1])
-    seed = ShapeSet((Ball([0.0, 0.0], 0.4),))
-    dt = cfl_dt(SolverConfig(), _Workspace(sys_cl, grid, forward).alpha, grid)
-    for steps, early in ((2.5, True), (0.5, False)):
-        cfg = SolverConfig(horizon=steps * dt, convergence_eps=1e3)
-        tube = (solve_frt if forward else solve_brt)(seed, sys_cl, cfg, grid)
-        _, ref_steps, _, ref_early = reference_solve(seed, sys_cl, cfg, grid, forward)
-        assert (tube.steps_taken, tube.converged_early) == (ref_steps, ref_early) == (1, early)
-        assert abs(tube.times[-1]) == pytest.approx(min(steps, 1.0) * dt)
 
 
 def test_nonfinite_value_mid_solve_names_the_step(monkeypatch):
@@ -678,7 +668,7 @@ def test_nonfinite_value_mid_solve_names_the_step(monkeypatch):
     grid = build_grid([-1, -1], [1, 1], [11, 11])
     with pytest.raises(RuntimeError, match="non-finite values at step 4$"):
         solve_brt(ShapeSet((Ball([0.0, 0.0], 0.4),)), const_system([0.3, -0.2]),
-                  SolverConfig(horizon=2.0, snapshot_stride=2, convergence_eps=0.0), grid)
+                  SolverConfig(horizon=2.0, snapshot_stride=2), grid)
 
 
 def test_default_step_gives_the_tubes_of_the_half_limit_step(capsule_runs):

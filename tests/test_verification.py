@@ -25,7 +25,7 @@ from reference import dissipation_coefficients, is_state_safe
 def _frt(grid, initial, sys_cl, horizon=0.5):
     return solve_frt(
         initial, sys_cl,
-        SolverConfig(horizon=horizon, convergence_eps=0.0),
+        SolverConfig(horizon=horizon),
         grid,
     )
 
@@ -155,8 +155,8 @@ def test_land_qualitative_structure(land_run, land_tubes):
     assert land_tubes["frt_flags"] == [False, True]
 
     s0_mask = zero_sublevel_mask(level_set_from_shapes(scene.grid, scene.initial_set))
-    unsafe_0 = unsafe_initial_states(land_tubes["brts"][0].final_field(), s0_mask)
-    unsafe_1 = unsafe_initial_states(land_tubes["brts"][1].final_field(), s0_mask)
+    unsafe_0 = unsafe_initial_states(land_tubes["brts"][0].final, s0_mask)
+    unsafe_1 = unsafe_initial_states(land_tubes["brts"][1].final, s0_mask)
     assert not unsafe_0.any()
     assert unsafe_1.any()
     assert unsafe_1.sum() < s0_mask.sum()
@@ -170,12 +170,12 @@ def test_monotone_conservatism_on_small_scene():
     small = const_system([0.8, 0.0], upper=[0.05, 0.05])
     big = const_system([0.8, 0.0], upper=[0.1, 0.1])
     alpha = dissipation_coefficients(big, big.bounds, grid)
-    cfg = SolverConfig(horizon=1.5, convergence_eps=0.0)
+    cfg = SolverConfig(horizon=1.5)
     brt_small = solve_brt(target, small, cfg, grid, alpha_floor=alpha)
     brt_big = solve_brt(target, big, cfg, grid, alpha_floor=alpha)
     initial_mask = zero_sublevel_mask(level_set_from_shapes(grid, initial))
-    unsafe_small = unsafe_initial_states(brt_small.final_field(), initial_mask)
-    unsafe_big = unsafe_initial_states(brt_big.final_field(), initial_mask)
+    unsafe_small = unsafe_initial_states(brt_small.final, initial_mask)
+    unsafe_big = unsafe_initial_states(brt_big.final, initial_mask)
     # enlarging the disturbance never moves a cell from unsafe to safe
     assert np.all(unsafe_small <= unsafe_big)
 
@@ -217,7 +217,6 @@ def test_classify_detects_contact_at_last_snapshot_only():
         direction="forward",
         steps_taken=2,
         max_abs_h=0.0,
-        converged_early=False,
         final=snapshots[-1][1],
     )
     obstacles = ShapeSet((Ball([1.1, 0.0], 0.3), Ball([-1.5, 1.5], 0.2)))
