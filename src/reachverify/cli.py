@@ -7,9 +7,10 @@ extracts the safe initial states; ``oracle`` runs Monte-Carlo ground
 truth; ``export-plots`` turns a finished run directory into plain CSV
 slices any plotting tool can consume.
 
-On grids of at least 32 768 nodes, ``safe-set`` solves its per-obstacle
-tubes concurrently, one thread per CPU the process may use (at most one
-per obstacle); the outputs are byte-identical to a serial run's.  Its tube
+``safe-set`` scans the closed loop's rates once for all its per-obstacle
+tubes.  On grids of at least 32 768 nodes it solves the tubes
+concurrently, one thread per CPU the process may use (at most one per
+obstacle); the outputs are byte-identical to a serial run's.  Its tube
 directories are put in place only once every solve has succeeded, so a
 failed ``safe-set`` leaves none of them changed.
 
@@ -64,7 +65,7 @@ from .scene import (
     store_to_slices,
     tube_snapshot_files,
 )
-from .solver import SolverConfig, solve_brt, solve_frt
+from .solver import SolverConfig, brt_workspaces, solve_brt, solve_frt
 from .trainer import TrainRunConfig, make_plant, train_loop
 from .verification import build_report, classify_policy, union_brt_field, unsafe_initial_states
 
@@ -75,10 +76,10 @@ EXIT_UNSAFE = 4
 
 # ``safe-set`` solves its per-obstacle tubes on threads on grids of at least
 # this many nodes.  numpy releases the GIL inside its array loops, so two
-# 250-step solves on two threads ran 1.73x as fast as one after the other
-# at 45^3, 1.50x at 33^3 and 1.55x at 201^2, but 1.01x at 27^3 and 0.78x at
+# 250-step solves on two threads ran 1.88x as fast as one after the other
+# at 45^3, 1.52x at 33^3 and 1.58x at 201^2, but 1.04x at 27^3 and 0.75x at
 # 101^2, where the arrays are too short for the threads to gain (median of
-# 5, 2 vCPUs).
+# 5, 2 vCPUs, one shared rate scan on either side).
 _CONCURRENT_TUBE_NODES = 32768
 
 
@@ -319,6 +320,30 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _obstacle_tubes(prims, stores, sys_cl, solver_cfg, grid) -> list:
+    """Each obstacle's backward tube, written to its store.
+
+    The tubes come in obstacle order, and so does the first error.  Every
+    solve reads the coefficients of one rate scan.  On large grids the
+    solves run on threads, each with a buffer set made here, in the calling
+    thread, before any thread starts: memory a worker thread allocates
+    stays with its arena after the thread frees it.
+    """
+    workers = 1
+    if grid.num_nodes >= _CONCURRENT_TUBE_NODES:
+        workers = min(len(prims), _usable_cpus())
+    workspaces = brt_workspaces(sys_cl, grid, workers)
+
+    def solve(prim, store):
+        return solve_brt(ShapeSet((prim,)), sys_cl, solver_cfg, grid, sink=store,
+                         workspaces=workspaces)
+
+    if workers == 1:
+        return list(map(solve, prims, stores))
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(solve, prims, stores))
+
+
 def cmd_safe_set(args) -> int:
     cfg, seed, scene, sys_cl, prov = _run_inputs(args)
     solver_cfg, mc_cfg = _tube_configs(cfg)
@@ -332,23 +357,13 @@ def cmd_safe_set(args) -> int:
     os.makedirs(out, exist_ok=True)
     prims = scene.obstacles.primitives
 
-    def solve(prim, store):
-        return solve_brt(ShapeSet((prim,)), sys_cl, solver_cfg, scene.grid, sink=store)
-
     # Every tube is put in place only once every solve has returned, so a
-    # failed solve leaves each tube directory as it was.  The pool is
-    # entered after the writers and so shut down before their staging
-    # directories are removed.
+    # failed solve leaves each tube directory as it was.
     with contextlib.ExitStack() as stack:
         stores = [stack.enter_context(TubeWriter(os.path.join(out, f"brt_obstacle_{i}"),
                                                  prefix="brt"))
                   for i in range(len(prims))]
-        mapper = map
-        workers = min(len(prims), _usable_cpus())
-        if workers > 1 and scene.grid.num_nodes >= _CONCURRENT_TUBE_NODES:
-            mapper = stack.enter_context(ThreadPoolExecutor(workers)).map
-        # Results come in obstacle order, and so does the first error.
-        tubes = list(mapper(solve, prims, stores))
+        tubes = _obstacle_tubes(prims, stores, sys_cl, solver_cfg, scene.grid)
         brt_manifests = [os.path.relpath(store.finish(tube), out)
                          for store, tube in zip(stores, tubes)]
     finals = [tube.final for tube in tubes]

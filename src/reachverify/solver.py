@@ -12,13 +12,16 @@ exact signed distance of the seed set.  Each explicit step combines:
 * per-stage freezing ``min(0, H)`` so values never increase and the tube
   only grows; consecutive tube masks are therefore nested by construction.
 
-The stepper works on flat arrays over the nodes in C order, in buffers
-allocated once per solve; the step loop allocates none.  Along an axis of
-flat stride ``s`` (the product of the later node counts) one zero-padded
-buffer of ``N + s`` entries holds both one-sided differences: at flat node
-``j`` the backward difference is ``diff[j]`` and the forward one
-``diff[j + s]``, and zeros at the first node along the axis stand in for
-both copy ghosts.  Every operation is then a contiguous 1-D ufunc with an
+The stepper works on flat arrays over the nodes in C order.  The
+Hamiltonian's coefficients (rates, dissipation bounds, box bounds) do not
+depend on the seed, so solves of one system on one grid can share one
+read-only set from one rate scan.  Each running solve steps in its own set
+of buffers, allocated before the solve starts; the step loop allocates
+none.  Along an axis of flat stride ``s`` (the product of the later node
+counts) one zero-padded buffer of ``N + s`` entries holds both one-sided
+differences: at flat node ``j`` the backward difference is ``diff[j]`` and
+the forward one ``diff[j + s]``, and zeros at the first node along the
+axis stand in for both copy ghosts.  Every operation is then a contiguous 1-D ufunc with an
 output buffer.  The kernel keeps the operations and their order of the
 allocating array expressions it replaced, so tubes are bitwise-identical
 to theirs; a rewrite is allowed only where it is exact in IEEE arithmetic,
@@ -68,7 +71,9 @@ workspace and one snapshot at a time; only the final field is kept.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import queue
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +85,7 @@ from .geometry import Grid, ScalarField, ShapeSet, level_set_from_shapes, zero_s
 __all__ = [
     "SolverConfig",
     "TubeResult",
+    "brt_workspaces",
     "cfl_dt",
     "solve_brt",
     "solve_frt",
@@ -122,7 +128,8 @@ class TubeResult:
     final field, at time -T or +T.  Each snapshot pairs its time with what
     the solve's sink returned for it: the field itself by default, the name
     of the file it was written to under a store writer
-    (``scene.TubeWriter``), which keeps no snapshot in memory.  ``final`` is the final field either way.
+    (``scene.TubeWriter``), which keeps no snapshot in memory.  ``final``
+    is the final field either way.
     ``direction`` is ``"backward"`` or ``"forward"``.
     """
 
@@ -194,14 +201,18 @@ def cfl_dt(config: SolverConfig, alpha, grid: Grid) -> float:
 # Time stepping
 # ---------------------------------------------------------------------------
 
-class _Workspace:
-    """Grid-resident buffers and coefficients for one tube solve.
+class _Coefficients:
+    """The Hamiltonian's coefficients for solves of one system on one grid
+    in one direction: the halved rates of one blocked rate scan, the
+    dissipation bounds ``alpha`` and their halves, the halved box bounds
+    and whether the box is symmetric.
 
     The evolution is always the backward, reach-unsafe one; a forward tube
     is the backward tube of the reversed flow with the disturbance box
     reflected, which keeps the extremum cooperative so the tube
-    over-approximates.  Every array is flat over the nodes in C order and
-    allocated here; ``rk2_step`` advances ``values`` in place.
+    over-approximates.  None of the target's data enters, so every solve
+    of the system on the grid reads the same coefficients, and the arrays
+    are read-only so that concurrent solves can share them.
     """
 
     def __init__(self, sys: ClosedLoopSystem, grid: Grid, forward: bool, alpha_floor=None):
@@ -214,37 +225,59 @@ class _Workspace:
         alpha = _rate_scan(sys, sys.bounds, grid, self.half_rate, -0.5 if forward else 0.5)
         upper, lower = sys.bounds.upper, sys.bounds.lower
         hi, lo = (-lower, -upper) if forward else (upper, lower)
-        self._half_hi, self._half_lo = 0.5 * hi, 0.5 * lo
-        self._symmetric = bool(np.array_equal(lower, -upper))
+        self.half_hi, self.half_lo = 0.5 * hi, 0.5 * lo
+        self.symmetric = bool(np.array_equal(lower, -upper))
         self.grid = grid
         if alpha_floor is not None:
-            floor = np.asarray(alpha_floor, dtype=float)
+            floor = np.array(alpha_floor, dtype=float)  # made read-only below
             if np.any(floor < alpha - 1e-12):
                 raise ValueError("alpha_floor must dominate the computed wave-speed bounds")
             alpha = floor
         self.alpha = alpha
-        self._half_alpha = 0.5 * alpha
-        size = grid.num_nodes
-        self._strides = [math.prod(grid.counts[axis + 1:]) for axis in range(n)]
+        self.half_alpha = 0.5 * alpha
+        self.strides = [math.prod(grid.counts[axis + 1:]) for axis in range(n)]
+        for array in (self.half_rate, self.half_hi, self.half_lo, self.alpha, self.half_alpha):
+            array.flags.writeable = False
+
+
+class _Workspace:
+    """One solve's scratch buffers over shared coefficients.
+
+    Every array is flat over the nodes in C order and allocated here;
+    ``rk2_step`` advances ``values`` in place.  A symmetric box needs one
+    buffer fewer: its box term ``-|p| hi/2`` lives in ``_a``, which is free
+    until the dissipation term.
+    """
+
+    def __init__(self, coefficients: _Coefficients):
+        self.coefficients = coefficients
+        size = coefficients.grid.num_nodes
         self.values = np.empty(size)
         self._next = np.empty(size)
-        self._h, self._p, self._a, self._b = (np.empty(size) for _ in range(4))
+        self._h, self._p, self._a = (np.empty(size) for _ in range(3))
+        self._b = None if coefficients.symmetric else np.empty(size)
         # Shared by every axis; entries past ``size`` stay zero for good.
-        self._diff = np.zeros(size + max(self._strides))
+        self._diff = np.zeros(size + max(coefficients.strides))
+
+    def load(self, field: ScalarField) -> None:
+        """Start a solve from ``field``."""
+        self.values[:] = field.values.ravel()
 
     def snapshot(self, time_tag: float) -> ScalarField:
         """A copy of ``values`` as a field; the buffers are reused."""
-        return ScalarField(self.grid, self.values.reshape(self.grid.counts), time_tag)
+        grid = self.coefficients.grid
+        return ScalarField(grid, self.values.reshape(grid.counts), time_tag)
 
     def _differences(self, v: np.ndarray, axis: int):
         # Backward differences at flat node j sit in diff[j], forward ones in
         # diff[j + s]; the first node along the axis holds a zero slope,
         # which is both its own copy ghost and the last node's.
-        s, size = self._strides[axis], v.size
+        grid = self.coefficients.grid
+        s, size = self.coefficients.strides[axis], v.size
         d = self._diff[s:size]
         np.subtract(v[s:], v[:-s], out=d)
-        np.divide(d, self.grid.spacing[axis], out=d)
-        self._diff[:size].reshape(-1, self.grid.counts[axis], s)[:, 0, :] = 0.0
+        np.divide(d, grid.spacing[axis], out=d)
+        self._diff[:size].reshape(-1, grid.counts[axis], s)[:, 0, :] = 0.0
         return self._diff[:size], self._diff[s:size + s]
 
     def numerical_hamiltonian(self, values: np.ndarray) -> np.ndarray:
@@ -257,27 +290,29 @@ class _Workspace:
         diffusion.  Equivalent to one full step of the unfrozen
         reversed-flow PDE clamped by min(V_new, V_old).
         """
+        c = self.coefficients
         v = values.reshape(-1)
         h, p, a, b = self._h, self._p, self._a, self._b
         h.fill(0.0)
-        for axis in range(self.grid.dims):
+        for axis in range(c.grid.dims):
             pm, pp = self._differences(v, axis)
             np.add(pm, pp, out=p)
-            if self._symmetric:
+            # The box term goes to ``a``, free until the dissipation term.
+            if c.symmetric:
                 # min(p d, -p d) with d = hi/2 >= 0
-                np.absolute(p, out=b)
-                np.multiply(b, -self._half_hi[axis], out=b)
+                np.absolute(p, out=a)
+                np.multiply(a, -c.half_hi[axis], out=a)
             else:
-                np.multiply(p, self._half_hi[axis], out=b)
-                np.multiply(p, self._half_lo[axis], out=a)
-                np.minimum(b, a, out=b)
-            np.multiply(p, self.half_rate[axis], out=p)
-            np.add(p, b, out=p)
+                np.multiply(p, c.half_hi[axis], out=b)
+                np.multiply(p, c.half_lo[axis], out=a)
+                np.minimum(b, a, out=a)
+            np.multiply(p, c.half_rate[axis], out=p)
+            np.add(p, a, out=p)
             np.add(h, p, out=h)
             np.subtract(pp, pm, out=a)
-            np.multiply(a, self._half_alpha[axis], out=a)
+            np.multiply(a, c.half_alpha[axis], out=a)
             np.add(h, a, out=h)
-        return h.reshape(self.grid.counts)
+        return h.reshape(c.grid.counts)
 
     def _stage(self, v: np.ndarray, out: np.ndarray, dt: float) -> float:
         # out = v + dt * min(0, H_hat(v)); returns max |H_hat(v)|.
@@ -307,6 +342,44 @@ class _Workspace:
         return max(h1, h2), float(self._h.max())
 
 
+class _Workspaces:
+    """The coefficients of one system's tubes on one grid and ``count``
+    buffer sets over them.
+
+    Everything is allocated here, in the calling thread, and a solve takes
+    a free set for its duration and gives it back: a solve on a worker
+    thread only steps, and solves run one after another reuse one set.  A
+    solve waits while every set is taken, so ``count`` bounds how many run
+    at once.
+    """
+
+    def __init__(self, sys: ClosedLoopSystem, grid: Grid, forward: bool, count: int = 1,
+                 alpha_floor=None):
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        self.system = sys
+        self.coefficients = _Coefficients(sys, grid, forward, alpha_floor)
+        self._free = queue.SimpleQueue()
+        for _ in range(count):
+            self._free.put(_Workspace(self.coefficients))
+
+    @contextlib.contextmanager
+    def take(self):
+        """Lend a free buffer set for the ``with`` block."""
+        workspace = self._free.get()
+        try:
+            yield workspace
+        finally:
+            self._free.put(workspace)
+
+
+def brt_workspaces(sys: ClosedLoopSystem, grid: Grid, count: int) -> _Workspaces:
+    """Workspaces for backward solves of ``sys`` on ``grid`` from one rate
+    scan, with ``count`` buffer sets: pass them to every ``solve_brt`` of
+    the system on the grid, whatever its target."""
+    return _Workspaces(sys, grid, False, count)
+
+
 def _check_inside_grid(shapes: ShapeSet, grid: Grid, label: str) -> None:
     lo, hi = shapes.bounding_box()
     if np.any(lo < grid.lo) or np.any(hi > grid.hi):
@@ -318,36 +391,42 @@ def _keep(time: float, field: ScalarField) -> ScalarField:
 
 
 def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Grid,
-           forward: bool, alpha_floor=None, sink=_keep) -> TubeResult:
+           forward: bool, alpha_floor=None, sink=_keep, workspaces=None) -> TubeResult:
     _check_inside_grid(seed, grid, "seed")
-    ws = _Workspace(sys, grid, forward, alpha_floor)
-    dt_nom = cfl_dt(config, ws.alpha, grid)
+    if workspaces is None:
+        workspaces = _Workspaces(sys, grid, forward, alpha_floor=alpha_floor)
+    elif (workspaces.system is not sys or workspaces.coefficients.grid is not grid
+          or alpha_floor is not None):
+        raise ValueError("the workspaces were made for another system or grid, "
+                         "or without alpha_floor")
+    dt_nom = cfl_dt(config, workspaces.coefficients.alpha, grid)
     if config.horizon / dt_nom > _MAX_STEPS:
         raise ValueError("configuration requires an unreasonable number of steps")
     sign = 1.0 if forward else -1.0
     end = config.horizon * (1 - 1e-12)
 
-    seed_field = level_set_from_shapes(grid, seed)
-    ws.values[:] = seed_field.values.ravel()
-    snapshots = [(0.0, sink(0.0, seed_field))]
-    del seed_field  # the sink holds it if it keeps snapshots; the solve does not
-    max_h = 0.0
-    tau = 0.0
-    steps = 0
+    with workspaces.take() as ws:
+        seed_field = level_set_from_shapes(grid, seed)
+        ws.load(seed_field)
+        snapshots = [(0.0, sink(0.0, seed_field))]
+        del seed_field  # the sink holds it if it keeps snapshots; the solve does not
+        max_h = 0.0
+        tau = 0.0
+        steps = 0
 
-    while tau < end:
-        dt = min(dt_nom, config.horizon - tau)
-        h_seen, delta = ws.rk2_step(dt)
-        if not math.isfinite(delta):
-            raise RuntimeError(f"tube solve produced non-finite values at step {steps}")
-        steps += 1
-        tau += dt
-        max_h = max(max_h, h_seen)
-        if steps % config.snapshot_stride == 0 and tau < end:
-            snapshots.append((sign * tau, sink(sign * tau, ws.snapshot(sign * tau))))
+        while tau < end:
+            dt = min(dt_nom, config.horizon - tau)
+            h_seen, delta = ws.rk2_step(dt)
+            if not math.isfinite(delta):
+                raise RuntimeError(f"tube solve produced non-finite values at step {steps}")
+            steps += 1
+            tau += dt
+            max_h = max(max_h, h_seen)
+            if steps % config.snapshot_stride == 0 and tau < end:
+                snapshots.append((sign * tau, sink(sign * tau, ws.snapshot(sign * tau))))
 
-    # The last step's snapshot is the final field, whatever the stride.
-    final = ws.snapshot(sign * tau)
+        # The last step's snapshot is the final field, whatever the stride.
+        final = ws.snapshot(sign * tau)
     snapshots.append((sign * tau, sink(sign * tau, final)))
     return TubeResult(
         snapshots=tuple(snapshots),
@@ -361,15 +440,18 @@ def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Gr
 
 
 def solve_brt(target: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Grid,
-              alpha_floor=None, sink=_keep) -> TubeResult:
+              alpha_floor=None, sink=_keep, workspaces=None) -> TubeResult:
     """Backward reachable tube seeded from the target set's distance field.
 
     Snapshot masks are nested nondecreasing toward ``-horizon``; the final
     mask is the set of states that can reach the target within the horizon
     under some admissible disturbance (the disturbance helps reach it).
     ``sink`` receives each snapshot as it is taken (see the module notes).
+    ``workspaces`` from :func:`brt_workspaces` for ``sys`` and ``grid``
+    lets solves for several targets share one rate scan; without them the
+    solve makes its own.
     """
-    return _solve(target, sys, config, grid, False, alpha_floor, sink)
+    return _solve(target, sys, config, grid, False, alpha_floor, sink, workspaces)
 
 
 def solve_frt(initial: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Grid,

@@ -300,17 +300,21 @@ def test_verify_does_not_check_the_mc_sample_count(tmp_path):
 
 
 def poison_solves(monkeypatch, poison_step):
-    """Make tube solves fail: from step ``poison_step(seed)`` on (``None``:
-    never), where ``seed`` holds a solve's flat values before its first
-    step, a NaN rate at flat node 7 makes that node's value NaN."""
+    """Make tube solves fail: at step ``poison_step(seed)`` of a solve
+    (``None``: never), where ``seed`` holds the solve's flat values before
+    its first step, a NaN at flat node 7 of its values makes the step's
+    values NaN.  The NaN goes into the solve's own buffers, not into the
+    coefficients that solves share."""
 
     class PoisonedWorkspace(solver._Workspace):
+        def load(self, field):
+            super().load(field)
+            self.steps, self.poison_at = 0, poison_step(self.values)
+
         def rk2_step(self, dt):
-            if not hasattr(self, "steps"):
-                self.steps, self.poison_at = 0, poison_step(self.values)
             self.steps += 1
             if self.steps == self.poison_at:
-                self.half_rate[0, 7] = np.nan
+                self.values[7] = np.nan
             return super().rk2_step(dt)
 
     monkeypatch.setattr(solver, "_Workspace", PoisonedWorkspace)
@@ -323,10 +327,10 @@ def unit_box(tmp_path):
     save_bounds(DisturbanceBounds([1.0, 1.0], [-1.0, -1.0], dt_env=0.1), tmp_path / "bounds.json")
 
 
-def two_obstacle_scene(tmp_path, counts):
-    """A scene path and its two obstacles, which lie apart from each other
-    and from the initial set."""
-    obstacles = (Ball([0.6, 0.6], 0.15), Ball([-0.6, 0.6], 0.15))
+def obstacle_scene(tmp_path, counts, count=2):
+    """A scene path and its ``count`` (at most 3) obstacles, which lie apart
+    from each other and from the initial set."""
+    obstacles = (Ball([0.6, 0.6], 0.15), Ball([-0.6, 0.6], 0.15), Ball([0.6, -0.6], 0.15))[:count]
     scene = Scene(
         grid=build_grid([-1, -1], [1, 1], counts),
         initial_set=ShapeSet((Ball([0.0, -0.3], 0.3),)),
@@ -351,7 +355,7 @@ def test_failed_solve_leaves_no_tube_directory(tmp_path, monkeypatch, capsys, co
     # a grid that solves them on two threads: the first tube is solved and
     # written in full, but it must not be put in place either.
     if tube == "brt_obstacle_1":
-        scene_path, obstacles = two_obstacle_scene(tmp_path, (193, 193))
+        scene_path, obstacles = obstacle_scene(tmp_path, (193, 193))
         node = inside(load_scene(scene_path).grid, obstacles[1])
         poison_solves(monkeypatch, lambda seed: 12 if seed[node] < 0 else None)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
@@ -371,7 +375,7 @@ def test_safe_set_reports_the_first_failing_obstacle(tmp_path, monkeypatch, caps
     # Obstacle 1's solve fails first in time, obstacle 0's later; the error
     # reported is obstacle 0's, as in a serial run, and a rerun that fails
     # leaves the previous run's tubes as they were.
-    scene_path, obstacles = two_obstacle_scene(tmp_path, (193, 193))
+    scene_path, obstacles = obstacle_scene(tmp_path, (193, 193))
     node = inside(load_scene(scene_path).grid, obstacles[0])
     cfg = verify_config(tmp_path, scene_path, stride=50)
     unit_box(tmp_path)
@@ -390,54 +394,98 @@ def test_safe_set_reports_the_first_failing_obstacle(tmp_path, monkeypatch, caps
         assert (out / name / "manifest.json").read_bytes() == manifest
 
 
-def test_concurrent_safe_set_writes_the_serial_bytes(tmp_path, monkeypatch):
-    # A moving plant under a disturbance box, so the tubes grow.  Above the
-    # node threshold the two tubes are solved on two worker threads, and
-    # every file must equal the serial run's byte for byte; below it no
-    # thread is started.
-    solve_threads, started = [], []
+# (grid side, usable CPUs, obstacles) of the safe-set runs below: above
+# the node threshold (193^2) the tubes are solved on threads, one per CPU
+# and at most one per obstacle, and three obstacles on two threads reuse a
+# buffer set; below it (101^2) no thread is started.
+_SAFE_SET_RUNS = ((193, 2, 2), (193, 1, 2), (101, 2, 2), (193, 2, 3), (193, 1, 3))
+
+
+@pytest.fixture(scope="module")
+def safe_set_runs(tmp_path_factory):
+    """Each ``_SAFE_SET_RUNS`` run of ``safe-set --compare-mc`` on a moving
+    plant under a disturbance box, so the tubes grow: its files, the
+    threads its solves ran on and those it started, its rate scans, and the
+    thread that made each of its buffer sets."""
+    tmp_path = tmp_path_factory.mktemp("safe_set_runs")
     real_solve, real_start = cli.solve_brt, threading.Thread.start
+    real_scan, real_init = solver._rate_scan, solver._Workspace.__init__
+    seen = {}
 
     def solve_brt(*args, **kwargs):
-        solve_threads.append(threading.current_thread())
+        seen["solves"].append(threading.current_thread())
         return real_solve(*args, **kwargs)
 
     def start(self):
-        started.append(self)
+        seen["started"].append(self)
         real_start(self)
 
-    monkeypatch.setattr(cli, "solve_brt", solve_brt)
-    monkeypatch.setattr(threading.Thread, "start", start)
+    def rate_scan(*args, **kwargs):
+        seen["scans"].append(threading.current_thread())
+        return real_scan(*args, **kwargs)
+
+    def init(self, *args, **kwargs):
+        seen["sets"].append(threading.current_thread())
+        real_init(self, *args, **kwargs)
+
     bounds_path = tmp_path / "bounds.json"
     save_bounds(DisturbanceBounds([0.05, 0.05], [-0.05, -0.03], dt_env=0.1), bounds_path)
     runs = {}
-    for side, cpus in ((193, 2), (193, 1), (101, 2)):
-        scene_path, _ = two_obstacle_scene(tmp_path, (side, side))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "scene": str(scene_path),
-            "env": "true_land",
-            "plant": "true_land",
-            "policy": {"kind": "constant", "action": [0.6, 0.9],
-                       "action_lo": [0.0, -3.14159], "action_hi": [1.0, 3.14159]},
-            "bounds": str(bounds_path),
-            "solver": {"horizon": 0.3, "snapshot_stride": 20},
-            "mc": {"num_samples": 50},
-        }))
-        out = tmp_path / f"run_{side}_{cpus}"
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        solve_threads.clear()
-        started.clear()
-        assert main(["safe-set", "--config", str(cfg), "--out", str(out), "--compare-mc"]) == 0
-        runs[side, cpus] = {str(p.relative_to(out)): p.read_bytes()
-                            for p in sorted(out.rglob("*")) if p.is_file()}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "solve_brt", solve_brt)
+        mp.setattr(threading.Thread, "start", start)
+        mp.setattr(solver, "_rate_scan", rate_scan)
+        mp.setattr(solver._Workspace, "__init__", init)
+        for side, cpus, count in _SAFE_SET_RUNS:
+            scene_path, _ = obstacle_scene(tmp_path, (side, side), count)
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "scene": str(scene_path),
+                "env": "true_land",
+                "plant": "true_land",
+                "policy": {"kind": "constant", "action": [0.6, 0.9],
+                           "action_lo": [0.0, -3.14159], "action_hi": [1.0, 3.14159]},
+                "bounds": str(bounds_path),
+                "solver": {"horizon": 0.3, "snapshot_stride": 20},
+                "mc": {"num_samples": 50},
+            }))
+            out = tmp_path / f"run_{side}_{cpus}_{count}"
+            mp.setattr(cli, "_usable_cpus", lambda: cpus)
+            seen.update(solves=[], started=[], scans=[], sets=[])
+            assert main(["safe-set", "--config", str(cfg), "--out", str(out),
+                         "--compare-mc"]) == 0
+            files = {str(p.relative_to(out)): p.read_bytes()
+                     for p in sorted(out.rglob("*")) if p.is_file()}
+            runs[side, cpus, count] = dict(seen, files=files)
+    return runs
+
+
+def test_concurrent_safe_set_writes_the_serial_bytes(safe_set_runs):
+    # Every file of a concurrent run must equal the serial run's byte for
+    # byte, also when a thread solves a second tube in a reused buffer set.
+    main_thread = threading.main_thread()
+    for (side, cpus, count), run in safe_set_runs.items():
         if (side, cpus) == (193, 2):
-            assert len(started) >= 1 and threading.main_thread() not in solve_threads
+            assert len(run["started"]) >= 1 and main_thread not in run["solves"]
+            assert len(run["solves"]) == count
+            assert run["files"] == safe_set_runs[193, 1, count]["files"]
         else:
-            assert started == [] and solve_threads == [threading.main_thread()] * 2
-    assert runs[193, 2] == runs[193, 1]
-    assert {"brt_obstacle_0/manifest.json", "brt_obstacle_1/manifest.json",
-            "ground_truth.csv"} <= set(runs[193, 2])
+            assert run["started"] == [] and run["solves"] == [main_thread] * count
+    assert {f"brt_obstacle_{i}/manifest.json" for i in range(3)} | {"ground_truth.csv"} <= set(
+        safe_set_runs[193, 2, 3]["files"])
+
+
+def test_safe_set_scans_the_rates_once_for_all_its_tubes(safe_set_runs):
+    for key, run in safe_set_runs.items():
+        assert run["scans"] == [threading.main_thread()], key
+
+
+def test_safe_set_makes_one_buffer_set_per_worker_on_the_calling_thread(safe_set_runs):
+    # Only the calling thread allocates, so a worker thread's arena keeps
+    # no freed buffers after the solves; a serial run reuses one set.
+    for (side, cpus, count), run in safe_set_runs.items():
+        workers = min(cpus, count) if side == 193 else 1
+        assert run["sets"] == [threading.main_thread()] * workers, (side, cpus, count)
 
 
 def test_verify_with_inline_constant_policy(tmp_path):

@@ -11,7 +11,14 @@ from conftest import LinearPlant
 from reachverify.dynamics import ActionBounds, ClosedLoopSystem, ConstantPolicy
 from reachverify.error_bounds import DisturbanceBounds
 from reachverify.geometry import Ball, ShapeSet, build_grid
-from reachverify.solver import SolverConfig, _Workspace, cfl_dt, solve_brt, solve_frt
+from reachverify.solver import (
+    SolverConfig,
+    _Coefficients,
+    _Workspace,
+    cfl_dt,
+    solve_brt,
+    solve_frt,
+)
 from reference import dissipation_coefficients, reference_solve
 
 _MAX_COUNT = {2: 15, 3: 9}
@@ -171,8 +178,8 @@ def test_rk2_step_is_monotone_up_to_the_limit(case):
     raised = values.copy()
     raised[node] += delta
     slack = 4 * np.spacing(np.abs(raised).max())
-    ws = _Workspace(sys_cl, grid, forward)
+    ws = _Workspace(_Coefficients(sys_cl, grid, forward))
     for cfl in (0.5, SolverConfig().cfl_factor, 1.0):
-        dt = cfl_dt(SolverConfig(cfl_factor=cfl), ws.alpha, grid)
+        dt = cfl_dt(SolverConfig(cfl_factor=cfl), ws.coefficients.alpha, grid)
         low, high = _stepped(ws, values, dt), _stepped(ws, raised, dt)
         assert np.all(high >= low - slack), cfl

@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -35,8 +38,10 @@ from reachverify.geometry import (
 from reachverify.nn import MlpModel, ModelMeta
 from reachverify.solver import (
     SolverConfig,
+    _Coefficients,
     _wave_speeds,
     _Workspace,
+    brt_workspaces,
     cfl_dt,
     solve_brt,
     solve_frt,
@@ -56,13 +61,13 @@ from reference import (
 def step(field, sys_cl, config, dt):
     """One backward TVD-RK2 freezing step of ``field`` on a fresh workspace;
     the time tag moves by ``-dt``.  Raises on steps beyond the CFL bound."""
-    ws = _Workspace(sys_cl, field.grid, False)
-    limit = cfl_dt(config, ws.alpha, field.grid)
+    ws = _Workspace(_Coefficients(sys_cl, field.grid, False))
+    limit = cfl_dt(config, ws.coefficients.alpha, field.grid)
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     if dt > limit * (1 + 1e-9):
         raise ValueError(f"dt={dt} violates the CFL bound {limit}")
-    ws.values[:] = field.values.ravel()
+    ws.load(field)
     ws.rk2_step(dt)
     return ws.snapshot(field.time_tag - dt)
 
@@ -226,7 +231,7 @@ def test_stepper_hamiltonian_equals_pointwise_lax_friedrichs(
     policy = ConstantPolicy([0.0], ActionBounds([0.0], [0.0]))
     bounds = DisturbanceBounds(upper=np.array(upper), lower=np.array(lower))
     sys_cl = ClosedLoopSystem(LinearPlant(A), policy, bounds)
-    ws = _Workspace(sys_cl, grid, forward)
+    ws = _Workspace(_Coefficients(sys_cl, grid, forward))
     if forward:
         reflected = DisturbanceBounds(upper=-np.array(lower), lower=-np.array(upper))
         sys_ref = ClosedLoopSystem(LinearPlant(-np.array(A)), policy, reflected)
@@ -242,7 +247,7 @@ def test_stepper_hamiltonian_equals_pointwise_lax_friedrichs(
         p_minus = [pm[idx] for pm, _ in diffs]
         p_plus = [pp[idx] for _, pp in diffs]
         reference[idx] = lax_friedrichs_H(
-            points[idx], p_plus, p_minus, sys_ref, "reach_unsafe", ws.alpha
+            points[idx], p_plus, p_minus, sys_ref, "reach_unsafe", ws.coefficients.alpha
         )
     assert np.max(np.abs(vectorised - reference)) <= 1e-12 * np.max(np.abs(reference))
 
@@ -275,7 +280,7 @@ def test_numerical_hamiltonian_on_linear_field_is_p_dot_f_plus_box_minimum(case,
     # The stepper minimizes over the box; a forward one steps the reversed
     # flow with the reflected box.
     grid, sys_cl, c, V = _linear_case(case, box)
-    ws = _Workspace(sys_cl, grid, forward)
+    ws = _Workspace(_Coefficients(sys_cl, grid, forward))
     H = ws.numerical_hamiltonian(V)
     rates = nominal_rate_batch(sys_cl, grid.flat_points()).reshape(*grid.counts, grid.dims)
     b = sys_cl.bounds
@@ -289,7 +294,7 @@ def test_numerical_hamiltonian_on_linear_field_is_p_dot_f_plus_box_minimum(case,
 @pytest.mark.parametrize("case", _LINEAR_CASES, ids=["2d", "3d"])
 def test_differences_are_exact_and_zero_at_the_copy_ghosts(case):
     grid, sys_cl, c, V = _linear_case(case, "asymmetric")
-    ws = _Workspace(sys_cl, grid, False)
+    ws = _Workspace(_Coefficients(sys_cl, grid, False))
     for axis in range(grid.dims):
         backward, forward = (np.moveaxis(d.copy().reshape(grid.counts), axis, 0)
                              for d in ws._differences(V.ravel(), axis))
@@ -656,12 +661,12 @@ def test_solve_bitwise_equals_allocating_stepper(forward, dims, stride, box, cfl
 
 
 def test_nonfinite_value_mid_solve_names_the_step(monkeypatch):
-    # A NaN rate at one node from step 4 on makes that node's value NaN.
+    # A NaN value at one node before step 4 makes that step's values NaN.
     class PoisonedWorkspace(solver._Workspace):
         def rk2_step(self, dt):
             self.steps = getattr(self, "steps", 0) + 1
             if self.steps == 5:
-                self.half_rate[0, 7] = np.nan
+                self.values[7] = np.nan
             return super().rk2_step(dt)
 
     monkeypatch.setattr(solver, "_Workspace", PoisonedWorkspace)
@@ -669,6 +674,71 @@ def test_nonfinite_value_mid_solve_names_the_step(monkeypatch):
     with pytest.raises(RuntimeError, match="non-finite values at step 4$"):
         solve_brt(ShapeSet((Ball([0.0, 0.0], 0.4),)), const_system([0.3, -0.2]),
                   SolverConfig(horizon=2.0, snapshot_stride=2), grid)
+
+
+@pytest.mark.parametrize("box", ["symmetric", "asymmetric"])
+def test_solves_sharing_workspaces_equal_solves_making_their_own(box):
+    # One rate scan and one buffer set serve every target in turn; the
+    # asymmetric box also takes the extra buffer of its box term.
+    grid = build_grid([-1, -1], [1, 1], [21, 21])
+    if box == "symmetric":
+        sys_cl = const_system([0.3, -0.2], upper=[0.1, 0.2])
+    else:
+        sys_cl = _network_system(2, 7)
+    cfg = SolverConfig(horizon=0.5, snapshot_stride=3)
+    shared = brt_workspaces(sys_cl, grid, 1)
+    for target in (ShapeSet((Ball([0.5, 0.5], 0.2),)), ShapeSet((Ball([-0.4, 0.3], 0.25),))):
+        tube = solve_brt(target, sys_cl, cfg, grid, workspaces=shared)
+        own = solve_brt(target, sys_cl, cfg, grid)
+        assert (tube.steps_taken, tube.max_abs_h) == (own.steps_taken, own.max_abs_h)
+        assert tube.times == own.times
+        for (_, field), (_, expected) in zip(tube.snapshots, own.snapshots):
+            assert np.array_equal(_bits(field.values), _bits(expected.values))
+
+
+def test_no_buffer_set_is_lent_to_two_solves_at_once():
+    # More threads than sets and cores, switching often: a set lent twice
+    # would be seen busy by its second borrower.
+    grid = build_grid([-1, -1], [1, 1], [5, 5])
+    shared = brt_workspaces(const_system([0.3, -0.2]), grid, 2)
+    busy, overlaps, lends = set(), [], []
+
+    def borrow():
+        for _ in range(200):
+            with shared.take() as ws:
+                if id(ws) in busy:
+                    overlaps.append(ws)
+                busy.add(id(ws))
+                lends.append(id(ws))
+                time.sleep(0)
+                busy.discard(id(ws))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=borrow) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert overlaps == [] and len(lends) == 8 * 200 and len(set(lends)) == 2
+
+
+def test_workspaces_of_another_system_or_grid_are_refused():
+    grid = build_grid([-1, -1], [1, 1], [11, 11])
+    sys_cl, cfg = const_system([0.3, -0.2]), SolverConfig(horizon=0.5)
+    target = ShapeSet((Ball([0.0, 0.0], 0.3),))
+    shared = brt_workspaces(sys_cl, grid, 1)
+    for args, kwargs in (
+        ((sys_cl, cfg, build_grid([-1, -1], [1, 1], [11, 11])), {}),
+        ((const_system([0.3, -0.2]), cfg, grid), {}),
+        ((sys_cl, cfg, grid), {"alpha_floor": [1.0, 1.0]}),
+    ):
+        with pytest.raises(ValueError, match="made for another system or grid"):
+            solve_brt(target, *args, workspaces=shared, **kwargs)
 
 
 def test_default_step_gives_the_tubes_of_the_half_limit_step(capsule_runs):
@@ -741,12 +811,25 @@ def test_blocked_rate_scan_equals_whole_grid_scan(counts, forward):
     grid = blocked_grid(counts)
     sys_cl = _network_system(grid.dims, sum(counts))
     rates = nominal_rate_batch(sys_cl, grid.flat_points())
-    ws = _Workspace(sys_cl, grid, forward)
-    assert np.array_equal(_bits(ws.half_rate), _bits((-0.5 if forward else 0.5) * rates.T))
+    coefficients = _Coefficients(sys_cl, grid, forward)
+    assert np.array_equal(_bits(coefficients.half_rate),
+                          _bits((-0.5 if forward else 0.5) * rates.T))
     alpha = _wave_speeds(rates, sys_cl.bounds)
-    assert np.array_equal(_bits(ws.alpha), _bits(alpha))
+    assert np.array_equal(_bits(coefficients.alpha), _bits(alpha))
     scanned = dissipation_coefficients(sys_cl, sys_cl.bounds, grid)
     assert np.array_equal(_bits(scanned), _bits(alpha))
+
+
+def _held_bytes(ws) -> int:
+    """Bytes of the distinct arrays a workspace holds, its coefficients'
+    included; a view counts as the array it views."""
+    owners = {}
+    for obj in (ws, ws.coefficients):
+        for a in vars(obj).values():
+            if isinstance(a, np.ndarray):
+                owner = a if a.base is None else a.base
+                owners[id(owner)] = owner
+    return sum(a.nbytes for a in owners.values())
 
 
 def test_workspace_and_seed_memory_is_bounded_by_the_workspace():
@@ -759,20 +842,19 @@ def test_workspace_and_seed_memory_is_bounded_by_the_workspace():
     seed = ShapeSet((Ball([0.0, 0.0, 0.0], 1.0),))
     tracemalloc.start()
     try:
-        ws = _Workspace(sys_cl, grid, True)
+        ws = _Workspace(_Coefficients(sys_cl, grid, True))
         level_set_from_shapes(grid, seed)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    size = sum(a.nbytes for a in vars(ws).values() if isinstance(a, np.ndarray))
-    assert peak <= size + 2e6
+    assert peak <= _held_bytes(ws) + 2e6
 
 
 def test_streamed_solve_memory_is_its_workspace_and_two_fields(tmp_path):
     # Through the store writer a solve holds its workspace, the snapshot
     # being written and, at the end, the final field.  Kept in memory, the
-    # 16 snapshots of the default 10 s horizon peaked at 19.0 MB (11.7 MB
-    # held) against 8.6 MB streamed; a shorter horizon keeps the test quick.
+    # 16 snapshots of the default 10 s horizon peaked at 18.3 MB (11.7 MB
+    # held) against 7.9 MB streamed; a shorter horizon keeps the test quick.
     from reachverify.dynamics import AirPlant
     from reachverify.scene import TubeWriter, air_scene
     from reachverify.trainer import default_action_bounds
@@ -781,9 +863,7 @@ def test_streamed_solve_memory_is_its_workspace_and_two_fields(tmp_path):
     grid, seed = scene.grid, scene.initial_set
     policy = ConstantPolicy([0.9, 0.87, 0.65], default_action_bounds("true_air"))
     sys_cl = ClosedLoopSystem(AirPlant(), policy, DisturbanceBounds([0.05] * 3, [-0.05] * 3))
-    ws = _Workspace(sys_cl, grid, True)
-    workspace = sum(a.nbytes for a in vars(ws).values() if isinstance(a, np.ndarray))
-    del ws
+    workspace = _held_bytes(_Workspace(_Coefficients(sys_cl, grid, True)))
     field = grid.num_nodes * 8
     tracemalloc.start()
     try:
