@@ -10,9 +10,16 @@ slices any plotting tool can consume.
 ``safe-set`` scans the closed loop's rates once for all its per-obstacle
 tubes.  On grids of at least 32 768 nodes it solves the tubes
 concurrently, one thread per CPU the process may use (at most one per
-obstacle); the outputs are byte-identical to a serial run's.  Its tube
-directories are put in place only once every solve has succeeded, so a
-failed ``safe-set`` leaves none of them changed.
+obstacle).  On grids of at least 49 152 nodes every tube solve also steps
+in slabs of grid planes, one thread per slab, and the CPUs are shared out
+between the two: each of the tubes solved at once gets ``max(1, CPUs //
+tubes)`` slabs.  On two CPUs ``verify`` steps its tube in two slabs,
+``safe-set`` solves two obstacles side by side in one slab each and one
+obstacle in two slabs.  However the work is split, the outputs are
+byte-identical to a serial run's.  The CPU count is
+``solver._usable_cpus``.  ``safe-set``'s tube directories are put in place
+only once every solve has succeeded, so a failed ``safe-set`` leaves none
+of them changed.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, and 4
 from ``verify --strict`` when the policy is unsafe.  Given identical
@@ -35,7 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import error_bounds as eb
-from . import nn
+from . import nn, solver
 from .dynamics import ClosedLoopSystem, LearnedPlant, load_policy, save_policy
 from .geometry import (
     AxisBox,
@@ -79,7 +86,10 @@ EXIT_UNSAFE = 4
 # 250-step solves on two threads ran 1.88x as fast as one after the other
 # at 45^3, 1.52x at 33^3 and 1.58x at 201^2, but 1.04x at 27^3 and 0.75x at
 # 101^2, where the arrays are too short for the threads to gain (median of
-# 5, 2 vCPUs, one shared rate scan on either side).
+# 5, 2 vCPUs, one shared rate scan on either side).  Two slab threads
+# nested inside each of these, four threads on two CPUs, made the ``air``
+# ``safe-set`` slower (median of 10: 1.146 s against 1.074 s), so the
+# solver gives each concurrent tube its share of the CPUs.
 _CONCURRENT_TUBE_NODES = 32768
 
 
@@ -232,17 +242,9 @@ def _tube_configs(cfg: RunConfig):
     """The solver config and the Monte-Carlo settings of a verify /
     safe-set config; the ``mc`` plant defaults to the run's ``env`` and
     its horizon to the solver's."""
-    solver = _from_block(SolverConfig, cfg.solver, "solver")
-    mc = {"plant": cfg.env, "horizon": solver.horizon, **cfg.mc}
-    return solver, _from_block(RunConfig, mc, "mc", keys={k: k for k in _MC_KEYS})
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    solver_cfg = _from_block(SolverConfig, cfg.solver, "solver")
+    mc = {"plant": cfg.env, "horizon": solver_cfg.horizon, **cfg.mc}
+    return solver_cfg, _from_block(RunConfig, mc, "mc", keys={k: k for k in _MC_KEYS})
 
 
 def _write_ground_truth(mc, n: int, path) -> None:
@@ -327,11 +329,13 @@ def _obstacle_tubes(prims, stores, sys_cl, solver_cfg, grid) -> list:
     solve reads the coefficients of one rate scan.  On large grids the
     solves run on threads, each with a buffer set made here, in the calling
     thread, before any thread starts: memory a worker thread allocates
-    stays with its arena after the thread frees it.
+    stays with its arena after the thread frees it.  The sets share out the
+    usable CPUs, so a tube steps in more than one slab only when there are
+    fewer tubes at once than CPUs.
     """
     workers = 1
     if grid.num_nodes >= _CONCURRENT_TUBE_NODES:
-        workers = min(len(prims), _usable_cpus())
+        workers = min(len(prims), solver._usable_cpus())
     workspaces = brt_workspaces(sys_cl, grid, workers)
 
     def solve(prim, store):

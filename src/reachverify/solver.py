@@ -16,8 +16,8 @@ The stepper works on flat arrays over the nodes in C order.  The
 Hamiltonian's coefficients (rates, dissipation bounds, box bounds) do not
 depend on the seed, so solves of one system on one grid can share one
 read-only set from one rate scan.  Each running solve steps in its own set
-of buffers, allocated before the solve starts; the step loop allocates
-none.  Along an axis of flat stride ``s`` (the product of the later node
+of buffers, allocated before the solve starts; the step loop allocates no
+array.  Along an axis of flat stride ``s`` (the product of the later node
 counts) one zero-padded buffer of ``N + s`` entries holds both one-sided
 differences: at flat node ``j`` the backward difference is ``diff[j]`` and
 the forward one ``diff[j + s]``, and zeros at the first node along the
@@ -41,6 +41,28 @@ The last two may flip the sign of a zero term, never a bit of ``H``: it
 starts at +0.0, and a sum is -0.0 only when both terms are, so ``H``, the
 values, ``max |H|`` and every snapshot are unchanged.  The tests keep the
 allocating form as the reference.
+
+Large grids step on every usable CPU.  A node's update reads only its
+neighbours along each axis (Mitchell, Bayen & Tomlin 2005), so a grid cuts
+into slabs of whole axis-0 planes that share a one-plane halo.  On grids of
+at least ``_SLAB_NODES`` nodes a solve steps every slab but the first on a
+worker thread of its own; numpy releases the interpreter lock inside its
+array loops.  The threads meet at a barrier after stage 1, after stage 2's
+Hamiltonian and after the step's combine.  Each slab has its own scratch
+buffers, made with the rest of the set in the calling thread, and a
+difference buffer whose zeros are those of the whole grid's, so every node
+goes through the same operations in the same order; the step's maxima are
+exact, and a NaN from any slab survives their combine.  The tubes are
+therefore the same bits whatever the split.  A buffer set gets
+``max(1, usable CPUs // sets)`` slabs, ``sets`` being the number of solves
+that may run at once, and no slab holds fewer than ``_SLAB_NODES / 2``
+nodes.  Two slabs on two threads against one (150 steps, median of 3, 2
+vCPUs) ran 0.41x at 101^2, 0.65x at 151^2, 1.06-1.11x at 201^2, 1.18x at
+225^2, 1.47-1.52x at 251^2 and 1.78x at 301^2; 0.55x at 27^3, 0.89x at
+33^3, 1.05-1.18x at 36^3, 1.29x at 37^3, 1.52x at 39^3, 1.62x at 41^3,
+1.65x at 45^3 and 1.97x at 71^3.  Below the threshold, and on one CPU, a
+solve steps one slab of the whole grid in the calling thread, through
+exactly the operations of the unsplit kernel.
 
 The entry point fixes the tube's direction and the disturbance sense, and
 both are the conservative choice for a safety question:
@@ -73,7 +95,9 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +116,11 @@ __all__ = [
 ]
 
 _MAX_STEPS = 2_000_000
+
+# A solve on a grid of at least this many nodes steps its slabs on threads;
+# two slabs first ran clearly faster than one between 201^2 (40 401 nodes,
+# 1.06-1.11x) and 37^3 (50 653 nodes, 1.29x).  See the module notes.
+_SLAB_NODES = 49152
 
 
 @dataclass(frozen=True)
@@ -201,6 +230,25 @@ def cfl_dt(config: SolverConfig, alpha, grid: Grid) -> float:
 # Time stepping
 # ---------------------------------------------------------------------------
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _slab_count(grid: Grid, sets: int) -> int:
+    """Slabs per buffer set when ``sets`` solves may run at once: one below
+    ``_SLAB_NODES`` nodes, else the usable CPUs shared out among the sets,
+    with no slab of fewer than ``_SLAB_NODES / 2`` nodes."""
+    if grid.num_nodes < _SLAB_NODES:
+        return 1
+    plane = grid.num_nodes // grid.counts[0]
+    fewest_planes = -(-_SLAB_NODES // (2 * plane))
+    return max(1, min(_usable_cpus() // sets, grid.counts[0] // fewest_planes))
+
+
 class _Coefficients:
     """The Hamiltonian's coefficients for solves of one system on one grid
     in one direction: the halved rates of one blocked rate scan, the
@@ -240,49 +288,58 @@ class _Coefficients:
             array.flags.writeable = False
 
 
-class _Workspace:
-    """One solve's scratch buffers over shared coefficients.
+class _Slab:
+    """The scratch buffers of the axis-0 planes ``first`` to ``stop - 1``,
+    flat nodes ``lo`` to ``hi - 1``, and the slab's share of a step's
+    reductions.
 
-    Every array is flat over the nodes in C order and allocated here;
-    ``rk2_step`` advances ``values`` in place.  A symmetric box needs one
-    buffer fewer: its box term ``-|p| hi/2`` lives in ``_a``, which is free
-    until the dissipation term.
+    Along axis 0 a node's differences read the planes before and after it,
+    so a slab reads one halo plane of the field on either side; along a
+    later axis they stay inside the node's plane.  ``diff`` holds the
+    slab's nodes plus the largest stride, and its zeros are those of the
+    whole grid's buffer: at the first node along each axis, past the last
+    node, and, along a later axis, at the first row of the next plane.  One
+    slab of every plane is the whole grid and steps through exactly the
+    operations of an unsplit kernel.
     """
 
-    def __init__(self, coefficients: _Coefficients):
+    def __init__(self, coefficients: _Coefficients, first: int, stop: int):
         self.coefficients = coefficients
-        size = coefficients.grid.num_nodes
-        self.values = np.empty(size)
-        self._next = np.empty(size)
-        self._h, self._p, self._a = (np.empty(size) for _ in range(3))
-        self._b = None if coefficients.symmetric else np.empty(size)
-        # Shared by every axis; entries past ``size`` stay zero for good.
-        self._diff = np.zeros(size + max(coefficients.strides))
-
-    def load(self, field: ScalarField) -> None:
-        """Start a solve from ``field``."""
-        self.values[:] = field.values.ravel()
-
-    def snapshot(self, time_tag: float) -> ScalarField:
-        """A copy of ``values`` as a field; the buffers are reused."""
-        grid = self.coefficients.grid
-        return ScalarField(grid, self.values.reshape(grid.counts), time_tag)
+        plane = coefficients.strides[0]
+        self.lo, self.hi = first * plane, stop * plane
+        size = self.hi - self.lo
+        self.rates = coefficients.half_rate[:, self.lo:self.hi]
+        self.h, self.p, self.a = (np.empty(size) for _ in range(3))
+        self.b = None if coefficients.symmetric else np.empty(size)
+        # Shared by every axis; entries past the last node stay zero for good.
+        self.diff = np.zeros(size + max(coefficients.strides))
+        self.h_abs = self.delta = 0.0
 
     def _differences(self, v: np.ndarray, axis: int):
-        # Backward differences at flat node j sit in diff[j], forward ones in
-        # diff[j + s]; the first node along the axis holds a zero slope,
-        # which is both its own copy ghost and the last node's.
-        grid = self.coefficients.grid
-        s, size = self.coefficients.strides[axis], v.size
-        d = self._diff[s:size]
-        np.subtract(v[s:], v[:-s], out=d)
-        np.divide(d, grid.spacing[axis], out=d)
-        self._diff[:size].reshape(-1, grid.counts[axis], s)[:, 0, :] = 0.0
-        return self._diff[:size], self._diff[s:size + s]
+        # Backward differences at the slab's node i sit in diff[i], forward
+        # ones in diff[i + s]; the first node along the axis holds a zero
+        # slope, which is both its own copy ghost and the last node's.
+        # Along axis 0 the slab's last plane takes its forward differences
+        # from the plane after the slab, unless the slab ends the grid.
+        c = self.coefficients
+        s, lo, hi = c.strides[axis], self.lo, self.hi
+        size, diff = hi - lo, self.diff
+        start = s if axis or not lo else 0
+        stop = size if axis else min(size + s, v.size - lo)
+        d = diff[start:stop]
+        np.subtract(v[lo + start:lo + stop], v[lo + start - s:lo + stop - s], out=d)
+        np.divide(d, c.grid.spacing[axis], out=d)
+        if axis:
+            diff[:size].reshape(-1, c.grid.counts[axis], s)[:, 0, :] = 0.0
+            if hi < v.size:
+                diff[size:size + s] = 0.0
+        elif not lo:
+            diff[:s] = 0.0
+        return diff[:size], diff[s:size + s]
 
-    def numerical_hamiltonian(self, values: np.ndarray) -> np.ndarray:
-        """Dissipated Hamiltonian of ``values`` in a grid-shaped view of a
-        buffer that the next call overwrites.
+    def hamiltonian(self, v: np.ndarray) -> np.ndarray:
+        """Dissipated Hamiltonian of the flat field ``v`` over the slab, in
+        a buffer that the next call overwrites.
 
         The update is V += dt * min(0, H_hat).  The evolution variable runs
         opposite to physical time, so the Lax-Friedrichs term enters with
@@ -291,8 +348,7 @@ class _Workspace:
         reversed-flow PDE clamped by min(V_new, V_old).
         """
         c = self.coefficients
-        v = values.reshape(-1)
-        h, p, a, b = self._h, self._p, self._a, self._b
+        h, p, a, b = self.h, self.p, self.a, self.b
         h.fill(0.0)
         for axis in range(c.grid.dims):
             pm, pp = self._differences(v, axis)
@@ -306,23 +362,128 @@ class _Workspace:
                 np.multiply(p, c.half_hi[axis], out=b)
                 np.multiply(p, c.half_lo[axis], out=a)
                 np.minimum(b, a, out=a)
-            np.multiply(p, c.half_rate[axis], out=p)
+            np.multiply(p, self.rates[axis], out=p)
             np.add(p, a, out=p)
             np.add(h, p, out=h)
             np.subtract(pp, pm, out=a)
             np.multiply(a, c.half_alpha[axis], out=a)
             np.add(h, a, out=h)
-        return h.reshape(c.grid.counts)
+        return h
 
-    def _stage(self, v: np.ndarray, out: np.ndarray, dt: float) -> float:
-        # out = v + dt * min(0, H_hat(v)); returns max |H_hat(v)|.
-        self.numerical_hamiltonian(v)
-        h = self._h
+    def advance(self, v: np.ndarray, out: np.ndarray, dt: float) -> float:
+        # out = v + dt * min(0, H_hat) over the slab, from the Hamiltonian
+        # of the last ``hamiltonian`` call; returns the slab's max |H_hat|.
+        h = self.h
         h_abs = max(float(h.max()), -float(h.min()))
         np.minimum(0.0, h, out=h)
         np.multiply(h, dt, out=h)
-        np.add(v, h, out=out)
+        np.add(v[self.lo:self.hi], h, out=out[self.lo:self.hi])
         return h_abs
+
+    def average(self, values: np.ndarray, new: np.ndarray) -> float:
+        # new = (values + new) / 2 over the slab; returns max(values - new).
+        values, new = values[self.lo:self.hi], new[self.lo:self.hi]
+        np.add(values, new, out=new)
+        np.multiply(new, 0.5, out=new)
+        np.subtract(values, new, out=self.h)
+        return float(self.h.max())
+
+
+def _no_wait():
+    pass
+
+
+class _Workspace:
+    """One solve's buffers over shared coefficients: the whole flat fields
+    ``values`` and ``_next`` in C order, and ``slabs`` runs of whole
+    axis-0 planes (at most one per plane), each with its own scratch
+    buffers.  Everything is
+    allocated here, and ``rk2_step`` advances ``values`` in place.
+
+    With more than one slab, ``threads`` steps every slab but the first on
+    a worker thread of its own for the ``with`` block; otherwise
+    ``rk2_step`` steps every slab in the calling thread.  Either way every
+    node goes through the same operations, so the fields are the same bits
+    whatever the split.
+    """
+
+    def __init__(self, coefficients: _Coefficients, slabs: int = 1):
+        self.coefficients = coefficients
+        size = coefficients.grid.num_nodes
+        self.values = np.empty(size)
+        self._next = np.empty(size)
+        planes = coefficients.grid.counts[0]
+        cuts = [planes * k // slabs for k in range(slabs + 1)]
+        self.slabs = [_Slab(coefficients, first, stop) for first, stop in zip(cuts, cuts[1:])]
+        self._barrier = None  # while worker threads step slabs[1:]
+        self._signals = []
+        self._error = None
+
+    def load(self, field: ScalarField) -> None:
+        """Start a solve from ``field``."""
+        self.values[:] = field.values.ravel()
+
+    def snapshot(self, time_tag: float) -> ScalarField:
+        """A copy of ``values`` as a field; the buffers are reused."""
+        grid = self.coefficients.grid
+        return ScalarField(grid, self.values.reshape(grid.counts), time_tag)
+
+    def _step_slabs(self, slabs, dt: float, wait) -> None:
+        # One step of ``slabs``; ``wait`` meets the threads stepping the
+        # other slabs once stage 1 has written ``_next``, once stage 2 has
+        # read it, and once the step is done.
+        values, new = self.values, self._next
+        for slab in slabs:
+            slab.hamiltonian(values)
+            slab.h_abs = slab.advance(values, new, dt)
+        wait()
+        for slab in slabs:
+            slab.hamiltonian(new)
+        wait()
+        for slab in slabs:
+            slab.h_abs = max(slab.h_abs, slab.advance(new, new, dt))
+            slab.delta = slab.average(values, new)
+        wait()
+
+    def _work(self, slab: _Slab, signal: queue.SimpleQueue, barrier: threading.Barrier) -> None:
+        # A worker thread: one step of ``slab`` per ``dt`` signalled, until
+        # ``None`` or a broken barrier.  Leaving for any other reason breaks
+        # the barrier, and the calling thread raises the error.
+        try:
+            while (dt := signal.get()) is not None:
+                self._step_slabs((slab,), dt, barrier.wait)
+        except threading.BrokenBarrierError:
+            pass
+        except Exception as exc:
+            self._error = exc
+        finally:
+            barrier.abort()
+
+    @contextlib.contextmanager
+    def threads(self):
+        """Step every slab but the first on a worker thread of its own for
+        the ``with`` block; no worker outlives it."""
+        if len(self.slabs) == 1:
+            yield
+            return
+        barrier = threading.Barrier(len(self.slabs))
+        signals = [queue.SimpleQueue() for _ in self.slabs[1:]]
+        started = []
+        self._barrier, self._signals, self._error = barrier, signals, None
+        try:
+            for slab, signal in zip(self.slabs[1:], signals):
+                worker = threading.Thread(target=self._work, args=(slab, signal, barrier),
+                                          daemon=True)
+                worker.start()
+                started.append(worker)
+            yield
+        finally:
+            barrier.abort()
+            for signal in signals:
+                signal.put(None)
+            for worker in started:
+                worker.join()
+            self._barrier, self._signals = None, []
 
     def rk2_step(self, dt: float):
         """Advance ``values`` one TVD-RK2 freezing step.
@@ -330,16 +491,26 @@ class _Workspace:
         Returns the step's max |H_hat| and max |change|.  The change is
         taken as ``max(values - new)``: each stage only lowers values, so
         ``new <= values`` holds exactly, and a NaN or -inf among the new
-        values makes it non-finite.
+        values makes it non-finite.  Across slabs both maxima are exact,
+        and ``np.max`` keeps a NaN from any slab.
         """
-        values, new = self.values, self._next
-        h1 = self._stage(values, new, dt)
-        h2 = self._stage(new, new, dt)
-        np.add(values, new, out=new)
-        np.multiply(new, 0.5, out=new)
-        np.subtract(values, new, out=self._h)
-        self.values, self._next = new, values
-        return max(h1, h2), float(self._h.max())
+        slabs = self.slabs
+        if self._barrier is None:
+            self._step_slabs(slabs, dt, _no_wait)
+        else:
+            for signal in self._signals:
+                signal.put(dt)
+            try:
+                self._step_slabs(slabs[:1], dt, self._barrier.wait)
+            except threading.BrokenBarrierError:
+                if self._error is None:
+                    raise
+                raise self._error from None
+        self.values, self._next = self._next, self.values
+        if len(slabs) == 1:
+            return slabs[0].h_abs, slabs[0].delta
+        return (float(np.max([slab.h_abs for slab in slabs])),
+                float(np.max([slab.delta for slab in slabs])))
 
 
 class _Workspaces:
@@ -350,7 +521,8 @@ class _Workspaces:
     a free set for its duration and gives it back: a solve on a worker
     thread only steps, and solves run one after another reuse one set.  A
     solve waits while every set is taken, so ``count`` bounds how many run
-    at once.
+    at once, and each set has its share of the usable CPUs in slabs
+    (``_slab_count``).
     """
 
     def __init__(self, sys: ClosedLoopSystem, grid: Grid, forward: bool, count: int = 1,
@@ -360,8 +532,9 @@ class _Workspaces:
         self.system = sys
         self.coefficients = _Coefficients(sys, grid, forward, alpha_floor)
         self._free = queue.SimpleQueue()
+        slabs = _slab_count(grid, count)
         for _ in range(count):
-            self._free.put(_Workspace(self.coefficients))
+            self._free.put(_Workspace(self.coefficients, slabs))
 
     @contextlib.contextmanager
     def take(self):
@@ -414,16 +587,17 @@ def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Gr
         tau = 0.0
         steps = 0
 
-        while tau < end:
-            dt = min(dt_nom, config.horizon - tau)
-            h_seen, delta = ws.rk2_step(dt)
-            if not math.isfinite(delta):
-                raise RuntimeError(f"tube solve produced non-finite values at step {steps}")
-            steps += 1
-            tau += dt
-            max_h = max(max_h, h_seen)
-            if steps % config.snapshot_stride == 0 and tau < end:
-                snapshots.append((sign * tau, sink(sign * tau, ws.snapshot(sign * tau))))
+        with ws.threads():
+            while tau < end:
+                dt = min(dt_nom, config.horizon - tau)
+                h_seen, delta = ws.rk2_step(dt)
+                if not math.isfinite(delta):
+                    raise RuntimeError(f"tube solve produced non-finite values at step {steps}")
+                steps += 1
+                tau += dt
+                max_h = max(max_h, h_seen)
+                if steps % config.snapshot_stride == 0 and tau < end:
+                    snapshots.append((sign * tau, sink(sign * tau, ws.snapshot(sign * tau))))
 
         # The last step's snapshot is the final field, whatever the stride.
         final = ws.snapshot(sign * tau)

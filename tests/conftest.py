@@ -1,6 +1,7 @@
 """Shared fixtures: small synthetic systems plus the expensive session-scoped
 artifacts (trained land/air models, tube solves) reused across test modules."""
 
+import threading
 import time
 
 import numpy as np
@@ -14,6 +15,16 @@ from reachverify.nn import TrainingConfig
 from reachverify.scene import air_scene, land_scene
 from reachverify.solver import SolverConfig, solve_brt, solve_frt
 from reachverify.trainer import TrainRunConfig, train_loop
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread it started running: a solve's
+    workers and pools must end with the solve."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads still running: {left}"
 
 
 # Node counts below one block of nn._BLOCK_ROWS (4096) nodes, and above it

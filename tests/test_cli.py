@@ -358,7 +358,7 @@ def test_failed_solve_leaves_no_tube_directory(tmp_path, monkeypatch, capsys, co
         scene_path, obstacles = obstacle_scene(tmp_path, (193, 193))
         node = inside(load_scene(scene_path).grid, obstacles[1])
         poison_solves(monkeypatch, lambda seed: 12 if seed[node] < 0 else None)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
         cfg = verify_config(tmp_path, scene_path, stride=50)
     else:
         poison_solves(monkeypatch, lambda seed: 12)
@@ -380,7 +380,7 @@ def test_safe_set_reports_the_first_failing_obstacle(tmp_path, monkeypatch, caps
     cfg = verify_config(tmp_path, scene_path, stride=50)
     unit_box(tmp_path)
     out = tmp_path / "run"
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
     assert main(["safe-set", "--config", str(cfg), "--out", str(out)]) == 0
     before = {name: (out / name / "manifest.json").read_bytes()
               for name in ("brt_obstacle_0", "brt_obstacle_1")}
@@ -450,7 +450,7 @@ def safe_set_runs(tmp_path_factory):
                 "mc": {"num_samples": 50},
             }))
             out = tmp_path / f"run_{side}_{cpus}_{count}"
-            mp.setattr(cli, "_usable_cpus", lambda: cpus)
+            mp.setattr(solver, "_usable_cpus", lambda: cpus)
             seen.update(solves=[], started=[], scans=[], sets=[])
             assert main(["safe-set", "--config", str(cfg), "--out", str(out),
                          "--compare-mc"]) == 0
@@ -486,6 +486,122 @@ def test_safe_set_makes_one_buffer_set_per_worker_on_the_calling_thread(safe_set
     for (side, cpus, count), run in safe_set_runs.items():
         workers = min(cpus, count) if side == 193 else 1
         assert run["sets"] == [threading.main_thread()] * workers, (side, cpus, count)
+
+
+# (command, grid counts, obstacles, usable CPUs) of the runs below.  At
+# 41^3, above the slab threshold, a solve steps each slab on a thread of
+# its own; 3 CPUs still give 2 slabs there, since a third would hold fewer
+# than _SLAB_NODES / 2 nodes.  101^2 and 193^2 lie below the threshold.
+_SLAB_RUNS = tuple(
+    [("verify", (41, 41, 41), 2, cpus) for cpus in (1, 2, 3)]
+    + [("safe-set", (41, 41, 41), count, cpus) for count in (1, 2) for cpus in (1, 2, 3)]
+    + [("verify", (side, side), 2, 2) for side in (101, 193)])
+
+
+@pytest.fixture(scope="module")
+def slab_runs(tmp_path_factory):
+    """Each ``_SLAB_RUNS`` run (``safe-set`` with ``--compare-mc``) of a
+    moving plant under an asymmetric box: its files, the threads it
+    started, the thread that made each slab, and each buffer set's slab
+    sizes in nodes."""
+    tmp_path = tmp_path_factory.mktemp("slab_runs")
+    real_start, real_slab = threading.Thread.start, solver._Slab.__init__
+    real_init = solver._Workspace.__init__
+    seen = {}
+
+    def start(self):
+        seen["started"].append(self)
+        real_start(self)
+
+    def slab(self, *args, **kwargs):
+        seen["slab_threads"].append(threading.current_thread())
+        real_slab(self, *args, **kwargs)
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        seen["sets"].append([s.hi - s.lo for s in self.slabs])
+
+    save_bounds(DisturbanceBounds([0.05, 0.05, 0.05], [-0.05, -0.03, -0.04], dt_env=0.1),
+                tmp_path / "bounds3.json")
+    save_bounds(DisturbanceBounds([0.05, 0.05], [-0.05, -0.03], dt_env=0.1),
+                tmp_path / "bounds2.json")
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threading.Thread, "start", start)
+        mp.setattr(solver._Slab, "__init__", slab)
+        mp.setattr(solver._Workspace, "__init__", init)
+        for command, counts, count, cpus in _SLAB_RUNS:
+            if len(counts) == 3:
+                scene = air_scene(counts)
+                scene = dataclasses.replace(
+                    scene, obstacles=ShapeSet(scene.obstacles.primitives[:count]))
+                scene_path = tmp_path / "scene.json"
+                save_scene(scene, scene_path)
+                env, action = "true_air", [0.9, 0.87, 0.65]
+                lo, hi = [0.0, -3.14159, -1.5708], [1.0, 3.14159, 1.5708]
+            else:
+                scene_path, _ = obstacle_scene(tmp_path, counts, count)
+                env, action, lo, hi = "true_land", [0.6, 0.9], [0.0, -3.14159], [1.0, 3.14159]
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "scene": str(scene_path),
+                "env": env,
+                "plant": env,
+                "policy": {"kind": "constant", "action": action,
+                           "action_lo": lo, "action_hi": hi},
+                "bounds": str(tmp_path / f"bounds{len(counts)}.json"),
+                "solver": {"horizon": 0.4, "snapshot_stride": 4},
+                "mc": {"num_samples": 50},
+            }))
+            out = tmp_path / f"run_{command}_{len(counts)}d_{count}_{cpus}"
+            mp.setattr(solver, "_usable_cpus", lambda: cpus)
+            seen.update(started=[], slab_threads=[], sets=[])
+            flags = ["--compare-mc"] if command == "safe-set" else []
+            assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 0
+            files = {str(p.relative_to(out)): p.read_bytes()
+                     for p in sorted(out.rglob("*")) if p.is_file()}
+            runs[command, counts, count, cpus] = dict(seen, files=files)
+    return runs
+
+
+def test_slab_split_runs_write_the_serial_bytes(slab_runs):
+    for (command, counts, count, cpus), run in slab_runs.items():
+        if len(counts) == 3 and cpus > 1:
+            serial = slab_runs[command, counts, count, 1]["files"]
+            assert run["files"] == serial, (command, count, cpus)
+    assert "brt_obstacle_1/manifest.json" in slab_runs["safe-set", (41, 41, 41), 2, 2]["files"]
+
+
+def test_slab_threads_start_only_above_the_threshold(slab_runs):
+    # One worker per slab after the first; a serial or small run starts none.
+    for key, run in slab_runs.items():
+        command, counts, count, cpus = key
+        workers = sum(len(sizes) - 1 for sizes in run["sets"])
+        if command == "safe-set" and len(run["sets"]) > 1:
+            workers += len(run["sets"])  # the pool's threads
+        assert len(run["started"]) == workers, key
+        if len(counts) == 2 or cpus == 1:
+            assert run["started"] == [], key
+
+
+def test_slab_buffers_are_allocated_on_the_calling_thread(slab_runs):
+    for key, run in slab_runs.items():
+        assert len(run["slab_threads"]) == sum(map(len, run["sets"])), key
+        assert set(run["slab_threads"]) == {threading.main_thread()}, key
+
+
+def test_slabs_share_out_the_usable_cpus(slab_runs):
+    # Each buffer set gets max(1, CPUs // sets) slabs, and no slab holds
+    # fewer than _SLAB_NODES / 2 nodes.
+    slabs = {key: [len(sizes) for sizes in run["sets"]] for key, run in slab_runs.items()}
+    cube = (41, 41, 41)
+    assert [slabs["verify", cube, 2, cpus] for cpus in (1, 2, 3)] == [[1], [2], [2]]
+    assert [slabs["safe-set", cube, 1, cpus] for cpus in (1, 2, 3)] == [[1], [2], [2]]
+    assert [slabs["safe-set", cube, 2, cpus] for cpus in (1, 2, 3)] == [[1], [1, 1], [1, 1]]
+    assert slabs["verify", (101, 101), 2, 2] == slabs["verify", (193, 193), 2, 2] == [1]
+    for run in slab_runs.values():
+        for sizes in run["sets"]:
+            assert len(sizes) == 1 or min(sizes) >= solver._SLAB_NODES / 2
 
 
 def test_verify_with_inline_constant_policy(tmp_path):

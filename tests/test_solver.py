@@ -238,7 +238,7 @@ def test_stepper_hamiltonian_equals_pointwise_lax_friedrichs(
     else:
         sys_ref = sys_cl
     V = np.random.default_rng(len(counts)).normal(size=grid.counts)
-    vectorised = ws.numerical_hamiltonian(V)
+    vectorised = ws.slabs[0].hamiltonian(V.ravel()).reshape(grid.counts)
 
     diffs = [_one_sided_diffs(V, ax, grid.spacing[ax]) for ax in range(grid.dims)]
     points = grid.node_points()
@@ -281,7 +281,7 @@ def test_numerical_hamiltonian_on_linear_field_is_p_dot_f_plus_box_minimum(case,
     # flow with the reflected box.
     grid, sys_cl, c, V = _linear_case(case, box)
     ws = _Workspace(_Coefficients(sys_cl, grid, forward))
-    H = ws.numerical_hamiltonian(V)
+    H = ws.slabs[0].hamiltonian(V.ravel()).reshape(grid.counts)
     rates = nominal_rate_batch(sys_cl, grid.flat_points()).reshape(*grid.counts, grid.dims)
     b = sys_cl.bounds
     if forward:
@@ -297,7 +297,7 @@ def test_differences_are_exact_and_zero_at_the_copy_ghosts(case):
     ws = _Workspace(_Coefficients(sys_cl, grid, False))
     for axis in range(grid.dims):
         backward, forward = (np.moveaxis(d.copy().reshape(grid.counts), axis, 0)
-                             for d in ws._differences(V.ravel(), axis))
+                             for d in ws.slabs[0]._differences(V.ravel(), axis))
         direct = np.moveaxis(np.diff(V, axis=axis) / grid.spacing[axis], axis, 0)
         # Backward differences from the second node on, forward ones up to
         # the last but one, are the direct differences bit for bit, and c.
@@ -676,6 +676,129 @@ def test_nonfinite_value_mid_solve_names_the_step(monkeypatch):
                   SolverConfig(horizon=2.0, snapshot_stride=2), grid)
 
 
+def _slab_case():
+    """A 41^3 grid, above the slab threshold, and a short backward solve on
+    it: 13 steps, a snapshot every second one."""
+    grid = build_grid([-1.0] * 3, [1.0] * 3, (41, 41, 41))
+    assert grid.num_nodes >= solver._SLAB_NODES
+    sys_cl = const_system([0.3, -0.2, 0.1], upper=[0.1, 0.1, 0.1])
+    return (ShapeSet((Ball([0.0, 0.0, 0.0], 0.4),)), sys_cl,
+            SolverConfig(horizon=0.5, snapshot_stride=2), grid)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_nonfinite_value_in_the_last_slab_names_the_serial_step(monkeypatch, cpus):
+    # The NaN reaches only the last slab's change, and the combined change
+    # must keep it: the split solve fails at the serial solve's step.
+    target, sys_cl, cfg, grid = _slab_case()
+    node = grid.num_nodes - 7
+    made = []
+
+    class PoisonedWorkspace(solver._Workspace):
+        def rk2_step(self, dt):
+            self.steps = getattr(self, "steps", 0) + 1
+            if self.steps == 5:
+                self.values[node] = np.nan
+            return super().rk2_step(dt)
+
+    def workspace(*args):
+        made.append(PoisonedWorkspace(*args))
+        return made[-1]
+
+    monkeypatch.setattr(solver, "_Workspace", workspace)
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+    with pytest.raises(RuntimeError, match="non-finite values at step 4$"):
+        solve_brt(target, sys_cl, cfg, grid)
+    (ws,) = made
+    assert len(ws.slabs) == cpus and ws.slabs[-1].lo <= node < ws.slabs[-1].hi
+
+
+def _spy_thread_starts(monkeypatch) -> list:
+    started, real_start = [], threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def test_a_failing_sink_stops_the_slab_threads(monkeypatch):
+    # The sink fails on the second snapshot after the seed, between steps,
+    # while the worker waits for the next one.
+    target, sys_cl, cfg, grid = _slab_case()
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+    started = _spy_thread_starts(monkeypatch)
+    times = []
+
+    def sink(time, field):
+        times.append(time)
+        if len(times) == 3:
+            raise OSError("disk full")
+        return field
+
+    with pytest.raises(OSError, match="disk full"):
+        solve_brt(target, sys_cl, cfg, grid, sink=sink)
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_a_slab_error_is_raised_in_the_calling_thread(monkeypatch, where):
+    # An error in a worker's slab breaks the barrier the caller waits at;
+    # an error in the caller's slab leaves the worker at it.  Either way
+    # the solve raises that error, and no worker outlives it.
+    target, sys_cl, cfg, grid = _slab_case()
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+    started = _spy_thread_starts(monkeypatch)
+    real_hamiltonian, calls = solver._Slab.hamiltonian, []
+
+    def hamiltonian(self, v):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker == (where == "worker"):
+            calls.append(self)
+            if len(calls) == 7:
+                raise ZeroDivisionError(f"{where} slab failed")
+        return real_hamiltonian(self, v)
+
+    monkeypatch.setattr(solver._Slab, "hamiltonian", hamiltonian)
+    with pytest.raises(ZeroDivisionError, match=f"^{where} slab failed$"):
+        solve_brt(target, sys_cl, cfg, grid)
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+def test_slab_threads_switching_often_give_the_serial_bits():
+    # More threads than cores, switching often: a stage that read a halo
+    # plane before its neighbour wrote it, or after its neighbour's next
+    # write, would change the bits.
+    grid = build_grid([-1.0] * 3, [1.0] * 3, (11, 6, 5))
+    coefficients = _Coefficients(_linear_system(3, "asymmetric"), grid, False)
+    dt = cfl_dt(SolverConfig(), coefficients.alpha, grid)
+    seed = level_set_from_shapes(grid, ShapeSet((Ball([0.1, -0.2, 0.0], 0.5),)))
+    runs = {}
+
+    def run(slabs):
+        ws = _Workspace(coefficients, slabs)
+        ws.load(seed)
+        with ws.threads():
+            maxima = [ws.rk2_step(dt) for _ in range(60)]
+        runs[slabs] = ws.values.copy(), maxima
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for slabs in (1, 4, 11):
+            caller = threading.Thread(target=run, args=(slabs,))
+            caller.start()
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    values, maxima = runs[1]
+    for slabs in (4, 11):
+        assert np.array_equal(_bits(runs[slabs][0]), _bits(values)) and runs[slabs][1] == maxima
+
+
 @pytest.mark.parametrize("box", ["symmetric", "asymmetric"])
 def test_solves_sharing_workspaces_equal_solves_making_their_own(box):
     # One rate scan and one buffer set serve every target in turn; the
@@ -821,10 +944,10 @@ def test_blocked_rate_scan_equals_whole_grid_scan(counts, forward):
 
 
 def _held_bytes(ws) -> int:
-    """Bytes of the distinct arrays a workspace holds, its coefficients'
-    included; a view counts as the array it views."""
+    """Bytes of the distinct arrays a workspace holds, its slabs' and its
+    coefficients' included; a view counts as the array it views."""
     owners = {}
-    for obj in (ws, ws.coefficients):
+    for obj in (ws, ws.coefficients, *ws.slabs):
         for a in vars(obj).values():
             if isinstance(a, np.ndarray):
                 owner = a if a.base is None else a.base
@@ -863,7 +986,8 @@ def test_streamed_solve_memory_is_its_workspace_and_two_fields(tmp_path):
     grid, seed = scene.grid, scene.initial_set
     policy = ConstantPolicy([0.9, 0.87, 0.65], default_action_bounds("true_air"))
     sys_cl = ClosedLoopSystem(AirPlant(), policy, DisturbanceBounds([0.05] * 3, [-0.05] * 3))
-    workspace = _held_bytes(_Workspace(_Coefficients(sys_cl, grid, True)))
+    workspace = _held_bytes(_Workspace(_Coefficients(sys_cl, grid, True),
+                                       solver._slab_count(grid, 1)))
     field = grid.num_nodes * 8
     tracemalloc.start()
     try:
@@ -878,3 +1002,22 @@ def test_streamed_solve_memory_is_its_workspace_and_two_fields(tmp_path):
         f"frt_{k:04d}.csv" for k in range(len(tube.snapshots))]
     assert peak <= workspace + 2 * field
     assert held < 1.1 * field
+
+
+@pytest.mark.parametrize("box", ["symmetric", "asymmetric"])
+def test_split_buffer_set_holds_one_largest_stride_more_per_slab(box):
+    # Each slab's scratch buffers cover its own nodes; only the difference
+    # buffer's zero tail of the largest stride is paid once per slab.
+    grid = build_grid([-1.0] * 3, [1.0] * 3, (11, 9, 7))
+    upper = [0.1, 0.2, 0.3]
+    if box == "symmetric":
+        sys_cl = const_system([0.3, -0.2, 0.1], upper=upper)
+    else:
+        sys_cl = _linear_system(3, "asymmetric")
+    coefficients = _Coefficients(sys_cl, grid, False)
+    unsplit = _held_bytes(_Workspace(coefficients))
+    stride = max(coefficients.strides)
+    for slabs in range(2, grid.counts[0] + 1):
+        split = _Workspace(coefficients, slabs)
+        assert len(split.slabs) == slabs
+        assert _held_bytes(split) <= unsplit + (slabs - 1) * stride * 8, slabs
