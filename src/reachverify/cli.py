@@ -13,10 +13,10 @@ concurrently, one thread per CPU the process may use (at most one per
 obstacle).  On grids of at least 49 152 nodes every tube solve also steps
 in slabs of grid planes, one thread per slab, and the CPUs are shared out
 between the two: each of the tubes solved at once gets ``max(1, CPUs //
-tubes)`` slabs.  On two CPUs ``verify`` steps its tube in two slabs,
-``safe-set`` solves two obstacles side by side in one slab each and one
-obstacle in two slabs.  However the work is split, the outputs are
-byte-identical to a serial run's.  The CPU count is
+tubes)`` slabs, at most two.  On two CPUs ``verify`` steps its tube in
+two slabs, ``safe-set`` solves two obstacles side by side in one slab each
+and one obstacle in two slabs.  However the work is split, the outputs
+are byte-identical to a serial run's.  The CPU count is
 ``solver._usable_cpus``.  ``safe-set``'s tube directories are put in place
 only once every solve has succeeded, so a failed ``safe-set`` leaves none
 of them changed.
@@ -89,7 +89,10 @@ EXIT_UNSAFE = 4
 # 5, 2 vCPUs, one shared rate scan on either side).  Two slab threads
 # nested inside each of these, four threads on two CPUs, made the ``air``
 # ``safe-set`` slower (median of 10: 1.146 s against 1.074 s), so the
-# solver gives each concurrent tube its share of the CPUs.
+# solver gives each concurrent tube its share of the CPUs.  Solving the
+# tubes one after another in two slabs each instead made the ``air``
+# benchmark's ``run_s`` 3% slower (2.479 -> 2.555 s, slower in 10 of 10
+# alternating pairs), so the threads stay.
 _CONCURRENT_TUBE_NODES = 32768
 
 

@@ -42,7 +42,7 @@ starts at +0.0, and a sum is -0.0 only when both terms are, so ``H``, the
 values, ``max |H|`` and every snapshot are unchanged.  The tests keep the
 allocating form as the reference.
 
-Large grids step on every usable CPU.  A node's update reads only its
+Large grids step on up to two CPUs per solve.  A node's update reads only its
 neighbours along each axis (Mitchell, Bayen & Tomlin 2005), so a grid cuts
 into slabs of whole axis-0 planes that share a one-plane halo.  On grids of
 at least ``_SLAB_NODES`` nodes a solve steps every slab but the first on a
@@ -55,14 +55,15 @@ goes through the same operations in the same order; the step's maxima are
 exact, and a NaN from any slab survives their combine.  The tubes are
 therefore the same bits whatever the split.  A buffer set gets
 ``max(1, usable CPUs // sets)`` slabs, ``sets`` being the number of solves
-that may run at once, and no slab holds fewer than ``_SLAB_NODES / 2``
-nodes.  Two slabs on two threads against one (150 steps, median of 3, 2
-vCPUs) ran 0.41x at 101^2, 0.65x at 151^2, 1.06-1.11x at 201^2, 1.18x at
-225^2, 1.47-1.52x at 251^2 and 1.78x at 301^2; 0.55x at 27^3, 0.89x at
-33^3, 1.05-1.18x at 36^3, 1.29x at 37^3, 1.52x at 39^3, 1.62x at 41^3,
-1.65x at 45^3 and 1.97x at 71^3.  Below the threshold, and on one CPU, a
-solve steps one slab of the whole grid in the calling thread, through
-exactly the operations of the unsplit kernel.
+that may run at once, but at most ``_MAX_SLABS`` = 2, and no slab holds
+fewer than ``_SLAB_NODES / 2`` nodes.  Two slabs on two threads against
+one (150 steps, median of 3, 2 vCPUs) ran 0.41x at 101^2, 0.65x at 151^2,
+1.06-1.11x at 201^2, 1.18x at 225^2, 1.47-1.52x at 251^2 and 1.78x at
+301^2; 0.55x at 27^3, 0.89x at 33^3, 1.05-1.18x at 36^3, 1.29x at 37^3,
+1.52x at 39^3, 1.62x at 41^3, 1.65x at 45^3 and 1.97x at 71^3.  More
+slabs on more CPUs have not been measured, hence the cap.  Below the
+threshold, and on one CPU, a solve steps one slab of the whole grid in
+the calling thread, through exactly the operations of the unsplit kernel.
 
 The entry point fixes the tube's direction and the disturbance sense, and
 both are the conservative choice for a safety question:
@@ -121,6 +122,10 @@ _MAX_STEPS = 2_000_000
 # two slabs first ran clearly faster than one between 201^2 (40 401 nodes,
 # 1.06-1.11x) and 37^3 (50 653 nodes, 1.29x).  See the module notes.
 _SLAB_NODES = 49152
+
+# The most slabs a solve steps in: two slabs on two CPUs is the only split
+# measured, so a wider host keeps it until more are.
+_MAX_SLABS = 2
 
 
 @dataclass(frozen=True)
@@ -241,12 +246,13 @@ def _usable_cpus() -> int:
 def _slab_count(grid: Grid, sets: int) -> int:
     """Slabs per buffer set when ``sets`` solves may run at once: one below
     ``_SLAB_NODES`` nodes, else the usable CPUs shared out among the sets,
-    with no slab of fewer than ``_SLAB_NODES / 2`` nodes."""
+    at most ``_MAX_SLABS``, with no slab of fewer than ``_SLAB_NODES / 2``
+    nodes."""
     if grid.num_nodes < _SLAB_NODES:
         return 1
     plane = grid.num_nodes // grid.counts[0]
     fewest_planes = -(-_SLAB_NODES // (2 * plane))
-    return max(1, min(_usable_cpus() // sets, grid.counts[0] // fewest_planes))
+    return max(1, min(_MAX_SLABS, _usable_cpus() // sets, grid.counts[0] // fewest_planes))
 
 
 class _Coefficients:

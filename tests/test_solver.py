@@ -724,6 +724,18 @@ def _spy_thread_starts(monkeypatch) -> list:
     return started
 
 
+def test_slab_count_shares_out_the_cpus_up_to_two_slabs(monkeypatch):
+    # No slab holds fewer than _SLAB_NODES / 2 nodes: the three planes of a
+    # 50 700-node grid stay one slab whatever the CPUs.
+    cases = {((45, 45, 45), 1): [1, 2, 2, 2, 2, 2], ((45, 45, 45), 2): [1, 1, 1, 2, 2, 2],
+             ((3, 130, 130), 1): [1] * 6, ((201, 201), 1): [1] * 6}
+    for (counts, sets), slabs in cases.items():
+        grid = build_grid([-1.0] * len(counts), [1.0] * len(counts), counts)
+        for cpus, expected in enumerate(slabs, start=1):
+            monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+            assert solver._slab_count(grid, sets) == expected, (counts, sets, cpus)
+
+
 def test_a_failing_sink_stops_the_slab_threads(monkeypatch):
     # The sink fails on the second snapshot after the seed, between steps,
     # while the worker waits for the next one.
