@@ -146,15 +146,14 @@ class ScalarField:
     copy: InitVar[bool] = True
 
     def __post_init__(self, copy):
-        values = np.asarray(self.values, dtype=float)
+        # One pass converts and copies, whatever the input dtype.
+        values = (np.array if copy else np.asarray)(self.values, dtype=float)
         if values.shape != self.grid.counts:
             raise ValueError(
                 f"values shape {values.shape} does not match grid counts {self.grid.counts}"
             )
         if not np.isfinite(values).all():
             raise ValueError("field values must all be finite")
-        if copy:
-            values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

@@ -42,6 +42,24 @@ starts at +0.0, and a sum is -0.0 only when both terms are, so ``H``, the
 values, ``max |H|`` and every snapshot are unchanged.  The tests keep the
 allocating form as the reference.
 
+The kernel steps in one dtype, float32 (``_DTYPE``): the coefficients,
+both fields and every slab buffer.  At 45^3 the step is memory bound, and
+float32 halves the bytes each ufunc streams.  Every scalar operand (the
+spacing, ``dt``, the halved box and dissipation bounds) is cast to it once,
+because under NumPy 2 a float64 scalar widens the whole ufunc it enters.
+The rate scan, the seed's exact distance and the seed snapshot, the wave
+speeds ``alpha``, :func:`cfl_dt` and the time accounting stay float64: each
+halved rate, coefficient and seed value is rounded once when it is stored,
+and every later snapshot and the final field are widened back to float64,
+exactly.  The tubes are therefore the allocating form run in float32, bit
+for bit.  Against the float64 kernel the values move by at most 1.9e-6 on
+the benchmark's 45^3 ``air`` tubes and 2.4e-5 on its 101^2 ``land`` tubes,
+and no mask or verdict of either workload changes; against the allocating
+form in float64 a 41^3 ``air`` tube moves by 1.7e-6 and land-sized tubes
+of a learned loop by 9.4e-6 (the tests allow 2e-5).  The first-order
+scheme's own error is about a cell, 0.07 to 0.2 wide on those grids: the
+rounding sits three to five orders of magnitude under it.
+
 Large grids step on up to two CPUs per solve.  A node's update reads only its
 neighbours along each axis (Mitchell, Bayen & Tomlin 2005), so a grid cuts
 into slabs of whole axis-0 planes that share a one-plane halo.  On grids of
@@ -126,6 +144,9 @@ _SLAB_NODES = 49152
 # The most slabs a solve steps in: two slabs on two CPUs is the only split
 # measured, so a wider host keeps it until more are.
 _MAX_SLABS = 2
+
+# The dtype of every array the kernel steps in.  See the module notes.
+_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -275,11 +296,11 @@ class _Coefficients:
             raise ValueError("system state dimension does not match grid dimension")
         # Every coefficient of the Hamiltonian is stored halved, so the
         # kernel never halves the central difference.
-        self.half_rate = np.empty((n, grid.num_nodes))
+        self.half_rate = np.empty((n, grid.num_nodes), _DTYPE)
         alpha = _rate_scan(sys, sys.bounds, grid, self.half_rate, -0.5 if forward else 0.5)
         upper, lower = sys.bounds.upper, sys.bounds.lower
         hi, lo = (-lower, -upper) if forward else (upper, lower)
-        self.half_hi, self.half_lo = 0.5 * hi, 0.5 * lo
+        self.half_hi, self.half_lo = (0.5 * hi).astype(_DTYPE), (0.5 * lo).astype(_DTYPE)
         self.symmetric = bool(np.array_equal(lower, -upper))
         self.grid = grid
         if alpha_floor is not None:
@@ -288,9 +309,11 @@ class _Coefficients:
                 raise ValueError("alpha_floor must dominate the computed wave-speed bounds")
             alpha = floor
         self.alpha = alpha
-        self.half_alpha = 0.5 * alpha
+        self.half_alpha = (0.5 * alpha).astype(_DTYPE)
+        self.spacing = grid.spacing.astype(_DTYPE)
         self.strides = [math.prod(grid.counts[axis + 1:]) for axis in range(n)]
-        for array in (self.half_rate, self.half_hi, self.half_lo, self.alpha, self.half_alpha):
+        for array in (self.half_rate, self.half_hi, self.half_lo, self.alpha, self.half_alpha,
+                      self.spacing):
             array.flags.writeable = False
 
 
@@ -315,10 +338,10 @@ class _Slab:
         self.lo, self.hi = first * plane, stop * plane
         size = self.hi - self.lo
         self.rates = coefficients.half_rate[:, self.lo:self.hi]
-        self.h, self.p, self.a = (np.empty(size) for _ in range(3))
-        self.b = None if coefficients.symmetric else np.empty(size)
+        self.h, self.p, self.a = (np.empty(size, _DTYPE) for _ in range(3))
+        self.b = None if coefficients.symmetric else np.empty(size, _DTYPE)
         # Shared by every axis; entries past the last node stay zero for good.
-        self.diff = np.zeros(size + max(coefficients.strides))
+        self.diff = np.zeros(size + max(coefficients.strides), _DTYPE)
         self.h_abs = self.delta = 0.0
 
     def _differences(self, v: np.ndarray, axis: int):
@@ -334,7 +357,7 @@ class _Slab:
         stop = size if axis else min(size + s, v.size - lo)
         d = diff[start:stop]
         np.subtract(v[lo + start:lo + stop], v[lo + start - s:lo + stop - s], out=d)
-        np.divide(d, c.grid.spacing[axis], out=d)
+        np.divide(d, c.spacing[axis], out=d)
         if axis:
             diff[:size].reshape(-1, c.grid.counts[axis], s)[:, 0, :] = 0.0
             if hi < v.size:
@@ -416,8 +439,8 @@ class _Workspace:
     def __init__(self, coefficients: _Coefficients, slabs: int = 1):
         self.coefficients = coefficients
         size = coefficients.grid.num_nodes
-        self.values = np.empty(size)
-        self._next = np.empty(size)
+        self.values = np.empty(size, _DTYPE)
+        self._next = np.empty(size, _DTYPE)
         planes = coefficients.grid.counts[0]
         cuts = [planes * k // slabs for k in range(slabs + 1)]
         self.slabs = [_Slab(coefficients, first, stop) for first, stop in zip(cuts, cuts[1:])]
@@ -426,11 +449,13 @@ class _Workspace:
         self._error = None
 
     def load(self, field: ScalarField) -> None:
-        """Start a solve from ``field``."""
+        """Start a solve from ``field``, each value rounded to the kernel's
+        dtype."""
         self.values[:] = field.values.ravel()
 
     def snapshot(self, time_tag: float) -> ScalarField:
-        """A copy of ``values`` as a field; the buffers are reused."""
+        """A copy of ``values`` widened to a float64 field; the buffers are
+        reused."""
         grid = self.coefficients.grid
         return ScalarField(grid, self.values.reshape(grid.counts), time_tag)
 
@@ -501,6 +526,7 @@ class _Workspace:
         and ``np.max`` keeps a NaN from any slab.
         """
         slabs = self.slabs
+        dt = _DTYPE(dt)  # a float64 scalar would widen every ufunc it enters
         if self._barrier is None:
             self._step_slabs(slabs, dt, _no_wait)
         else:

@@ -94,6 +94,13 @@ def hausdorff_between_masks(grid, mask_a, mask_b):
     return max(cKDTree(pb).query(pa)[0].max(), cKDTree(pa).query(pb)[0].max())
 
 
+def bits(a):
+    """The bit patterns of ``a``'s values, as integers of its item size:
+    equal bits tell -0.0 from 0.0 and match NaNs, which ``==`` does not."""
+    a = np.ascontiguousarray(a)
+    return a.view(f"i{a.itemsize}")
+
+
 def masks_nested(tube):
     masks = [m for _, m in tube.masks()]
     return all(np.all(masks[i] <= masks[i + 1]) for i in range(len(masks) - 1))

@@ -83,7 +83,7 @@ def _one_sided_diffs(values: np.ndarray, axis: int, h: float):
 
     zero_shape = list(values.shape)
     zero_shape[axis] = 1
-    zeros = np.zeros(zero_shape)
+    zeros = np.zeros(zero_shape, values.dtype)
     p_minus = np.concatenate([zeros, interior], axis=axis)
     p_plus = np.concatenate([interior, zeros], axis=axis)
     return p_minus, p_plus
@@ -261,9 +261,14 @@ def is_state_safe(report: VerificationReport, state) -> bool:
 # The allocating stepper
 # ---------------------------------------------------------------------------
 
-def reference_solve(seed, sys_cl, config, grid, forward):
-    """The stepper as first written, a fresh array per operation:
-    ``(snapshots, steps_taken, max_abs_h)``."""
+def reference_solve(seed, sys_cl, config, grid, forward, dtype=np.float64):
+    """The stepper as first written, a fresh array per operation, on arrays
+    and scalars of ``dtype``: ``(snapshots, steps_taken, max_abs_h)``.
+
+    As in the solver, the seed snapshot is the exact float64 distance and
+    the rates, wave speeds and time accounting are float64; the stepped
+    values start from the seed rounded to ``dtype``, and each later
+    snapshot is widened to float64."""
     rates = nominal_rate_batch(sys_cl, grid.flat_points())
     rate_grid = rates.T.reshape((grid.dims, *grid.counts))
     b = sys_cl.bounds
@@ -272,17 +277,20 @@ def reference_solve(seed, sys_cl, config, grid, forward):
     else:
         hi, lo = b.upper, b.lower
     alpha = _wave_speeds(rates, b)
+    rate_grid, hi, lo, alpha_d, spacing = (
+        x.astype(dtype) for x in (rate_grid, hi, lo, alpha, grid.spacing))
 
     def rhs(values):
         h_total = np.zeros_like(values)
         for axis in range(grid.dims):
-            pm, pp = _one_sided_diffs(values, axis, grid.spacing[axis])
+            pm, pp = _one_sided_diffs(values, axis, spacing[axis])
             pmid = 0.5 * (pm + pp)
             h_total += pmid * rate_grid[axis] + np.minimum(pmid * hi[axis], pmid * lo[axis])
-            h_total += alpha[axis] * 0.5 * (pp - pm)
+            h_total += alpha_d[axis] * 0.5 * (pp - pm)
         return np.minimum(0.0, h_total), float(np.max(np.abs(h_total)))
 
     def rk2_step(values, dt):
+        dt = dtype(dt)
         r1, h1 = rhs(values)
         v1 = values + dt * r1
         r2, h2 = rhs(v1)
@@ -291,8 +299,9 @@ def reference_solve(seed, sys_cl, config, grid, forward):
 
     dt_nom = cfl_dt(config, alpha, grid)
     sign = 1.0 if forward else -1.0
-    values = seed.signed_distance(grid.flat_points()).reshape(grid.counts)
-    snapshots = [(0.0, values)]
+    exact = seed.signed_distance(grid.flat_points()).reshape(grid.counts)
+    snapshots = [(0.0, exact)]
+    values = exact.astype(dtype)
     max_h, tau, steps, last_snap_tau = 0.0, 0.0, 0, 0.0
     while tau < config.horizon * (1 - 1e-12):
         dt = min(dt_nom, config.horizon - tau)
@@ -301,8 +310,8 @@ def reference_solve(seed, sys_cl, config, grid, forward):
         tau += dt
         max_h = max(max_h, h_seen)
         if steps % config.snapshot_stride == 0:
-            snapshots.append((sign * tau, values))
+            snapshots.append((sign * tau, values.astype(np.float64)))
             last_snap_tau = tau
     if last_snap_tau != tau:
-        snapshots.append((sign * tau, values))
+        snapshots.append((sign * tau, values.astype(np.float64)))
     return snapshots, steps, max_h

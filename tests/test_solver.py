@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     BLOCKED_GRIDS,
     LinearPlant,
+    bits,
     blocked_grid,
     capsule_distance,
     const_system,
@@ -37,6 +38,7 @@ from reachverify.geometry import (
 )
 from reachverify.nn import MlpModel, ModelMeta
 from reachverify.solver import (
+    _DTYPE,
     SolverConfig,
     _Coefficients,
     _wave_speeds,
@@ -237,8 +239,9 @@ def test_stepper_hamiltonian_equals_pointwise_lax_friedrichs(
         sys_ref = ClosedLoopSystem(LinearPlant(-np.array(A)), policy, reflected)
     else:
         sys_ref = sys_cl
-    V = np.random.default_rng(len(counts)).normal(size=grid.counts)
+    V = np.random.default_rng(len(counts)).normal(size=grid.counts).astype(_DTYPE)
     vectorised = ws.slabs[0].hamiltonian(V.ravel()).reshape(grid.counts)
+    V = V.astype(float)  # the reference works in float64 on the same values
 
     diffs = [_one_sided_diffs(V, ax, grid.spacing[ax]) for ax in range(grid.dims)]
     points = grid.node_points()
@@ -249,7 +252,10 @@ def test_stepper_hamiltonian_equals_pointwise_lax_friedrichs(
         reference[idx] = lax_friedrichs_H(
             points[idx], p_plus, p_minus, sys_ref, "reach_unsafe", ws.coefficients.alpha
         )
-    assert np.max(np.abs(vectorised - reference)) <= 1e-12 * np.max(np.abs(reference))
+    # The kernel rounds each operation to float32; the reference does not.
+    # Measured up to 1.23 float32 ulps of the largest |H|.
+    ulp = np.spacing(_DTYPE(np.max(np.abs(reference))))
+    assert np.max(np.abs(vectorised - reference)) <= 4 * ulp
 
 
 # The kernel itself on linear fields V = c . x: away from the copy ghosts
@@ -281,6 +287,7 @@ def test_numerical_hamiltonian_on_linear_field_is_p_dot_f_plus_box_minimum(case,
     # flow with the reflected box.
     grid, sys_cl, c, V = _linear_case(case, box)
     ws = _Workspace(_Coefficients(sys_cl, grid, forward))
+    V = V.astype(_DTYPE)
     H = ws.slabs[0].hamiltonian(V.ravel()).reshape(grid.counts)
     rates = nominal_rate_batch(sys_cl, grid.flat_points()).reshape(*grid.counts, grid.dims)
     b = sys_cl.bounds
@@ -288,21 +295,28 @@ def test_numerical_hamiltonian_on_linear_field_is_p_dot_f_plus_box_minimum(case,
         rates, b = -rates, DisturbanceBounds(upper=-b.lower, lower=-b.upper)
     expected = rates @ c + corner_extremum(c, b, "reach_unsafe")[0]
     interior = (slice(1, -1),) * grid.dims
-    assert np.max(np.abs(H[interior] - expected[interior])) <= 1e-12
+    # Rounding V to float32 moves each difference by up to about one ulp
+    # of the field per spacing; measured up to 1.53 of them in H.
+    tol = 4 * np.spacing(np.abs(V).max()) / grid.spacing.min()
+    assert np.max(np.abs(H[interior] - expected[interior])) <= tol
 
 
 @pytest.mark.parametrize("case", _LINEAR_CASES, ids=["2d", "3d"])
 def test_differences_are_exact_and_zero_at_the_copy_ghosts(case):
     grid, sys_cl, c, V = _linear_case(case, "asymmetric")
     ws = _Workspace(_Coefficients(sys_cl, grid, False))
+    V = V.astype(_DTYPE)
     for axis in range(grid.dims):
         backward, forward = (np.moveaxis(d.copy().reshape(grid.counts), axis, 0)
                              for d in ws.slabs[0]._differences(V.ravel(), axis))
-        direct = np.moveaxis(np.diff(V, axis=axis) / grid.spacing[axis], axis, 0)
+        spacing = _DTYPE(grid.spacing[axis])
+        direct = np.moveaxis(np.diff(V, axis=axis) / spacing, axis, 0)
         # Backward differences from the second node on, forward ones up to
-        # the last but one, are the direct differences bit for bit, and c.
+        # the last but one, are the direct float32 differences bit for bit,
+        # and c up to the rounding of V: measured up to 0.42 ulps of the
+        # field per spacing.
         assert np.array_equal(backward[1:], direct) and np.array_equal(forward[:-1], direct)
-        assert np.max(np.abs(direct - c[axis])) <= 1e-12
+        assert np.max(np.abs(direct - c[axis])) <= 2 * np.spacing(np.abs(V).max()) / spacing
         # Zero slopes stand in for both copy ghosts: backward at the first
         # node of each line, forward at its last.
         assert not backward[0].any() and not forward[-1].any()
@@ -359,7 +373,7 @@ def test_step_zero_dt_is_identity():
     field = ScalarField(grid, rng.normal(size=grid.counts))
     sys_cl = const_system([0.3, -0.2])
     out = step(field, sys_cl, SolverConfig(horizon=1.0), 0.0)
-    assert np.array_equal(out.values, field.values)
+    assert np.array_equal(out.values, field.values.astype(_DTYPE))
 
 
 def test_step_rejects_cfl_violation():
@@ -415,7 +429,9 @@ def test_still_system_spans_the_horizon_in_one_step(forward):
     tube = (solve_frt if forward else solve_brt)(seed, sys_cl, config, grid)
     assert tube.times == [0.0, (1 if forward else -1) * config.horizon]
     assert tube.steps_taken == 1
-    assert np.array_equal(tube.final.values, level_set_from_shapes(grid, seed).values)
+    # The stepped field is the seed rounded once to the kernel's dtype.
+    assert np.array_equal(tube.final.values,
+                          level_set_from_shapes(grid, seed).values.astype(_DTYPE))
 
 
 def test_solve_frt_zero_dynamics_keeps_initial():
@@ -512,7 +528,9 @@ def test_long_run_stability():
 
 def test_scheme_consistency_on_linear_field():
     # With no disturbance and matching one-sided gradients the per-node
-    # change over a step equals min(0, p . f) exactly away from boundaries.
+    # change over a step equals dt * min(0, p . f) away from boundaries, up
+    # to the rounding of the float32 update: measured up to 0.12 ulps of
+    # the field.
     grid = build_grid([0, 0], [1, 1], [21, 21])
     pts = grid.node_points()
     field = ScalarField(grid, 2.0 * pts[..., 0] - 1.0 * pts[..., 1])
@@ -522,8 +540,9 @@ def test_scheme_consistency_on_linear_field():
     p_dot_f = 2.0 * (-0.5) + (-1.0) * 0.25
     expected = min(0.0, p_dot_f)
     interior = (slice(2, -2), slice(2, -2))
-    rate_of_change = (out.values - field.values)[interior] / dt
-    assert np.allclose(rate_of_change, expected, atol=1e-12)
+    start = field.values.astype(_DTYPE)
+    change = (out.values - start)[interior]
+    assert np.max(np.abs(change - dt * expected)) <= 2 * np.spacing(np.abs(start).max())
 
 
 def test_forward_and_backward_verdicts_consistent_when_safe():
@@ -651,13 +670,13 @@ def test_solve_bitwise_equals_allocating_stepper(forward, dims, stride, box, cfl
     cfg = SolverConfig(horizon=0.6, cfl_factor=cfl, snapshot_stride=stride)
     solve = solve_frt if forward else solve_brt
     tube = solve(seed, sys_cl, cfg, grid)
-    snapshots, steps, max_h = reference_solve(seed, sys_cl, cfg, grid, forward)
+    snapshots, steps, max_h = reference_solve(seed, sys_cl, cfg, grid, forward, _DTYPE)
 
     assert (tube.steps_taken, tube.max_abs_h) == (steps, max_h)
     assert steps > 4
     assert tube.times == [t for t, _ in snapshots]
     for (_, field), (_, expected) in zip(tube.snapshots, snapshots):
-        assert np.array_equal(field.values.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(bits(field.values), bits(expected))
 
 
 def test_nonfinite_value_mid_solve_names_the_step(monkeypatch):
@@ -808,7 +827,7 @@ def test_slab_threads_switching_often_give_the_serial_bits():
         sys.setswitchinterval(interval)
     values, maxima = runs[1]
     for slabs in (4, 11):
-        assert np.array_equal(_bits(runs[slabs][0]), _bits(values)) and runs[slabs][1] == maxima
+        assert np.array_equal(bits(runs[slabs][0]), bits(values)) and runs[slabs][1] == maxima
 
 
 @pytest.mark.parametrize("box", ["symmetric", "asymmetric"])
@@ -828,7 +847,7 @@ def test_solves_sharing_workspaces_equal_solves_making_their_own(box):
         assert (tube.steps_taken, tube.max_abs_h) == (own.steps_taken, own.max_abs_h)
         assert tube.times == own.times
         for (_, field), (_, expected) in zip(tube.snapshots, own.snapshots):
-            assert np.array_equal(_bits(field.values), _bits(expected.values))
+            assert np.array_equal(bits(field.values), bits(expected.values))
 
 
 def test_no_buffer_set_is_lent_to_two_solves_at_once():
@@ -910,6 +929,43 @@ def test_default_step_gives_the_tubes_of_the_half_limit_step(capsule_runs):
                 halved, obstacles, grid)
 
 
+# The largest |V32 - V64| the float32 kernel may show against the float64
+# stepper: about twice the most measured on the cases below (1.7e-6 on the
+# 41^3 air tube, 9.4e-6 and 2.3e-6 on the land-sized ones, no mask
+# flipped), and thousands of times smaller than their cells (0.175-0.2 and
+# 0.07-0.09 wide).
+_FLOAT32_BOUND = 2e-5
+
+
+def test_float32_tubes_equal_float64_tubes_away_from_the_zero_level():
+    # The 41^3 air case and a land-sized learned loop in both directions,
+    # against the allocating stepper in float64: every snapshot within the
+    # bound, and a mask differs only at nodes within the bound of zero.
+    from reachverify.dynamics import AirPlant
+    from reachverify.scene import air_scene, land_scene
+    from reachverify.trainer import default_action_bounds
+
+    air, land = air_scene((41, 41, 41)), land_scene()
+    policy = ConstantPolicy([0.9, 0.87, 0.65], default_action_bounds("true_air"))
+    sys_air = ClosedLoopSystem(AirPlant(), policy, DisturbanceBounds.zero(3))
+    sys_land = _network_system(2, 7)
+    cases = [(air.initial_set, sys_air, 2.5, air.grid, True),
+             (land.initial_set, sys_land, 3.0, land.grid, True),
+             (land.obstacles, sys_land, 3.0, land.grid, False)]
+    for seed, sys_cl, horizon, grid, forward in cases:
+        cfg = SolverConfig(horizon=horizon, snapshot_stride=10)
+        tube = (solve_frt if forward else solve_brt)(seed, sys_cl, cfg, grid)
+        snapshots, steps, _ = reference_solve(seed, sys_cl, cfg, grid, forward)
+        assert tube.steps_taken == steps and tube.times == [t for t, _ in snapshots]
+        assert len(snapshots) > 2
+        for (_, field), (_, v64) in zip(tube.snapshots, snapshots):
+            v32 = field.values
+            assert np.abs(v32 - v64).max() <= _FLOAT32_BOUND
+            flipped = (v32 <= 0) != (v64 <= 0)
+            assert np.all(np.abs(v64[flipped]) <= _FLOAT32_BOUND)
+        assert tube.final_mask().any()
+
+
 # ---------------------------------------------------------------------------
 # Blocked rate scan
 # ---------------------------------------------------------------------------
@@ -936,10 +992,6 @@ def _network_system(dims, seed):
     return ClosedLoopSystem(plant, policy, bounds)
 
 
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.int64)
-
-
 @pytest.mark.parametrize("forward", [False, True], ids=["backward", "forward"])
 @pytest.mark.parametrize("counts", BLOCKED_GRIDS)
 def test_blocked_rate_scan_equals_whole_grid_scan(counts, forward):
@@ -947,12 +999,13 @@ def test_blocked_rate_scan_equals_whole_grid_scan(counts, forward):
     sys_cl = _network_system(grid.dims, sum(counts))
     rates = nominal_rate_batch(sys_cl, grid.flat_points())
     coefficients = _Coefficients(sys_cl, grid, forward)
-    assert np.array_equal(_bits(coefficients.half_rate),
-                          _bits((-0.5 if forward else 0.5) * rates.T))
+    # Each halved rate is rounded once, when the scan stores it.
+    assert np.array_equal(bits(coefficients.half_rate),
+                          bits(((-0.5 if forward else 0.5) * rates.T).astype(_DTYPE)))
     alpha = _wave_speeds(rates, sys_cl.bounds)
-    assert np.array_equal(_bits(coefficients.alpha), _bits(alpha))
+    assert np.array_equal(bits(coefficients.alpha), bits(alpha))
     scanned = dissipation_coefficients(sys_cl, sys_cl.bounds, grid)
-    assert np.array_equal(_bits(scanned), _bits(alpha))
+    assert np.array_equal(bits(scanned), bits(alpha))
 
 
 def _held_bytes(ws) -> int:
@@ -988,8 +1041,8 @@ def test_workspace_and_seed_memory_is_bounded_by_the_workspace():
 def test_streamed_solve_memory_is_its_workspace_and_two_fields(tmp_path):
     # Through the store writer a solve holds its workspace, the snapshot
     # being written and, at the end, the final field.  Kept in memory, the
-    # 16 snapshots of the default 10 s horizon peaked at 18.3 MB (11.7 MB
-    # held) against 7.9 MB streamed; a shorter horizon keeps the test quick.
+    # 16 snapshots of the default 10 s horizon peaked at 15.1 MB (11.7 MB
+    # held) against 4.6 MB streamed; a shorter horizon keeps the test quick.
     from reachverify.dynamics import AirPlant
     from reachverify.scene import TubeWriter, air_scene
     from reachverify.trainer import default_action_bounds
@@ -1032,4 +1085,4 @@ def test_split_buffer_set_holds_one_largest_stride_more_per_slab(box):
     for slabs in range(2, grid.counts[0] + 1):
         split = _Workspace(coefficients, slabs)
         assert len(split.slabs) == slabs
-        assert _held_bytes(split) <= unsplit + (slabs - 1) * stride * 8, slabs
+        assert _held_bytes(split) <= unsplit + (slabs - 1) * stride * _DTYPE().itemsize, slabs
