@@ -5,8 +5,11 @@ Scenes, disturbance bounds, models, and reports are JSON; fields, masks,
 datasets, and Monte-Carlo samples are CSV with one row per node or sample.
 Fields and masks are stored as each node's index columns and its value;
 only the plot slices of ``export-plots`` add the node coordinates.
-All writers format floats with ``repr``, the shortest exact decimal form,
-so identical inputs produce byte-identical files.
+Floats are written in the shortest decimal form that parses back to the
+same value: a field whose every value is a float32 (every tube snapshot,
+and ``brt_union.csv``) in float32's shortest form, at most 9 significant
+digits, and every other float in ``repr``, the double's.  Identical inputs
+therefore produce byte-identical files.
 
 A tube directory holds one store CSV per snapshot and a ``manifest.json``.
 :class:`TubeWriter` is the one writer of it: passed to ``solve_frt`` /
@@ -223,9 +226,13 @@ def load_scene(path) -> Scene:
 
 # Rows formatted and written per chunk, and characters read per block:
 # enough that the per-chunk numpy and list calls cost nothing, few enough
-# that a chunk's strings stay under a MB.
-_CHUNK_ROWS = 2048
-_CHUNK_BYTES = 1 << 16
+# that a chunk's strings stay under a MB.  Float32 text passes through a
+# ``<U32`` array, 128 bytes a row: at 2048 rows a chunk, a streamed 45^3
+# solve peaked 0.1 MB above its workspace and two fields.  A block's cells
+# cost memory by the row, and float32 rows are about 17 characters, so a
+# block of 32 KB holds fewer rows than one of 64 KB did in ``repr`` text.
+_CHUNK_ROWS = 1024
+_CHUNK_BYTES = 1 << 15
 
 
 def _node_cells(tables, counts, start: int, stop: int) -> list:
@@ -259,11 +266,38 @@ def _write_node_rows(path, grid: Grid, last_name: str, last_text) -> None:
     write_csv(path, [f"i{k}" for k in range(grid.dims)] + [last_name], chunks())
 
 
+# The value column of a field stored in float32's shortest text; any
+# other field's is ``value``, in ``repr``.
+_F32_COLUMN = "value_f32"
+_VALUE_COLUMNS = ("value", _F32_COLUMN)
+
+
+def _float32_text(values) -> list:
+    """The shortest text of each float32 of ``values`` (Steele & White's
+    unique form, as numpy prints it), whatever numpy's print options: under
+    ``legacy="1.13"`` numpy would print 123456.7 as 123457.0."""
+    with np.printoptions(legacy=False):
+        return values.astype(np.float32).astype(str).tolist()
+
+
 def field_to_csv(field: ScalarField, path) -> None:
     """The store format: one row per node in C order, its index columns
-    ``i0..i{n-1}``, then its ``value``."""
+    ``i0..i{n-1}``, then its value.
+
+    When every value of the field is a float32, as every tube value is,
+    the last column is ``value_f32`` and holds the shortest text of each
+    float32; otherwise it is ``value`` and holds each double's ``repr``.
+    Either text reads back to the same bits (:func:`field_from_csv`).  The
+    text is made one chunk of rows at a time.
+    """
     flat = field.values.ravel()
-    _write_node_rows(path, field.grid, "value", lambda a, b: map(repr, flat[a:b].tolist()))
+    chunks = (flat[a:a + _CHUNK_ROWS] for a in range(0, flat.size, _CHUNK_ROWS))
+    with np.errstate(over="ignore"):
+        float32 = all(np.array_equal(c.astype(np.float32), c) for c in chunks)
+    if float32:
+        _write_node_rows(path, field.grid, _F32_COLUMN, lambda a, b: _float32_text(flat[a:b]))
+    else:
+        _write_node_rows(path, field.grid, "value", lambda a, b: map(repr, flat[a:b].tolist()))
 
 
 def _line_blocks(fh):
@@ -281,7 +315,7 @@ def _line_blocks(fh):
         yield rest + "\n"
 
 
-def _block_values(path, block: str, grid: Grid, tables, start: int) -> list:
+def _block_values(path, block: str, grid: Grid, tables, start: int, column: str) -> list:
     """The value cells of the rows of ``block``, which must be the nodes
     ``start, start + 1, ...`` in C order, each its index cells as
     ``tables`` gives them, then one value cell; else a ValueError."""
@@ -295,42 +329,62 @@ def _block_values(path, block: str, grid: Grid, tables, start: int) -> list:
             and cells[n + 1::n + 2] == ["\n"] * (rows - 1)
             and all(cells[k::n + 2] == col for k, col in
                     enumerate(_node_cells(tables, grid.counts, start, start + rows)))):
-        names = ",".join([f"i{k}" for k in range(n)] + ["value"])
+        names = ",".join([f"i{k}" for k in range(n)] + [column])
         raise ValueError(f"{path}: rows {start}..{start + rows - 1} do not list the grid "
                          f"nodes in C order, one {names} row each")
     return cells[n::n + 2]
+
+
+def _store_column(fh, path, grid: Grid) -> str:
+    """Read the header of the store file ``fh`` and return its value
+    column, ``value`` or ``value_f32``; any other header is a ValueError
+    naming the file."""
+    index = [f"i{k}" for k in range(grid.dims)]
+    header = fh.readline().rstrip("\n").split(",")
+    if header[:-1] != index or header[-1] not in _VALUE_COLUMNS:
+        forms = " or ".join(",".join(index + [c]) for c in _VALUE_COLUMNS)
+        raise ValueError(f"{path} has {len(header)} columns {','.join(header)}, "
+                         f"expected {grid.dims + 1}: {forms}")
+    return header[-1]
+
+
+def _store_blocks(fh, path, grid: Grid, column: str):
+    # The value text of the rows after the header, block by block.
+    tables = _index_tables(grid)
+    start = 0
+    for block in _line_blocks(fh):
+        values = _block_values(path, block, grid, tables, start, column)
+        start += len(values)
+        yield values
+    if start < grid.num_nodes:
+        raise ValueError(f"{path} has {start} rows, expected {grid.num_nodes}")
 
 
 def read_store_text(path, grid: Grid):
     """The value text of a :func:`field_to_csv` file, one list per block of
     rows, in node order.
 
-    The header must be ``i0..i{n-1},value``, and the rows must list every
-    node of ``grid`` once, in C order, with its index text as written;
-    anything else (a missing, repeated, negative or out-of-range index, a
-    row with a cell too many or too few) is a ValueError naming the file.
+    The header must be ``i0..i{n-1},value`` or ``i0..i{n-1},value_f32``,
+    and the rows must list every node of ``grid`` once, in C order, with
+    its index text as written; anything else (a missing, repeated,
+    negative or out-of-range index, a row with a cell too many or too few)
+    is a ValueError naming the file.
     """
-    n = grid.dims
-    expected = [f"i{k}" for k in range(n)] + ["value"]
-    tables = _index_tables(grid)
     with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header != expected:
-            raise ValueError(f"{path} has {len(header)} columns {','.join(header)}, "
-                             f"expected {n + 1}: {','.join(expected)}")
-        start = 0
-        for block in _line_blocks(fh):
-            values = _block_values(path, block, grid, tables, start)
-            start += len(values)
-            yield values
-    if start < grid.num_nodes:
-        raise ValueError(f"{path} has {start} rows, expected {grid.num_nodes}")
+        yield from _store_blocks(fh, path, grid, _store_column(fh, path, grid))
 
 
 def field_from_csv(path, grid: Grid, time_tag: float = 0.0) -> ScalarField:
-    """Read a :func:`field_to_csv` file back, checked by :func:`read_store_text`."""
-    text = itertools.chain.from_iterable(read_store_text(path, grid))
-    values = np.fromiter(map(float, text), float).reshape(grid.counts)
+    """Read a :func:`field_to_csv` file back, checked as by
+    :func:`read_store_text`.  The values of a ``value_f32`` file are
+    rounded to float32 once parsed, which gives back the stored float32
+    exactly, and widened to doubles."""
+    with open(path) as fh:
+        column = _store_column(fh, path, grid)
+        text = itertools.chain.from_iterable(_store_blocks(fh, path, grid, column))
+        values = np.fromiter(map(float, text), float).reshape(grid.counts)
+    if column == _F32_COLUMN:
+        values[...] = values.astype(np.float32)
     return ScalarField(grid, values, time_tag, copy=False)
 
 

@@ -47,16 +47,20 @@ both fields and every slab buffer.  At 45^3 the step is memory bound, and
 float32 halves the bytes each ufunc streams.  Every scalar operand (the
 spacing, ``dt``, the halved box and dissipation bounds) is cast to it once,
 because under NumPy 2 a float64 scalar widens the whole ufunc it enters.
-The rate scan, the seed's exact distance and the seed snapshot, the wave
-speeds ``alpha``, :func:`cfl_dt` and the time accounting stay float64: each
-halved rate, coefficient and seed value is rounded once when it is stored,
-and every later snapshot and the final field are widened back to float64,
-exactly.  The tubes are therefore the allocating form run in float32, bit
-for bit.  Against the float64 kernel the values move by at most 1.9e-6 on
-the benchmark's 45^3 ``air`` tubes and 2.4e-5 on its 101^2 ``land`` tubes,
-and no mask or verdict of either workload changes; against the allocating
-form in float64 a 41^3 ``air`` tube moves by 1.7e-6 and land-sized tubes
-of a learned loop by 9.4e-6 (the tests allow 2e-5).  The first-order
+The rate scan, the seed's exact distance, the wave speeds ``alpha``,
+:func:`cfl_dt` and the time accounting stay float64: each halved rate,
+coefficient and seed value is rounded once when it is stored.  Every
+snapshot, the seed snapshot included, is the stepped float32 field widened
+to float64, exactly: the seed snapshot is the seed the kernel steps from,
+rounded to float32.  Its tube mask is the exact distance's: rounding to
+nearest keeps every sign, and only a distance in (0, 7e-46) would round
+to zero.  The tubes are therefore the allocating form run in float32, bit
+for bit, and ``scene.field_to_csv`` stores every snapshot in float32's
+shortest text.  Against the float64 kernel the values move by at most
+1.9e-6 on the benchmark's 45^3 ``air`` tubes and 2.4e-5 on its 101^2
+``land`` tubes, and no mask or verdict of either workload changes; against
+the allocating form in float64 a 41^3 ``air`` tube moves by 1.7e-6 and
+land-sized tubes of a learned loop by 9.4e-6 (the tests allow 2e-5).  The first-order
 scheme's own error is about a cell, 0.07 to 0.2 wide on those grids: the
 rounding sits three to five orders of magnitude under it.
 
@@ -179,10 +183,11 @@ class TubeResult:
     """Time-stamped snapshots, the final field, and solve diagnostics.
 
     Snapshot times run 0 to -T for backward tubes and 0 to +T for forward
-    tubes; the first snapshot is always the seed field and the last the
-    final field, at time -T or +T.  Each snapshot pairs its time with what
-    the solve's sink returned for it: the field itself by default, the name
-    of the file it was written to under a store writer
+    tubes; the first snapshot is always the seed field, rounded to float32
+    as the kernel steps from it, and the last the final field, at time -T
+    or +T.  Each snapshot pairs its time with what the solve's sink
+    returned for it: the field itself by default, the name of the file it
+    was written to under a store writer
     (``scene.TubeWriter``), which keeps no snapshot in memory.  ``final``
     is the final field either way.
     ``direction`` is ``"backward"`` or ``"forward"``.
@@ -611,10 +616,10 @@ def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Gr
     end = config.horizon * (1 - 1e-12)
 
     with workspaces.take() as ws:
-        seed_field = level_set_from_shapes(grid, seed)
-        ws.load(seed_field)
-        snapshots = [(0.0, sink(0.0, seed_field))]
-        del seed_field  # the sink holds it if it keeps snapshots; the solve does not
+        # The seed snapshot is the seed as the kernel steps from it, rounded
+        # to float32, so every snapshot of a tube is a float32 field.
+        ws.load(level_set_from_shapes(grid, seed))
+        snapshots = [(0.0, sink(0.0, ws.snapshot(0.0)))]
         max_h = 0.0
         tau = 0.0
         steps = 0

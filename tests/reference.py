@@ -265,10 +265,10 @@ def reference_solve(seed, sys_cl, config, grid, forward, dtype=np.float64):
     """The stepper as first written, a fresh array per operation, on arrays
     and scalars of ``dtype``: ``(snapshots, steps_taken, max_abs_h)``.
 
-    As in the solver, the seed snapshot is the exact float64 distance and
-    the rates, wave speeds and time accounting are float64; the stepped
-    values start from the seed rounded to ``dtype``, and each later
-    snapshot is widened to float64."""
+    As in the solver, the rates, wave speeds and time accounting are
+    float64; the stepped values start from the exact distance rounded to
+    ``dtype``, and every snapshot, the seed's included, is the stepped
+    values widened to float64."""
     rates = nominal_rate_batch(sys_cl, grid.flat_points())
     rate_grid = rates.T.reshape((grid.dims, *grid.counts))
     b = sys_cl.bounds
@@ -299,9 +299,8 @@ def reference_solve(seed, sys_cl, config, grid, forward, dtype=np.float64):
 
     dt_nom = cfl_dt(config, alpha, grid)
     sign = 1.0 if forward else -1.0
-    exact = seed.signed_distance(grid.flat_points()).reshape(grid.counts)
-    snapshots = [(0.0, exact)]
-    values = exact.astype(dtype)
+    values = seed.signed_distance(grid.flat_points()).reshape(grid.counts).astype(dtype)
+    snapshots = [(0.0, values.astype(np.float64))]
     max_h, tau, steps, last_snap_tau = 0.0, 0.0, 0, 0.0
     while tau < config.horizon * (1 - 1e-12):
         dt = min(dt_nom, config.horizon - tau)

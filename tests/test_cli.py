@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import LAND_RUN_CONFIG
+from conftest import LAND_RUN_CONFIG, bits
 from reachverify import cli, solver
 from reachverify.cli import _write_ground_truth, main
 from reachverify.dynamics import ActionBounds, MlpPolicy, save_policy
@@ -245,6 +245,52 @@ def test_safe_set_with_mc_comparison(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["mc_comparison"]["agreement"] == 1.0
     assert (out / "ground_truth.csv").exists()
+
+
+def test_safe_set_store_reads_back_the_solved_fields(tmp_path, monkeypatch):
+    # The benchmark's safe-set check parses the stores as doubles and needs
+    # brt_union.csv to be the pointwise minimum of the final snapshots, so
+    # the union and the tubes must be written in one form.
+    grid = build_grid([-1, -1], [1, 1], (31, 31))
+    scene = Scene(grid, ShapeSet((Ball([0.0, 0.0], 0.3),)), ShapeSet((Ball([0.8, 0.8], 0.1),)),
+                  ShapeSet((Ball([0.55, -0.5], 0.2), AxisBox([-0.5, 0.6], [0.15, 0.2]))))
+    save_scene(scene, tmp_path / "scene.json")
+    cfg = verify_config(tmp_path, tmp_path / "scene.json", horizon=0.3, stride=4)
+    # A disturbance box grows the tubes from their seeds.
+    save_bounds(DisturbanceBounds([0.9, 0.4], [-0.3, -0.8], dt_env=0.1), tmp_path / "bounds.json")
+    solved = {}  # each snapshot written, by tube directory
+    write = cli.TubeWriter.__call__
+
+    def keep(store, time, field):
+        solved.setdefault(os.path.basename(store.out_dir), []).append((time, field.values.copy()))
+        return write(store, time, field)
+
+    monkeypatch.setattr(cli.TubeWriter, "__call__", keep)
+    runs = [tmp_path / "run1", tmp_path / "run2"]
+    for out in runs:
+        solved.clear()
+        assert main(["safe-set", "--config", str(cfg), "--out", str(out)]) == 0
+
+    out = runs[0]
+    finals = []
+    for i in range(2):
+        tube = f"brt_obstacle_{i}"
+        _, snapshots, manifest = load_tube_manifest(out / tube / "manifest.json")
+        assert len(snapshots) == len(solved[tube]) > 2
+        for (t, field), (t_solved, values) in zip(snapshots, solved[tube]):
+            assert t == t_solved and np.array_equal(bits(field.values), bits(values))
+        final = out / tube / manifest["snapshots"][-1]["file"]
+        assert final.read_text().partition("\n")[0] == "i0,i1,value_f32"
+        finals.append(np.loadtxt(final, delimiter=",", skiprows=1)[:, -1])
+    assert not np.array_equal(finals[0], finals[1])
+    assert (out / "brt_union.csv").read_text().partition("\n")[0] == "i0,i1,value_f32"
+    union = np.loadtxt(out / "brt_union.csv", delimiter=",", skiprows=1)[:, -1]
+    assert np.array_equal(union, np.minimum(*finals))
+
+    files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(runs[1]) for p in runs[1].rglob("*") if p.is_file())
+    for name in files:
+        assert (out / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 def test_mc_plant_defaults_to_the_run_env(tmp_path):
@@ -764,8 +810,8 @@ def write_tube_run(run, fields):
 
 @pytest.mark.parametrize("counts", [(67, 71), (47, 45, 5)])
 def test_export_plots_slices_match_per_row_reference(tmp_path, counts):
-    # Both stores span several of the reader's 64 KB blocks and end inside
-    # one; the slices cross the writer's 2 048-row chunks and end inside one.
+    # Both stores span several of the reader's 32 KB blocks and end inside
+    # one; the slices cross the writer's 1 024-row chunks and end inside one.
     grid = build_grid([-1.0] * len(counts), [1.0] * len(counts), counts)
     rng = np.random.default_rng(5)
     fields = []

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import const_system
+from conftest import bits, const_system
 from reachverify.geometry import AxisBox, AxisCylinder, Ball, ScalarField, ShapeSet, build_grid
 from reachverify.nn import TransitionDataset, load_dataset, save_dataset
 from reachverify.scene import (
@@ -96,6 +96,65 @@ def test_field_csv_round_trip_and_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     back = field_from_csv(p1, grid)
     assert np.array_equal(back.values, field.values)
+    # a field that is not float32 keeps each double's repr under "value"
+    _reference_store_to_csv(grid, "value", [repr(v) for v in field.values.ravel().tolist()],
+                            tmp_path / "ref.csv")
+    assert p1.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _float32_field(grid, seed):
+    # Random finite float32 bit patterns, subnormals included, and the
+    # edge values, widened to doubles.
+    patterns = np.random.default_rng(seed).integers(0, 2**32, size=grid.num_nodes,
+                                                    dtype=np.uint64)
+    values = patterns.astype(np.uint32).view(np.float32)
+    values = np.where(np.isfinite(values), values, np.float32(0.5))
+    tiny, big = np.float32(np.finfo(np.float32).smallest_subnormal), np.finfo(np.float32).max
+    values[:6] = [0.0, -0.0, tiny, -tiny, big, -big]
+    return ScalarField(grid, values.astype(np.float64).reshape(grid.counts))
+
+
+@pytest.mark.parametrize("counts", [(67, 71), (17, 13, 19)])
+def test_float32_field_round_trips_bit_for_bit(tmp_path, counts):
+    grid = build_grid([-1.0] * len(counts), [1.0] * len(counts), counts)
+    field = _float32_field(grid, sum(counts))
+    path = tmp_path / "f.csv"
+    field_to_csv(field, path)
+    header, _, body = path.read_text().partition("\n")
+    assert header == ",".join([f"i{k}" for k in range(grid.dims)] + ["value_f32"])
+    # each value in float32's shortest text: at most 9 significant digits
+    text = [line.rsplit(",", 1)[1] for line in body.splitlines()]
+    assert text == _value_text(field.values.ravel())
+    assert max(len(t.lstrip("-").split("e")[0].replace(".", "").strip("0")) for t in text) <= 9
+    back = field_from_csv(path, grid)
+    assert np.array_equal(bits(back.values), bits(field.values))
+    # numpy's print options do not change the text
+    for options in ({"legacy": "1.13"}, {"precision": 2, "floatmode": "fixed"}):
+        with np.printoptions(**options):
+            field_to_csv(field, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes(), options
+
+
+def test_value_file_written_before_float32_text_still_loads(tmp_path):
+    # Tube values were stored as the repr of their double, under "value".
+    grid = build_grid([-1, 0], [1, 2], [5, 4])
+    field = _float32_field(grid, 3)
+    _reference_store_to_csv(grid, "value", [repr(v) for v in field.values.ravel().tolist()],
+                            tmp_path / "old.csv")
+    back = field_from_csv(tmp_path / "old.csv", grid)
+    assert np.array_equal(bits(back.values), bits(field.values))
+
+
+@pytest.mark.parametrize("column", ["inside", "value_f64", "Value"])
+def test_store_header_naming_neither_form_is_refused(tmp_path, column):
+    grid = build_grid([-1, 0], [1, 2], [3, 4])
+    path = tmp_path / "f.csv"
+    _reference_store_to_csv(grid, column, ["0.5"] * grid.num_nodes, path)
+    with pytest.raises(ValueError, match=f"f.csv has 3 columns i0,i1,{column}, "
+                                         "expected 3: i0,i1,value or i0,i1,value_f32"):
+        field_from_csv(path, grid)
+    with pytest.raises(ValueError, match="f.csv has 3 columns"):
+        list(read_store_text(path, grid))
 
 
 def test_field_csv_rejects_wrong_shape(tmp_path):
@@ -117,7 +176,8 @@ def test_field_csv_rejects_wrong_shape(tmp_path):
     # a file of the old format, with the coordinates x0..x{n-1}, is refused
     _reference_field_to_csv(ScalarField(grid, np.zeros(grid.counts)), tmp_path / "old.csv")
     with pytest.raises(ValueError,
-                       match="old.csv has 5 columns i0,i1,x0,x1,value, expected 3: i0,i1,value"):
+                       match="old.csv has 5 columns i0,i1,x0,x1,value, "
+                             "expected 3: i0,i1,value or i0,i1,value_f32"):
         field_from_csv(tmp_path / "old.csv", grid)
 
 
@@ -134,19 +194,27 @@ def test_mask_csv(tmp_path):
     assert sum(flags) == 1
 
 
+def _value_text(values) -> list:
+    # Per value, the store's text: a field of float32 values (a tube's)
+    # in float32's shortest form, any other in the double's repr.
+    if all(float(np.float32(v)) == v for v in values):
+        return [str(np.float32(v)) for v in values]
+    return [repr(float(v)) for v in values]
+
+
 def _reference_field_to_csv(field, path):
     # The per-row writer of the field format that had the coordinates
-    # x0..x{n-1}, kept as the byte reference of the plot slices.
+    # x0..x{n-1}, kept as the byte reference of the plot slices, with the
+    # value text of the store.
     grid = field.grid
     n = grid.dims
     header = [f"i{k}" for k in range(n)] + [f"x{k}" for k in range(n)] + ["value"]
     indices = np.indices(grid.counts).reshape(n, -1).T
     coords = grid.flat_points()
-    values = field.values.ravel()
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for idx, xyz, v in zip(indices, coords, values):
-            cells = [str(int(i)) for i in idx] + [repr(float(x)) for x in xyz] + [repr(float(v))]
+        for idx, xyz, v in zip(indices, coords, _value_text(field.values.ravel())):
+            cells = [str(int(i)) for i in idx] + [repr(float(x)) for x in xyz] + [v]
             fh.write(",".join(cells) + "\n")
 
 

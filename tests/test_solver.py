@@ -37,6 +37,7 @@ from reachverify.geometry import (
     zero_sublevel_mask,
 )
 from reachverify.nn import MlpModel, ModelMeta
+from reachverify.scene import air_scene, land_scene
 from reachverify.solver import (
     _DTYPE,
     SolverConfig,
@@ -429,9 +430,30 @@ def test_still_system_spans_the_horizon_in_one_step(forward):
     tube = (solve_frt if forward else solve_brt)(seed, sys_cl, config, grid)
     assert tube.times == [0.0, (1 if forward else -1) * config.horizon]
     assert tube.steps_taken == 1
-    # The stepped field is the seed rounded once to the kernel's dtype.
-    assert np.array_equal(tube.final.values,
-                          level_set_from_shapes(grid, seed).values.astype(_DTYPE))
+    # The stepped field is the seed rounded once to the kernel's dtype, and
+    # so is the seed snapshot.
+    rounded = level_set_from_shapes(grid, seed).values.astype(_DTYPE)
+    assert np.array_equal(tube.final.values, rounded)
+    assert np.array_equal(bits(tube.snapshots[0][1].values), bits(rounded.astype(np.float64)))
+
+
+@pytest.mark.parametrize("scene", [land_scene((101, 101)), air_scene((45,) * 3), air_scene()],
+                         ids=["land_101", "air_45", "air_71"])
+def test_rounded_seed_snapshot_keeps_the_seed_mask(scene):
+    # The seed snapshot is the float32 seed the kernel steps from; on the
+    # shipped scenes its tube mask is the exact distance's for every seed a
+    # command solves from: the initial set, the goal and each obstacle.
+    grid = scene.grid
+    still = const_system([0.0] * grid.dims)
+    config = SolverConfig(horizon=1.0)
+    seeds = [(solve_frt, scene.initial_set), (solve_brt, scene.goal_set)] + [
+        (solve_brt, ShapeSet((prim,))) for prim in scene.obstacles.primitives]
+    for solve, seed in seeds:
+        exact = level_set_from_shapes(grid, seed).values
+        first = solve(seed, still, config, grid).snapshots[0][1].values
+        assert np.array_equal(bits(first), bits(exact.astype(_DTYPE).astype(np.float64)))
+        assert np.array_equal(first <= 0.0, exact <= 0.0)
+        assert (exact <= 0.0).any() and (exact > 0.0).any()
 
 
 def test_solve_frt_zero_dynamics_keeps_initial():
