@@ -8,18 +8,13 @@ truth; ``export-plots`` turns a finished run directory into plain CSV
 slices any plotting tool can consume.
 
 ``safe-set`` scans the closed loop's rates once for all its per-obstacle
-tubes.  On grids of at least 32 768 nodes it solves the tubes
-concurrently, one thread per CPU the process may use (at most one per
-obstacle).  On grids of at least 49 152 nodes every tube solve also steps
-in slabs of grid planes, one thread per slab, and the CPUs are shared out
-between the two: each of the tubes solved at once gets ``max(1, CPUs //
-tubes)`` slabs, at most two.  On two CPUs ``verify`` steps its tube in
-two slabs, ``safe-set`` solves two obstacles side by side in one slab each
-and one obstacle in two slabs.  However the work is split, the outputs
-are byte-identical to a serial run's.  The CPU count is
-``solver._usable_cpus``.  ``safe-set``'s tube directories are put in place
-only once every solve has succeeded, so a failed ``safe-set`` leaves none
-of them changed.
+tubes.  How many of them it solves at once, and in how many slabs of grid
+planes each steps, is ``solver.brt_workspaces``'s rule: every thread
+covers a measured least number of nodes (see the ``solver`` module
+notes).  However the work is split, the outputs are byte-identical to a
+serial run's.  ``safe-set``'s tube directories are put in place only once
+every solve has succeeded, so a failed ``safe-set`` leaves none of them
+changed.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, and 4
 from ``verify --strict`` when the policy is unsafe.  Given identical
@@ -42,7 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import error_bounds as eb
-from . import nn, solver
+from . import nn
 from .dynamics import ClosedLoopSystem, LearnedPlant, load_policy, save_policy
 from .geometry import (
     AxisBox,
@@ -80,20 +75,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_UNSAFE = 4
-
-# ``safe-set`` solves its per-obstacle tubes on threads on grids of at least
-# this many nodes.  numpy releases the GIL inside its array loops, so two
-# 250-step solves on two threads ran 1.88x as fast as one after the other
-# at 45^3, 1.52x at 33^3 and 1.58x at 201^2, but 1.04x at 27^3 and 0.75x at
-# 101^2, where the arrays are too short for the threads to gain (median of
-# 5, 2 vCPUs, one shared rate scan on either side).  Two slab threads
-# nested inside each of these, four threads on two CPUs, made the ``air``
-# ``safe-set`` slower (median of 10: 1.146 s against 1.074 s), so the
-# solver gives each concurrent tube its share of the CPUs.  Solving the
-# tubes one after another in two slabs each instead made the ``air``
-# benchmark's ``run_s`` 3% slower (2.479 -> 2.555 s, slower in 10 of 10
-# alternating pairs), so the threads stay.
-_CONCURRENT_TUBE_NODES = 32768
 
 
 def _load_json(path) -> dict:
@@ -329,25 +310,20 @@ def _obstacle_tubes(prims, stores, sys_cl, solver_cfg, grid) -> list:
     """Each obstacle's backward tube, written to its store.
 
     The tubes come in obstacle order, and so does the first error.  Every
-    solve reads the coefficients of one rate scan.  On large grids the
-    solves run on threads, each with a buffer set made here, in the calling
+    solve reads the coefficients of one rate scan.  The workspaces' lanes
+    run on threads, each with a buffer set made here, in the calling
     thread, before any thread starts: memory a worker thread allocates
-    stays with its arena after the thread frees it.  The sets share out the
-    usable CPUs, so a tube steps in more than one slab only when there are
-    fewer tubes at once than CPUs.
+    stays with its arena after the thread frees it.
     """
-    workers = 1
-    if grid.num_nodes >= _CONCURRENT_TUBE_NODES:
-        workers = min(len(prims), solver._usable_cpus())
-    workspaces = brt_workspaces(sys_cl, grid, workers)
+    workspaces = brt_workspaces(sys_cl, grid, len(prims))
 
     def solve(prim, store):
         return solve_brt(ShapeSet((prim,)), sys_cl, solver_cfg, grid, sink=store,
                          workspaces=workspaces)
 
-    if workers == 1:
+    if workspaces.lanes == 1:
         return list(map(solve, prims, stores))
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(workspaces.lanes) as pool:
         return list(pool.map(solve, prims, stores))
 
 

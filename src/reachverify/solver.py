@@ -64,28 +64,42 @@ land-sized tubes of a learned loop by 9.4e-6 (the tests allow 2e-5).  The first-
 scheme's own error is about a cell, 0.07 to 0.2 wide on those grids: the
 rounding sits three to five orders of magnitude under it.
 
-Large grids step on up to two CPUs per solve.  A node's update reads only its
+Large grids use more than one CPU.  A node's update reads only its
 neighbours along each axis (Mitchell, Bayen & Tomlin 2005), so a grid cuts
-into slabs of whole axis-0 planes that share a one-plane halo.  On grids of
-at least ``_SLAB_NODES`` nodes a solve steps every slab but the first on a
-worker thread of its own; numpy releases the interpreter lock inside its
-array loops.  The threads meet at a barrier after stage 1, after stage 2's
-Hamiltonian and after the step's combine.  Each slab has its own scratch
-buffers, made with the rest of the set in the calling thread, and a
-difference buffer whose zeros are those of the whole grid's, so every node
-goes through the same operations in the same order; the step's maxima are
-exact, and a NaN from any slab survives their combine.  The tubes are
-therefore the same bits whatever the split.  A buffer set gets
-``max(1, usable CPUs // sets)`` slabs, ``sets`` being the number of solves
-that may run at once, but at most ``_MAX_SLABS`` = 2, and no slab holds
-fewer than ``_SLAB_NODES / 2`` nodes.  Two slabs on two threads against
-one (150 steps, median of 3, 2 vCPUs) ran 0.41x at 101^2, 0.65x at 151^2,
-1.06-1.11x at 201^2, 1.18x at 225^2, 1.47-1.52x at 251^2 and 1.78x at
-301^2; 0.55x at 27^3, 0.89x at 33^3, 1.05-1.18x at 36^3, 1.29x at 37^3,
-1.52x at 39^3, 1.62x at 41^3, 1.65x at 45^3 and 1.97x at 71^3.  More
-slabs on more CPUs have not been measured, hence the cap.  Below the
-threshold, and on one CPU, a solve steps one slab of the whole grid in
-the calling thread, through exactly the operations of the unsplit kernel.
+into slabs of whole axis-0 planes that share a one-plane halo, and tubes
+of different targets are independent.  A thread pays only when its array
+operations are long enough to outweigh the interpreter's work between
+them and, for slabs, the barriers of each step, so every thread covers at
+least ``_THREAD_NODES`` nodes.  :func:`brt_workspaces` for ``tubes``
+solves runs ``min(tubes, usable CPUs)`` of them at once, each in a lane (a
+thread of its own), on a grid of at least that many nodes, and one at a
+time below it.  Each lane gets ``usable CPUs // lanes`` slabs, at most
+``_MAX_SLABS`` = 2, and fewer while a slab would hold fewer than
+``_THREAD_NODES`` nodes.  A solve in more than one slab steps every slab
+but the first on a worker thread of its own; numpy releases the
+interpreter lock inside its array loops.  The threads meet at a barrier
+after stage 1, after stage 2's Hamiltonian and after the step's combine.
+Each slab has its own scratch buffers, made with the rest of the set in
+the calling thread, and a difference buffer whose zeros are those of the
+whole grid's, so every node goes through the same operations in the same
+order; the step's maxima are exact, and a NaN from any slab survives their
+combine.  The tubes are therefore the same bits whatever the split.
+
+Measured with ``tools/thread_breakeven.py`` (float32 kernel, 60 steps,
+median of 10 alternating pairs, 2 vCPUs), two slabs against one ran 0.37x
+at 181^2, 0.59x at 251^2, 0.93x at 301^2 and 1.28x at 351^2; 0.56x at
+35^3, 0.52x at 37^3, 0.78x at 41^3, 0.88x at 43^3, 0.95x at 44^3, 1.06x at
+45^3, 1.14x at 47^3 and 1.34x at 51^3.  Two lanes against one tube after
+the other ran 0.68x at 151^2, 0.80x at 181^2, 0.97x at 193^2 and 201^2
+and 1.26x at 251^2; 0.86x at 33^3, 0.81x at 35^3, 1.12x at 37^3, 1.26x at
+41^3 and 1.41x at 45^3.  Over three such runs 301^2 read 0.81-1.02x and
+45^3 1.00-1.13x in two slabs; over two, 35^3 read 0.81-1.03x and 37^3
+1.03-1.12x in two lanes.  Both splits break even near 45 000 nodes a
+thread.  44 000 keeps the benchmark's 45^3 solve in two slabs of 44 550
+and 46 575 nodes.  More slabs on more CPUs have not been measured, hence
+the cap.  Below the threshold, and on one CPU, a solve steps one slab of
+the whole grid in the calling thread, through exactly the operations of
+the unsplit kernel.
 
 The entry point fixes the tube's direction and the disturbance sense, and
 both are the conservative choice for a safety question:
@@ -140,10 +154,9 @@ __all__ = [
 
 _MAX_STEPS = 2_000_000
 
-# A solve on a grid of at least this many nodes steps its slabs on threads;
-# two slabs first ran clearly faster than one between 201^2 (40 401 nodes,
-# 1.06-1.11x) and 37^3 (50 653 nodes, 1.29x).  See the module notes.
-_SLAB_NODES = 49152
+# The fewest nodes each thread's array operations must cover, from the
+# measured break-evens in the module notes.
+_THREAD_NODES = 44000
 
 # The most slabs a solve steps in: two slabs on two CPUs is the only split
 # measured, so a wider host keeps it until more are.
@@ -269,16 +282,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _slab_count(grid: Grid, sets: int) -> int:
-    """Slabs per buffer set when ``sets`` solves may run at once: one below
-    ``_SLAB_NODES`` nodes, else the usable CPUs shared out among the sets,
-    at most ``_MAX_SLABS``, with no slab of fewer than ``_SLAB_NODES / 2``
-    nodes."""
-    if grid.num_nodes < _SLAB_NODES:
-        return 1
+def _layout(grid: Grid, tubes: int) -> tuple:
+    """``(lanes, slabs)`` for ``tubes`` solves on ``grid``: how many of
+    them run at once, each on a thread of its own, and how many slabs each
+    steps in, by the per-thread rule of the module notes."""
+    cpus = _usable_cpus()
+    lanes = min(tubes, cpus) if grid.num_nodes >= _THREAD_NODES else 1
     plane = grid.num_nodes // grid.counts[0]
-    fewest_planes = -(-_SLAB_NODES // (2 * plane))
-    return max(1, min(_MAX_SLABS, _usable_cpus() // sets, grid.counts[0] // fewest_planes))
+    fewest_planes = -(-_THREAD_NODES // plane)
+    return lanes, max(1, min(_MAX_SLABS, cpus // lanes, grid.counts[0] // fewest_planes))
 
 
 class _Coefficients:
@@ -551,26 +563,25 @@ class _Workspace:
 
 
 class _Workspaces:
-    """The coefficients of one system's tubes on one grid and ``count``
-    buffer sets over them.
+    """The coefficients of one system's tubes on one grid and a buffer set
+    over them for each of the ``lanes`` solves that may run at once.
 
     Everything is allocated here, in the calling thread, and a solve takes
     a free set for its duration and gives it back: a solve on a worker
     thread only steps, and solves run one after another reuse one set.  A
-    solve waits while every set is taken, so ``count`` bounds how many run
-    at once, and each set has its share of the usable CPUs in slabs
-    (``_slab_count``).
+    solve waits while every set is taken.  ``_layout`` decides from the
+    number of ``tubes`` how many lanes run and how many slabs each set has.
     """
 
-    def __init__(self, sys: ClosedLoopSystem, grid: Grid, forward: bool, count: int = 1,
+    def __init__(self, sys: ClosedLoopSystem, grid: Grid, forward: bool, tubes: int = 1,
                  alpha_floor=None):
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        if tubes < 1:
+            raise ValueError("tubes must be >= 1")
         self.system = sys
         self.coefficients = _Coefficients(sys, grid, forward, alpha_floor)
         self._free = queue.SimpleQueue()
-        slabs = _slab_count(grid, count)
-        for _ in range(count):
+        self.lanes, slabs = _layout(grid, tubes)
+        for _ in range(self.lanes):
             self._free.put(_Workspace(self.coefficients, slabs))
 
     @contextlib.contextmanager
@@ -583,11 +594,12 @@ class _Workspaces:
             self._free.put(workspace)
 
 
-def brt_workspaces(sys: ClosedLoopSystem, grid: Grid, count: int) -> _Workspaces:
-    """Workspaces for backward solves of ``sys`` on ``grid`` from one rate
-    scan, with ``count`` buffer sets: pass them to every ``solve_brt`` of
-    the system on the grid, whatever its target."""
-    return _Workspaces(sys, grid, False, count)
+def brt_workspaces(sys: ClosedLoopSystem, grid: Grid, tubes: int) -> _Workspaces:
+    """Workspaces for ``tubes`` backward solves of ``sys`` on ``grid`` from
+    one rate scan: pass them to every ``solve_brt`` of the system on the
+    grid, whatever its target, and run up to ``lanes`` of the solves at
+    once."""
+    return _Workspaces(sys, grid, False, tubes)
 
 
 def _check_inside_grid(shapes: ShapeSet, grid: Grid, label: str) -> None:

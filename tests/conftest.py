@@ -60,6 +60,13 @@ class LinearPlant:
         return states @ self.A.T
 
 
+# A per-thread node count under which the thread tests' small grids take
+# the threaded paths, for them to patch in as ``solver._THREAD_NODES``:
+# 193^2 (37 249 nodes) then gets a lane per tube and 41^3 two slabs of
+# 33 620 and 35 301 nodes, while 101^2 stays serial.
+SMALL_THREAD_NODES = 32768
+
+
 def const_system(c, dims=None, upper=None):
     """Closed-loop system with constant rate and optional symmetric bounds."""
     c = np.asarray(c, dtype=float)
@@ -136,9 +143,9 @@ LAND_RUN_CONFIG = TrainRunConfig(
 def land_run():
     """Trained land artifacts: (scene, TrainLoopResult, wall seconds)."""
     scene = land_scene()
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = train_loop(LAND_RUN_CONFIG, scene)
-    return scene, result, time.time() - t0
+    return scene, result, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
@@ -149,7 +156,7 @@ def land_tubes(land_run):
 
     scene, result, train_secs = land_run
     sys_learned = ClosedLoopSystem(LearnedPlant(result.model), result.policy, result.bounds)
-    t0 = time.time()
+    t0 = time.perf_counter()
     frt = solve_frt(
         scene.initial_set,
         sys_learned,
@@ -176,7 +183,7 @@ def land_tubes(land_run):
         "brts": brts,
         "union": union,
         "report": report,
-        "solve_secs": time.time() - t0,
+        "solve_secs": time.perf_counter() - t0,
         "train_secs": train_secs,
     }
 
@@ -189,12 +196,12 @@ def land_mc(land_run):
 
     scene, result, _ = land_run
     sys_true = ClosedLoopSystem(LandPlant(), result.policy, DisturbanceBounds.zero(2))
-    t0 = time.time()
+    t0 = time.perf_counter()
     mc = mc_ground_truth(
         sys_true, scene.initial_set, scene.obstacles,
         horizon=10.0, dt=0.1, num_samples=1000, num_disturbance_draws=0, seed=0,
     )
-    return mc, time.time() - t0
+    return mc, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
@@ -204,22 +211,22 @@ def capsule_runs():
     for counts in ((101, 101), (201, 201)):
         grid = build_grid([-1.0, -2.0], [5.0, 2.0], counts)
         sys_cl = const_system([1.0, 0.0])
-        t0 = time.time()
+        t0 = time.perf_counter()
         brt = solve_brt(
             ShapeSet((Ball([3.5, 0.0], 0.7),)),
             sys_cl,
             SolverConfig(horizon=3.0, snapshot_stride=50),
             grid,
         )
-        t_brt = time.time() - t0
-        t0 = time.time()
+        t_brt = time.perf_counter() - t0
+        t0 = time.perf_counter()
         frt = solve_frt(
             ShapeSet((Ball([0.5, 0.0], 0.7),)),
             sys_cl,
             SolverConfig(horizon=3.0, snapshot_stride=50),
             grid,
         )
-        t_frt = time.time() - t0
+        t_frt = time.perf_counter() - t0
         analytic = capsule_distance(grid.node_points(), [0.5, 0.0], [3.5, 0.0], 0.7) <= 0
         runs[counts[0]] = {
             "grid": grid,
@@ -240,7 +247,7 @@ def air_smoke():
     from reachverify.nn import train_dynamics_model
     from reachverify.trainer import collect_random_data, default_action_bounds, make_plant
 
-    t_all = time.time()
+    t_all = time.perf_counter()
     scene = air_scene((51, 51, 51))
     plant = make_plant("true_air")
     bounds_a = default_action_bounds("true_air")
@@ -263,4 +270,4 @@ def air_smoke():
         SolverConfig(horizon=8.0, snapshot_stride=25),
         scene.grid,
     )
-    return {"scene": scene, "frt": frt, "brt": brt, "total_secs": time.time() - t_all}
+    return {"scene": scene, "frt": frt, "brt": brt, "total_secs": time.perf_counter() - t_all}

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import LAND_RUN_CONFIG, bits
+from conftest import LAND_RUN_CONFIG, SMALL_THREAD_NODES, bits
 from reachverify import cli, solver
 from reachverify.cli import _write_ground_truth, main
 from reachverify.dynamics import ActionBounds, MlpPolicy, save_policy
@@ -398,13 +398,15 @@ def inside(grid, shape) -> int:
 def test_failed_solve_leaves_no_tube_directory(tmp_path, monkeypatch, capsys, command, tube):
     # The seed and the snapshots of steps 5 and 10 are written by step 12.
     # In the brt_obstacle_1 case only the second of two obstacles fails, on
-    # a grid that solves them on two threads: the first tube is solved and
-    # written in full, but it must not be put in place either.
+    # a grid that solves them on two threads (with the per-thread node count
+    # patched down): the first tube is solved and written in full, but it
+    # must not be put in place either.
     if tube == "brt_obstacle_1":
         scene_path, obstacles = obstacle_scene(tmp_path, (193, 193))
         node = inside(load_scene(scene_path).grid, obstacles[1])
         poison_solves(monkeypatch, lambda seed: 12 if seed[node] < 0 else None)
         monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(solver, "_THREAD_NODES", SMALL_THREAD_NODES)
         cfg = verify_config(tmp_path, scene_path, stride=50)
     else:
         poison_solves(monkeypatch, lambda seed: 12)
@@ -420,13 +422,15 @@ def test_failed_solve_leaves_no_tube_directory(tmp_path, monkeypatch, capsys, co
 def test_safe_set_reports_the_first_failing_obstacle(tmp_path, monkeypatch, capsys):
     # Obstacle 1's solve fails first in time, obstacle 0's later; the error
     # reported is obstacle 0's, as in a serial run, and a rerun that fails
-    # leaves the previous run's tubes as they were.
+    # leaves the previous run's tubes as they were.  The per-thread node
+    # count is patched down so that the two tubes run on two threads.
     scene_path, obstacles = obstacle_scene(tmp_path, (193, 193))
     node = inside(load_scene(scene_path).grid, obstacles[0])
     cfg = verify_config(tmp_path, scene_path, stride=50)
     unit_box(tmp_path)
     out = tmp_path / "run"
     monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(solver, "_THREAD_NODES", SMALL_THREAD_NODES)
     assert main(["safe-set", "--config", str(cfg), "--out", str(out)]) == 0
     before = {name: (out / name / "manifest.json").read_bytes()
               for name in ("brt_obstacle_0", "brt_obstacle_1")}
@@ -440,10 +444,11 @@ def test_safe_set_reports_the_first_failing_obstacle(tmp_path, monkeypatch, caps
         assert (out / name / "manifest.json").read_bytes() == manifest
 
 
-# (grid side, usable CPUs, obstacles) of the safe-set runs below: above
-# the node threshold (193^2) the tubes are solved on threads, one per CPU
-# and at most one per obstacle, and three obstacles on two threads reuse a
-# buffer set; below it (101^2) no thread is started.
+# (grid side, usable CPUs, obstacles) of the safe-set runs below, with
+# SMALL_THREAD_NODES as the per-thread node count: above it (193^2) the
+# tubes are solved on threads, one per CPU and at most one per obstacle,
+# and three obstacles on two threads reuse a buffer set; below it (101^2)
+# no thread is started.
 _SAFE_SET_RUNS = ((193, 2, 2), (193, 1, 2), (101, 2, 2), (193, 2, 3), (193, 1, 3))
 
 
@@ -482,6 +487,7 @@ def safe_set_runs(tmp_path_factory):
         mp.setattr(threading.Thread, "start", start)
         mp.setattr(solver, "_rate_scan", rate_scan)
         mp.setattr(solver._Workspace, "__init__", init)
+        mp.setattr(solver, "_THREAD_NODES", SMALL_THREAD_NODES)
         for side, cpus, count in _SAFE_SET_RUNS:
             scene_path, _ = obstacle_scene(tmp_path, (side, side), count)
             cfg = tmp_path / "cfg.json"
@@ -534,10 +540,11 @@ def test_safe_set_makes_one_buffer_set_per_worker_on_the_calling_thread(safe_set
         assert run["sets"] == [threading.main_thread()] * workers, (side, cpus, count)
 
 
-# (command, grid counts, obstacles, usable CPUs) of the runs below.  At
-# 41^3, above the slab threshold, a solve steps each slab on a thread of
-# its own; 3 CPUs still give 2 slabs there, since a third would hold fewer
-# than _SLAB_NODES / 2 nodes.  101^2 and 193^2 lie below the threshold.
+# (command, grid counts, obstacles, usable CPUs) of the runs below, with
+# SMALL_THREAD_NODES as the per-thread node count.  At 41^3 a solve steps
+# each slab on a thread of its own; 3 CPUs still give 2 slabs there, since
+# a third would hold fewer nodes than that.  101^2 and 193^2 are too small
+# for two slabs.
 _SLAB_RUNS = tuple(
     [("verify", (41, 41, 41), 2, cpus) for cpus in (1, 2, 3)]
     + [("safe-set", (41, 41, 41), count, cpus) for count in (1, 2) for cpus in (1, 2, 3)]
@@ -576,6 +583,7 @@ def slab_runs(tmp_path_factory):
         mp.setattr(threading.Thread, "start", start)
         mp.setattr(solver._Slab, "__init__", slab)
         mp.setattr(solver._Workspace, "__init__", init)
+        mp.setattr(solver, "_THREAD_NODES", SMALL_THREAD_NODES)
         for command, counts, count, cpus in _SLAB_RUNS:
             if len(counts) == 3:
                 scene = air_scene(counts)
@@ -637,8 +645,8 @@ def test_slab_buffers_are_allocated_on_the_calling_thread(slab_runs):
 
 
 def test_slabs_share_out_the_usable_cpus(slab_runs):
-    # Each buffer set gets max(1, CPUs // sets) slabs, and no slab holds
-    # fewer than _SLAB_NODES / 2 nodes.
+    # Each buffer set gets CPUs // sets slabs, and no slab holds fewer than
+    # the per-thread node count.
     slabs = {key: [len(sizes) for sizes in run["sets"]] for key, run in slab_runs.items()}
     cube = (41, 41, 41)
     assert [slabs["verify", cube, 2, cpus] for cpus in (1, 2, 3)] == [[1], [2], [2]]
@@ -647,7 +655,7 @@ def test_slabs_share_out_the_usable_cpus(slab_runs):
     assert slabs["verify", (101, 101), 2, 2] == slabs["verify", (193, 193), 2, 2] == [1]
     for run in slab_runs.values():
         for sizes in run["sets"]:
-            assert len(sizes) == 1 or min(sizes) >= solver._SLAB_NODES / 2
+            assert len(sizes) == 1 or min(sizes) >= SMALL_THREAD_NODES
 
 
 def test_verify_with_inline_constant_policy(tmp_path):

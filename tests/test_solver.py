@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     BLOCKED_GRIDS,
+    SMALL_THREAD_NODES,
     LinearPlant,
     bits,
     blocked_grid,
@@ -717,11 +718,12 @@ def test_nonfinite_value_mid_solve_names_the_step(monkeypatch):
                   SolverConfig(horizon=2.0, snapshot_stride=2), grid)
 
 
-def _slab_case():
-    """A 41^3 grid, above the slab threshold, and a short backward solve on
-    it: 13 steps, a snapshot every second one."""
+def _slab_case(monkeypatch):
+    """A 41^3 grid and a short backward solve on it: 13 steps, a snapshot
+    every second one.  The per-thread node count is patched down so that
+    two CPUs step it in two slabs."""
+    monkeypatch.setattr(solver, "_THREAD_NODES", SMALL_THREAD_NODES)
     grid = build_grid([-1.0] * 3, [1.0] * 3, (41, 41, 41))
-    assert grid.num_nodes >= solver._SLAB_NODES
     sys_cl = const_system([0.3, -0.2, 0.1], upper=[0.1, 0.1, 0.1])
     return (ShapeSet((Ball([0.0, 0.0, 0.0], 0.4),)), sys_cl,
             SolverConfig(horizon=0.5, snapshot_stride=2), grid)
@@ -731,7 +733,7 @@ def _slab_case():
 def test_nonfinite_value_in_the_last_slab_names_the_serial_step(monkeypatch, cpus):
     # The NaN reaches only the last slab's change, and the combined change
     # must keep it: the split solve fails at the serial solve's step.
-    target, sys_cl, cfg, grid = _slab_case()
+    target, sys_cl, cfg, grid = _slab_case(monkeypatch)
     node = grid.num_nodes - 7
     made = []
 
@@ -765,22 +767,37 @@ def _spy_thread_starts(monkeypatch) -> list:
     return started
 
 
-def test_slab_count_shares_out_the_cpus_up_to_two_slabs(monkeypatch):
-    # No slab holds fewer than _SLAB_NODES / 2 nodes: the three planes of a
-    # 50 700-node grid stay one slab whatever the CPUs.
-    cases = {((45, 45, 45), 1): [1, 2, 2, 2, 2, 2], ((45, 45, 45), 2): [1, 1, 1, 2, 2, 2],
-             ((3, 130, 130), 1): [1] * 6, ((201, 201), 1): [1] * 6}
-    for (counts, sets), slabs in cases.items():
+# (grid counts, tubes) -> (lanes, slabs per lane) on 1, 2, 3 and 4 usable
+# CPUs.  At 44 000 nodes a thread: the benchmark's air scene (45^3) steps
+# verify's tube in two slabs of 44 550 and 46 575 nodes and safe-set's two
+# tubes in two lanes of one slab; land's 101^2 and grids up to 35^3 run
+# serially; 251^2, 41^3 and 44^3 get lanes but no slabs; a third slab is
+# never made.
+_LAYOUTS = {
+    **{(counts, tubes): [(1, 1)] * 4 for tubes in (1, 2)
+       for counts in ((101, 101), (193, 193), (201, 201), (35, 35, 35))},
+    **{(counts, 1): [(1, 1)] * 4 for counts in ((251, 251), (41, 41, 41), (44, 44, 44))},
+    **{(counts, 2): [(1, 1), (2, 1), (2, 1), (2, 1)]
+       for counts in ((251, 251), (41, 41, 41), (44, 44, 44))},
+    **{(counts, 1): [(1, 1), (1, 2), (1, 2), (1, 2)]
+       for counts in ((301, 301), (45, 45, 45), (57, 57, 57))},
+    **{(counts, 2): [(1, 1), (2, 1), (2, 1), (2, 2)]
+       for counts in ((301, 301), (45, 45, 45), (57, 57, 57))},
+}
+
+
+def test_layout_gives_each_thread_its_least_nodes(monkeypatch):
+    for (counts, tubes), layouts in _LAYOUTS.items():
         grid = build_grid([-1.0] * len(counts), [1.0] * len(counts), counts)
-        for cpus, expected in enumerate(slabs, start=1):
+        for cpus, expected in enumerate(layouts, start=1):
             monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
-            assert solver._slab_count(grid, sets) == expected, (counts, sets, cpus)
+            assert solver._layout(grid, tubes) == expected, (counts, tubes, cpus)
 
 
 def test_a_failing_sink_stops_the_slab_threads(monkeypatch):
     # The sink fails on the second snapshot after the seed, between steps,
     # while the worker waits for the next one.
-    target, sys_cl, cfg, grid = _slab_case()
+    target, sys_cl, cfg, grid = _slab_case(monkeypatch)
     monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
     started = _spy_thread_starts(monkeypatch)
     times = []
@@ -801,7 +818,7 @@ def test_a_slab_error_is_raised_in_the_calling_thread(monkeypatch, where):
     # An error in a worker's slab breaks the barrier the caller waits at;
     # an error in the caller's slab leaves the worker at it.  Either way
     # the solve raises that error, and no worker outlives it.
-    target, sys_cl, cfg, grid = _slab_case()
+    target, sys_cl, cfg, grid = _slab_case(monkeypatch)
     monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
     started = _spy_thread_starts(monkeypatch)
     real_hamiltonian, calls = solver._Slab.hamiltonian, []
@@ -872,9 +889,12 @@ def test_solves_sharing_workspaces_equal_solves_making_their_own(box):
             assert np.array_equal(bits(field.values), bits(expected.values))
 
 
-def test_no_buffer_set_is_lent_to_two_solves_at_once():
+def test_no_buffer_set_is_lent_to_two_solves_at_once(monkeypatch):
     # More threads than sets and cores, switching often: a set lent twice
-    # would be seen busy by its second borrower.
+    # would be seen busy by its second borrower.  Two CPUs and a per-thread
+    # node count under the grid's give two lanes, so two sets.
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(solver, "_THREAD_NODES", 25)
     grid = build_grid([-1, -1], [1, 1], [5, 5])
     shared = brt_workspaces(const_system([0.3, -0.2]), grid, 2)
     busy, overlaps, lends = set(), [], []
@@ -1074,7 +1094,7 @@ def test_streamed_solve_memory_is_its_workspace_and_two_fields(tmp_path):
     policy = ConstantPolicy([0.9, 0.87, 0.65], default_action_bounds("true_air"))
     sys_cl = ClosedLoopSystem(AirPlant(), policy, DisturbanceBounds([0.05] * 3, [-0.05] * 3))
     workspace = _held_bytes(_Workspace(_Coefficients(sys_cl, grid, True),
-                                       solver._slab_count(grid, 1)))
+                                       solver._layout(grid, 1)[1]))
     field = grid.num_nodes * 8
     tracemalloc.start()
     try:
