@@ -8,8 +8,10 @@ only the plot slices of ``export-plots`` add the node coordinates.
 Floats are written in the shortest decimal form that parses back to the
 same value: a field whose every value is a float32 (every tube snapshot,
 and ``brt_union.csv``) in float32's shortest form, at most 9 significant
-digits, and every other float in ``repr``, the double's.  Identical inputs
-therefore produce byte-identical files.
+digits, and every other float in ``repr``, the double's.  A plot slice's
+coordinates are the float32 form of the node coordinates, or, on an axis
+whose nodes float32 cannot tell apart or hold, their ``repr``.  Identical
+inputs therefore produce byte-identical files.
 
 A tube directory holds one store CSV per snapshot and a ``manifest.json``.
 :class:`TubeWriter` is the one writer of it: passed to ``solve_frt`` /
@@ -388,17 +390,41 @@ def field_from_csv(path, grid: Grid, time_tag: float = 0.0) -> ScalarField:
     return ScalarField(grid, values, time_tag, copy=False)
 
 
+# A mask flag's text, looked up by the flag.
+_FLAG_TEXT = np.array(["0", "1"], dtype=object)
+
+
 def mask_to_csv(grid: Grid, mask: np.ndarray, path) -> None:
     """The store format with a 0/1 flag: index columns, then ``inside``."""
-    flags = mask.ravel().astype(int)
-    _write_node_rows(path, grid, "inside", lambda a, b: map(str, flags[a:b].tolist()))
+    flags = mask.ravel().astype(np.intp)
+    _write_node_rows(path, grid, "inside", lambda a, b: _FLAG_TEXT[flags[a:b]].tolist())
+
+
+def _coordinate_table(coords: np.ndarray) -> np.ndarray:
+    """The text of each node coordinate of one axis: float32's shortest
+    form, as the stores write values, unless two nodes of the axis would
+    then read alike or one would overflow float32; then each coordinate's
+    ``repr``."""
+    with np.errstate(over="ignore"):
+        narrow = coords.astype(np.float32)
+    text = _float32_text(narrow)
+    if len(set(text)) < len(text) or not np.isfinite(narrow).all():
+        text = list(map(repr, coords.tolist()))
+    return np.array(text, dtype=object)
 
 
 def slice_row_prefixes(grid: Grid) -> list:
     """The text before the value of each plot-slice row of the 2-D ``grid``,
-    in C order: the node's index columns and its ``repr`` coordinates."""
-    tables = _index_tables(grid) + [np.array(list(map(repr, grid.axis_coords(k).tolist())),
-                                             dtype=object) for k in range(grid.dims)]
+    in C order: the node's index columns and its coordinates.
+
+    A coordinate is written in the shortest text of its float32, the form
+    of the values beside it, so ``-0.9299999999999999`` reads ``-0.93``.
+    An axis on which float32 cannot tell two nodes apart, or cannot hold a
+    coordinate, keeps the double's ``repr`` for all its nodes.  The exact
+    coordinate is the one the row's indices give on the run's grid.
+    """
+    tables = _index_tables(grid) + [_coordinate_table(grid.axis_coords(k))
+                                    for k in range(grid.dims)]
     return list(map(",".join, zip(*_node_cells(tables, grid.counts, 0, grid.num_nodes))))
 
 

@@ -5,9 +5,11 @@ The package computes tubes with one flat, in-place stepper
 independent forms kept here: scalar one-sided differences, the closed-form
 Hamiltonian in both disturbance senses, the dissipated Lax-Friedrichs
 Hamiltonian at one state, a single-state closed-loop rate, the exhaustive
-box-corner extremum, a greedy rollout tube on coarse grids, an off-grid
-safety query, the field intersection, and the stepper as first written
-with a fresh array per operation.  No command runs any of them.
+box-corner extremum, a greedy rollout tube on coarse grids, the exact
+backward reachable set of a double integrator pushed by a bounded
+disturbance, an off-grid safety query, the field intersection, and the
+stepper as first written with a fresh array per operation.  No command
+runs any of them.
 """
 
 import itertools
@@ -241,6 +243,26 @@ def exhaustive_brt_small(
         reached[idx[newly]] = True
 
     return reached.reshape(grid.counts)
+
+
+def double_integrator_brt(x, v, r: float, d_max: float, horizon: float) -> np.ndarray:
+    """Whether the double integrator x' = v, v' = d with |d| <= ``d_max``
+    reaches the target |x| <= ``r`` within ``horizon`` from each state
+    ``(x, v)`` under some disturbance: its exact backward reachable tube.
+
+    From x > r the push d = -d_max gives the least x(t) at every t, and
+    x(t) = x + v t - d_max t^2 / 2 is then concave, so over [0, horizon] it
+    is least at an end: the state reaches the target if and only if
+    x(horizon) <= r.  From x < -r the same holds mirrored.  This is the
+    minimum-time problem of classical optimal control (Bryson & Ho,
+    *Applied Optimal Control*, 1975).
+    """
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    fall = 0.5 * d_max * horizon ** 2
+    return ((np.abs(x) <= r)
+            | ((x > r) & (x + v * horizon - fall <= r))
+            | ((x < -r) & (x + v * horizon + fall >= -r)))
 
 
 def is_state_safe(report: VerificationReport, state) -> bool:

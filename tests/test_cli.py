@@ -846,6 +846,53 @@ def test_export_plots_slices_match_per_row_reference(tmp_path, counts):
                 tmp_path / "ref.csv").read_bytes()
 
 
+def slice_coordinate_cells(path):
+    """``(i0, i1, x0, x1)`` of each row of a plot slice, indices as ints."""
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["i0", "i1", "x0", "x1", "value"]
+    return [(int(r[0]), int(r[1]), r[2], r[3]) for r in rows[1:]]
+
+
+@pytest.mark.parametrize("counts", [(101, 71), (46, 36, 5)])
+def test_export_plots_coordinates_are_float32_text(tmp_path, counts):
+    # The land scene's box, where a coordinate such as -0.9299999999999999
+    # has a double repr longer than its float32's text.
+    grid = build_grid([-1.0, -1.0, -1.0][:len(counts)], [8.0, 6.0, 6.0][:len(counts)], counts)
+    write_tube_run(tmp_path / "run", [ScalarField(grid, np.zeros(counts))])
+    argv = ["--z=0.5"] if grid.dims == 3 else []
+    assert main(["export-plots", "--run", str(tmp_path / "run"), *argv]) == 0
+    name = "tube_0000_z0p5.csv" if grid.dims == 3 else "tube_0000.csv"
+    cells = slice_coordinate_cells(tmp_path / "run" / "slices" / name)
+    assert len(cells) == counts[0] * counts[1]
+    axes = [grid.axis_coords(0), grid.axis_coords(1)]
+    shorter = 0
+    for i0, i1, x0, x1 in cells:
+        for axis, i, cell in ((axes[0], i0, x0), (axes[1], i1, x1)):
+            assert cell == str(np.float32(axis[i]))
+            shorter += len(cell) < len(repr(float(axis[i])))
+    assert shorter > 0
+
+
+# Near 1e6 float32 values lie 0.0625 apart, so the 0.01 steps of x would
+# share text; past 3.4e38 a float32 overflows.  y's steps of 0.7 keep
+# float32 text on both.
+@pytest.mark.parametrize("x_lo,x_hi,x_count", [(1e6, 1e6 + 1.0, 101), (-1.0, 3.5e38, 3)],
+                         ids=["unresolved", "overflow"])
+def test_export_plots_keeps_repr_on_an_axis_float32_cannot_resolve(tmp_path, x_lo, x_hi,
+                                                                    x_count):
+    grid = build_grid([x_lo, -1.0], [x_hi, 6.0], (x_count, 11))
+    write_tube_run(tmp_path / "run", [ScalarField(grid, np.zeros(grid.counts))])
+    assert main(["export-plots", "--run", str(tmp_path / "run")]) == 0
+    cells = slice_coordinate_cells(tmp_path / "run" / "slices" / "tube_0000.csv")
+    xs, ys = grid.axis_coords(0), grid.axis_coords(1)
+    for i0, i1, x0, x1 in cells:
+        assert x0 == repr(float(xs[i0]))
+        assert x1 == str(np.float32(ys[i1]))
+    assert len({x0 for _, _, x0, _ in cells}) == x_count
+    assert "-0.3" in {x1 for _, _, _, x1 in cells}  # repr: -0.30000000000000004
+
+
 def test_export_plots_memory_is_bounded(tmp_path):
     # Snapshots are streamed in blocks of rows, so only the requested
     # planes' text is held: 3 x 2 025 values, not the 91 125 of a snapshot.

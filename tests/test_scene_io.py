@@ -205,16 +205,27 @@ def _value_text(values) -> list:
 def _reference_field_to_csv(field, path):
     # The per-row writer of the field format that had the coordinates
     # x0..x{n-1}, kept as the byte reference of the plot slices, with the
-    # value text of the store.
+    # value text of the store.  A coordinate is its float32's shortest
+    # text, unless two nodes of its axis would then read alike or one
+    # would overflow float32: then every coordinate of that axis is its
+    # double's repr.
     grid = field.grid
     n = grid.dims
     header = [f"i{k}" for k in range(n)] + [f"x{k}" for k in range(n)] + ["value"]
     indices = np.indices(grid.counts).reshape(n, -1).T
     coords = grid.flat_points()
+    float32 = []
+    for k in range(n):
+        with np.errstate(over="ignore"):
+            text = {str(np.float32(x)) for x in grid.axis_coords(k)}
+        float32.append(len(text) == grid.counts[k] and not text & {"inf", "-inf"})
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for idx, xyz, v in zip(indices, coords, _value_text(field.values.ravel())):
-            cells = [str(int(i)) for i in idx] + [repr(float(x)) for x in xyz] + [v]
+            cells = ([str(int(i)) for i in idx]
+                     + [str(np.float32(x)) if float32[k] else repr(float(x))
+                        for k, x in enumerate(xyz)]
+                     + [v])
             fh.write(",".join(cells) + "\n")
 
 
