@@ -8,11 +8,11 @@ truth; ``export-plots`` turns a finished run directory into plain CSV
 slices any plotting tool can consume.
 
 ``safe-set`` scans the closed loop's rates once for all its per-obstacle
-tubes.  How many of them it solves at once, and in how many slabs of grid
-planes each steps, is ``solver.brt_workspaces``'s rule: every thread
-covers a measured least number of nodes (see the ``solver`` module
-notes).  However the work is split, the outputs are byte-identical to a
-serial run's.  ``safe-set``'s tube directories are put in place only once
+tubes.  How many of them it solves at once, each on a thread of its own,
+is ``solver.brt_workspaces``'s rule: every thread covers a measured least
+number of nodes (see the ``solver`` module notes).  Every other solve
+steps in the calling thread.  However many tubes run at once, the outputs
+are byte-identical to a serial run's.  ``safe-set``'s tube directories are put in place only once
 every solve has succeeded, so a failed ``safe-set`` leaves none of them
 changed.
 
@@ -310,10 +310,10 @@ def _obstacle_tubes(prims, stores, sys_cl, solver_cfg, grid) -> list:
     """Each obstacle's backward tube, written to its store.
 
     The tubes come in obstacle order, and so does the first error.  Every
-    solve reads the coefficients of one rate scan.  The workspaces' lanes
-    run on threads, each with a buffer set made here, in the calling
-    thread, before any thread starts: memory a worker thread allocates
-    stays with its arena after the thread frees it.
+    solve reads the coefficients of one rate scan.  With more than one
+    lane, each solve steps on a pool thread, in a buffer set made here, in
+    the calling thread, before any thread starts: memory a worker thread
+    allocates stays with its arena after the thread frees it.
     """
     workspaces = brt_workspaces(sys_cl, grid, len(prims))
 

@@ -43,7 +43,7 @@ values, ``max |H|`` and every snapshot are unchanged.  The tests keep the
 allocating form as the reference.
 
 The kernel steps in one dtype, float32 (``_DTYPE``): the coefficients,
-both fields and every slab buffer.  At 45^3 the step is memory bound, and
+both fields and every scratch buffer.  At 45^3 the step is memory bound, and
 float32 halves the bytes each ufunc streams.  Every scalar operand (the
 spacing, ``dt``, the halved box and dissipation bounds) is cast to it once,
 because under NumPy 2 a float64 scalar widens the whole ufunc it enters.
@@ -64,42 +64,26 @@ land-sized tubes of a learned loop by 9.4e-6 (the tests allow 2e-5).  The first-
 scheme's own error is about a cell, 0.07 to 0.2 wide on those grids: the
 rounding sits three to five orders of magnitude under it.
 
-Large grids use more than one CPU.  A node's update reads only its
-neighbours along each axis (Mitchell, Bayen & Tomlin 2005), so a grid cuts
-into slabs of whole axis-0 planes that share a one-plane halo, and tubes
-of different targets are independent.  A thread pays only when its array
-operations are long enough to outweigh the interpreter's work between
-them and, for slabs, the barriers of each step, so every thread covers at
-least ``_THREAD_NODES`` nodes.  :func:`brt_workspaces` for ``tubes``
-solves runs ``min(tubes, usable CPUs)`` of them at once, each in a lane (a
-thread of its own), on a grid of at least that many nodes, and one at a
-time below it.  Each lane gets ``usable CPUs // lanes`` slabs, at most
-``_MAX_SLABS`` = 2, and fewer while a slab would hold fewer than
-``_THREAD_NODES`` nodes.  A solve in more than one slab steps every slab
-but the first on a worker thread of its own; numpy releases the
-interpreter lock inside its array loops.  The threads meet at a barrier
-after stage 1, after stage 2's Hamiltonian and after the step's combine.
-Each slab has its own scratch buffers, made with the rest of the set in
-the calling thread, and a difference buffer whose zeros are those of the
-whole grid's, so every node goes through the same operations in the same
-order; the step's maxima are exact, and a NaN from any slab survives their
-combine.  The tubes are therefore the same bits whatever the split.
+Several tubes of one system on one grid may use more than one CPU.  Tubes
+of different targets are independent, so :func:`brt_workspaces` for
+``tubes`` solves runs ``min(tubes, usable CPUs)`` of them at once, each in
+a lane (a thread of its own), on a grid of at least ``_THREAD_NODES``
+nodes, and one at a time below it; numpy releases the interpreter lock
+inside its array loops.  A lane pays only when its array operations are
+long enough to outweigh the interpreter's work between them.  Each lane
+steps its solve in its own buffer set, made with the rest in the calling
+thread, and every solve steps in the thread that calls it, so the tubes
+are the same bits however many lanes run.
 
 Measured with ``tools/thread_breakeven.py`` (float32 kernel, 60 steps,
-median of 10 alternating pairs, 2 vCPUs), two slabs against one ran 0.37x
-at 181^2, 0.59x at 251^2, 0.93x at 301^2 and 1.28x at 351^2; 0.56x at
-35^3, 0.52x at 37^3, 0.78x at 41^3, 0.88x at 43^3, 0.95x at 44^3, 1.06x at
-45^3, 1.14x at 47^3 and 1.34x at 51^3.  Two lanes against one tube after
-the other ran 0.68x at 151^2, 0.80x at 181^2, 0.97x at 193^2 and 201^2
-and 1.26x at 251^2; 0.86x at 33^3, 0.81x at 35^3, 1.12x at 37^3, 1.26x at
-41^3 and 1.41x at 45^3.  Over three such runs 301^2 read 0.81-1.02x and
-45^3 1.00-1.13x in two slabs; over two, 35^3 read 0.81-1.03x and 37^3
-1.03-1.12x in two lanes.  Both splits break even near 45 000 nodes a
-thread.  44 000 keeps the benchmark's 45^3 solve in two slabs of 44 550
-and 46 575 nodes.  More slabs on more CPUs have not been measured, hence
-the cap.  Below the threshold, and on one CPU, a solve steps one slab of
-the whole grid in the calling thread, through exactly the operations of
-the unsplit kernel.
+median of 10 alternating pairs, 2 vCPUs), two lanes against one tube
+after the other ran 0.68x at 151^2, 0.80x at 181^2, 0.97x at 193^2 and
+201^2 and 1.26x at 251^2; 0.86x at 33^3, 0.81x at 35^3, 1.12x at 37^3,
+1.26x at 41^3 and 1.41x at 45^3.  Over two such runs 35^3 read 0.81-1.03x
+and 37^3 1.03-1.12x.  The break-even lies between 40 401 and 63 001 nodes
+in 2-D and between 42 875 and 50 653 in 3-D, hence 44 000.  One solve is
+not split across threads: cut into two slabs of axis-0 planes, the
+benchmark's learned 45^3 ``air`` solves ran no faster than in one thread.
 
 The entry point fixes the tube's direction and the disturbance sense, and
 both are the conservative choice for a safety question:
@@ -134,7 +118,6 @@ import contextlib
 import math
 import os
 import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,13 +137,9 @@ __all__ = [
 
 _MAX_STEPS = 2_000_000
 
-# The fewest nodes each thread's array operations must cover, from the
+# The fewest nodes each lane's array operations must cover, from the
 # measured break-evens in the module notes.
 _THREAD_NODES = 44000
-
-# The most slabs a solve steps in: two slabs on two CPUs is the only split
-# measured, so a wider host keeps it until more are.
-_MAX_SLABS = 2
 
 # The dtype of every array the kernel steps in.  See the module notes.
 _DTYPE = np.float32
@@ -282,15 +261,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _layout(grid: Grid, tubes: int) -> tuple:
-    """``(lanes, slabs)`` for ``tubes`` solves on ``grid``: how many of
-    them run at once, each on a thread of its own, and how many slabs each
-    steps in, by the per-thread rule of the module notes."""
-    cpus = _usable_cpus()
-    lanes = min(tubes, cpus) if grid.num_nodes >= _THREAD_NODES else 1
-    plane = grid.num_nodes // grid.counts[0]
-    fewest_planes = -(-_THREAD_NODES // plane)
-    return lanes, max(1, min(_MAX_SLABS, cpus // lanes, grid.counts[0] // fewest_planes))
+def _lanes(grid: Grid, tubes: int) -> int:
+    """How many of ``tubes`` solves on ``grid`` run at once, each on a
+    thread of its own, by the per-thread rule of the module notes."""
+    return min(tubes, _usable_cpus()) if grid.num_nodes >= _THREAD_NODES else 1
 
 
 class _Coefficients:
@@ -334,58 +308,52 @@ class _Coefficients:
             array.flags.writeable = False
 
 
-class _Slab:
-    """The scratch buffers of the axis-0 planes ``first`` to ``stop - 1``,
-    flat nodes ``lo`` to ``hi - 1``, and the slab's share of a step's
-    reductions.
+class _Workspace:
+    """One solve's buffers over shared coefficients: the whole flat fields
+    ``values`` and ``_next`` in C order and the kernel's scratch buffers.
+    Everything is allocated here, and ``rk2_step`` advances ``values`` in
+    place.
 
-    Along axis 0 a node's differences read the planes before and after it,
-    so a slab reads one halo plane of the field on either side; along a
-    later axis they stay inside the node's plane.  ``diff`` holds the
-    slab's nodes plus the largest stride, and its zeros are those of the
-    whole grid's buffer: at the first node along each axis, past the last
-    node, and, along a later axis, at the first row of the next plane.  One
-    slab of every plane is the whole grid and steps through exactly the
-    operations of an unsplit kernel.
+    ``diff`` holds the nodes plus the largest stride.  Its zeros sit at the
+    first node along each axis and past the last node.
     """
 
-    def __init__(self, coefficients: _Coefficients, first: int, stop: int):
+    def __init__(self, coefficients: _Coefficients):
         self.coefficients = coefficients
-        plane = coefficients.strides[0]
-        self.lo, self.hi = first * plane, stop * plane
-        size = self.hi - self.lo
-        self.rates = coefficients.half_rate[:, self.lo:self.hi]
+        size = coefficients.grid.num_nodes
+        self.values = np.empty(size, _DTYPE)
+        self._next = np.empty(size, _DTYPE)
         self.h, self.p, self.a = (np.empty(size, _DTYPE) for _ in range(3))
         self.b = None if coefficients.symmetric else np.empty(size, _DTYPE)
         # Shared by every axis; entries past the last node stay zero for good.
         self.diff = np.zeros(size + max(coefficients.strides), _DTYPE)
-        self.h_abs = self.delta = 0.0
+
+    def load(self, field: ScalarField) -> None:
+        """Start a solve from ``field``, each value rounded to the kernel's
+        dtype."""
+        self.values[:] = field.values.ravel()
+
+    def snapshot(self, time_tag: float) -> ScalarField:
+        """A copy of ``values`` widened to a float64 field; the buffers are
+        reused."""
+        grid = self.coefficients.grid
+        return ScalarField(grid, self.values.reshape(grid.counts), time_tag)
 
     def _differences(self, v: np.ndarray, axis: int):
-        # Backward differences at the slab's node i sit in diff[i], forward
-        # ones in diff[i + s]; the first node along the axis holds a zero
-        # slope, which is both its own copy ghost and the last node's.
-        # Along axis 0 the slab's last plane takes its forward differences
-        # from the plane after the slab, unless the slab ends the grid.
+        # Backward differences at node i sit in diff[i], forward ones in
+        # diff[i + s]; the first node along the axis holds a zero slope,
+        # which is both its own copy ghost and the last node's.
         c = self.coefficients
-        s, lo, hi = c.strides[axis], self.lo, self.hi
-        size, diff = hi - lo, self.diff
-        start = s if axis or not lo else 0
-        stop = size if axis else min(size + s, v.size - lo)
-        d = diff[start:stop]
-        np.subtract(v[lo + start:lo + stop], v[lo + start - s:lo + stop - s], out=d)
+        s, size, diff = c.strides[axis], v.size, self.diff
+        d = diff[s:size]
+        np.subtract(v[s:size], v[:size - s], out=d)
         np.divide(d, c.spacing[axis], out=d)
-        if axis:
-            diff[:size].reshape(-1, c.grid.counts[axis], s)[:, 0, :] = 0.0
-            if hi < v.size:
-                diff[size:size + s] = 0.0
-        elif not lo:
-            diff[:s] = 0.0
+        diff[:size].reshape(-1, c.grid.counts[axis], s)[:, 0, :] = 0.0
         return diff[:size], diff[s:size + s]
 
     def hamiltonian(self, v: np.ndarray) -> np.ndarray:
-        """Dissipated Hamiltonian of the flat field ``v`` over the slab, in
-        a buffer that the next call overwrites.
+        """Dissipated Hamiltonian of the flat field ``v``, in a buffer that
+        the next call overwrites.
 
         The update is V += dt * min(0, H_hat).  The evolution variable runs
         opposite to physical time, so the Lax-Friedrichs term enters with
@@ -408,7 +376,7 @@ class _Slab:
                 np.multiply(p, c.half_hi[axis], out=b)
                 np.multiply(p, c.half_lo[axis], out=a)
                 np.minimum(b, a, out=a)
-            np.multiply(p, self.rates[axis], out=p)
+            np.multiply(p, c.half_rate[axis], out=p)
             np.add(p, a, out=p)
             np.add(h, p, out=h)
             np.subtract(pp, pm, out=a)
@@ -416,122 +384,15 @@ class _Slab:
             np.add(h, a, out=h)
         return h
 
-    def advance(self, v: np.ndarray, out: np.ndarray, dt: float) -> float:
-        # out = v + dt * min(0, H_hat) over the slab, from the Hamiltonian
-        # of the last ``hamiltonian`` call; returns the slab's max |H_hat|.
+    def _advance(self, v: np.ndarray, out: np.ndarray, dt) -> float:
+        # out = v + dt * min(0, H_hat), from the Hamiltonian of the last
+        # ``hamiltonian`` call; returns its max |H_hat|.
         h = self.h
         h_abs = max(float(h.max()), -float(h.min()))
         np.minimum(0.0, h, out=h)
         np.multiply(h, dt, out=h)
-        np.add(v[self.lo:self.hi], h, out=out[self.lo:self.hi])
+        np.add(v, h, out=out)
         return h_abs
-
-    def average(self, values: np.ndarray, new: np.ndarray) -> float:
-        # new = (values + new) / 2 over the slab; returns max(values - new).
-        values, new = values[self.lo:self.hi], new[self.lo:self.hi]
-        np.add(values, new, out=new)
-        np.multiply(new, 0.5, out=new)
-        np.subtract(values, new, out=self.h)
-        return float(self.h.max())
-
-
-def _no_wait():
-    pass
-
-
-class _Workspace:
-    """One solve's buffers over shared coefficients: the whole flat fields
-    ``values`` and ``_next`` in C order, and ``slabs`` runs of whole
-    axis-0 planes (at most one per plane), each with its own scratch
-    buffers.  Everything is
-    allocated here, and ``rk2_step`` advances ``values`` in place.
-
-    With more than one slab, ``threads`` steps every slab but the first on
-    a worker thread of its own for the ``with`` block; otherwise
-    ``rk2_step`` steps every slab in the calling thread.  Either way every
-    node goes through the same operations, so the fields are the same bits
-    whatever the split.
-    """
-
-    def __init__(self, coefficients: _Coefficients, slabs: int = 1):
-        self.coefficients = coefficients
-        size = coefficients.grid.num_nodes
-        self.values = np.empty(size, _DTYPE)
-        self._next = np.empty(size, _DTYPE)
-        planes = coefficients.grid.counts[0]
-        cuts = [planes * k // slabs for k in range(slabs + 1)]
-        self.slabs = [_Slab(coefficients, first, stop) for first, stop in zip(cuts, cuts[1:])]
-        self._barrier = None  # while worker threads step slabs[1:]
-        self._signals = []
-        self._error = None
-
-    def load(self, field: ScalarField) -> None:
-        """Start a solve from ``field``, each value rounded to the kernel's
-        dtype."""
-        self.values[:] = field.values.ravel()
-
-    def snapshot(self, time_tag: float) -> ScalarField:
-        """A copy of ``values`` widened to a float64 field; the buffers are
-        reused."""
-        grid = self.coefficients.grid
-        return ScalarField(grid, self.values.reshape(grid.counts), time_tag)
-
-    def _step_slabs(self, slabs, dt: float, wait) -> None:
-        # One step of ``slabs``; ``wait`` meets the threads stepping the
-        # other slabs once stage 1 has written ``_next``, once stage 2 has
-        # read it, and once the step is done.
-        values, new = self.values, self._next
-        for slab in slabs:
-            slab.hamiltonian(values)
-            slab.h_abs = slab.advance(values, new, dt)
-        wait()
-        for slab in slabs:
-            slab.hamiltonian(new)
-        wait()
-        for slab in slabs:
-            slab.h_abs = max(slab.h_abs, slab.advance(new, new, dt))
-            slab.delta = slab.average(values, new)
-        wait()
-
-    def _work(self, slab: _Slab, signal: queue.SimpleQueue, barrier: threading.Barrier) -> None:
-        # A worker thread: one step of ``slab`` per ``dt`` signalled, until
-        # ``None`` or a broken barrier.  Leaving for any other reason breaks
-        # the barrier, and the calling thread raises the error.
-        try:
-            while (dt := signal.get()) is not None:
-                self._step_slabs((slab,), dt, barrier.wait)
-        except threading.BrokenBarrierError:
-            pass
-        except Exception as exc:
-            self._error = exc
-        finally:
-            barrier.abort()
-
-    @contextlib.contextmanager
-    def threads(self):
-        """Step every slab but the first on a worker thread of its own for
-        the ``with`` block; no worker outlives it."""
-        if len(self.slabs) == 1:
-            yield
-            return
-        barrier = threading.Barrier(len(self.slabs))
-        signals = [queue.SimpleQueue() for _ in self.slabs[1:]]
-        started = []
-        self._barrier, self._signals, self._error = barrier, signals, None
-        try:
-            for slab, signal in zip(self.slabs[1:], signals):
-                worker = threading.Thread(target=self._work, args=(slab, signal, barrier),
-                                          daemon=True)
-                worker.start()
-                started.append(worker)
-            yield
-        finally:
-            barrier.abort()
-            for signal in signals:
-                signal.put(None)
-            for worker in started:
-                worker.join()
-            self._barrier, self._signals = None, []
 
     def rk2_step(self, dt: float):
         """Advance ``values`` one TVD-RK2 freezing step.
@@ -539,27 +400,21 @@ class _Workspace:
         Returns the step's max |H_hat| and max |change|.  The change is
         taken as ``max(values - new)``: each stage only lowers values, so
         ``new <= values`` holds exactly, and a NaN or -inf among the new
-        values makes it non-finite.  Across slabs both maxima are exact,
-        and ``np.max`` keeps a NaN from any slab.
+        values makes it non-finite.
         """
-        slabs = self.slabs
+        values, new = self.values, self._next
         dt = _DTYPE(dt)  # a float64 scalar would widen every ufunc it enters
-        if self._barrier is None:
-            self._step_slabs(slabs, dt, _no_wait)
-        else:
-            for signal in self._signals:
-                signal.put(dt)
-            try:
-                self._step_slabs(slabs[:1], dt, self._barrier.wait)
-            except threading.BrokenBarrierError:
-                if self._error is None:
-                    raise
-                raise self._error from None
-        self.values, self._next = self._next, self.values
-        if len(slabs) == 1:
-            return slabs[0].h_abs, slabs[0].delta
-        return (float(np.max([slab.h_abs for slab in slabs])),
-                float(np.max([slab.delta for slab in slabs])))
+        self.hamiltonian(values)
+        h_abs = self._advance(values, new, dt)
+        self.hamiltonian(new)
+        h_abs = max(h_abs, self._advance(new, new, dt))
+        # new = (values + new) / 2
+        np.add(values, new, out=new)
+        np.multiply(new, 0.5, out=new)
+        np.subtract(values, new, out=self.h)
+        delta = float(self.h.max())
+        self.values, self._next = new, values
+        return h_abs, delta
 
 
 class _Workspaces:
@@ -569,8 +424,8 @@ class _Workspaces:
     Everything is allocated here, in the calling thread, and a solve takes
     a free set for its duration and gives it back: a solve on a worker
     thread only steps, and solves run one after another reuse one set.  A
-    solve waits while every set is taken.  ``_layout`` decides from the
-    number of ``tubes`` how many lanes run and how many slabs each set has.
+    solve waits while every set is taken.  ``_lanes`` decides from the
+    number of ``tubes`` how many run.
     """
 
     def __init__(self, sys: ClosedLoopSystem, grid: Grid, forward: bool, tubes: int = 1,
@@ -580,9 +435,9 @@ class _Workspaces:
         self.system = sys
         self.coefficients = _Coefficients(sys, grid, forward, alpha_floor)
         self._free = queue.SimpleQueue()
-        self.lanes, slabs = _layout(grid, tubes)
+        self.lanes = _lanes(grid, tubes)
         for _ in range(self.lanes):
-            self._free.put(_Workspace(self.coefficients, slabs))
+            self._free.put(_Workspace(self.coefficients))
 
     @contextlib.contextmanager
     def take(self):
@@ -636,17 +491,16 @@ def _solve(seed: ShapeSet, sys: ClosedLoopSystem, config: SolverConfig, grid: Gr
         tau = 0.0
         steps = 0
 
-        with ws.threads():
-            while tau < end:
-                dt = min(dt_nom, config.horizon - tau)
-                h_seen, delta = ws.rk2_step(dt)
-                if not math.isfinite(delta):
-                    raise RuntimeError(f"tube solve produced non-finite values at step {steps}")
-                steps += 1
-                tau += dt
-                max_h = max(max_h, h_seen)
-                if steps % config.snapshot_stride == 0 and tau < end:
-                    snapshots.append((sign * tau, sink(sign * tau, ws.snapshot(sign * tau))))
+        while tau < end:
+            dt = min(dt_nom, config.horizon - tau)
+            h_seen, delta = ws.rk2_step(dt)
+            if not math.isfinite(delta):
+                raise RuntimeError(f"tube solve produced non-finite values at step {steps}")
+            steps += 1
+            tau += dt
+            max_h = max(max_h, h_seen)
+            if steps % config.snapshot_stride == 0 and tau < end:
+                snapshots.append((sign * tau, sink(sign * tau, ws.snapshot(sign * tau))))
 
         # The last step's snapshot is the final field, whatever the stride.
         final = ws.snapshot(sign * tau)

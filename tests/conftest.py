@@ -19,8 +19,8 @@ from reachverify.trainer import TrainRunConfig, train_loop
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_its_test():
-    """Fail a test that leaves a thread it started running: a solve's
-    workers and pools must end with the solve."""
+    """Fail a test that leaves a thread it started running: the lanes'
+    pool must end with its solves."""
     before = set(threading.enumerate())
     yield
     left = [t for t in threading.enumerate() if t not in before]
@@ -61,9 +61,9 @@ class LinearPlant:
 
 
 # A per-thread node count under which the thread tests' small grids take
-# the threaded paths, for them to patch in as ``solver._THREAD_NODES``:
-# 193^2 (37 249 nodes) then gets a lane per tube and 41^3 two slabs of
-# 33 620 and 35 301 nodes, while 101^2 stays serial.
+# the threaded path, for them to patch in as ``solver._THREAD_NODES``:
+# 193^2 (37 249 nodes) and 41^3 (68 921) then get a lane per tube, while
+# 101^2 stays serial.
 SMALL_THREAD_NODES = 32768
 
 

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import LAND_RUN_CONFIG, SMALL_THREAD_NODES, bits
+from conftest import LAND_RUN_CONFIG, SMALL_THREAD_NODES, bits, const_system
 from reachverify import cli, solver
 from reachverify.cli import _write_ground_truth, main
 from reachverify.dynamics import ActionBounds, MlpPolicy, save_policy
@@ -45,7 +45,7 @@ from reachverify.scene import (
     load_tube_manifest,
     save_scene,
 )
-from reachverify.solver import SolverConfig, TubeResult
+from reachverify.solver import SolverConfig, TubeResult, solve_frt
 from test_scene_io import _SPECIAL_VALUES, _reference_field_to_csv
 
 
@@ -444,20 +444,54 @@ def test_safe_set_reports_the_first_failing_obstacle(tmp_path, monkeypatch, caps
         assert (out / name / "manifest.json").read_bytes() == manifest
 
 
-# (grid side, usable CPUs, obstacles) of the safe-set runs below, with
-# SMALL_THREAD_NODES as the per-thread node count: above it (193^2) the
-# tubes are solved on threads, one per CPU and at most one per obstacle,
-# and three obstacles on two threads reuse a buffer set; below it (101^2)
-# no thread is started.
-_SAFE_SET_RUNS = ((193, 2, 2), (193, 1, 2), (101, 2, 2), (193, 2, 3), (193, 1, 3))
+def constant_loop_config(tmp_path, counts, count, horizon, stride):
+    """A config path for a constant policy on a moving true plant under an
+    asymmetric box, so its tubes grow: the land plant on the
+    :func:`obstacle_scene` of ``counts``, or on a 3-D grid the air plant on
+    the air scene with its first ``count`` obstacles."""
+    if len(counts) == 3:
+        scene = air_scene(counts)
+        scene_path = tmp_path / "scene.json"
+        save_scene(dataclasses.replace(
+            scene, obstacles=ShapeSet(scene.obstacles.primitives[:count])), scene_path)
+        plant, action = "true_air", [0.9, 0.87, 0.65]
+        lo, hi = [0.0, -3.14159, -1.5708], [1.0, 3.14159, 1.5708]
+        lower = [-0.05, -0.03, -0.04]
+    else:
+        scene_path, _ = obstacle_scene(tmp_path, counts, count)
+        plant, action, lo, hi = "true_land", [0.6, 0.9], [0.0, -3.14159], [1.0, 3.14159]
+        lower = [-0.05, -0.03]
+    bounds_path = tmp_path / "bounds.json"
+    save_bounds(DisturbanceBounds([0.05] * len(counts), lower, dt_env=0.1), bounds_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scene": str(scene_path),
+        "env": plant,
+        "plant": plant,
+        "policy": {"kind": "constant", "action": action, "action_lo": lo, "action_hi": hi},
+        "bounds": str(bounds_path),
+        "solver": {"horizon": horizon, "snapshot_stride": stride},
+        "mc": {"num_samples": 50},
+    }))
+    return cfg
+
+
+# (grid counts, usable CPUs, obstacles) of the safe-set runs below, with
+# SMALL_THREAD_NODES as the per-thread node count: above it (193^2 and
+# 41^3) the tubes are solved on threads, one per CPU and at most one per
+# obstacle, and three obstacles on two threads reuse a buffer set; below
+# it (101^2) no thread is started.
+_SAFE_SET_RUNS = (((193, 193), 2, 2), ((193, 193), 1, 2), ((101, 101), 2, 2),
+                  ((193, 193), 2, 3), ((193, 193), 1, 3),
+                  ((41, 41, 41), 2, 2), ((41, 41, 41), 1, 2))
 
 
 @pytest.fixture(scope="module")
 def safe_set_runs(tmp_path_factory):
-    """Each ``_SAFE_SET_RUNS`` run of ``safe-set --compare-mc`` on a moving
-    plant under a disturbance box, so the tubes grow: its files, the
-    threads its solves ran on and those it started, its rate scans, and the
-    thread that made each of its buffer sets."""
+    """Each ``_SAFE_SET_RUNS`` run of ``safe-set --compare-mc`` on a
+    :func:`constant_loop_config`: its files, the threads its solves ran on
+    and those it started, its rate scans, and the thread that made each of
+    its buffer sets."""
     tmp_path = tmp_path_factory.mktemp("safe_set_runs")
     real_solve, real_start = cli.solve_brt, threading.Thread.start
     real_scan, real_init = solver._rate_scan, solver._Workspace.__init__
@@ -479,8 +513,6 @@ def safe_set_runs(tmp_path_factory):
         seen["sets"].append(threading.current_thread())
         real_init(self, *args, **kwargs)
 
-    bounds_path = tmp_path / "bounds.json"
-    save_bounds(DisturbanceBounds([0.05, 0.05], [-0.05, -0.03], dt_env=0.1), bounds_path)
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "solve_brt", solve_brt)
@@ -488,27 +520,19 @@ def safe_set_runs(tmp_path_factory):
         mp.setattr(solver, "_rate_scan", rate_scan)
         mp.setattr(solver._Workspace, "__init__", init)
         mp.setattr(solver, "_THREAD_NODES", SMALL_THREAD_NODES)
-        for side, cpus, count in _SAFE_SET_RUNS:
-            scene_path, _ = obstacle_scene(tmp_path, (side, side), count)
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({
-                "scene": str(scene_path),
-                "env": "true_land",
-                "plant": "true_land",
-                "policy": {"kind": "constant", "action": [0.6, 0.9],
-                           "action_lo": [0.0, -3.14159], "action_hi": [1.0, 3.14159]},
-                "bounds": str(bounds_path),
-                "solver": {"horizon": 0.3, "snapshot_stride": 20},
-                "mc": {"num_samples": 50},
-            }))
-            out = tmp_path / f"run_{side}_{cpus}_{count}"
+        for counts, cpus, count in _SAFE_SET_RUNS:
+            if len(counts) == 3:
+                cfg = constant_loop_config(tmp_path, counts, count, horizon=0.4, stride=4)
+            else:
+                cfg = constant_loop_config(tmp_path, counts, count, horizon=0.3, stride=20)
+            out = tmp_path / f"run_{len(counts)}d_{counts[0]}_{cpus}_{count}"
             mp.setattr(solver, "_usable_cpus", lambda: cpus)
             seen.update(solves=[], started=[], scans=[], sets=[])
             assert main(["safe-set", "--config", str(cfg), "--out", str(out),
                          "--compare-mc"]) == 0
             files = {str(p.relative_to(out)): p.read_bytes()
                      for p in sorted(out.rglob("*")) if p.is_file()}
-            runs[side, cpus, count] = dict(seen, files=files)
+            runs[counts, cpus, count] = dict(seen, files=files)
     return runs
 
 
@@ -516,15 +540,16 @@ def test_concurrent_safe_set_writes_the_serial_bytes(safe_set_runs):
     # Every file of a concurrent run must equal the serial run's byte for
     # byte, also when a thread solves a second tube in a reused buffer set.
     main_thread = threading.main_thread()
-    for (side, cpus, count), run in safe_set_runs.items():
-        if (side, cpus) == (193, 2):
+    for (counts, cpus, count), run in safe_set_runs.items():
+        if counts != (101, 101) and cpus == 2:
             assert len(run["started"]) >= 1 and main_thread not in run["solves"]
             assert len(run["solves"]) == count
-            assert run["files"] == safe_set_runs[193, 1, count]["files"]
+            assert run["files"] == safe_set_runs[counts, 1, count]["files"]
         else:
             assert run["started"] == [] and run["solves"] == [main_thread] * count
     assert {f"brt_obstacle_{i}/manifest.json" for i in range(3)} | {"ground_truth.csv"} <= set(
-        safe_set_runs[193, 2, 3]["files"])
+        safe_set_runs[(193, 193), 2, 3]["files"])
+    assert "brt_obstacle_1/manifest.json" in safe_set_runs[(41, 41, 41), 2, 2]["files"]
 
 
 def test_safe_set_scans_the_rates_once_for_all_its_tubes(safe_set_runs):
@@ -535,127 +560,34 @@ def test_safe_set_scans_the_rates_once_for_all_its_tubes(safe_set_runs):
 def test_safe_set_makes_one_buffer_set_per_worker_on_the_calling_thread(safe_set_runs):
     # Only the calling thread allocates, so a worker thread's arena keeps
     # no freed buffers after the solves; a serial run reuses one set.
-    for (side, cpus, count), run in safe_set_runs.items():
-        workers = min(cpus, count) if side == 193 else 1
-        assert run["sets"] == [threading.main_thread()] * workers, (side, cpus, count)
+    for (counts, cpus, count), run in safe_set_runs.items():
+        workers = min(cpus, count) if counts != (101, 101) else 1
+        assert run["sets"] == [threading.main_thread()] * workers, (counts, cpus, count)
 
 
-# (command, grid counts, obstacles, usable CPUs) of the runs below, with
-# SMALL_THREAD_NODES as the per-thread node count.  At 41^3 a solve steps
-# each slab on a thread of its own; 3 CPUs still give 2 slabs there, since
-# a third would hold fewer nodes than that.  101^2 and 193^2 are too small
-# for two slabs.
-_SLAB_RUNS = tuple(
-    [("verify", (41, 41, 41), 2, cpus) for cpus in (1, 2, 3)]
-    + [("safe-set", (41, 41, 41), count, cpus) for count in (1, 2) for cpus in (1, 2, 3)]
-    + [("verify", (side, side), 2, 2) for side in (101, 193)])
-
-
-@pytest.fixture(scope="module")
-def slab_runs(tmp_path_factory):
-    """Each ``_SLAB_RUNS`` run (``safe-set`` with ``--compare-mc``) of a
-    moving plant under an asymmetric box: its files, the threads it
-    started, the thread that made each slab, and each buffer set's slab
-    sizes in nodes."""
-    tmp_path = tmp_path_factory.mktemp("slab_runs")
-    real_start, real_slab = threading.Thread.start, solver._Slab.__init__
-    real_init = solver._Workspace.__init__
-    seen = {}
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_a_single_solve_starts_no_thread(tmp_path, monkeypatch, cpus):
+    # Above the per-thread node count one tube still steps in the calling
+    # thread; only safe-set's lanes start threads.
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(solver, "_THREAD_NODES", SMALL_THREAD_NODES)
+    started, real_start = [], threading.Thread.start
 
     def start(self):
-        seen["started"].append(self)
+        started.append(self)
         real_start(self)
 
-    def slab(self, *args, **kwargs):
-        seen["slab_threads"].append(threading.current_thread())
-        real_slab(self, *args, **kwargs)
-
-    def init(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        seen["sets"].append([s.hi - s.lo for s in self.slabs])
-
-    save_bounds(DisturbanceBounds([0.05, 0.05, 0.05], [-0.05, -0.03, -0.04], dt_env=0.1),
-                tmp_path / "bounds3.json")
-    save_bounds(DisturbanceBounds([0.05, 0.05], [-0.05, -0.03], dt_env=0.1),
-                tmp_path / "bounds2.json")
-    runs = {}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(threading.Thread, "start", start)
-        mp.setattr(solver._Slab, "__init__", slab)
-        mp.setattr(solver._Workspace, "__init__", init)
-        mp.setattr(solver, "_THREAD_NODES", SMALL_THREAD_NODES)
-        for command, counts, count, cpus in _SLAB_RUNS:
-            if len(counts) == 3:
-                scene = air_scene(counts)
-                scene = dataclasses.replace(
-                    scene, obstacles=ShapeSet(scene.obstacles.primitives[:count]))
-                scene_path = tmp_path / "scene.json"
-                save_scene(scene, scene_path)
-                env, action = "true_air", [0.9, 0.87, 0.65]
-                lo, hi = [0.0, -3.14159, -1.5708], [1.0, 3.14159, 1.5708]
-            else:
-                scene_path, _ = obstacle_scene(tmp_path, counts, count)
-                env, action, lo, hi = "true_land", [0.6, 0.9], [0.0, -3.14159], [1.0, 3.14159]
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({
-                "scene": str(scene_path),
-                "env": env,
-                "plant": env,
-                "policy": {"kind": "constant", "action": action,
-                           "action_lo": lo, "action_hi": hi},
-                "bounds": str(tmp_path / f"bounds{len(counts)}.json"),
-                "solver": {"horizon": 0.4, "snapshot_stride": 4},
-                "mc": {"num_samples": 50},
-            }))
-            out = tmp_path / f"run_{command}_{len(counts)}d_{count}_{cpus}"
-            mp.setattr(solver, "_usable_cpus", lambda: cpus)
-            seen.update(started=[], slab_threads=[], sets=[])
-            flags = ["--compare-mc"] if command == "safe-set" else []
-            assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 0
-            files = {str(p.relative_to(out)): p.read_bytes()
-                     for p in sorted(out.rglob("*")) if p.is_file()}
-            runs[command, counts, count, cpus] = dict(seen, files=files)
-    return runs
-
-
-def test_slab_split_runs_write_the_serial_bytes(slab_runs):
-    for (command, counts, count, cpus), run in slab_runs.items():
-        if len(counts) == 3 and cpus > 1:
-            serial = slab_runs[command, counts, count, 1]["files"]
-            assert run["files"] == serial, (command, count, cpus)
-    assert "brt_obstacle_1/manifest.json" in slab_runs["safe-set", (41, 41, 41), 2, 2]["files"]
-
-
-def test_slab_threads_start_only_above_the_threshold(slab_runs):
-    # One worker per slab after the first; a serial or small run starts none.
-    for key, run in slab_runs.items():
-        command, counts, count, cpus = key
-        workers = sum(len(sizes) - 1 for sizes in run["sets"])
-        if command == "safe-set" and len(run["sets"]) > 1:
-            workers += len(run["sets"])  # the pool's threads
-        assert len(run["started"]) == workers, key
-        if len(counts) == 2 or cpus == 1:
-            assert run["started"] == [], key
-
-
-def test_slab_buffers_are_allocated_on_the_calling_thread(slab_runs):
-    for key, run in slab_runs.items():
-        assert len(run["slab_threads"]) == sum(map(len, run["sets"])), key
-        assert set(run["slab_threads"]) == {threading.main_thread()}, key
-
-
-def test_slabs_share_out_the_usable_cpus(slab_runs):
-    # Each buffer set gets CPUs // sets slabs, and no slab holds fewer than
-    # the per-thread node count.
-    slabs = {key: [len(sizes) for sizes in run["sets"]] for key, run in slab_runs.items()}
-    cube = (41, 41, 41)
-    assert [slabs["verify", cube, 2, cpus] for cpus in (1, 2, 3)] == [[1], [2], [2]]
-    assert [slabs["safe-set", cube, 1, cpus] for cpus in (1, 2, 3)] == [[1], [2], [2]]
-    assert [slabs["safe-set", cube, 2, cpus] for cpus in (1, 2, 3)] == [[1], [1, 1], [1, 1]]
-    assert slabs["verify", (101, 101), 2, 2] == slabs["verify", (193, 193), 2, 2] == [1]
-    for run in slab_runs.values():
-        for sizes in run["sets"]:
-            assert len(sizes) == 1 or min(sizes) >= SMALL_THREAD_NODES
+    monkeypatch.setattr(threading.Thread, "start", start)
+    grid = build_grid([-1.0] * 3, [1.0] * 3, (41, 41, 41))
+    tube = solve_frt(ShapeSet((Ball([0.0, 0.0, 0.0], 0.4),)),
+                     const_system([0.3, -0.2, 0.1], upper=[0.1, 0.1, 0.1]),
+                     SolverConfig(horizon=0.5, snapshot_stride=2), grid)
+    assert tube.steps_taken > 1 and started == []
+    cfg = constant_loop_config(tmp_path, (41, 41, 41), 2, horizon=0.2, stride=4)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "verify")]) == 0
+    assert started == []
+    assert main(["safe-set", "--config", str(cfg), "--out", str(tmp_path / "safe")]) == 0
+    assert 1 <= len(started) <= 2
 
 
 def test_verify_with_inline_constant_policy(tmp_path):

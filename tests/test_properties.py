@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import LinearPlant, bits
 from reachverify.dynamics import ActionBounds, ClosedLoopSystem, ConstantPolicy
 from reachverify.error_bounds import DisturbanceBounds
-from reachverify.geometry import Ball, ShapeSet, build_grid, level_set_from_shapes
+from reachverify.geometry import Ball, ShapeSet, build_grid
 from reachverify.solver import (
     _DTYPE,
     SolverConfig,
@@ -23,8 +23,6 @@ from reachverify.solver import (
 from reference import dissipation_coefficients, reference_solve
 
 _MAX_COUNT = {2: 15, 3: 9}
-# The grids the slab property draws: wide enough for many uneven cuts.
-_SLAB_MAX_COUNT = {2: 41, 3: 15}
 
 
 def _vector(dims, elements):
@@ -45,10 +43,10 @@ def boxes(draw, dims):
 
 
 @st.composite
-def systems(draw, max_count=_MAX_COUNT):
+def systems(draw):
     """A small 2-D or 3-D grid and a linear closed loop with a box on it."""
     dims = draw(st.sampled_from((2, 3)))
-    counts = draw(st.lists(st.integers(3, max_count[dims]), min_size=dims, max_size=dims))
+    counts = draw(st.lists(st.integers(3, _MAX_COUNT[dims]), min_size=dims, max_size=dims))
     lo = draw(_vector(dims, st.floats(-2.0, -0.5)))
     hi = draw(_vector(dims, st.floats(0.5, 2.0)))
     grid = build_grid(lo, hi, counts)
@@ -66,10 +64,10 @@ def _config(draw, alpha, grid):
 
 
 @st.composite
-def solves(draw, max_count=_MAX_COUNT):
+def solves(draw):
     """A :func:`systems` case, a ball seed inside the grid, a direction and
     a config that takes two or three steps."""
-    sys_cl, grid = draw(systems(max_count))
+    sys_cl, grid = draw(systems())
     dims = grid.dims
     seed = ShapeSet((Ball(draw(_vector(dims, st.floats(-0.1, 0.1))), draw(st.floats(0.1, 0.4))),))
     config = _config(draw, dissipation_coefficients(sys_cl, sys_cl.bounds, grid), grid)
@@ -90,38 +88,6 @@ def test_solve_bitwise_equals_allocating_stepper_on_random_systems(case):
         assert np.array_equal(bits(field.values), bits(expected))
     masks = [mask for _, mask in tube.masks()]
     assert all(np.all(inner <= outer) for inner, outer in zip(masks, masks[1:]))
-
-
-@st.composite
-def slab_solves(draw):
-    """A :func:`solves` case on a grid of up to 41^2 or 15^3 nodes and a
-    slab count from 1 to the number of axis-0 planes."""
-    case = draw(solves(_SLAB_MAX_COUNT))
-    return (*case, draw(st.integers(1, case[3].counts[0])))
-
-
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
-@given(slab_solves())
-def test_slabs_stepped_in_one_thread_equal_the_unsplit_kernel(case):
-    # Every node goes through the same operations whichever slab holds it,
-    # and the step's maxima are exact, so any cut gives the same bits as
-    # the unsplit kernel and the allocating stepper.
-    seed, sys_cl, config, grid, forward, slabs = case
-    tube = (solve_frt if forward else solve_brt)(seed, sys_cl, config, grid)
-    snapshots, steps, max_h = reference_solve(seed, sys_cl, config, grid, forward, _DTYPE)
-    ws = _Workspace(_Coefficients(sys_cl, grid, forward), slabs)
-    ws.load(level_set_from_shapes(grid, seed))
-    dt_nom = cfl_dt(config, ws.coefficients.alpha, grid)
-    tau, h_seen = 0.0, 0.0
-    for (_, field), (_, expected) in zip(tube.snapshots[1:], snapshots[1:]):
-        dt = min(dt_nom, config.horizon - tau)
-        h_seen = max(h_seen, ws.rk2_step(dt)[0])
-        tau += dt
-        # The snapshots are the stepped values widened to float64, exactly.
-        for values in (field.values, expected):
-            assert np.array_equal(bits(ws.values.astype(float)), bits(values.ravel()))
-    assert tube.steps_taken == steps == len(snapshots) - 1
-    assert tube.max_abs_h == max_h == h_seen
 
 
 @st.composite

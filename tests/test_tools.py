@@ -14,13 +14,10 @@ def _load(name):
     return module
 
 
-def test_thread_breakeven_prints_both_splits_for_each_size(capsys):
+def test_thread_breakeven_prints_the_lanes_for_each_size(capsys):
     assert _load("thread_breakeven").main(["21^3", "41^2", "--pairs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "1 pairs of 60 steps; seconds as median (quartiles)"
-    rows = [re.match(r"\s*(\d+\^\d) (slabs|lanes): nodes\s+(\d+)\s+smaller slab\s+(\d+)\s", line)
-            for line in lines[1:]]
-    assert [(m[1], m[2], int(m[3]), int(m[4])) for m in rows] == [
-        ("21^3", "slabs", 9261, 4410), ("21^3", "lanes", 9261, 4410),
-        ("41^2", "slabs", 1681, 820), ("41^2", "lanes", 1681, 820)]
+    rows = [re.match(r"\s*(\d+\^\d) lanes: nodes\s+(\d+)\s+one ", line) for line in lines[1:]]
+    assert [(m[1], int(m[2])) for m in rows] == [("21^3", 9261), ("41^2", 1681)]
     assert all(line.rstrip().endswith("x") for line in lines[1:])

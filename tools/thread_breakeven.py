@@ -1,25 +1,23 @@
-"""Where do threads pay for a tube solve?  Paired timings of the two splits.
+"""Where do threads pay for tube solves?  Paired timings of two lanes.
 
     PYTHONPATH=src python3 tools/thread_breakeven.py 251^2 41^3 45^3 --pairs 10
 
-For each grid size (``SIDE^DIMS``) the script times, in alternating pairs:
+For each grid size (``SIDE^DIMS``) the script times, in alternating pairs,
+two solves one after the other in the calling thread against the same two
+solves side by side on a two-thread pool, each in a lane (a thread and a
+buffer set of its own).
 
-* ``slabs``: one solve stepped as one slab in the calling thread against
-  the same solve in two slabs, the second on a worker thread;
-* ``lanes``: two solves one after the other in the calling thread against
-  the same two solves side by side on a two-thread pool, one slab each.
-
-Every solve steps the same buffers from the same seed for ``--steps`` RK2
+Every solve steps its own buffers from the same seed for ``--steps`` RK2
 steps, of a fixed constant-policy system: ``LandPlant`` on 2-D grids,
 ``AirPlant`` on 3-D ones, each under a +-0.1 disturbance box, on the box
 [-1, 1]^DIMS with a ball of radius 0.4 at its centre as the target.  The
-first side of a pair alternates.  Each line gives the nodes, the nodes of
-the smaller slab, both sides' median seconds with their quartiles, and the
-median speedup (serial time over threaded time) with its quartiles.
+first side of a pair alternates.  Each line gives the nodes, both sides'
+median seconds with their quartiles, and the median speedup (serial time
+over threaded time) with its quartiles.
 
-``solver._THREAD_NODES`` is the fewest nodes each thread's array
-operations must cover: re-derive it from this script's break-evens
-whenever the work per array operation changes.
+``solver._THREAD_NODES`` is the fewest nodes each lane's array operations
+must cover: re-derive it from this script's break-evens whenever the work
+per array operation changes.
 """
 
 from __future__ import annotations
@@ -64,9 +62,8 @@ def _case(counts):
 
 def _solve(ws, seed, dt: float, steps: int) -> None:
     ws.load(seed)
-    with ws.threads():
-        for _ in range(steps):
-            ws.rk2_step(dt)
+    for _ in range(steps):
+        ws.rk2_step(dt)
 
 
 def _timed(run) -> float:
@@ -92,23 +89,17 @@ def _quartiles(values) -> str:
 
 
 def measure(counts, pairs: int, steps: int) -> tuple:
-    """Per split, the serial and the threaded seconds of each pair; and the
-    nodes of the smaller of two slabs."""
+    """The serial and the threaded seconds of each pair."""
     coefficients, seed, dt = _case(counts)
-    one, two = solver._Workspace(coefficients, 1), solver._Workspace(coefficients, 2)
-    first, second = solver._Workspace(coefficients, 1), solver._Workspace(coefficients, 1)
+    first, second = solver._Workspace(coefficients), solver._Workspace(coefficients)
 
     def lanes():
         with ThreadPoolExecutor(2) as pool:
             for future in [pool.submit(_solve, ws, seed, dt, steps) for ws in (first, second)]:
                 future.result()
 
-    return {
-        "slabs": _pairs(lambda: _solve(one, seed, dt, steps), lambda: _solve(two, seed, dt, steps),
-                        pairs),
-        "lanes": _pairs(lambda: (_solve(first, seed, dt, steps), _solve(second, seed, dt, steps)),
-                        lanes, pairs),
-    }, min(s.hi - s.lo for s in two.slabs)
+    return _pairs(lambda: (_solve(first, seed, dt, steps), _solve(second, seed, dt, steps)),
+                  lanes, pairs)
 
 
 def main(argv=None) -> int:
@@ -121,13 +112,12 @@ def main(argv=None) -> int:
         parser.error("--pairs and --steps must be >= 1")
     print(f"{args.pairs} pairs of {args.steps} steps; seconds as median (quartiles)")
     for counts in args.sizes:
-        runs, slab_nodes = measure(counts, args.pairs, args.steps)
+        serial, threaded = measure(counts, args.pairs, args.steps)
+        speedups = [s / t for s, t in zip(serial, threaded)]
         name = f"{counts[0]}^{len(counts)}"
-        for split, (serial, threaded) in runs.items():
-            speedups = [s / t for s, t in zip(serial, threaded)]
-            print(f"{name:>6} {split}: nodes {math.prod(counts):>7}  "
-                  f"smaller slab {slab_nodes:>7}  one {_quartiles(serial)}  "
-                  f"two {_quartiles(threaded)}  speedup {_quartiles(speedups)}x")
+        print(f"{name:>6} lanes: nodes {math.prod(counts):>7}  "
+              f"one {_quartiles(serial)}  two {_quartiles(threaded)}  "
+              f"speedup {_quartiles(speedups)}x")
     return 0
 
 
