@@ -3,8 +3,9 @@
 Under a constant velocity field the backward reachable tube of a ball is a
 capsule: the ball swept along the flow over the horizon.  This script solves
 the level-set evolution on a grid and measures the mask mismatch against the
-exact capsule at two resolutions, showing the first-order convergence of the
-scheme.
+exact capsule at two resolutions.  Each step moves the flow one whole cell,
+so the backward tube's departure points land on nodes and its mask is
+exact; the forward tube's error is one cell and halves with the spacing.
 """
 
 import numpy as np
@@ -80,10 +81,10 @@ for counts in ((61, 41), (121, 81)):
     )
     err_b = mask_mismatch_extent(grid, brt.final_mask(), analytic)
     err_f = mask_mismatch_extent(grid, frt.final_mask(), analytic)
-    errors.append(err_b)
+    errors.append(max(err_b, err_f))
     print(f"grid {counts}: spacing {np.round(grid.spacing, 3)}, "
           f"BRT error {err_b:.4f}, FRT error {err_f:.4f} "
           f"({brt.steps_taken} steps)")
 
 print(f"error shrinks with the spacing (ratio {errors[0] / errors[1]:.2f}); "
-      "the acceptance suite measures the ratio 2.0 at production resolutions")
+      "the acceptance suite bounds it by 0.10 at 101^2 and 0.05 at 201^2")

@@ -56,9 +56,9 @@ from .dynamics import (
 from .solver import (
     SolverConfig,
     TubeResult,
-    cfl_dt,
     solve_brt,
     solve_frt,
+    time_step,
 )
 from .verification import (
     VerificationReport,

@@ -7,14 +7,10 @@ extracts the safe initial states; ``oracle`` runs Monte-Carlo ground
 truth; ``export-plots`` turns a finished run directory into plain CSV
 slices any plotting tool can consume.
 
-``safe-set`` scans the closed loop's rates once for all its per-obstacle
-tubes.  How many of them it solves at once, each on a thread of its own,
-is ``solver.brt_workspaces``'s rule: every thread covers a measured least
-number of nodes (see the ``solver`` module notes).  Every other solve
-steps in the calling thread.  However many tubes run at once, the outputs
-are byte-identical to a serial run's.  ``safe-set``'s tube directories are put in place only once
-every solve has succeeded, so a failed ``safe-set`` leaves none of them
-changed.
+``safe-set`` solves its per-obstacle tubes one after another over one
+departure map of the closed loop (see the ``solver`` module notes), and
+puts its tube directories in place only once every solve has succeeded,
+so a failed ``safe-set`` leaves none of them changed.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, and 4
 from ``verify --strict`` when the policy is unsafe.  Given identical
@@ -32,7 +28,6 @@ import os
 import shutil
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -67,7 +62,7 @@ from .scene import (
     store_to_slices,
     tube_snapshot_files,
 )
-from .solver import SolverConfig, brt_workspaces, solve_brt, solve_frt
+from .solver import SolverConfig, brt_workspace, solve_brt, solve_frt
 from .trainer import TrainRunConfig, make_plant, train_loop
 from .verification import build_report, classify_policy, union_brt_field, unsafe_initial_states
 
@@ -307,24 +302,12 @@ def cmd_verify(args) -> int:
 
 
 def _obstacle_tubes(prims, stores, sys_cl, solver_cfg, grid) -> list:
-    """Each obstacle's backward tube, written to its store.
-
-    The tubes come in obstacle order, and so does the first error.  Every
-    solve reads the coefficients of one rate scan.  With more than one
-    lane, each solve steps on a pool thread, in a buffer set made here, in
-    the calling thread, before any thread starts: memory a worker thread
-    allocates stays with its arena after the thread frees it.
-    """
-    workspaces = brt_workspaces(sys_cl, grid, len(prims))
-
-    def solve(prim, store):
-        return solve_brt(ShapeSet((prim,)), sys_cl, solver_cfg, grid, sink=store,
-                         workspaces=workspaces)
-
-    if workspaces.lanes == 1:
-        return list(map(solve, prims, stores))
-    with ThreadPoolExecutor(workspaces.lanes) as pool:
-        return list(pool.map(solve, prims, stores))
+    """Each obstacle's backward tube, written to its store, in obstacle
+    order.  The solves run one after another over one departure map."""
+    workspace = brt_workspace(sys_cl, grid, solver_cfg)
+    return [solve_brt(ShapeSet((prim,)), sys_cl, solver_cfg, grid, sink=store,
+                      workspace=workspace)
+            for prim, store in zip(prims, stores)]
 
 
 def cmd_safe_set(args) -> int:

@@ -38,6 +38,7 @@ __all__ = [
     "field_complement",
     "zero_sublevel_mask",
     "strict_sublevel_mask",
+    "cell_coordinates",
     "interpolate",
     "interpolate_many",
 ]
@@ -361,8 +362,29 @@ def strict_sublevel_mask(field: ScalarField) -> np.ndarray:
 # Multilinear interpolation
 # ---------------------------------------------------------------------------
 
-def interpolate_many(field: ScalarField, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of the field at points of shape ``(k, dims)``."""
+def cell_coordinates(grid: Grid, points: np.ndarray):
+    """The cell of each of the ``(k, dims)`` points: the integer index of
+    its lowest node, ``(k, dims)``, and the point's offsets from that node
+    in cells, each in [0, 1].  A coordinate off the grid counts as the
+    nearest edge node's.  Every offset is exact: it is ``rel - floor(rel)``
+    for ``rel`` at most one cell above a whole number of cells."""
+    last = np.asarray(grid.counts) - 1
+    rel = np.clip((points - grid.lo) / grid.spacing, 0.0, last)
+    base = np.minimum(np.floor(rel).astype(np.intp), last - 1)
+    return base, rel - base
+
+
+def interpolate_many(field: ScalarField, points: np.ndarray, dtype=float) -> np.ndarray:
+    """Multilinear interpolation of the field at points of shape ``(k, dims)``.
+
+    The interpolant is taken one axis at a time, the last axis first, each
+    step a sum ``(1 - f) a + f b`` of values times non-negative weights
+    (``f`` the point's offset along the axis).  The values and offsets are
+    rounded to ``dtype`` and every operation runs in it, so that each
+    rounding is monotone: raising a node value never lowers an interpolated
+    one.  The tube solver interpolates the same way in float32.  The
+    result is widened to float64.
+    """
     grid = field.grid
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != grid.dims:
@@ -372,19 +394,17 @@ def interpolate_many(field: ScalarField, points: np.ndarray) -> np.ndarray:
         bad = np.where(np.any((pts < grid.lo - tol) | (pts > grid.hi + tol), axis=1))[0]
         raise ValueError(f"point(s) at rows {bad.tolist()} lie outside the grid bounds")
 
-    rel = (pts - grid.lo) / grid.spacing
-    base = np.floor(rel).astype(int)
-    base = np.clip(base, 0, np.asarray(grid.counts) - 2)
-    frac = rel - base
-
-    out = np.zeros(len(pts))
-    for corner in itertools.product((0, 1), repeat=grid.dims):
-        idx = tuple(base[:, i] + corner[i] for i in range(grid.dims))
-        weight = np.ones(len(pts))
-        for i, c in enumerate(corner):
-            weight *= frac[:, i] if c else 1.0 - frac[:, i]
-        out += weight * field.values[idx]
-    return out
+    base, frac = cell_coordinates(grid, pts)
+    frac = frac.astype(dtype)
+    values = field.values.astype(dtype, copy=False)
+    # Corners in C order, so that neighbours along the last axis pair up.
+    corners = [values[tuple(base[:, i] + c for i, c in enumerate(corner))]
+               for corner in itertools.product((0, 1), repeat=grid.dims)]
+    for axis in reversed(range(grid.dims)):
+        f = frac[:, axis]
+        g = dtype(1) - f
+        corners = [g * a + f * b for a, b in zip(corners[::2], corners[1::2])]
+    return corners[0].astype(float)
 
 
 def interpolate(field: ScalarField, point) -> float:

@@ -516,14 +516,13 @@ class TubeWriter:
         """Write the manifest of ``tube``, whose snapshots were written
         here, put the directory in place and return the manifest path.  The
         manifest records the snapshot times, the grid, the solver
-        configuration with the tube's direction, the diagnostics and the
+        configuration with the tube's direction, the step count and the
         per-file names in order."""
         manifest = {
             "times": [entry["time"] for entry in self._files],
             "grid": _grid_to_dict(tube.grid),
             "config": {**asdict(tube.config), "direction": tube.direction},
             "steps_taken": tube.steps_taken,
-            "max_abs_hamiltonian": tube.max_abs_h,
             "snapshots": self._files,
         }
         with open(os.path.join(self._staging, "manifest.json"), "w") as fh:

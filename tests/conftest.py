@@ -1,7 +1,6 @@
 """Shared fixtures: small synthetic systems plus the expensive session-scoped
 artifacts (trained land/air models, tube solves) reused across test modules."""
 
-import threading
 import time
 
 import numpy as np
@@ -15,16 +14,6 @@ from reachverify.nn import TrainingConfig
 from reachverify.scene import air_scene, land_scene
 from reachverify.solver import SolverConfig, solve_brt, solve_frt
 from reachverify.trainer import TrainRunConfig, train_loop
-
-
-@pytest.fixture(autouse=True)
-def no_thread_outlives_its_test():
-    """Fail a test that leaves a thread it started running: the lanes'
-    pool must end with its solves."""
-    before = set(threading.enumerate())
-    yield
-    left = [t for t in threading.enumerate() if t not in before]
-    assert not left, f"threads still running: {left}"
 
 
 # Node counts below one block of nn._BLOCK_ROWS (4096) nodes, and above it
@@ -58,13 +47,6 @@ class LinearPlant:
 
     def rate_batch(self, states, actions):
         return states @ self.A.T
-
-
-# A per-thread node count under which the thread tests' small grids take
-# the threaded path, for them to patch in as ``solver._THREAD_NODES``:
-# 193^2 (37 249 nodes) and 41^3 (68 921) then get a lane per tube, while
-# 101^2 stays serial.
-SMALL_THREAD_NODES = 32768
 
 
 def const_system(c, dims=None, upper=None):

@@ -1,18 +1,18 @@
 """Pointwise and allocating references for the tube kernel.
 
-The package computes tubes with one flat, in-place stepper
+The package computes tubes with one flat, in-place semi-Lagrangian stepper
 (``reachverify.solver._Workspace``).  The tests check it against the
 independent forms kept here: scalar one-sided differences, the closed-form
-Hamiltonian in both disturbance senses, the dissipated Lax-Friedrichs
-Hamiltonian at one state, a single-state closed-loop rate, the exhaustive
-box-corner extremum, a greedy rollout tube on coarse grids, the exact
-backward reachable set of a double integrator pushed by a bounded
-disturbance, an off-grid safety query, the field intersection, and the
-stepper as first written with a fresh array per operation.  No command
-runs any of them.
+Hamiltonian in both disturbance senses, a single-state closed-loop rate,
+the exhaustive box-corner extremum, whole-grid wave speeds, a greedy
+rollout tube on coarse grids, the exact backward reachable set of a double
+integrator pushed by a bounded disturbance, an off-grid safety query, the
+field intersection, and the stepper written with a fresh array per
+operation.  No command runs any of them.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -24,10 +24,10 @@ from reachverify.geometry import (
     ShapeSet,
     _check_same_grid,
     interpolate,
+    interpolate_many,
     signed_distance,
 )
 from reachverify.oracle import _rk4_batch
-from reachverify.solver import _rate_scan, _wave_speeds, cfl_dt
 from reachverify.verification import VerificationReport
 
 _MODES = ("reach_goal", "reach_unsafe")
@@ -145,31 +145,19 @@ def analytic_hamiltonian(s, p, sys: ClosedLoopSystem, mode: str = "reach_goal") 
     return float(p @ f + np.sum(_box_extremum(p, sys.bounds, mode)))
 
 
-def dissipation_coefficients(
-    sys: ClosedLoopSystem, bounds: DisturbanceBounds, grid: Grid
-) -> np.ndarray:
-    """Per-dimension bounds on ``|dH/dp_i|`` from a full-grid rate scan.
-
-    The Hamiltonian is piecewise linear in the costate, so
-    ``|rate_i| + max(|d_i^-|, d_i^+)`` maximized over all nodes bounds the
-    derivative exactly on the sampled set.
-    """
-    return _rate_scan(sys, bounds, grid)
+def wave_speeds(sys: ClosedLoopSystem, grid: Grid) -> np.ndarray:
+    """Per axis, the largest of ``max |rate_i|`` over all nodes at once and
+    the box's ``|lower_i|`` and ``|upper_i|``: the speeds the step is sized
+    by."""
+    rates = nominal_rate_batch(sys, grid.flat_points())
+    box = np.maximum(np.abs(sys.bounds.upper), np.abs(sys.bounds.lower))
+    return np.maximum(np.abs(rates).max(axis=0), box)
 
 
-def lax_friedrichs_H(s, p_minus, p_plus, sys: ClosedLoopSystem, mode: str, alpha) -> float:
-    """Dissipated numerical Hamiltonian at one state.
-
-    Evaluates the analytic Hamiltonian at the gradient midpoint and
-    subtracts ``sum_i alpha_i (p_i^+ - p_i^-) / 2``.
-    """
-    pm = np.asarray(p_minus, dtype=float)
-    pp = np.asarray(p_plus, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha < 0):
-        raise ValueError("dissipation coefficients must be nonnegative")
-    h_mid = analytic_hamiltonian(s, 0.5 * (pm + pp), sys, mode)
-    return float(h_mid - np.sum(alpha * (pp - pm) * 0.5))
+def step_count(horizon: float, speeds, grid: Grid) -> int:
+    """Steps of at most one cell each: ``ceil(horizon * max_i s_i / h_i)``,
+    at least one."""
+    return max(1, math.ceil(horizon * float(np.max(np.asarray(speeds) / grid.spacing))))
 
 
 # ---------------------------------------------------------------------------
@@ -283,56 +271,72 @@ def is_state_safe(report: VerificationReport, state) -> bool:
 # The allocating stepper
 # ---------------------------------------------------------------------------
 
-def reference_solve(seed, sys_cl, config, grid, forward, dtype=np.float64):
-    """The stepper as first written, a fresh array per operation, on arrays
-    and scalars of ``dtype``: ``(snapshots, steps_taken, max_abs_h)``.
+def _shifted(values: np.ndarray, axis: int, up: bool) -> np.ndarray:
+    """Each node's neighbour one node up (down) ``axis``; the last (first)
+    node along the axis is its own."""
+    n = values.shape[axis]
+    keep = np.take(values, [n - 1] if up else [0], axis=axis)
+    rest = np.take(values, range(1, n) if up else range(n - 1), axis=axis)
+    return np.concatenate([rest, keep] if up else [keep, rest], axis=axis)
 
-    As in the solver, the rates, wave speeds and time accounting are
-    float64; the stepped values start from the exact distance rounded to
-    ``dtype``, and every snapshot, the seed's included, is the stepped
-    values widened to float64."""
-    rates = nominal_rate_batch(sys_cl, grid.flat_points())
-    rate_grid = rates.T.reshape((grid.dims, *grid.counts))
+
+def box_filter(values: np.ndarray, reach, dtype) -> np.ndarray:
+    """The min filter of the disturbance box: along each axis in turn,
+    ``min(v, (1 - f) v + f v_up)`` for the upward reach ``f`` in cells and
+    then the same downward, skipping a zero reach."""
+    for axis, fractions in enumerate(reach):
+        out = values
+        for f, up in zip(fractions, (True, False)):
+            if f:
+                f = dtype(f)
+                g = dtype(1) - f
+                out = np.minimum(out, g * values + f * _shifted(values, axis, up))
+        values = out
+    return values
+
+
+def departure_points(sys_cl, grid, dt, forward):
+    """Where one explicit-midpoint step of length ``dt`` of the flow
+    (reversed for a forward tube) carries each node, moved onto the grid's
+    box: ``x + s f(x + s f(x) / 2)`` with ``s = -dt`` or ``dt``, and the
+    node rate ``f(x)`` rounded to float32 as the solver stores it."""
+    step = -dt if forward else dt
+    points = grid.flat_points()
+    rates = nominal_rate_batch(sys_cl, points).astype(np.float32).astype(float)
+    mid = points + (0.5 * step) * rates
+    return np.clip(points + step * nominal_rate_batch(sys_cl, mid), grid.lo, grid.hi)
+
+
+def reference_solve(seed, sys_cl, config, grid, forward, dtype=np.float32, alpha_floor=None):
+    """The semi-Lagrangian stepper with a fresh array per operation, on
+    values of ``dtype``: ``(snapshots, steps_taken)``; ``alpha_floor`` is a
+    per-axis floor under the wave speeds, as in the solver.
+
+    Each step is ``V <- min(V, I[W](departure))`` with ``W`` the
+    :func:`box_filter` of ``V`` and ``I`` ``geometry.interpolate_many`` in
+    ``dtype``.  As in the solver, the rates, departure points and time
+    accounting are float64; the stepped values start from the exact
+    distance rounded to ``dtype``, and every snapshot, the seed's
+    included, is the stepped values widened to float64."""
+    speeds = wave_speeds(sys_cl, grid)
+    if alpha_floor is not None:
+        speeds = np.maximum(speeds, alpha_floor)
+    steps = step_count(config.horizon, speeds, grid)
+    dt = config.horizon / steps
+    departures = departure_points(sys_cl, grid, dt, forward)
     b = sys_cl.bounds
-    if forward:
-        rate_grid, hi, lo = -rate_grid, -b.lower, -b.upper
-    else:
-        hi, lo = b.upper, b.lower
-    alpha = _wave_speeds(rates, b)
-    rate_grid, hi, lo, alpha_d, spacing = (
-        x.astype(dtype) for x in (rate_grid, hi, lo, alpha, grid.spacing))
-
-    def rhs(values):
-        h_total = np.zeros_like(values)
-        for axis in range(grid.dims):
-            pm, pp = _one_sided_diffs(values, axis, spacing[axis])
-            pmid = 0.5 * (pm + pp)
-            h_total += pmid * rate_grid[axis] + np.minimum(pmid * hi[axis], pmid * lo[axis])
-            h_total += alpha_d[axis] * 0.5 * (pp - pm)
-        return np.minimum(0.0, h_total), float(np.max(np.abs(h_total)))
-
-    def rk2_step(values, dt):
-        dt = dtype(dt)
-        r1, h1 = rhs(values)
-        v1 = values + dt * r1
-        r2, h2 = rhs(v1)
-        v2 = v1 + dt * r2
-        return 0.5 * (values + v2), max(h1, h2)
-
-    dt_nom = cfl_dt(config, alpha, grid)
+    hi, lo = (-b.lower, -b.upper) if forward else (b.upper, b.lower)
+    reach = [(min(1.0, dt * hi[i] / h), min(1.0, dt * -lo[i] / h))
+             for i, h in enumerate(grid.spacing)]
     sign = 1.0 if forward else -1.0
     values = seed.signed_distance(grid.flat_points()).reshape(grid.counts).astype(dtype)
     snapshots = [(0.0, values.astype(np.float64))]
-    max_h, tau, steps, last_snap_tau = 0.0, 0.0, 0, 0.0
-    while tau < config.horizon * (1 - 1e-12):
-        dt = min(dt_nom, config.horizon - tau)
-        values, h_seen = rk2_step(values, dt)
-        steps += 1
-        tau += dt
-        max_h = max(max_h, h_seen)
-        if steps % config.snapshot_stride == 0:
-            snapshots.append((sign * tau, values.astype(np.float64)))
-            last_snap_tau = tau
-    if last_snap_tau != tau:
-        snapshots.append((sign * tau, values.astype(np.float64)))
-    return snapshots, steps, max_h
+    for k in range(1, steps + 1):
+        filtered = ScalarField(grid, box_filter(values, reach, dtype))
+        moved = interpolate_many(filtered, departures, dtype).astype(dtype)
+        values = np.minimum(values, moved.reshape(grid.counts))
+        if k == steps:
+            snapshots.append((sign * config.horizon, values.astype(np.float64)))
+        elif k % config.snapshot_stride == 0:
+            snapshots.append((sign * config.horizon * k / steps, values.astype(np.float64)))
+    return snapshots, steps

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import LAND_RUN_CONFIG, SMALL_THREAD_NODES, bits, const_system
+from conftest import LAND_RUN_CONFIG, bits, const_system
 from reachverify import cli, solver
 from reachverify.cli import _write_ground_truth, main
 from reachverify.dynamics import ActionBounds, MlpPolicy, save_policy
@@ -355,21 +355,22 @@ def poison_solves(monkeypatch, poison_step):
     class PoisonedWorkspace(solver._Workspace):
         def load(self, field):
             super().load(field)
-            self.steps, self.poison_at = 0, poison_step(self.values)
+            self.taken, self.poison_at = 0, poison_step(self.values)
 
-        def rk2_step(self, dt):
-            self.steps += 1
-            if self.steps == self.poison_at:
+        def step(self):
+            self.taken += 1
+            if self.taken == self.poison_at:
                 self.values[7] = np.nan
-            return super().rk2_step(dt)
+            return super().step()
 
     monkeypatch.setattr(solver, "_Workspace", PoisonedWorkspace)
 
 
 def unit_box(tmp_path):
     """Replace the zero box of :func:`verify_config` with a unit one.  The
-    zero model stands still, so only the box makes its tubes step: 18
-    steps of the 0.4 horizon on a 31-node grid, 110 on a 193-node one."""
+    zero model stands still, so only the box makes its tubes step, one cell
+    a step: 15 steps of a 1.0 horizon on a 31-node grid, 39 of the 0.4
+    horizon on a 193-node one."""
     save_bounds(DisturbanceBounds([1.0, 1.0], [-1.0, -1.0], dt_env=0.1), tmp_path / "bounds.json")
 
 
@@ -397,20 +398,17 @@ def inside(grid, shape) -> int:
                                           ("safe-set", "brt_obstacle_1")])
 def test_failed_solve_leaves_no_tube_directory(tmp_path, monkeypatch, capsys, command, tube):
     # The seed and the snapshots of steps 5 and 10 are written by step 12.
-    # In the brt_obstacle_1 case only the second of two obstacles fails, on
-    # a grid that solves them on two threads (with the per-thread node count
-    # patched down): the first tube is solved and written in full, but it
-    # must not be put in place either.
+    # In the brt_obstacle_1 case only the second of two obstacles fails:
+    # the first tube is solved and written in full, but it must not be put
+    # in place either.
     if tube == "brt_obstacle_1":
         scene_path, obstacles = obstacle_scene(tmp_path, (193, 193))
         node = inside(load_scene(scene_path).grid, obstacles[1])
         poison_solves(monkeypatch, lambda seed: 12 if seed[node] < 0 else None)
-        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(solver, "_THREAD_NODES", SMALL_THREAD_NODES)
         cfg = verify_config(tmp_path, scene_path, stride=50)
     else:
         poison_solves(monkeypatch, lambda seed: 12)
-        cfg = verify_config(tmp_path, make_scene(tmp_path, [0.8, 0.8], 0.1))
+        cfg = verify_config(tmp_path, make_scene(tmp_path, [0.8, 0.8], 0.1), horizon=1.0)
     unit_box(tmp_path)
     out = tmp_path / "run"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
@@ -420,17 +418,14 @@ def test_failed_solve_leaves_no_tube_directory(tmp_path, monkeypatch, capsys, co
 
 
 def test_safe_set_reports_the_first_failing_obstacle(tmp_path, monkeypatch, capsys):
-    # Obstacle 1's solve fails first in time, obstacle 0's later; the error
-    # reported is obstacle 0's, as in a serial run, and a rerun that fails
-    # leaves the previous run's tubes as they were.  The per-thread node
-    # count is patched down so that the two tubes run on two threads.
+    # Obstacle 0's solve fails at a later step than obstacle 1's would;
+    # the error reported is obstacle 0's, the first solved, and a rerun that
+    # fails leaves the previous run's tubes as they were.
     scene_path, obstacles = obstacle_scene(tmp_path, (193, 193))
     node = inside(load_scene(scene_path).grid, obstacles[0])
     cfg = verify_config(tmp_path, scene_path, stride=50)
     unit_box(tmp_path)
     out = tmp_path / "run"
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(solver, "_THREAD_NODES", SMALL_THREAD_NODES)
     assert main(["safe-set", "--config", str(cfg), "--out", str(out)]) == 0
     before = {name: (out / name / "manifest.json").read_bytes()
               for name in ("brt_obstacle_0", "brt_obstacle_1")}
@@ -476,101 +471,147 @@ def constant_loop_config(tmp_path, counts, count, horizon, stride):
     return cfg
 
 
-# (grid counts, usable CPUs, obstacles) of the safe-set runs below, with
-# SMALL_THREAD_NODES as the per-thread node count: above it (193^2 and
-# 41^3) the tubes are solved on threads, one per CPU and at most one per
-# obstacle, and three obstacles on two threads reuse a buffer set; below
-# it (101^2) no thread is started.
-_SAFE_SET_RUNS = (((193, 193), 2, 2), ((193, 193), 1, 2), ((101, 101), 2, 2),
-                  ((193, 193), 2, 3), ((193, 193), 1, 3),
-                  ((41, 41, 41), 2, 2), ((41, 41, 41), 1, 2))
+# (grid counts, obstacles) of the safe-set runs below.
+_SAFE_SET_RUNS = (((193, 193), 2), ((101, 101), 2), ((193, 193), 3), ((41, 41, 41), 2))
+
+
+def _recording_workspace(made):
+    """A ``solver._Workspace`` that appends to ``made``, as it is made, a
+    record of the thread making it and of the threads that step it."""
+
+    class RecordingWorkspace(solver._Workspace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.record = {"maker": threading.current_thread(), "steppers": set()}
+            made.append(self.record)
+
+        def step(self):
+            self.record["steppers"].add(threading.current_thread())
+            return super().step()
+
+    return RecordingWorkspace
+
+
+def _files(out) -> dict:
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture(scope="module")
 def safe_set_runs(tmp_path_factory):
     """Each ``_SAFE_SET_RUNS`` run of ``safe-set --compare-mc`` on a
-    :func:`constant_loop_config`: its files, the threads its solves ran on
-    and those it started, its rate scans, and the thread that made each of
-    its buffer sets."""
+    :func:`constant_loop_config`: its config, its files, its tube solves,
+    its rate scans and the records of the workspaces it made."""
     tmp_path = tmp_path_factory.mktemp("safe_set_runs")
-    real_solve, real_start = cli.solve_brt, threading.Thread.start
-    real_scan, real_init = solver._rate_scan, solver._Workspace.__init__
+    real_solve, real_scan = cli.solve_brt, solver._wave_speeds
     seen = {}
 
     def solve_brt(*args, **kwargs):
-        seen["solves"].append(threading.current_thread())
+        seen["solves"] += 1
         return real_solve(*args, **kwargs)
 
-    def start(self):
-        seen["started"].append(self)
-        real_start(self)
-
     def rate_scan(*args, **kwargs):
-        seen["scans"].append(threading.current_thread())
+        seen["scans"] += 1
         return real_scan(*args, **kwargs)
 
-    def init(self, *args, **kwargs):
-        seen["sets"].append(threading.current_thread())
-        real_init(self, *args, **kwargs)
-
-    runs = {}
+    runs, made = {}, []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "solve_brt", solve_brt)
-        mp.setattr(threading.Thread, "start", start)
-        mp.setattr(solver, "_rate_scan", rate_scan)
-        mp.setattr(solver._Workspace, "__init__", init)
-        mp.setattr(solver, "_THREAD_NODES", SMALL_THREAD_NODES)
-        for counts, cpus, count in _SAFE_SET_RUNS:
+        mp.setattr(solver, "_wave_speeds", rate_scan)
+        mp.setattr(solver, "_Workspace", _recording_workspace(made))
+        for counts, count in _SAFE_SET_RUNS:
+            name = f"{len(counts)}d_{counts[0]}_{count}"
+            inputs = tmp_path / f"inputs_{name}"
+            inputs.mkdir()
             if len(counts) == 3:
-                cfg = constant_loop_config(tmp_path, counts, count, horizon=0.4, stride=4)
+                cfg = constant_loop_config(inputs, counts, count, horizon=0.4, stride=4)
             else:
-                cfg = constant_loop_config(tmp_path, counts, count, horizon=0.3, stride=20)
-            out = tmp_path / f"run_{len(counts)}d_{counts[0]}_{cpus}_{count}"
-            mp.setattr(solver, "_usable_cpus", lambda: cpus)
-            seen.update(solves=[], started=[], scans=[], sets=[])
+                cfg = constant_loop_config(inputs, counts, count, horizon=0.3, stride=20)
+            out = tmp_path / f"run_{name}"
+            seen.update(solves=0, scans=0)
+            first = len(made)
             assert main(["safe-set", "--config", str(cfg), "--out", str(out),
                          "--compare-mc"]) == 0
-            files = {str(p.relative_to(out)): p.read_bytes()
-                     for p in sorted(out.rglob("*")) if p.is_file()}
-            runs[counts, cpus, count] = dict(seen, files=files)
+            runs[counts, count] = dict(seen, config=cfg, files=_files(out), sets=made[first:])
     return runs
 
 
-def test_concurrent_safe_set_writes_the_serial_bytes(safe_set_runs):
-    # Every file of a concurrent run must equal the serial run's byte for
-    # byte, also when a thread solves a second tube in a reused buffer set.
-    main_thread = threading.main_thread()
-    for (counts, cpus, count), run in safe_set_runs.items():
-        if counts != (101, 101) and cpus == 2:
-            assert len(run["started"]) >= 1 and main_thread not in run["solves"]
-            assert len(run["solves"]) == count
-            assert run["files"] == safe_set_runs[counts, 1, count]["files"]
-        else:
-            assert run["started"] == [] and run["solves"] == [main_thread] * count
-    assert {f"brt_obstacle_{i}/manifest.json" for i in range(3)} | {"ground_truth.csv"} <= set(
-        safe_set_runs[(193, 193), 2, 3]["files"])
-    assert "brt_obstacle_1/manifest.json" in safe_set_runs[(41, 41, 41), 2, 2]["files"]
+# The safe-set runs above that run again, two at once for each.
+_CONCURRENT_RUNS = (((193, 193), 2), ((41, 41, 41), 2))
+
+
+@pytest.fixture(scope="module")
+def concurrent_safe_set_runs(safe_set_runs, tmp_path_factory):
+    """Two runs of each ``_CONCURRENT_RUNS`` config, all started at once,
+    each in a thread of its own: by ``(run, i)``, the thread, its exit code
+    or error, its files and the records of the workspaces it made."""
+    tmp_path = tmp_path_factory.mktemp("concurrent_safe_set_runs")
+    made, runs = [], {}
+    keys = [(key, i) for key in _CONCURRENT_RUNS for i in range(2)]
+    barrier = threading.Barrier(len(keys))
+
+    def run(key, i):
+        (counts, count), me = key, threading.current_thread()
+        out = tmp_path / f"run_{len(counts)}d_{counts[0]}_{count}_{i}"
+        runs[key, i] = {"thread": me}
+        try:
+            barrier.wait(timeout=60)
+            runs[key, i]["code"] = main(["safe-set", "--config", str(safe_set_runs[key]["config"]),
+                                         "--out", str(out), "--compare-mc"])
+        except Exception as exc:  # reported by the tests below
+            runs[key, i]["code"] = exc
+        runs[key, i]["files"] = _files(out) if out.exists() else {}
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_Workspace", _recording_workspace(made))
+        threads = [threading.Thread(target=run, args=key) for key in keys]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    assert not any(t.is_alive() for t in threads)
+    for r in runs.values():
+        r["sets"] = [record for record in made if record["maker"] is r["thread"]]
+    assert len(made) == sum(len(r["sets"]) for r in runs.values())
+    return runs
 
 
 def test_safe_set_scans_the_rates_once_for_all_its_tubes(safe_set_runs):
+    # One departure map serves every obstacle's tube.
+    for (counts, count), run in safe_set_runs.items():
+        assert (run["scans"], run["solves"]) == (1, count), (counts, count)
+        assert {f"brt_obstacle_{i}/manifest.json" for i in range(count)} | {
+            "ground_truth.csv"} <= set(run["files"])
+
+
+def test_concurrent_safe_set_writes_the_serial_bytes(safe_set_runs, concurrent_safe_set_runs):
+    # Runs of safe-set in threads of their own at once share no state: each
+    # writes every file of the serial run byte for byte.
+    for (key, i), run in concurrent_safe_set_runs.items():
+        assert run["code"] == 0, (key, i)
+        assert run["files"] == safe_set_runs[key]["files"], (key, i)
+
+
+def test_safe_set_makes_one_buffer_set_per_worker_on_the_calling_thread(
+        safe_set_runs, concurrent_safe_set_runs):
+    # Each run, serial or one of several at once, makes one workspace, on
+    # the thread that called it, and no other thread steps it.
+    main_thread = threading.main_thread()
     for key, run in safe_set_runs.items():
-        assert run["scans"] == [threading.main_thread()], key
-
-
-def test_safe_set_makes_one_buffer_set_per_worker_on_the_calling_thread(safe_set_runs):
-    # Only the calling thread allocates, so a worker thread's arena keeps
-    # no freed buffers after the solves; a serial run reuses one set.
-    for (counts, cpus, count), run in safe_set_runs.items():
-        workers = min(cpus, count) if counts != (101, 101) else 1
-        assert run["sets"] == [threading.main_thread()] * workers, (counts, cpus, count)
+        assert run["sets"] == [{"maker": main_thread, "steppers": {main_thread}}], key
+    for key, run in concurrent_safe_set_runs.items():
+        me = run["thread"]
+        assert me is not main_thread
+        assert run["sets"] == [{"maker": me, "steppers": {me}}], key
 
 
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_a_single_solve_starts_no_thread(tmp_path, monkeypatch, cpus):
-    # Above the per-thread node count one tube still steps in the calling
-    # thread; only safe-set's lanes start threads.
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(solver, "_THREAD_NODES", SMALL_THREAD_NODES)
+    # However many CPUs the host offers, every tube steps in the calling
+    # thread: no solve, verify or safe-set starts a thread.
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    for name in ("process_cpu_count", "sched_getaffinity"):
+        if hasattr(os, name):
+            monkeypatch.setattr(os, name, lambda *pid: set(range(cpus)) if pid else cpus)
     started, real_start = [], threading.Thread.start
 
     def start(self):
@@ -585,9 +626,8 @@ def test_a_single_solve_starts_no_thread(tmp_path, monkeypatch, cpus):
     assert tube.steps_taken > 1 and started == []
     cfg = constant_loop_config(tmp_path, (41, 41, 41), 2, horizon=0.2, stride=4)
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "verify")]) == 0
-    assert started == []
     assert main(["safe-set", "--config", str(cfg), "--out", str(tmp_path / "safe")]) == 0
-    assert 1 <= len(started) <= 2
+    assert started == []
 
 
 def test_verify_with_inline_constant_policy(tmp_path):
@@ -743,7 +783,7 @@ def unchecked_field(grid, values):
 def write_tube_run(run, fields):
     """A run directory holding one exported tube, ``tube/``, of ``fields``."""
     snapshots = tuple((0.5 * k, f) for k, f in enumerate(fields))
-    tube = TubeResult(snapshots, SolverConfig(), fields[0].grid, "forward", len(fields), 0.0,
+    tube = TubeResult(snapshots, SolverConfig(), fields[0].grid, "forward", len(fields),
                       fields[-1])
     return export_tube(tube, run / "tube", prefix="tube")
 
@@ -949,13 +989,13 @@ def test_readme_gives_the_solver_defaults():
     # sentence; it must name the values SolverConfig() really has.
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
     found = re.search(
-        r"The `solver` block takes `horizon` \(default ([^)]+)\), `cfl_factor` \(default "
-        r"([^)]+)\), `snapshot_stride` \(default ([^)]+)\)", readme)
+        r"The `solver` block takes `horizon` \(default ([^)]+)\) and `snapshot_stride` "
+        r"\(default ([^)]+)\)", readme)
     assert found, "README lost the sentence on the solver block's defaults"
     defaults = SolverConfig()
     assert float(found[1]) == defaults.horizon
-    assert float(found[2]) == defaults.cfl_factor
-    assert int(found[3]) == defaults.snapshot_stride
+    assert int(found[2]) == defaults.snapshot_stride
+    assert {f.name for f in dataclasses.fields(SolverConfig)} == {"horizon", "snapshot_stride"}
 
 
 def test_readme_train_config_table_lists_the_training_keys():
@@ -985,6 +1025,7 @@ def test_readme_run_config_table_lists_the_keys():
         ({"horizon": 0.4, "direction": "backward"}, "direction"),
         ({"horizon": "10"}, "horizon"),
         ({"horizon": 0.4, "convergence_eps": "0"}, "convergence_eps"),
+        ({"horizon": 0.4, "cfl_factor": 0.7}, "cfl_factor"),
     ],
 )
 def test_unknown_solver_key_exits_config_error(tmp_path, capsys, solver, key):

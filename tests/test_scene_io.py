@@ -391,7 +391,7 @@ def _streamed_and_in_memory(tmp_path, dims, stride):
     grid = build_grid([-1.0] * dims, [1.0] * dims, [23, 19, 9][:dims])
     sys_cl = const_system([0.4, -0.3, 0.2][:dims])
     seed = ShapeSet((Ball([-0.3] * dims, 0.3),))
-    cfg = SolverConfig(horizon=0.6, snapshot_stride=stride)
+    cfg = SolverConfig(horizon=1.5, snapshot_stride=stride)
     with TubeWriter(tmp_path / "streamed", prefix="frt") as store:
         streamed = solve_frt(seed, sys_cl, cfg, grid, sink=store)
         store.finish(streamed)
