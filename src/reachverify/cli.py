@@ -366,9 +366,8 @@ def cmd_safe_set(args) -> int:
         mc_sys = ClosedLoopSystem(
             mc_plant, sys_cl.policy, eb.DisturbanceBounds.zero(mc_plant.n_state)
         )
-        # The box is zero, so any disturbance draw would repeat the zero draw.
         mc = mc_ground_truth(mc_sys, scene.initial_set, scene.obstacles, mc_cfg.horizon,
-                             mc_cfg.dt, mc_cfg.num_samples, num_disturbance_draws=0, seed=seed)
+                             mc_cfg.dt, mc_cfg.num_samples, seed=seed)
         brt_safe = interpolate_many(union_field, mc.samples) > 0.0
         agreement = float(np.mean(brt_safe == mc.safe))
         doc["mc_comparison"] = {
@@ -464,8 +463,9 @@ def _export_geometry(scene: Scene, path, z: float | None) -> None:
 
 def _z_planes(grid, z_values) -> list:
     """Index of the z plane nearest each ``--z`` height.  A height on a 2-D
-    grid, or one not finite or outside the z range by more than
-    interpolate_many's tolerance, is a ValueError."""
+    grid, one not finite or outside the z range by more than
+    interpolate_many's tolerance, or one whose file-name tag repeats an
+    earlier height's (``2,2.0``), is a ValueError."""
     if grid.dims == 2:
         if z_values:
             raise ValueError(f"--z {z_values[0]!r}: a 2-D run has no z axis to slice")
@@ -476,9 +476,14 @@ def _z_planes(grid, z_values) -> list:
         raise ValueError("3-D run: pass --z with comma-separated slice heights")
     lo, hi = float(grid.lo[2]), float(grid.hi[2])
     tol = 1e-9 * (1.0 + (hi - lo))
+    tags = set()
     for z in z_values:
         if not (math.isfinite(z) and lo - tol <= z <= hi + tol):
             raise ValueError(f"--z {z!r} is not a height in the grid's z range [{lo!r}, {hi!r}]")
+        tag = _slice_tag(z)
+        if tag in tags:
+            raise ValueError(f"--z {z!r} repeats an earlier height's file-name tag {tag}")
+        tags.add(tag)
     zs = grid.axis_coords(2)
     return [int(np.argmin(np.abs(zs - z))) for z in z_values]
 

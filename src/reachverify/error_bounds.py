@@ -71,11 +71,6 @@ class DisturbanceBounds:
     def dims(self) -> int:
         return len(self.upper)
 
-    def contains(self, d) -> bool:
-        d = np.asarray(d, dtype=float)
-        tol = 1e-12
-        return bool(np.all(d <= self.upper + tol) and np.all(d >= self.lower - tol))
-
     @staticmethod
     def zero(dims: int, dt_env: float = 1.0) -> "DisturbanceBounds":
         z = np.zeros(dims)

@@ -4,7 +4,8 @@ A scene bundles the grid with the initial, goal, and obstacle shape sets.
 Scenes, disturbance bounds, models, and reports are JSON; fields, masks,
 datasets, and Monte-Carlo samples are CSV with one row per node or sample.
 Fields and masks are stored as each node's index columns and its value;
-only the plot slices of ``export-plots`` add the node coordinates.
+the plot slices of ``export-plots`` hold each node's coordinates and its
+value instead, the node given by the row's position.
 Floats are written in the shortest decimal form that parses back to the
 same value: a field whose every value is a float32 (every tube snapshot,
 and ``brt_union.csv``) in float32's shortest form, at most 9 significant
@@ -239,10 +240,10 @@ _CHUNK_BYTES = 1 << 15
 
 def _node_cells(tables, counts, start: int, stop: int) -> list:
     """Cell text of nodes ``start..stop-1`` (C order), one list per table:
-    table ``k``, an object array, maps a node's index on axis ``k mod n``
-    to its cell text."""
+    table ``k``, an object array, maps a node's index on axis ``k`` to its
+    cell text."""
     idx = np.unravel_index(np.arange(start, stop), counts)
-    return [t[idx[k % len(counts)]].tolist() for k, t in enumerate(tables)]
+    return [t[i].tolist() for t, i in zip(tables, idx)]
 
 
 def _index_tables(grid: Grid) -> list:
@@ -415,25 +416,26 @@ def _coordinate_table(coords: np.ndarray) -> np.ndarray:
 
 def slice_row_prefixes(grid: Grid) -> list:
     """The text before the value of each plot-slice row of the 2-D ``grid``,
-    in C order: the node's index columns and its coordinates.
+    in C order: the node's coordinates ``x0,x1``.
 
     A coordinate is written in the shortest text of its float32, the form
     of the values beside it, so ``-0.9299999999999999`` reads ``-0.93``.
     An axis on which float32 cannot tell two nodes apart, or cannot hold a
-    coordinate, keeps the double's ``repr`` for all its nodes.  The exact
-    coordinate is the one the row's indices give on the run's grid.
+    coordinate, keeps the double's ``repr`` for all its nodes, so no two
+    rows share a prefix.  Row ``r`` is node ``(r // n1, r % n1)`` of the
+    grid; its exact coordinates are that node's on the run's grid.
     """
-    tables = _index_tables(grid) + [_coordinate_table(grid.axis_coords(k))
-                                    for k in range(grid.dims)]
+    tables = [_coordinate_table(grid.axis_coords(k)) for k in range(grid.dims)]
     return list(map(",".join, zip(*_node_cells(tables, grid.counts, 0, grid.num_nodes))))
 
 
 def store_to_slices(path, grid: Grid, planes, out_paths, prefixes) -> None:
     """Plot slices of the store file ``path`` of ``grid``: the z plane
     ``planes[k]`` of a 3-D field, or a whole 2-D field as plane 0, goes to
-    ``out_paths[k]`` with columns ``i0,i1,x0,x1,value``, one row per node
-    of the plane in C order, ``prefixes[node]`` (from
-    :func:`slice_row_prefixes`) then the value text as stored.
+    ``out_paths[k]`` with columns ``x0,x1,value``, one row per node of the
+    plane in C order, ``prefixes[node]`` (from :func:`slice_row_prefixes`)
+    then the value text as stored.  The row order gives each row's node,
+    so a slice holds no index columns.
 
     Each block of the store is written to every slice as it is read.
     """
@@ -441,7 +443,7 @@ def store_to_slices(path, grid: Grid, planes, out_paths, prefixes) -> None:
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(p, "w")) for p in out_paths]
         for fh in files:
-            fh.write("i0,i1,x0,x1,value\n")
+            fh.write("x0,x1,value\n")
         done = [0] * len(files)  # rows written to each slice
         start = 0  # the first node of the block
         for text in read_store_text(path, grid):

@@ -51,7 +51,8 @@ def rate(sys: ClosedLoopSystem, state, d) -> np.ndarray:
         raise ValueError(f"state and disturbance must have shape ({sys.n_state},)")
     if not np.isfinite(s).all():
         raise ValueError("state contains non-finite values")
-    if not sys.bounds.contains(d):
+    tol = 1e-12
+    if not (np.all(d <= sys.bounds.upper + tol) and np.all(d >= sys.bounds.lower - tol)):
         raise ValueError(f"disturbance {d} lies outside the bounded error set")
     return nominal_rate(sys, s) + d
 

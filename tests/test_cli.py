@@ -44,6 +44,7 @@ from reachverify.scene import (
     load_scene,
     load_tube_manifest,
     save_scene,
+    tube_snapshot_files,
 )
 from reachverify.solver import SolverConfig, TubeResult, solve_frt
 from test_scene_io import _SPECIAL_VALUES, _reference_field_to_csv
@@ -709,10 +710,10 @@ def test_export_plots_2d_and_idempotent(tmp_path, capsys):
     csvs = [s for s in slices if s.startswith("frt_")]
     assert len(csvs) == n_snapshots
     assert "geometry.csv" in slices
-    # 2-D slices are the snapshot fields in the field format with coordinates
+    # 2-D slices are the snapshot fields as coordinates and value text
     _, snapshots, _ = load_tube_manifest(out / "frt" / "manifest.json")
     for k, (_, field) in enumerate(snapshots):
-        _reference_field_to_csv(field, tmp_path / "ref.csv")
+        reference_slice_csv(field, tmp_path / "ref.csv")
         assert (out / "slices" / f"frt_{k:04d}.csv").read_bytes() == (
             tmp_path / "ref.csv").read_bytes()
     assert_slice_cells_are_floats(out / "slices")
@@ -767,9 +768,17 @@ def test_export_plots_3d_slices(tmp_path, capsys):
     assert_slice_cells_are_floats(out / "slices")
     with open(out / "slices" / "frt_0000_z0p0.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["i0", "i1", "x0", "x1", "value"]
+    assert rows[0] == ["x0", "x1", "value"]
     assert len(rows) == 1 + 9 * 9
-    assert rows[1 + 9 * 2 + 3][:4] == ["2", "3", "-0.5", "-0.25"]
+    assert rows[1 + 9 * 2 + 3][:2] == ["-0.5", "-0.25"]
+    # a height whose tag repeats an earlier one would write one slice file
+    # twice: it is a config error naming the height, and writes nothing
+    before = {s: (out / "slices" / s).read_bytes() for s in slices}
+    for z, named in [("0.0,0.0", "0.0"), ("0.5,0,0.0", "0.0"), ("-0.5,0.25,-0.50", "-0.5")]:
+        assert main(["export-plots", "--run", str(out), f"--z={z}"]) == 2
+        err = capsys.readouterr().err
+        assert f"--z {named} repeats" in err
+        assert {s: (out / "slices" / s).read_bytes() for s in os.listdir(out / "slices")} == before
 
 
 def unchecked_field(grid, values):
@@ -778,6 +787,14 @@ def unchecked_field(grid, values):
     field = ScalarField(grid, np.zeros(grid.counts))
     object.__setattr__(field, "values", values.reshape(grid.counts))
     return field
+
+
+def reference_slice_csv(field, path):
+    """The plot slice of the 2-D ``field``: the per-row reference of the
+    field format with coordinates, less its two index cells a line."""
+    _reference_field_to_csv(field, path)
+    lines = Path(path).read_text().splitlines(keepends=True)
+    Path(path).write_text("".join(line.split(",", 2)[2] for line in lines))
 
 
 def write_tube_run(run, fields):
@@ -813,17 +830,18 @@ def test_export_plots_slices_match_per_row_reference(tmp_path, counts):
                         unchecked_field(plane_grid, field.values[:, :, j].copy())
                         for z, j in zip(z_values, (0, 2, 4))}
         for name, plane in expected.items():
-            _reference_field_to_csv(plane, tmp_path / "ref.csv")
+            reference_slice_csv(plane, tmp_path / "ref.csv")
             assert (tmp_path / "run" / "slices" / name).read_bytes() == (
                 tmp_path / "ref.csv").read_bytes()
 
 
-def slice_coordinate_cells(path):
-    """``(i0, i1, x0, x1)`` of each row of a plot slice, indices as ints."""
+def slice_coordinate_cells(path, n1):
+    """``(i0, i1, x0, x1)`` of each row of a plot slice of a plane with
+    ``n1`` nodes on its second axis, the indices from the row's position."""
     with open(path) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["i0", "i1", "x0", "x1", "value"]
-    return [(int(r[0]), int(r[1]), r[2], r[3]) for r in rows[1:]]
+    assert rows[0] == ["x0", "x1", "value"]
+    return [(r // n1, r % n1, row[0], row[1]) for r, row in enumerate(rows[1:])]
 
 
 @pytest.mark.parametrize("counts", [(101, 71), (46, 36, 5)])
@@ -835,7 +853,7 @@ def test_export_plots_coordinates_are_float32_text(tmp_path, counts):
     argv = ["--z=0.5"] if grid.dims == 3 else []
     assert main(["export-plots", "--run", str(tmp_path / "run"), *argv]) == 0
     name = "tube_0000_z0p5.csv" if grid.dims == 3 else "tube_0000.csv"
-    cells = slice_coordinate_cells(tmp_path / "run" / "slices" / name)
+    cells = slice_coordinate_cells(tmp_path / "run" / "slices" / name, counts[1])
     assert len(cells) == counts[0] * counts[1]
     axes = [grid.axis_coords(0), grid.axis_coords(1)]
     shorter = 0
@@ -844,6 +862,37 @@ def test_export_plots_coordinates_are_float32_text(tmp_path, counts):
             assert cell == str(np.float32(axis[i]))
             shorter += len(cell) < len(repr(float(axis[i])))
     assert shorter > 0
+
+
+@pytest.mark.parametrize("counts", [(23, 17), (13, 11, 5)])
+def test_export_plots_row_position_names_the_node(tmp_path, counts):
+    # A slice holds no index cells: row r is node (r // n1, r % n1) of the
+    # plane, and holds that node's float32 coordinate text, then the value
+    # text its store row holds.
+    grid = build_grid([-1.0, -1.0, -1.0][:len(counts)], [8.0, 6.0, 6.0][:len(counts)], counts)
+    rng = np.random.default_rng(11)
+    fields = [ScalarField(grid, rng.normal(size=counts).astype(np.float32).astype(float))
+              for _ in range(2)]
+    manifest = write_tube_run(tmp_path / "run", fields)
+    z_values = [-1.0, 2.5, 6.0] if grid.dims == 3 else [None]
+    argv = ["--z=" + ",".join(map(repr, z_values))] if grid.dims == 3 else []
+    assert main(["export-plots", "--run", str(tmp_path / "run"), *argv]) == 0
+    n1 = counts[1]
+    axes = [grid.axis_coords(0), grid.axis_coords(1)]
+    for k, (_, store) in enumerate(tube_snapshot_files(manifest)[1]):
+        with open(store) as fh:
+            stored = {tuple(map(int, row[:-1])): row[-1] for row in list(csv.reader(fh))[1:]}
+        for z, plane in zip(z_values, (0, 2, 4)):
+            tag = "" if z is None else "_" + cli._slice_tag(z)
+            with open(tmp_path / "run" / "slices" / f"tube_{k:04d}{tag}.csv") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["x0", "x1", "value"]
+            assert len(rows) == 1 + counts[0] * n1
+            for r, row in enumerate(rows[1:]):
+                i0, i1 = r // n1, r % n1
+                node = (i0, i1, plane)[:grid.dims]
+                assert row == [str(np.float32(axes[0][i0])), str(np.float32(axes[1][i1])),
+                               stored[node]]
 
 
 # Near 1e6 float32 values lie 0.0625 apart, so the 0.01 steps of x would
@@ -856,7 +905,7 @@ def test_export_plots_keeps_repr_on_an_axis_float32_cannot_resolve(tmp_path, x_l
     grid = build_grid([x_lo, -1.0], [x_hi, 6.0], (x_count, 11))
     write_tube_run(tmp_path / "run", [ScalarField(grid, np.zeros(grid.counts))])
     assert main(["export-plots", "--run", str(tmp_path / "run")]) == 0
-    cells = slice_coordinate_cells(tmp_path / "run" / "slices" / "tube_0000.csv")
+    cells = slice_coordinate_cells(tmp_path / "run" / "slices" / "tube_0000.csv", 11)
     xs, ys = grid.axis_coords(0), grid.axis_coords(1)
     for i0, i1, x0, x1 in cells:
         assert x0 == repr(float(xs[i0]))
@@ -1215,12 +1264,13 @@ def test_non_object_config_exits_config_error(tmp_path, monkeypatch, capsys, com
 @pytest.mark.parametrize(
     "command,edit,expected",
     [
-        # the benchmark's mc block
+        # the benchmark's mc block; safe-set leaves the draw count at its
+        # default, and mc_ground_truth makes no draws on its zero box
         ("safe-set", {"mc": {"plant": "true_land", "num_samples": 1000, "horizon": 10.0,
-                             "dt": 0.1}}, (10.0, 0.1, 1000, 0)),
+                             "dt": 0.1}}, (10.0, 0.1, 1000, 16)),
         # an mc block without horizon takes the solver's
         ("safe-set", {"mc": {"plant": "learned", "num_samples": 50, "dt": 0.05}},
-         (0.4, 0.05, 50, 0)),
+         (0.4, 0.05, 50, 16)),
         # an oracle config with only the artifact keys
         ("oracle", {}, (10.0, 0.1, 1000, 16)),
         ("oracle", {"horizon": 1, "dt": 0.05, "num_samples": 20, "draws": 0},
@@ -1244,6 +1294,22 @@ def test_monte_carlo_settings_are_decoded(tmp_path, monkeypatch, command, edit, 
     assert main(run_argv(command, cfg, tmp_path / "run")) == 3
     assert seen == [expected]
     assert [type(v) for v in seen[0]] == [float, float, int, int]
+
+
+def test_zero_box_oracle_ground_truth_does_not_depend_on_draws(tmp_path):
+    # On a zero box no draw is made, so the configured draw count changes
+    # only the manifest's record of it.
+    doc = {**run_config(tmp_path, "oracle"), "num_samples": 40, "horizon": 1.0}
+    runs = []
+    for draws in (0, 16):
+        cfg = tmp_path / f"oracle_{draws}.json"
+        cfg.write_text(json.dumps({**doc, "draws": draws}))
+        runs.append(tmp_path / f"run_{draws}")
+        assert main(run_argv("oracle", cfg, runs[-1])) == 0
+        manifest = json.loads((runs[-1] / "oracle_manifest.json").read_text())
+        assert manifest["strategy"]["disturbance_draws"] == draws
+    assert (runs[0] / "ground_truth.csv").read_bytes() == (
+        runs[1] / "ground_truth.csv").read_bytes()
 
 
 def test_integer_solver_horizon_decodes_to_float(tmp_path):

@@ -88,7 +88,9 @@ def test_mc_trivially_safe_and_unsafe():
     assert not mc2.safe.any()
 
 
-def test_mc_builds_disturbances_only_for_running_starts(monkeypatch):
+def count_sequence_calls(monkeypatch) -> list:
+    """The ``(sample, draw)`` of every disturbance sequence the oracle
+    builds from now on, in call order."""
     from reachverify import oracle
 
     calls = []
@@ -99,6 +101,11 @@ def test_mc_builds_disturbances_only_for_running_starts(monkeypatch):
         return real(bounds, n_steps, sample_idx, draw_idx, seed)
 
     monkeypatch.setattr(oracle, "_disturbance_sequences", counting)
+    return calls
+
+
+def test_mc_builds_disturbances_only_for_running_starts(monkeypatch):
+    calls = count_sequence_calls(monkeypatch)
     initial = ShapeSet((Ball([0.0, 0.0], 0.5),))
     sys_cl = const_system([0.0, 0.0], upper=[0.1, 0.1])
     mc = mc_ground_truth(sys_cl, initial, ShapeSet((Ball([0.0, 0.0], 2.0),)), horizon=1.0,
@@ -110,6 +117,27 @@ def test_mc_builds_disturbances_only_for_running_starts(monkeypatch):
                          dt=0.1, num_samples=40, num_disturbance_draws=3, seed=0)
     assert mc.safe.all()
     assert sorted(calls) == [(i, j) for i in range(40) for j in range(3)]
+
+
+def test_mc_zero_box_makes_no_draws(monkeypatch):
+    # On a zero box every draw replays the zero draw, so none is made; a
+    # nonzero box still draws for every start left running.
+    calls = count_sequence_calls(monkeypatch)
+    initial = ShapeSet((Ball([0.0, 0.0], 0.5),))
+    obstacle = ShapeSet((Ball([1.2, 0.0], 0.3),))
+    sys_cl = const_system([1.0, 0.0])
+    runs = [mc_ground_truth(sys_cl, initial, obstacle, horizon=1.0, dt=0.1, num_samples=64,
+                            num_disturbance_draws=draws, seed=7) for draws in (0, 16)]
+    assert calls == []
+    assert 0.0 < runs[0].safe_fraction < 1.0
+    assert np.array_equal(runs[0].samples, runs[1].samples)
+    assert np.array_equal(runs[0].safe, runs[1].safe)
+
+    boxed = const_system([1.0, 0.0], upper=[0.3, 0.3])
+    mc = mc_ground_truth(boxed, initial, obstacle, horizon=1.0, dt=0.1, num_samples=64,
+                         num_disturbance_draws=2, seed=7)
+    assert {j for _, j in calls} == {0, 1}
+    assert mc.safe_fraction < runs[0].safe_fraction
 
 
 def test_mc_deterministic_under_seed():
