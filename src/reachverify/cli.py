@@ -10,7 +10,12 @@ slices any plotting tool can consume.
 ``safe-set`` solves its per-obstacle tubes one after another over one
 departure map of the closed loop (see the ``solver`` module notes), and
 puts its tube directories in place only once every solve has succeeded,
-so a failed ``safe-set`` leaves none of them changed.
+so a failed ``safe-set`` leaves none of them changed.  No command starts a
+thread; the rollouts of ``oracle`` and ``safe-set --compare-mc`` run in
+one forked process per usable CPU and give the same bytes at any count
+(see the ``oracle`` module notes).  A failed rollout process is a
+numerical failure: ``oracle`` then writes nothing, and ``safe-set`` no
+``report.json`` or ``ground_truth.csv``.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, and 4
 from ``verify --strict`` when the policy is unsafe.  Given identical
@@ -464,8 +469,9 @@ def _export_geometry(scene: Scene, path, z: float | None) -> None:
 def _z_planes(grid, z_values) -> list:
     """Index of the z plane nearest each ``--z`` height.  A height on a 2-D
     grid, one not finite or outside the z range by more than
-    interpolate_many's tolerance, or one whose file-name tag repeats an
-    earlier height's (``2,2.0``), is a ValueError."""
+    interpolate_many's tolerance, one whose file-name tag repeats an
+    earlier height's (``2,2.0``), or one that snaps to an earlier height's
+    plane (``2,2.01`` on a coarse grid), is a ValueError."""
     if grid.dims == 2:
         if z_values:
             raise ValueError(f"--z {z_values[0]!r}: a 2-D run has no z axis to slice")
@@ -476,7 +482,8 @@ def _z_planes(grid, z_values) -> list:
         raise ValueError("3-D run: pass --z with comma-separated slice heights")
     lo, hi = float(grid.lo[2]), float(grid.hi[2])
     tol = 1e-9 * (1.0 + (hi - lo))
-    tags = set()
+    zs = grid.axis_coords(2)
+    tags, planes = set(), {}
     for z in z_values:
         if not (math.isfinite(z) and lo - tol <= z <= hi + tol):
             raise ValueError(f"--z {z!r} is not a height in the grid's z range [{lo!r}, {hi!r}]")
@@ -484,8 +491,12 @@ def _z_planes(grid, z_values) -> list:
         if tag in tags:
             raise ValueError(f"--z {z!r} repeats an earlier height's file-name tag {tag}")
         tags.add(tag)
-    zs = grid.axis_coords(2)
-    return [int(np.argmin(np.abs(zs - z))) for z in z_values]
+        plane = int(np.argmin(np.abs(zs - z)))
+        if plane in planes:
+            raise ValueError(f"--z {planes[plane]!r} and {z!r} both snap to the z plane "
+                             f"{float(zs[plane])!r}: they would write the same slices")
+        planes[plane] = z
+    return list(planes)
 
 
 def _write_slices(run_dir, slices_dir, scene, z_values) -> int:

@@ -1,6 +1,7 @@
 """Shared fixtures: small synthetic systems plus the expensive session-scoped
 artifacts (trained land/air models, tube solves) reused across test modules."""
 
+import os
 import time
 
 import numpy as np
@@ -14,6 +15,18 @@ from reachverify.nn import TrainingConfig
 from reachverify.scene import air_scene, land_scene
 from reachverify.solver import SolverConfig, solve_brt, solve_frt
 from reachverify.trainer import TrainRunConfig, train_loop
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped:
+    the Monte-Carlo oracle forks its shards and must reap every one."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left behind: waitpid gave {left}")
 
 
 # Node counts below one block of nn._BLOCK_ROWS (4096) nodes, and above it

@@ -47,6 +47,7 @@ from reachverify.scene import (
     tube_snapshot_files,
 )
 from reachverify.solver import SolverConfig, TubeResult, solve_frt
+from test_oracle import count_forks
 from test_scene_io import _SPECIAL_VALUES, _reference_field_to_csv
 
 
@@ -472,6 +473,16 @@ def constant_loop_config(tmp_path, counts, count, horizon, stride):
     return cfg
 
 
+def oracle_config(cfg, **keys):
+    """An oracle config path beside the verify / safe-set config ``cfg``:
+    its artifact keys and the Monte-Carlo ``keys``."""
+    doc = json.loads(cfg.read_text())
+    doc = {k: v for k, v in doc.items() if k not in ("solver", "mc")}
+    path = cfg.with_name("oracle.json")
+    path.write_text(json.dumps({**doc, **keys}))
+    return path
+
+
 # (grid counts, obstacles) of the safe-set runs below.
 _SAFE_SET_RUNS = (((193, 193), 2), ((101, 101), 2), ((193, 193), 3), ((41, 41, 41), 2))
 
@@ -608,7 +619,9 @@ def test_safe_set_makes_one_buffer_set_per_worker_on_the_calling_thread(
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_a_single_solve_starts_no_thread(tmp_path, monkeypatch, cpus):
     # However many CPUs the host offers, every tube steps in the calling
-    # thread: no solve, verify or safe-set starts a thread.
+    # thread: no solve, verify or safe-set starts a thread.  The rollouts
+    # of oracle and safe-set --compare-mc run in forked shards, one per
+    # CPU, and start no thread either.
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     for name in ("process_cpu_count", "sched_getaffinity"):
         if hasattr(os, name):
@@ -620,6 +633,7 @@ def test_a_single_solve_starts_no_thread(tmp_path, monkeypatch, cpus):
         real_start(self)
 
     monkeypatch.setattr(threading.Thread, "start", start)
+    forks = count_forks(monkeypatch)
     grid = build_grid([-1.0] * 3, [1.0] * 3, (41, 41, 41))
     tube = solve_frt(ShapeSet((Ball([0.0, 0.0, 0.0], 0.4),)),
                      const_system([0.3, -0.2, 0.1], upper=[0.1, 0.1, 0.1]),
@@ -628,7 +642,13 @@ def test_a_single_solve_starts_no_thread(tmp_path, monkeypatch, cpus):
     cfg = constant_loop_config(tmp_path, (41, 41, 41), 2, horizon=0.2, stride=4)
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "verify")]) == 0
     assert main(["safe-set", "--config", str(cfg), "--out", str(tmp_path / "safe")]) == 0
+    assert started == [] and forks == []
+    assert main(["safe-set", "--config", str(cfg), "--out", str(tmp_path / "safe_mc"),
+                 "--compare-mc"]) == 0
+    oracle_cfg = oracle_config(cfg, horizon=0.2, dt=0.1, num_samples=50, draws=2)
+    assert main(["oracle", "--config", str(oracle_cfg), "--out", str(tmp_path / "oracle")]) == 0
     assert started == []
+    assert forks == [os.getpid()] * 2 * (cpus - 1)
 
 
 def test_verify_with_inline_constant_policy(tmp_path):
@@ -779,6 +799,23 @@ def test_export_plots_3d_slices(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"--z {named} repeats" in err
         assert {s: (out / "slices" / s).read_bytes() for s in os.listdir(out / "slices")} == before
+    # two heights with different tags that snap to one z plane would write
+    # the same slices under two names: a config error naming both heights
+    # and the plane's z, and writes nothing
+    for z, named in [("0.0,0.1", "--z 0.0 and 0.1 both snap to the z plane 0.0"),
+                     ("0.5,-0.25,0.4", "--z 0.5 and 0.4 both snap to the z plane 0.5")]:
+        assert main(["export-plots", "--run", str(out), f"--z={z}"]) == 2
+        assert named in capsys.readouterr().err
+        assert {s: (out / "slices" / s).read_bytes() for s in os.listdir(out / "slices")} == before
+
+
+def test_z_heights_on_one_air_plane_are_refused():
+    # On the 45^3 air grid, z 2 and 2.01 both lie nearest the plane at
+    # z 2.0227; heights on planes of their own still map in order.
+    grid = air_scene((45, 45, 45)).grid
+    with pytest.raises(ValueError, match=r"--z 2\.0 and 2\.01 both snap to the z plane 2\.02"):
+        cli._z_planes(grid, [2.0, 2.01])
+    assert cli._z_planes(grid, [4.0, 0.0, 2.0]) == [31, 6, 19]
 
 
 def unchecked_field(grid, values):

@@ -1,9 +1,20 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import LinearPlant, capsule_distance, const_system
-from reachverify.dynamics import ActionBounds, ClosedLoopSystem, ConstantPolicy, LandPlant
+from conftest import LinearPlant, bits, capsule_distance, const_system
+from reachverify import oracle
+from reachverify.cli import main
+from reachverify.dynamics import (
+    ActionBounds,
+    ClosedLoopSystem,
+    ConstantPolicy,
+    LandPlant,
+    LearnedPlant,
+)
 from reachverify.error_bounds import DisturbanceBounds
 from reachverify.geometry import Ball, ShapeSet, build_grid, level_set_from_shapes, zero_sublevel_mask
 from reachverify.oracle import _rk4_batch, mc_ground_truth, sample_in_shapes
@@ -88,47 +99,71 @@ def test_mc_trivially_safe_and_unsafe():
     assert not mc2.safe.any()
 
 
-def count_sequence_calls(monkeypatch) -> list:
-    """The ``(sample, draw)`` of every disturbance sequence the oracle
-    builds from now on, in call order."""
-    from reachverify import oracle
+def usable_cpus(monkeypatch, cpus):
+    """Make the oracle see ``cpus`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
-    calls = []
+
+def count_forks(monkeypatch) -> list:
+    """One entry for each ``os.fork`` this process makes from now on."""
+    forks, real = [], os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def count_sequence_calls(monkeypatch, log):
+    """A function giving the ``(sample, draw)`` of every disturbance
+    sequence the oracle builds from now on, in the calling process or in a
+    forked shard: each call appends a line to the file ``log``."""
     real = oracle._disturbance_sequences
 
     def counting(bounds, n_steps, sample_idx, draw_idx, seed):
-        calls.append((int(sample_idx), draw_idx))
+        with open(log, "a") as fh:
+            fh.write(f"{int(sample_idx)} {int(draw_idx)}\n")
         return real(bounds, n_steps, sample_idx, draw_idx, seed)
+
+    def calls() -> list:
+        lines = log.read_text().splitlines() if log.exists() else []
+        return [tuple(map(int, line.split())) for line in lines]
 
     monkeypatch.setattr(oracle, "_disturbance_sequences", counting)
     return calls
 
 
-def test_mc_builds_disturbances_only_for_running_starts(monkeypatch):
-    calls = count_sequence_calls(monkeypatch)
+def test_mc_builds_disturbances_only_for_running_starts(monkeypatch, tmp_path):
+    # Three shards, two of them forked: the calls are counted in every one.
+    usable_cpus(monkeypatch, 3)
+    calls = count_sequence_calls(monkeypatch, tmp_path / "calls.txt")
     initial = ShapeSet((Ball([0.0, 0.0], 0.5),))
     sys_cl = const_system([0.0, 0.0], upper=[0.1, 0.1])
     mc = mc_ground_truth(sys_cl, initial, ShapeSet((Ball([0.0, 0.0], 2.0),)), horizon=1.0,
                          dt=0.1, num_samples=40, num_disturbance_draws=3, seed=0)
     assert not mc.safe.any()
-    assert calls == []
+    assert calls() == []
 
     mc = mc_ground_truth(sys_cl, initial, ShapeSet((Ball([5.0, 5.0], 0.5),)), horizon=1.0,
                          dt=0.1, num_samples=40, num_disturbance_draws=3, seed=0)
     assert mc.safe.all()
-    assert sorted(calls) == [(i, j) for i in range(40) for j in range(3)]
+    assert sorted(calls()) == [(i, j) for i in range(40) for j in range(3)]
 
 
-def test_mc_zero_box_makes_no_draws(monkeypatch):
+def test_mc_zero_box_makes_no_draws(monkeypatch, tmp_path):
     # On a zero box every draw replays the zero draw, so none is made; a
-    # nonzero box still draws for every start left running.
-    calls = count_sequence_calls(monkeypatch)
+    # nonzero box still draws for every start left running, in each of
+    # three shards.
+    usable_cpus(monkeypatch, 3)
+    calls = count_sequence_calls(monkeypatch, tmp_path / "calls.txt")
     initial = ShapeSet((Ball([0.0, 0.0], 0.5),))
     obstacle = ShapeSet((Ball([1.2, 0.0], 0.3),))
     sys_cl = const_system([1.0, 0.0])
     runs = [mc_ground_truth(sys_cl, initial, obstacle, horizon=1.0, dt=0.1, num_samples=64,
                             num_disturbance_draws=draws, seed=7) for draws in (0, 16)]
-    assert calls == []
+    assert calls() == []
     assert 0.0 < runs[0].safe_fraction < 1.0
     assert np.array_equal(runs[0].samples, runs[1].samples)
     assert np.array_equal(runs[0].safe, runs[1].safe)
@@ -136,7 +171,7 @@ def test_mc_zero_box_makes_no_draws(monkeypatch):
     boxed = const_system([1.0, 0.0], upper=[0.3, 0.3])
     mc = mc_ground_truth(boxed, initial, obstacle, horizon=1.0, dt=0.1, num_samples=64,
                          num_disturbance_draws=2, seed=7)
-    assert {j for _, j in calls} == {0, 1}
+    assert {j for _, j in calls()} == {0, 1}
     assert mc.safe_fraction < runs[0].safe_fraction
 
 
@@ -150,6 +185,125 @@ def test_mc_deterministic_under_seed():
                         num_samples=64, num_disturbance_draws=4, seed=7)
     assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(a.safe, b.safe)
+
+
+def mc_case(request, case: str, num_samples: int) -> tuple:
+    """The ``mc_ground_truth`` arguments of a shard case: a constant flow
+    in a box, the same flow on a zero box (its draws are dropped), or the
+    learned ``land`` loop of the ``land_run`` fixture in its box."""
+    initial = ShapeSet((Ball([0.0, 0.0], 0.5),))
+    obstacle = ShapeSet((Ball([1.2, 0.0], 0.3),))
+    if case == "boxed":
+        return const_system([1.0, 0.0], upper=[0.3, 0.3]), initial, obstacle, 1.0, 0.1, \
+            num_samples, 4, 7
+    if case == "zero box":
+        return const_system([1.0, 0.0]), initial, obstacle, 1.0, 0.1, num_samples, 16, 7
+    scene, result, _ = request.getfixturevalue("land_run")
+    sys_learned = ClosedLoopSystem(LearnedPlant(result.model), result.policy, result.bounds)
+    return sys_learned, scene.initial_set, scene.obstacles, 10.0, 0.1, num_samples, 2, 1
+
+
+# (usable CPUs, starts): two and three shards, and more CPUs than starts.
+_SPLITS = [(2, 96), (3, 96), (10, 7)]
+
+
+@pytest.mark.parametrize("case", ["boxed", "zero box", "land"])
+@pytest.mark.parametrize("cpus,num_samples", _SPLITS)
+def test_mc_shards_give_the_one_shard_result(request, monkeypatch, case, cpus, num_samples):
+    # One shard per usable CPU, at most one per start: the samples and the
+    # flags are those of a single shard, bit for bit.
+    args = mc_case(request, case, num_samples)
+    forks = count_forks(monkeypatch)
+    usable_cpus(monkeypatch, 1)
+    one = mc_ground_truth(*args)
+    assert forks == []
+    usable_cpus(monkeypatch, cpus)
+    split = mc_ground_truth(*args)
+    assert len(forks) == min(cpus, num_samples) - 1
+    assert np.array_equal(bits(split.samples), bits(one.samples))
+    assert np.array_equal(split.safe, one.safe)
+    if num_samples == 96:  # the larger runs hold safe and unsafe starts
+        assert 0.0 < one.safe_fraction < 1.0
+
+
+@pytest.mark.parametrize("why", ["a second thread", "no os.fork", "one start"])
+def test_mc_runs_one_shard(monkeypatch, why):
+    # Forking a process that runs a second thread is unsafe, a platform may
+    # lack os.fork, and one start makes one shard: then every start rolls
+    # out in the calling process, with the same result.
+    num_samples = 1 if why == "one start" else 64
+    args = mc_case(None, "boxed", num_samples)
+    usable_cpus(monkeypatch, 1)
+    one = mc_ground_truth(*args)
+    usable_cpus(monkeypatch, 4)
+    forks = count_forks(monkeypatch)
+    if why == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if why == "a second thread":
+        thread.start()
+    try:
+        mc = mc_ground_truth(*args)
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join()
+    assert forks == []
+    assert np.array_equal(mc.samples, one.samples)
+    assert np.array_equal(mc.safe, one.safe)
+
+
+def failing_draws(monkeypatch, starts):
+    """Make building the disturbance sequence of any start in ``starts``
+    raise, in whichever process runs it."""
+    real = oracle._disturbance_sequences
+
+    def failing(bounds, n_steps, sample_idx, draw_idx, seed):
+        if sample_idx in starts:
+            raise FloatingPointError(f"start {sample_idx} fails")
+        return real(bounds, n_steps, sample_idx, draw_idx, seed)
+
+    monkeypatch.setattr(oracle, "_disturbance_sequences", failing)
+
+
+def test_a_failed_shard_raises_once_every_child_has_exited(monkeypatch, capfd):
+    # 64 starts in 3 shards: 0-21 here, 22-42 and 43-63 in children.  Shard
+    # 2 fails, prints its traceback and exits non-zero; the error names it
+    # once every child is reaped (the autouse fixture checks that none is
+    # left).
+    usable_cpus(monkeypatch, 3)
+    failing_draws(monkeypatch, range(43, 64))
+    far = ShapeSet((Ball([5.0, 5.0], 0.5),))
+    with pytest.raises(RuntimeError, match=r"shard 2 of 3 \(starts 43 to 63\) exited with code 1"):
+        mc_ground_truth(const_system([0.0, 0.0], upper=[0.1, 0.1]),
+                        ShapeSet((Ball([0.0, 0.0], 0.5),)), far, horizon=1.0, dt=0.1,
+                        num_samples=64, num_disturbance_draws=2, seed=0)
+    assert "FloatingPointError: start 43 fails" in capfd.readouterr().err
+
+
+def test_a_failure_in_the_calling_shard_stops_every_child(monkeypatch):
+    # The calling process's own shard raises: its error propagates, and the
+    # children, still rolling out, are stopped and reaped before it does.
+    usable_cpus(monkeypatch, 3)
+    failing_draws(monkeypatch, range(0, 22))
+    with pytest.raises(FloatingPointError, match="start 0 fails"):
+        mc_ground_truth(const_system([0.0, 0.0], upper=[0.1, 0.1]),
+                        ShapeSet((Ball([0.0, 0.0], 0.5),)), ShapeSet((Ball([5.0, 5.0], 0.5),)),
+                        horizon=100.0, dt=0.1, num_samples=64, num_disturbance_draws=50, seed=0)
+
+
+def test_oracle_with_a_failed_shard_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    from test_cli import constant_loop_config, oracle_config
+
+    usable_cpus(monkeypatch, 2)
+    failing_draws(monkeypatch, range(10, 20))
+    cfg = constant_loop_config(tmp_path, (41, 41), 1, horizon=0.3, stride=5)
+    cfg = oracle_config(cfg, horizon=0.3, dt=0.1, num_samples=20, draws=1)
+    out = tmp_path / "oracle"
+    assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "numerical failure: Monte-Carlo shard 1 of 2" in capsys.readouterr().err
+    assert not (out / "ground_truth.csv").exists()
 
 
 def test_mc_safe_fraction_monotone_in_draws():
