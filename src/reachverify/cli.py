@@ -14,12 +14,16 @@ so a failed ``safe-set`` leaves none of them changed.  No command starts a
 thread; the rollouts of ``oracle`` and ``safe-set --compare-mc`` run in
 one forked process per usable CPU and give the same bytes at any count
 (see the ``oracle`` module notes).  A failed rollout process is a
-numerical failure: ``oracle`` then writes nothing, and ``safe-set`` no
+numerical failure: ``oracle`` then writes no file, and ``safe-set`` no
 ``report.json`` or ``ground_truth.csv``.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure, and 4
-from ``verify --strict`` when the policy is unsafe.  Given identical
-configs and seeds every command writes byte-identical outputs.
+Every command makes its ``--out``, and stages each tube or slice
+directory, before any training, solve or rollout, so an output path that
+cannot be a directory fails first.  Exit codes: 0 success, 2
+configuration error (a bad config, input file or output path), 3
+numerical failure, and 4 from ``verify --strict`` when the policy is
+unsafe.  Given identical configs and seeds every command writes
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -117,7 +121,7 @@ def _from_block(cls, block, name: str, base=None, keys=None):
 # Train-config blocks that group TrainRunConfig fields: block key -> field.
 _TRAIN_GROUPS = {
     "mpc": {"horizon": "mpc_horizon", "candidates": "mpc_candidates", "discount": "discount"},
-    "reward": {k: k for k in ("goal_weight", "obstacle_weight", "obstacle_margin", "action_cost")},
+    "reward": {k: k for k in ("obstacle_weight", "obstacle_margin", "action_cost")},
 }
 # Train-config blocks that overlay a TrainingConfig field of TrainRunConfig.
 # Their ``seed`` is not a key: train_loop derives it from the run seed.
@@ -248,10 +252,10 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         run_cfg = dataclasses.replace(run_cfg, seed=args.seed)
     scene = _resolve_scene(scene_path, run_cfg.env)
-    result = train_loop(run_cfg, scene)
-
     out = args.out
     os.makedirs(out, exist_ok=True)
+    result = train_loop(run_cfg, scene)
+
     paths = {
         "model": os.path.join(out, "model.json"),
         "policy": os.path.join(out, "policy.json"),
@@ -389,10 +393,11 @@ def cmd_safe_set(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg, seed, scene, sys_cl, prov = _run_inputs(args)
-    mc = mc_ground_truth(sys_cl, scene.initial_set, scene.obstacles, cfg.horizon, cfg.dt,
-                         cfg.num_samples, cfg.draws, seed)
+    _rollout_steps(cfg.horizon, cfg.dt, cfg.num_samples, cfg.draws)  # before --out is made
     out = args.out
     os.makedirs(out, exist_ok=True)
+    mc = mc_ground_truth(sys_cl, scene.initial_set, scene.obstacles, cfg.horizon, cfg.dt,
+                         cfg.num_samples, cfg.draws, seed)
     _write_ground_truth(mc, scene.grid.dims, os.path.join(out, "ground_truth.csv"))
     _write_json(
         {
@@ -545,10 +550,10 @@ def cmd_export_plots(args) -> int:
     staging = staging_dir(slices_dir)
     try:
         wrote = _write_slices(run_dir, staging, scene, z_values)
+        replace_dir(staging, slices_dir)
     except BaseException:
-        shutil.rmtree(staging)
+        shutil.rmtree(staging, ignore_errors=True)
         raise
-    replace_dir(staging, slices_dir)
 
     print(f"export-plots: wrote {wrote} slice files to {slices_dir}")
     return EXIT_OK
@@ -608,8 +613,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError, ValueError,
-            KeyError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+            PermissionError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -243,13 +243,15 @@ def split_dataset(
 
 @dataclass(frozen=True)
 class TrainingConfig:
+    """The settings :func:`fit_mlp` reads: the hidden layer widths, the Adam
+    learning rate and its schedule, the mini-batch size, the epoch count
+    and the seed of the initial weights and the batch order."""
+
     hidden_sizes: tuple[int, ...] = (32, 32)
     learning_rate: float = 1e-3
     batch_size: int = 64
     epochs: int = 500
     seed: int = 0
-    scale_margin: float = 1.5
-    val_fraction: float = 0.2
     lr_schedule: str = "constant"  # or "cosine", annealing to 1% of the base rate
 
     def __post_init__(self):
@@ -446,16 +448,15 @@ def prediction_error(model: MlpModel, data: TransitionDataset) -> float:
 def train_dynamics_model(
     data: TransitionDataset, config: TrainingConfig, dt_env: float = 1.0
 ) -> DynamicsTrainResult:
-    """Fit a state-delta prediction model on a seeded 80/20 split.
+    """Fit a state-delta prediction model on an 80/20 train/validation
+    split seeded by ``config.seed``.
 
-    The output head is ``tanh`` scaled per dimension to
-    ``scale_margin * max |delta|`` seen in the training split, which bounds
+    The output head is ``tanh`` scaled per dimension to 1.5 times the
+    largest ``|delta|`` seen in the training split, which bounds
     predictions without clipping the data.
     """
-    train, val = split_dataset(data, config.val_fraction, config.seed)
-    scale = np.maximum(
-        config.scale_margin * np.max(np.abs(train.deltas), axis=0), 1e-6
-    )
+    train, val = split_dataset(data, 0.2, config.seed)
+    scale = np.maximum(1.5 * np.max(np.abs(train.deltas), axis=0), 1e-6)
     meta = ModelMeta(n_state=train.n_state, n_action=train.n_action, dt_env=dt_env)
     model, losses = fit_mlp(train.inputs(), train.deltas, config, scale, meta)
     val_err = prediction_error(model, val)

@@ -7,8 +7,8 @@ Fields and masks are stored as each node's index columns and its value;
 the plot slices of ``export-plots`` hold each node's coordinates and its
 value instead, the node given by the row's position.
 Floats are written in the shortest decimal form that parses back to the
-same value: a field whose every value is a float32 (every tube snapshot,
-and ``brt_union.csv``) in float32's shortest form, at most 9 significant
+same value: a field's values (every tube snapshot, and ``brt_union.csv``),
+which must be float32s, in float32's shortest form, at most 9 significant
 digits, and every other float in ``repr``, the double's.  A plot slice's
 coordinates are the float32 form of the node coordinates, or, on an axis
 whose nodes float32 cannot tell apart or hold, their ``repr``.  Identical
@@ -269,10 +269,8 @@ def _write_node_rows(path, grid: Grid, last_name: str, last_text) -> None:
     write_csv(path, [f"i{k}" for k in range(grid.dims)] + [last_name], chunks())
 
 
-# The value column of a field stored in float32's shortest text; any
-# other field's is ``value``, in ``repr``.
+# The value column of a field store, whose values are float32 text.
 _F32_COLUMN = "value_f32"
-_VALUE_COLUMNS = ("value", _F32_COLUMN)
 
 
 def _float32_text(values) -> list:
@@ -285,22 +283,21 @@ def _float32_text(values) -> list:
 
 def field_to_csv(field: ScalarField, path) -> None:
     """The store format: one row per node in C order, its index columns
-    ``i0..i{n-1}``, then its value.
+    ``i0..i{n-1}``, then its value under ``value_f32``: the shortest text
+    of the value's float32, which reads back to the same bits
+    (:func:`field_from_csv`).  The text is made one chunk of rows at a
+    time.
 
-    When every value of the field is a float32, as every tube value is,
-    the last column is ``value_f32`` and holds the shortest text of each
-    float32; otherwise it is ``value`` and holds each double's ``repr``.
-    Either text reads back to the same bits (:func:`field_from_csv`).  The
-    text is made one chunk of rows at a time.
+    Every value must be a float32, as every tube value is; a field with a
+    value float32 cannot hold exactly is a ValueError, and no file is
+    written.
     """
     flat = field.values.ravel()
     chunks = (flat[a:a + _CHUNK_ROWS] for a in range(0, flat.size, _CHUNK_ROWS))
     with np.errstate(over="ignore"):
-        float32 = all(np.array_equal(c.astype(np.float32), c) for c in chunks)
-    if float32:
-        _write_node_rows(path, field.grid, _F32_COLUMN, lambda a, b: _float32_text(flat[a:b]))
-    else:
-        _write_node_rows(path, field.grid, "value", lambda a, b: map(repr, flat[a:b].tolist()))
+        if not all(np.array_equal(c.astype(np.float32), c) for c in chunks):
+            raise ValueError(f"{path}: the field has a value float32 cannot hold exactly")
+    _write_node_rows(path, field.grid, _F32_COLUMN, lambda a, b: _float32_text(flat[a:b]))
 
 
 def _line_blocks(fh):
@@ -318,7 +315,7 @@ def _line_blocks(fh):
         yield rest + "\n"
 
 
-def _block_values(path, block: str, grid: Grid, tables, start: int, column: str) -> list:
+def _block_values(path, block: str, grid: Grid, tables, start: int) -> list:
     """The value cells of the rows of ``block``, which must be the nodes
     ``start, start + 1, ...`` in C order, each its index cells as
     ``tables`` gives them, then one value cell; else a ValueError."""
@@ -332,31 +329,25 @@ def _block_values(path, block: str, grid: Grid, tables, start: int, column: str)
             and cells[n + 1::n + 2] == ["\n"] * (rows - 1)
             and all(cells[k::n + 2] == col for k, col in
                     enumerate(_node_cells(tables, grid.counts, start, start + rows)))):
-        names = ",".join([f"i{k}" for k in range(n)] + [column])
+        names = ",".join([f"i{k}" for k in range(n)] + [_F32_COLUMN])
         raise ValueError(f"{path}: rows {start}..{start + rows - 1} do not list the grid "
                          f"nodes in C order, one {names} row each")
     return cells[n::n + 2]
 
 
-def _store_column(fh, path, grid: Grid) -> str:
-    """Read the header of the store file ``fh`` and return its value
-    column, ``value`` or ``value_f32``; any other header is a ValueError
-    naming the file."""
-    index = [f"i{k}" for k in range(grid.dims)]
+def _store_blocks(fh, path, grid: Grid):
+    """The value text of the store file ``fh``, block by block, after
+    checking its header: anything but ``i0..i{n-1},value_f32`` is a
+    ValueError naming the file."""
+    names = [f"i{k}" for k in range(grid.dims)] + [_F32_COLUMN]
     header = fh.readline().rstrip("\n").split(",")
-    if header[:-1] != index or header[-1] not in _VALUE_COLUMNS:
-        forms = " or ".join(",".join(index + [c]) for c in _VALUE_COLUMNS)
+    if header != names:
         raise ValueError(f"{path} has {len(header)} columns {','.join(header)}, "
-                         f"expected {grid.dims + 1}: {forms}")
-    return header[-1]
-
-
-def _store_blocks(fh, path, grid: Grid, column: str):
-    # The value text of the rows after the header, block by block.
+                         f"expected {len(names)}: {','.join(names)}")
     tables = _index_tables(grid)
     start = 0
     for block in _line_blocks(fh):
-        values = _block_values(path, block, grid, tables, start, column)
+        values = _block_values(path, block, grid, tables, start)
         start += len(values)
         yield values
     if start < grid.num_nodes:
@@ -367,27 +358,25 @@ def read_store_text(path, grid: Grid):
     """The value text of a :func:`field_to_csv` file, one list per block of
     rows, in node order.
 
-    The header must be ``i0..i{n-1},value`` or ``i0..i{n-1},value_f32``,
-    and the rows must list every node of ``grid`` once, in C order, with
-    its index text as written; anything else (a missing, repeated,
-    negative or out-of-range index, a row with a cell too many or too few)
-    is a ValueError naming the file.
+    The header must be ``i0..i{n-1},value_f32``, and the rows must list
+    every node of ``grid`` once, in C order, with its index text as
+    written; anything else (a missing, repeated, negative or out-of-range
+    index, a row with a cell too many or too few) is a ValueError naming
+    the file.
     """
     with open(path) as fh:
-        yield from _store_blocks(fh, path, grid, _store_column(fh, path, grid))
+        yield from _store_blocks(fh, path, grid)
 
 
 def field_from_csv(path, grid: Grid, time_tag: float = 0.0) -> ScalarField:
     """Read a :func:`field_to_csv` file back, checked as by
-    :func:`read_store_text`.  The values of a ``value_f32`` file are
-    rounded to float32 once parsed, which gives back the stored float32
-    exactly, and widened to doubles."""
+    :func:`read_store_text`.  The values are rounded to float32 once
+    parsed, which gives back the stored float32 exactly, and widened to
+    doubles."""
     with open(path) as fh:
-        column = _store_column(fh, path, grid)
-        text = itertools.chain.from_iterable(_store_blocks(fh, path, grid, column))
+        text = itertools.chain.from_iterable(_store_blocks(fh, path, grid))
         values = np.fromiter(map(float, text), float).reshape(grid.counts)
-    if column == _F32_COLUMN:
-        values[...] = values.astype(np.float32)
+    values[...] = values.astype(np.float32)
     return ScalarField(grid, values, time_tag, copy=False)
 
 
@@ -464,7 +453,11 @@ def store_to_slices(path, grid: Grid, planes, out_paths, prefixes) -> None:
 def staging_dir(path) -> str:
     """Make and return ``.<name>.partial``, an empty sibling of the
     directory ``path`` to build its new contents in, after removing what a
-    killed write left; :func:`replace_dir` then puts it in place."""
+    killed write left; :func:`replace_dir` then puts it in place.  A
+    ``path`` that is there but not a directory is a NotADirectoryError, so
+    a writer fails before any work it could not put in place."""
+    if os.path.lexists(path) and not os.path.isdir(path):
+        raise NotADirectoryError(f"{path} is not a directory")
     parent, name = os.path.split(os.path.normpath(path))
     staging = os.path.join(parent, f".{name}.partial")
     for leftover in (staging, os.path.join(parent, f".{name}.old")):

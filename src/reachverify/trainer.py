@@ -124,13 +124,15 @@ def collect_random_data(
 
 def make_navigation_reward(
     scene: Scene,
-    goal_weight: float = 1.0,
     obstacle_weight: float = 10.0,
     obstacle_margin: float = 0.3,
     action_cost: float = 0.01,
 ):
     """Reward on (state batch, action batch): negative goal distance with a
-    hinge penalty inside the obstacle margin and a quadratic action cost."""
+    hinge penalty inside the obstacle margin and a quadratic action cost.
+    The goal distance has weight 1: a return is linear in the weights and
+    the planner keeps only its argmax, so any other positive goal weight would
+    only rescale the other two."""
     goal_center = scene.goal_set.primitives[0].center
     obstacles = scene.obstacles
 
@@ -139,7 +141,7 @@ def make_navigation_reward(
         sd = obstacles.signed_distance(states)
         penalty = np.maximum(0.0, obstacle_margin - sd)
         effort = np.sum(actions * actions, axis=1)
-        return -goal_weight * dist - obstacle_weight * penalty - action_cost * effort
+        return -dist - obstacle_weight * penalty - action_cost * effort
 
     return reward
 
@@ -243,7 +245,6 @@ class TrainRunConfig:
     mpc_horizon: int = 6
     mpc_candidates: int = 192
     discount: float = 0.9
-    goal_weight: float = 1.0
     obstacle_weight: float = 10.0
     obstacle_margin: float = 0.3
     action_cost: float = 0.01
@@ -292,11 +293,7 @@ def train_loop(config: TrainRunConfig, scene: Scene) -> TrainLoopResult:
     plant = make_plant(config.env)
     action_bounds = default_action_bounds(config.env)
     reward = make_navigation_reward(
-        scene,
-        config.goal_weight,
-        config.obstacle_weight,
-        config.obstacle_margin,
-        config.action_cost,
+        scene, config.obstacle_weight, config.obstacle_margin, config.action_cost
     )
     seeds = np.random.SeedSequence(config.seed).generate_state(4 * config.outer_iterations + 1)
     rng_init = np.random.default_rng(seeds[0])

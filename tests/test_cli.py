@@ -47,6 +47,7 @@ from reachverify.scene import (
     tube_snapshot_files,
 )
 from reachverify.solver import SolverConfig, TubeResult, solve_frt
+from reachverify.trainer import TrainRunConfig
 from test_oracle import count_forks
 from test_scene_io import _SPECIAL_VALUES, _reference_field_to_csv
 
@@ -818,14 +819,6 @@ def test_z_heights_on_one_air_plane_are_refused():
     assert cli._z_planes(grid, [4.0, 0.0, 2.0]) == [31, 6, 19]
 
 
-def unchecked_field(grid, values):
-    # ScalarField rejects nan and inf; set them behind its back so that
-    # their text is exported too.
-    field = ScalarField(grid, np.zeros(grid.counts))
-    object.__setattr__(field, "values", values.reshape(grid.counts))
-    return field
-
-
 def reference_slice_csv(field, path):
     """The plot slice of the 2-D ``field``: the per-row reference of the
     field format with coordinates, less its two index cells a line."""
@@ -850,10 +843,10 @@ def test_export_plots_slices_match_per_row_reference(tmp_path, counts):
     rng = np.random.default_rng(5)
     fields = []
     for _ in range(2):
-        values = rng.normal(scale=10.0, size=grid.num_nodes)
+        values = rng.normal(scale=10.0, size=grid.num_nodes).astype(np.float32).astype(float)
         picks = rng.choice(grid.num_nodes, size=64, replace=False)
         values[picks] = np.resize(_SPECIAL_VALUES, len(picks))
-        fields.append(unchecked_field(grid, values))
+        fields.append(ScalarField(grid, values.reshape(grid.counts)))
     write_tube_run(tmp_path / "run", fields)
     z_values = [-1.0, 0.0, 1.0] if grid.dims == 3 else []
     argv = ["--z=" + ",".join(map(repr, z_values))] if z_values else []
@@ -864,7 +857,7 @@ def test_export_plots_slices_match_per_row_reference(tmp_path, counts):
             expected = {f"tube_{k:04d}.csv": field}
         else:
             expected = {f"tube_{k:04d}_{cli._slice_tag(z)}.csv":
-                        unchecked_field(plane_grid, field.values[:, :, j].copy())
+                        ScalarField(plane_grid, field.values[:, :, j])
                         for z, j in zip(z_values, (0, 2, 4))}
         for name, plane in expected.items():
             reference_slice_csv(plane, tmp_path / "ref.csv")
@@ -908,8 +901,7 @@ def test_export_plots_row_position_names_the_node(tmp_path, counts):
     # text its store row holds.
     grid = build_grid([-1.0, -1.0, -1.0][:len(counts)], [8.0, 6.0, 6.0][:len(counts)], counts)
     rng = np.random.default_rng(11)
-    fields = [ScalarField(grid, rng.normal(size=counts).astype(np.float32).astype(float))
-              for _ in range(2)]
+    fields = [float32_field(grid, rng) for _ in range(2)]
     manifest = write_tube_run(tmp_path / "run", fields)
     z_values = [-1.0, 2.5, 6.0] if grid.dims == 3 else [None]
     argv = ["--z=" + ",".join(map(repr, z_values))] if grid.dims == 3 else []
@@ -951,13 +943,18 @@ def test_export_plots_keeps_repr_on_an_axis_float32_cannot_resolve(tmp_path, x_l
     assert "-0.3" in {x1 for _, _, _, x1 in cells}  # repr: -0.30000000000000004
 
 
+def float32_field(grid, rng):
+    """Normal draws rounded to float32, as a tube's values are."""
+    return ScalarField(grid, rng.normal(size=grid.counts).astype(np.float32).astype(float))
+
+
 def test_export_plots_memory_is_bounded(tmp_path):
     # Snapshots are streamed in blocks of rows, so only the requested
     # planes' text is held: 3 x 2 025 values, not the 91 125 of a snapshot.
     grid = build_grid([-1.0] * 3, [1.0] * 3, (45, 45, 45))
     rng = np.random.default_rng(6)
     write_tube_run(tmp_path / "run",
-                   [ScalarField(grid, rng.normal(size=grid.counts)) for _ in range(2)])
+                   [float32_field(grid, rng) for _ in range(2)])
     tracemalloc.start()
     try:
         assert main(["export-plots", "--run", str(tmp_path / "run"), "--z=-0.5,0.0,0.5"]) == 0
@@ -976,7 +973,7 @@ def test_export_plots_2d_memory_is_bounded(tmp_path):
     grid = build_grid([-1.0] * 2, [1.0] * 2, (101, 101))
     rng = np.random.default_rng(6)
     write_tube_run(tmp_path / "run",
-                   [ScalarField(grid, rng.normal(size=grid.counts)) for _ in range(3)])
+                   [float32_field(grid, rng) for _ in range(3)])
     tracemalloc.start()
     try:
         assert main(["export-plots", "--run", str(tmp_path / "run")]) == 0
@@ -1022,11 +1019,12 @@ def test_store_rows_out_of_node_order_exit_config_error(tmp_path, capsys, index)
     # Node 118,44 is row 5 354 of 5 400, in the last block the reader takes.
     grid = build_grid([-1.0, -1.0], [1.0, 1.0], (120, 45))
     run = tmp_path / "run"
-    write_tube_run(run, [ScalarField(grid, np.arange(grid.num_nodes).reshape(grid.counts) / 7)])
+    values = (np.arange(grid.num_nodes) / 7).astype(np.float32).astype(float)
+    write_tube_run(run, [ScalarField(grid, values.reshape(grid.counts))])
     path = run / "tube" / "tube_0000.csv"
     lines = path.read_text().splitlines(keepends=True)
-    assert lines[1 + 5354] == f"118,44,{5354 / 7!r}\n"
-    lines[1 + 5354] = f"{index},{5354 / 7!r}\n"
+    assert lines[1 + 5354] == f"118,44,{str(np.float32(5354 / 7))}\n"
+    lines[1 + 5354] = f"{index},{str(np.float32(5354 / 7))}\n"
     path.write_text("".join(lines))
     with pytest.raises(ValueError, match=r"rows [1-9]\d*\.\.5399 do not list the grid nodes"):
         field_from_csv(path, grid)
@@ -1052,6 +1050,19 @@ def test_failed_export_leaves_previous_slices(tmp_path, capsys):
     assert main(["export-plots", "--run", str(run)]) == 2
     assert sorted(os.listdir(run)) == ["slices", "tube"]
     assert os.listdir(run / "slices") == ["keep.csv"]
+
+
+def test_store_of_double_text_exits_config_error(tmp_path, capsys):
+    # Stores written before tube values were float32 held each double's
+    # repr under the header "value"; that form is no longer read.
+    grid = build_grid([-1.0, -1.0], [1.0, 1.0], (5, 4))
+    run = tmp_path / "run"
+    write_tube_run(run, [ScalarField(grid, np.full(grid.counts, 0.5))])
+    path = run / "tube" / "tube_0000.csv"
+    path.write_text(path.read_text().replace("i0,i1,value_f32", "i0,i1,value"))
+    assert main(["export-plots", "--run", str(run)]) == 2
+    assert "tube_0000.csv has 3 columns i0,i1,value" in capsys.readouterr().err
+    assert sorted(os.listdir(run)) == ["tube"]
 
 
 def test_ground_truth_writer_matches_per_row_reference(tmp_path):
@@ -1147,6 +1158,13 @@ def test_unknown_solver_key_exits_config_error(tmp_path, capsys, solver, key):
         ({"distill_states": 99}, "distill_states"),
         # the one network form has no activation keys
         ({"training": {"hidden_activation": "tanh"}}, "hidden_activation"),
+        # fixed in train_dynamics_model, and never read for the policy
+        ({"training": {"scale_margin": 1.5}}, "scale_margin"),
+        ({"training": {"val_fraction": 0.2}}, "val_fraction"),
+        ({"policy_training": {"scale_margin": 99}}, "scale_margin"),
+        ({"policy_training": {"val_fraction": 0.9}}, "val_fraction"),
+        # the goal distance has weight 1: the others are relative to it
+        ({"reward": {"goal_weight": 1.0}}, "goal_weight"),
     ],
 )
 def test_unknown_training_key_exits_config_error(tmp_path, monkeypatch, capsys, config, key):
@@ -1180,6 +1198,67 @@ def test_train_config_defaults_are_train_run_config(tmp_path, monkeypatch, confi
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t"), "--seed", "0"]) == 3
     assert seen == [LAND_RUN_CONFIG]
     assert type(seen[0].k_sigma) is float and type(seen[0].obstacle_weight) is float
+
+
+def train_config_keys() -> set:
+    """Every key a train config accepts, a block's keys as ``block.key``."""
+    grouped = {f for keys in cli._TRAIN_GROUPS.values() for f in keys.values()}
+    top = {f.name for f in dataclasses.fields(TrainRunConfig)} - grouped - set(
+        cli._TRAIN_NETS.values())
+    net = {f.name for f in dataclasses.fields(TrainingConfig)} - {"seed"}
+    return ({"scene", *top}
+            | {f"{block}.{k}" for block, keys in cli._TRAIN_GROUPS.items() for k in keys}
+            | {f"{block}.{k}" for block in cli._TRAIN_NETS for k in net})
+
+
+# A land run of a few hundredths of a second, and a value off it for each key.
+TINY_TRAIN = {"initial_samples": 120, "samples_per_iteration": 40, "distill_states": 100,
+              "mpc": {"horizon": 2, "candidates": 8},
+              "training": {"epochs": 3, "hidden_sizes": [8]},
+              "policy_training": {"epochs": 3, "hidden_sizes": [4]}}
+OFF_TINY_TRAIN = {
+    "env": "true_air", "scene": None,  # a land scene on another box, written by the test
+    "initial_samples": 150, "outer_iterations": 2, "samples_per_iteration": 60,
+    "rollout_steps": 2, "distill_states": 150, "k_sigma": 2.0, "dt_env": 0.05, "seed": 1,
+    "mpc.horizon": 3, "mpc.candidates": 16, "mpc.discount": 0.5,
+    "reward.obstacle_weight": 50.0, "reward.obstacle_margin": 1.0, "reward.action_cost": 1.0,
+    **{f"{block}.{k}": v for block in ("training", "policy_training") for k, v in
+       {"hidden_sizes": [6], "learning_rate": 0.01, "batch_size": 16, "epochs": 4,
+        "lr_schedule": "constant"}.items()},
+}
+TRAIN_OUTPUTS = ("model.json", "policy.json", "bounds.json", "dataset.csv", "log.json")
+
+
+def train_outputs(tmp_path, name, doc) -> dict:
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    return {f: (tmp_path / name / f).read_bytes() for f in TRAIN_OUTPUTS}
+
+
+@pytest.fixture(scope="module")
+def tiny_train_outputs(tmp_path_factory):
+    return train_outputs(tmp_path_factory.mktemp("tiny"), "tiny", TINY_TRAIN)
+
+
+def test_off_tiny_train_lists_every_train_config_key():
+    assert set(OFF_TINY_TRAIN) == train_config_keys()
+
+
+@pytest.mark.parametrize("key", sorted(train_config_keys()))
+def test_every_train_config_key_changes_a_train_output(tmp_path, key, tiny_train_outputs):
+    # No key is accepted and then ignored: moving any one off the tiny
+    # run's value changes a byte of some output.
+    doc = json.loads(json.dumps(TINY_TRAIN))
+    block, _, name = key.rpartition(".")
+    value = OFF_TINY_TRAIN[key]
+    if key == "scene":
+        grid = build_grid([-2.0, -1.0], [8.0, 7.0], (11, 11))
+        save_scene(dataclasses.replace(land_scene(), grid=grid), tmp_path / "scene.json")
+        value = str(tmp_path / "scene.json")
+    (doc.setdefault(block, {}) if block else doc)[name] = value
+    outputs = train_outputs(tmp_path, "off", doc)
+    assert outputs != tiny_train_outputs
 
 
 def test_verify_rejects_k_sigma_bounds_config(tmp_path, capsys):
@@ -1269,6 +1348,53 @@ def test_bad_run_config_key_exits_config_error(tmp_path, monkeypatch, capsys, co
     assert main(run_argv(command, cfg, out)) == 2
     assert key in capsys.readouterr().err
     assert not (out / "report.json").exists() and not out.exists()
+
+
+def _fail_on_work(monkeypatch):
+    # Each command's first piece of work fails the test if it is reached.
+    for name in ("train_loop", "solve_frt", "brt_workspace", "mc_ground_truth"):
+        monkeypatch.setattr(cli, name, lambda *a, _n=name, **k: pytest.fail(f"{_n} ran"))
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+@pytest.mark.parametrize("command", ["train", "verify", "safe-set", "oracle"])
+def test_out_path_that_cannot_be_a_directory_exits_config_error(tmp_path, monkeypatch, capsys,
+                                                                 command, below):
+    # --out is made before any training, solve or rollout: a path that is
+    # a file, or lies below one, stops the command first, naming the path.
+    _fail_on_work(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(run_config(tmp_path, command)))
+    (tmp_path / "f").write_text("not a directory\n")
+    out = tmp_path / "f" / "sub" if below else tmp_path / "f"
+    assert main(run_argv(command, cfg, out)) == 2
+    assert str(out) in capsys.readouterr().err
+    assert (tmp_path / "f").read_text() == "not a directory\n"
+
+
+def test_tube_path_that_is_a_file_exits_config_error(tmp_path, monkeypatch, capsys):
+    # A tube directory is staged before its solve starts.
+    _fail_on_work(monkeypatch)
+    cfg = verify_config(tmp_path, make_scene(tmp_path, [0.8, 0.8], 0.1))
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "frt").write_text("x\n")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert str(tmp_path / "run" / "frt") in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path / "run")) == ["frt"]
+
+
+def test_export_plots_slices_path_that_is_a_file_exits_config_error(tmp_path, monkeypatch,
+                                                                    capsys):
+    # The slices are staged before any store is read, and a failed export
+    # leaves no staging directory.
+    grid = build_grid([-1.0, -1.0], [1.0, 1.0], (5, 4))
+    run = tmp_path / "run"
+    write_tube_run(run, [ScalarField(grid, np.full(grid.counts, 0.5))])
+    (run / "slices").write_text("x\n")
+    monkeypatch.setattr(cli, "store_to_slices", lambda *a: pytest.fail("a store was read"))
+    assert main(["export-plots", "--run", str(run)]) == 2
+    assert str(run / "slices") in capsys.readouterr().err
+    assert sorted(os.listdir(run)) == ["slices", "tube"]
 
 
 @pytest.mark.parametrize("key,value", [("upper", "NaN"), ("upper", "Infinity"),

@@ -87,19 +87,30 @@ def test_scene_rejects_malformed(tmp_path):
 
 def test_field_csv_round_trip_and_determinism(tmp_path):
     grid = build_grid([-1, 0], [1, 2], [7, 9])
-    rng = np.random.default_rng(1)
-    field = ScalarField(grid, rng.normal(size=grid.counts))
+    field = _float32_field(grid, 1)
     p1 = tmp_path / "f1.csv"
     p2 = tmp_path / "f2.csv"
     field_to_csv(field, p1)
     field_to_csv(field, p2)
     assert p1.read_bytes() == p2.read_bytes()
     back = field_from_csv(p1, grid)
-    assert np.array_equal(back.values, field.values)
-    # a field that is not float32 keeps each double's repr under "value"
-    _reference_store_to_csv(grid, "value", [repr(v) for v in field.values.ravel().tolist()],
+    assert np.array_equal(bits(back.values), bits(field.values))
+    _reference_store_to_csv(grid, "value_f32", _value_text(field.values.ravel()),
                             tmp_path / "ref.csv")
     assert p1.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("value", [0.1, 1 / 3, 1e39, 2.0**-150, -1e-300])
+def test_field_store_refuses_a_value_float32_cannot_hold(tmp_path, value):
+    # The store has one form, float32 text: a double it would round is a
+    # ValueError, raised before the file is opened.
+    grid = build_grid([-1, 0], [1, 2], [40, 41])
+    values = _float32_field(grid, 2).values.copy()
+    values.flat[1500] = value
+    path = tmp_path / "f.csv"
+    with pytest.raises(ValueError, match="f.csv: .* float32 cannot hold exactly"):
+        field_to_csv(ScalarField(grid, values), path)
+    assert not path.exists()
 
 
 def _float32_field(grid, seed):
@@ -135,23 +146,15 @@ def test_float32_field_round_trips_bit_for_bit(tmp_path, counts):
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes(), options
 
 
-def test_value_file_written_before_float32_text_still_loads(tmp_path):
-    # Tube values were stored as the repr of their double, under "value".
-    grid = build_grid([-1, 0], [1, 2], [5, 4])
-    field = _float32_field(grid, 3)
-    _reference_store_to_csv(grid, "value", [repr(v) for v in field.values.ravel().tolist()],
-                            tmp_path / "old.csv")
-    back = field_from_csv(tmp_path / "old.csv", grid)
-    assert np.array_equal(bits(back.values), bits(field.values))
-
-
-@pytest.mark.parametrize("column", ["inside", "value_f64", "Value"])
+# "value" is the header of the double-repr form that stores had before
+# their values were float32.
+@pytest.mark.parametrize("column", ["inside", "value_f64", "Value", "value"])
 def test_store_header_naming_neither_form_is_refused(tmp_path, column):
     grid = build_grid([-1, 0], [1, 2], [3, 4])
     path = tmp_path / "f.csv"
     _reference_store_to_csv(grid, column, ["0.5"] * grid.num_nodes, path)
     with pytest.raises(ValueError, match=f"f.csv has 3 columns i0,i1,{column}, "
-                                         "expected 3: i0,i1,value or i0,i1,value_f32"):
+                                         "expected 3: i0,i1,value_f32$"):
         field_from_csv(path, grid)
     with pytest.raises(ValueError, match="f.csv has 3 columns"):
         list(read_store_text(path, grid))
@@ -177,7 +180,7 @@ def test_field_csv_rejects_wrong_shape(tmp_path):
     _reference_field_to_csv(ScalarField(grid, np.zeros(grid.counts)), tmp_path / "old.csv")
     with pytest.raises(ValueError,
                        match="old.csv has 5 columns i0,i1,x0,x1,value, "
-                             "expected 3: i0,i1,value or i0,i1,value_f32"):
+                             "expected 3: i0,i1,value_f32$"):
         field_from_csv(tmp_path / "old.csv", grid)
 
 
@@ -195,11 +198,8 @@ def test_mask_csv(tmp_path):
 
 
 def _value_text(values) -> list:
-    # Per value, the store's text: a field of float32 values (a tube's)
-    # in float32's shortest form, any other in the double's repr.
-    if all(float(np.float32(v)) == v for v in values):
-        return [str(np.float32(v)) for v in values]
-    return [repr(float(v)) for v in values]
+    # Per value, the store's text: float32's shortest form.
+    return [str(np.float32(v)) for v in values]
 
 
 def _reference_field_to_csv(field, path):
@@ -239,8 +239,13 @@ def _reference_store_to_csv(grid, last_name, cells, path):
             fh.write(",".join([str(int(i)) for i in idx] + [cell]) + "\n")
 
 
-_SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e17, -1e17, np.nan, np.inf, -np.inf,
-                   3.0, -42.0, 1e16, 0.1, 1 / 3, 2.5e-8, np.finfo(float).max]
+# Float32 values, as doubles, whose text is easy to get wrong: the signed
+# zeros, the smallest and a larger subnormal, the largest magnitude, and
+# values with exponent or long decimal text.
+_F32 = np.finfo(np.float32)
+_SPECIAL_VALUES = [float(np.float32(v)) for v in
+                   [-0.0, 0.0, _F32.smallest_subnormal, -_F32.smallest_subnormal, 1e-40, -3e-39,
+                    _F32.max, -_F32.max, 1e17, -1e17, 3.0, -42.0, 1e16, 0.1, 1 / 3, 2.5e-8]]
 
 
 @pytest.mark.parametrize("lo,hi,counts", [
@@ -255,16 +260,13 @@ def test_node_writers_match_per_row_reference(tmp_path, lo, hi, counts):
     assert grid.num_nodes > _CHUNK_ROWS or grid.num_nodes < 100
     assert grid.num_nodes % _CHUNK_ROWS != 0
     rng = np.random.default_rng(7)
-    values = rng.normal(scale=10.0, size=grid.num_nodes)
+    values = rng.normal(scale=10.0, size=grid.num_nodes).astype(np.float32).astype(float)
     picks = rng.choice(grid.num_nodes, size=min(grid.num_nodes, 64), replace=False)
     values[picks] = np.resize(_SPECIAL_VALUES, len(picks))
-    field = ScalarField(grid, np.zeros(counts))
-    # ScalarField rejects nan and inf; set them behind its back so the
-    # writers' text for them is compared too.
-    object.__setattr__(field, "values", values.reshape(counts))
-    text = [repr(float(v)) for v in values]
+    field = ScalarField(grid, values.reshape(counts))
+    text = _value_text(values)
     field_to_csv(field, tmp_path / "new.csv")
-    _reference_store_to_csv(grid, "value", text, tmp_path / "ref.csv")
+    _reference_store_to_csv(grid, "value_f32", text, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     # the reader gives back the stored text, block by block, in node order
     assert list(itertools.chain.from_iterable(read_store_text(tmp_path / "new.csv", grid))) == text
