@@ -10,6 +10,7 @@ the sample and epoch counts for artifact-quality training.
 import numpy as np
 
 from reachverify import (
+    MpcConfig,
     TrainRunConfig,
     TrainingConfig,
     coverage_check,
@@ -24,9 +25,8 @@ config = TrainRunConfig(
     outer_iterations=2,
     samples_per_iteration=200,
     distill_states=200,
-    mpc_horizon=6,
-    mpc_candidates=64,
-    model_training=TrainingConfig(epochs=600, lr_schedule="cosine"),
+    mpc=MpcConfig(horizon=6, candidates=64),
+    training=TrainingConfig(epochs=600, lr_schedule="cosine"),
     policy_training=TrainingConfig(hidden_sizes=(16, 16), epochs=200, lr_schedule="cosine"),
     seed=0,
 )

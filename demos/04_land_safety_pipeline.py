@@ -38,7 +38,7 @@ scene = land_scene()
 config = TrainRunConfig(
     env="true_land",
     initial_samples=1000,
-    model_training=TrainingConfig(epochs=3000, lr_schedule="cosine"),
+    training=TrainingConfig(epochs=3000, lr_schedule="cosine"),
     seed=0,
 )
 result = train_loop(config, scene)

@@ -24,19 +24,18 @@ from reachverify import (
     train_dynamics_model,
 )
 from reachverify.scene import air_scene
-from reachverify.trainer import collect_random_data, default_action_bounds, make_plant
+from reachverify.trainer import collect_random_data, environment
 
 t0 = time.time()
 scene = air_scene((41, 41, 41))
-plant = make_plant("true_air")
-bounds_a = default_action_bounds("true_air")
+plant, bounds_a = environment("true_air").plant(), environment("true_air").action_bounds
 
 data = collect_random_data(
     plant, bounds_a, scene.grid.lo, scene.grid.hi, 1000, 0.1,
     np.random.default_rng(11),
 )
 trained = train_dynamics_model(
-    data, TrainingConfig(epochs=800, lr_schedule="cosine", seed=3), dt_env=0.1
+    data, TrainingConfig(epochs=800, lr_schedule="cosine"), dt_env=0.1, seed=3
 )
 stats = residuals(trained.model, trained.validation)
 bounds = k_sigma_bounds(stats, 3.0, 0.1)

@@ -74,13 +74,14 @@ from .oracle import (
     sample_in_shapes,
 )
 from .trainer import (
+    MpcConfig,
+    RewardConfig,
     TrainLoopResult,
     TrainRunConfig,
     collect_random_data,
-    default_action_bounds,
     distill_policy,
+    environment,
     make_navigation_reward,
-    make_plant,
     merge_datasets,
     mpc_actions,
     train_loop,

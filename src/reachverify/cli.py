@@ -55,11 +55,9 @@ from .oracle import _rollout_steps, mc_ground_truth
 from .scene import (
     Scene,
     TubeWriter,
-    air_scene,
     export_tube,  # noqa: F401  (perfbench's tracer wraps this name)
     field_to_csv,
     file_sha256,
-    land_scene,
     load_scene,
     load_tube_manifest,  # noqa: F401  (perfbench's tracer wraps this name)
     mask_to_csv,
@@ -72,7 +70,7 @@ from .scene import (
     tube_snapshot_files,
 )
 from .solver import SolverConfig, brt_workspace, solve_brt, solve_frt
-from .trainer import TrainRunConfig, make_plant, train_loop
+from .trainer import TrainRunConfig, environment, train_loop
 from .verification import build_report, classify_policy, union_brt_field, unsafe_initial_states
 
 EXIT_OK = 0
@@ -97,62 +95,36 @@ def _write_json(doc, path) -> None:
         json.dump(doc, fh, indent=2)
 
 
-def _from_block(cls, block, name: str, base=None, keys=None):
-    """A ``cls`` from the JSON block ``name`` (the whole file if empty):
-    ``keys`` maps block keys to fields (default: all, by name), and fields
-    the block omits keep their value in ``base`` (default ``cls()``).  Bad
-    keys or values are a ValueError naming the block and the key."""
+def _from_block(cls, block, name: str = "", base=None):
+    """A ``cls`` from the JSON block ``name`` (the whole file if empty).
+    Each key names a field; a field whose type is a dataclass is decoded as
+    its own block over its value in ``base`` (default ``cls()``), and a
+    field the block omits keeps that value.  Bad keys or values are a
+    ValueError naming the block and the key."""
     where = f"the {name!r} block" if name else "the config"
-    keys = keys or {f.name: f.name for f in dataclasses.fields(cls)}
+    base = cls() if base is None else base
     if type(block) is not dict:
         raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(block) - set(keys))
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(block) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-    hints = typing.get_type_hints(cls)
     prefix = f"{name}." if name else ""
-    values = {keys[k]: nn.json_value(hints[keys[k]], v, prefix + k) for k, v in block.items()}
+    values = {k: _from_block(hints[k], v, prefix + k, getattr(base, k))
+                 if dataclasses.is_dataclass(hints[k])
+                 else nn.json_value(hints[k], v, prefix + k)
+              for k, v in block.items()}
     try:
-        return dataclasses.replace(cls() if base is None else base, **values)
+        return dataclasses.replace(base, **values)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
-# Train-config blocks that group TrainRunConfig fields: block key -> field.
-_TRAIN_GROUPS = {
-    "mpc": {"horizon": "mpc_horizon", "candidates": "mpc_candidates", "discount": "discount"},
-    "reward": {k: k for k in ("obstacle_weight", "obstacle_margin", "action_cost")},
-}
-# Train-config blocks that overlay a TrainingConfig field of TrainRunConfig.
-# Their ``seed`` is not a key: train_loop derives it from the run seed.
-_TRAIN_NETS = {"training": "model_training", "policy_training": "policy_training"}
-
-
-def _train_run_config(config: dict):
-    """Decode a train config into its ``TrainRunConfig`` and its ``scene``
-    path; every key it leaves out keeps its ``TrainRunConfig()`` value."""
-    run = dict(config)
-    blocks = {name: run.pop(name, {}) for name in (*_TRAIN_GROUPS, *_TRAIN_NETS)}
-    scene = nn.json_value(str | None, run.pop("scene", None), "scene")
-    grouped = [f for keys in (*_TRAIN_GROUPS.values(), _TRAIN_NETS) for f in keys.values()]
-    top = {f.name: f.name for f in dataclasses.fields(TrainRunConfig) if f.name not in grouped}
-    cfg = _from_block(TrainRunConfig, run, "", keys=top)
-    for block, keys in _TRAIN_GROUPS.items():
-        cfg = _from_block(TrainRunConfig, blocks[block], block, cfg, keys)
-    net_keys = {f.name: f.name for f in dataclasses.fields(nn.TrainingConfig) if f.name != "seed"}
-    for block, field in _TRAIN_NETS.items():
-        net = _from_block(nn.TrainingConfig, blocks[block], block, getattr(cfg, field), net_keys)
-        cfg = dataclasses.replace(cfg, **{field: net})
-    return cfg, scene
-
-
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """A verify, safe-set or oracle config (keys: ``_RUN_KEYS``), or the
-    ``mc`` block of a safe-set config (keys: ``_MC_KEYS``).  ``policy`` is
-    a policy file or an inline policy; without ``bounds`` the box is zero.
-    ``horizon``, ``dt``, ``num_samples`` and ``draws`` are checked where a
-    rollout runs: in ``oracle`` and ``safe-set --compare-mc``."""
+    """The artifact keys of a verify, safe-set or oracle config.  ``policy``
+    is a policy file or an inline policy; without ``bounds`` the box is
+    zero, and without ``scene`` the scene is the built-in one of ``env``."""
 
     scene: str | None = None
     env: str = TrainRunConfig.env
@@ -161,31 +133,43 @@ class RunConfig:
     policy: str | dict | None = None
     bounds: str | None = None
     seed: int = 0
-    solver: dict = dataclasses.field(default_factory=dict)
-    mc: dict = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self):
+        environment(self.env)
+
+
+@dataclasses.dataclass(frozen=True)
+class McConfig:
+    """The ``mc`` block of ``safe-set --compare-mc``: ``plant`` defaults to
+    the run's ``env`` and ``horizon`` to the solver's."""
+
+    plant: str | None = None
+    horizon: float | None = None
+    dt: float = 0.1
+    num_samples: int = 1000
+
+
+@dataclasses.dataclass(frozen=True)
+class TubeRunConfig(RunConfig):
+    """A verify or safe-set config."""
+
+    solver: SolverConfig = dataclasses.field(default_factory=SolverConfig)
+    mc: McConfig = dataclasses.field(default_factory=McConfig)
+
+
+@dataclasses.dataclass(frozen=True)
+class OracleConfig(RunConfig):
+    """An oracle config.  Its Monte-Carlo settings, like those of ``mc``, are
+    checked where a rollout runs: in ``oracle`` and ``safe-set --compare-mc``."""
+
     horizon: float = SolverConfig.horizon
     dt: float = 0.1
     num_samples: int = 1000
     draws: int = 16
 
 
-_ARTIFACT_KEYS = ("scene", "env", "plant", "model", "policy", "bounds", "seed")
-_RUN_KEYS = {
-    "verify": (*_ARTIFACT_KEYS, "solver", "mc"),
-    "safe-set": (*_ARTIFACT_KEYS, "solver", "mc"),
-    "oracle": (*_ARTIFACT_KEYS, "horizon", "dt", "num_samples", "draws"),
-}
-_MC_KEYS = ("plant", "horizon", "dt", "num_samples")
-
-
 def _resolve_scene(scene: str | None, env: str) -> Scene:
-    if scene is not None:
-        return load_scene(scene)
-    if env == "true_land":
-        return land_scene()
-    if env == "true_air":
-        return air_scene()
-    raise ValueError(f"no scene file given and no default for env {env!r}")
+    return environment(env).scene() if scene is None else load_scene(scene)
 
 
 def _resolve_system(cfg: RunConfig):
@@ -197,7 +181,7 @@ def _resolve_system(cfg: RunConfig):
         plant = LearnedPlant(nn.load_model(cfg.model))
         prov["model"] = file_sha256(cfg.model)
     else:
-        plant = make_plant(cfg.plant)
+        plant = environment(cfg.plant).plant()
     if cfg.policy is None:
         raise ValueError('the config names no "policy"')
     if isinstance(cfg.policy, dict):
@@ -215,24 +199,15 @@ def _resolve_system(cfg: RunConfig):
     return ClosedLoopSystem(plant, policy, bounds), prov
 
 
-def _run_inputs(args):
-    """Decoded config, seed, scene, closed-loop system and provenance of a run."""
+def _run_inputs(args, cls):
+    """The ``cls`` config, seed, scene, closed-loop system and provenance of a run."""
     config = _load_json(args.config)
     if {"k_sigma", "dataset"} & set(config):
         raise ValueError('k_sigma / dataset bounds are gone: pass the bounds.json '
                          'that train wrote as "bounds"')
-    cfg = _from_block(RunConfig, config, "", keys={k: k for k in _RUN_KEYS[args.command]})
+    cfg = _from_block(cls, config)
     seed = cfg.seed if args.seed is None else args.seed
     return cfg, seed, _resolve_scene(cfg.scene, cfg.env), *_resolve_system(cfg)
-
-
-def _tube_configs(cfg: RunConfig):
-    """The solver config and the Monte-Carlo settings of a verify /
-    safe-set config; the ``mc`` plant defaults to the run's ``env`` and
-    its horizon to the solver's."""
-    solver_cfg = _from_block(SolverConfig, cfg.solver, "solver")
-    mc = {"plant": cfg.env, "horizon": solver_cfg.horizon, **cfg.mc}
-    return solver_cfg, _from_block(RunConfig, mc, "mc", keys={k: k for k in _MC_KEYS})
 
 
 def _write_ground_truth(mc, n: int, path) -> None:
@@ -248,10 +223,10 @@ def _write_ground_truth(mc, n: int, path) -> None:
 
 def cmd_train(args) -> int:
     config = _load_json(args.config)
-    run_cfg, scene_path = _train_run_config(config)
+    run_cfg = _from_block(TrainRunConfig, config)
     if args.seed is not None:
         run_cfg = dataclasses.replace(run_cfg, seed=args.seed)
-    scene = _resolve_scene(scene_path, run_cfg.env)
+    scene = _resolve_scene(run_cfg.scene, run_cfg.env)
     out = args.out
     os.makedirs(out, exist_ok=True)
     result = train_loop(run_cfg, scene)
@@ -283,13 +258,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, seed, scene, sys_cl, prov = _run_inputs(args)
-    solver_cfg, _ = _tube_configs(cfg)
+    cfg, seed, scene, sys_cl, prov = _run_inputs(args, TubeRunConfig)
 
     out = args.out
     os.makedirs(out, exist_ok=True)
     with TubeWriter(os.path.join(out, "frt"), prefix="frt") as store:
-        frt = solve_frt(scene.initial_set, sys_cl, solver_cfg, scene.grid, sink=store)
+        frt = solve_frt(scene.initial_set, sys_cl, cfg.solver, scene.grid, sink=store)
         frt_manifest = store.finish(frt)
     verdict, flags = classify_policy(frt, scene.obstacles, scene.grid)
     save_scene(scene, os.path.join(out, "scene.json"))
@@ -299,7 +273,7 @@ def cmd_verify(args) -> int:
         "provenance": {
             **prov,
             "seed": seed,
-            "solver": dataclasses.asdict(solver_cfg),
+            "solver": dataclasses.asdict(cfg.solver),
         },
         "exports": {"frt_manifest": os.path.relpath(frt_manifest, out)},
     }
@@ -320,11 +294,13 @@ def _obstacle_tubes(prims, stores, sys_cl, solver_cfg, grid) -> list:
 
 
 def cmd_safe_set(args) -> int:
-    cfg, seed, scene, sys_cl, prov = _run_inputs(args)
-    solver_cfg, mc_cfg = _tube_configs(cfg)
+    cfg, seed, scene, sys_cl, prov = _run_inputs(args, TubeRunConfig)
+    mc_horizon = cfg.solver.horizon if cfg.mc.horizon is None else cfg.mc.horizon
     if args.compare_mc:
         try:
-            _rollout_steps(mc_cfg.horizon, mc_cfg.dt, mc_cfg.num_samples)
+            _rollout_steps(mc_horizon, cfg.mc.dt, cfg.mc.num_samples)
+            mc_plant = cfg.env if cfg.mc.plant is None else cfg.mc.plant
+            mc_plant = sys_cl.plant if mc_plant == "learned" else environment(mc_plant).plant()
         except ValueError as exc:
             raise ValueError(f"the 'mc' block: {exc}") from None
 
@@ -338,7 +314,7 @@ def cmd_safe_set(args) -> int:
         stores = [stack.enter_context(TubeWriter(os.path.join(out, f"brt_obstacle_{i}"),
                                                  prefix="brt"))
                   for i in range(len(prims))]
-        tubes = _obstacle_tubes(prims, stores, sys_cl, solver_cfg, scene.grid)
+        tubes = _obstacle_tubes(prims, stores, sys_cl, cfg.solver, scene.grid)
         brt_manifests = [os.path.relpath(store.finish(tube), out)
                          for store, tube in zip(stores, tubes)]
     finals = [tube.final for tube in tubes]
@@ -371,12 +347,11 @@ def cmd_safe_set(args) -> int:
     }
 
     if args.compare_mc:
-        mc_plant = make_plant(mc_cfg.plant) if mc_cfg.plant != "learned" else sys_cl.plant
         mc_sys = ClosedLoopSystem(
             mc_plant, sys_cl.policy, eb.DisturbanceBounds.zero(mc_plant.n_state)
         )
-        mc = mc_ground_truth(mc_sys, scene.initial_set, scene.obstacles, mc_cfg.horizon,
-                             mc_cfg.dt, mc_cfg.num_samples, seed=seed)
+        mc = mc_ground_truth(mc_sys, scene.initial_set, scene.obstacles, mc_horizon,
+                             cfg.mc.dt, cfg.mc.num_samples, seed=seed)
         brt_safe = interpolate_many(union_field, mc.samples) > 0.0
         agreement = float(np.mean(brt_safe == mc.safe))
         doc["mc_comparison"] = {
@@ -392,7 +367,7 @@ def cmd_safe_set(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg, seed, scene, sys_cl, prov = _run_inputs(args)
+    cfg, seed, scene, sys_cl, prov = _run_inputs(args, OracleConfig)
     _rollout_steps(cfg.horizon, cfg.dt, cfg.num_samples, cfg.draws)  # before --out is made
     out = args.out
     os.makedirs(out, exist_ok=True)

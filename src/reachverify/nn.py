@@ -243,15 +243,14 @@ def split_dataset(
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """The settings :func:`fit_mlp` reads: the hidden layer widths, the Adam
-    learning rate and its schedule, the mini-batch size, the epoch count
-    and the seed of the initial weights and the batch order."""
+    """The settings :func:`fit_mlp` reads besides its seed: the hidden layer
+    widths, the Adam learning rate and its schedule, the mini-batch size
+    and the epoch count."""
 
     hidden_sizes: tuple[int, ...] = (32, 32)
     learning_rate: float = 1e-3
     batch_size: int = 64
     epochs: int = 500
-    seed: int = 0
     lr_schedule: str = "constant"  # or "cosine", annealing to 1% of the base rate
 
     def __post_init__(self):
@@ -352,8 +351,10 @@ def fit_mlp(
     config: TrainingConfig,
     output_scale,
     meta: ModelMeta,
+    seed: int = 0,
 ) -> tuple[MlpModel, list[float]]:
-    """Fit an MLP to ``(X, Y)`` with mini-batch Adam.
+    """Fit an MLP to ``(X, Y)`` with mini-batch Adam; ``seed`` draws the
+    initial weights and the batch order.
 
     Returns the trained model and the full-dataset loss recorded after each
     epoch.  Aborts with ``RuntimeError`` if the loss turns non-finite.
@@ -361,7 +362,7 @@ def fit_mlp(
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     sizes = (X.shape[1], *config.hidden_sizes, Y.shape[1])
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     theta = _init_params(sizes, rng)
     weights, biases = _param_views(theta, sizes)
     grad = np.empty_like(theta)
@@ -446,19 +447,19 @@ def prediction_error(model: MlpModel, data: TransitionDataset) -> float:
 
 
 def train_dynamics_model(
-    data: TransitionDataset, config: TrainingConfig, dt_env: float = 1.0
+    data: TransitionDataset, config: TrainingConfig, dt_env: float = 1.0, seed: int = 0
 ) -> DynamicsTrainResult:
     """Fit a state-delta prediction model on an 80/20 train/validation
-    split seeded by ``config.seed``.
+    split; ``seed`` draws the split, the initial weights and the batch order.
 
     The output head is ``tanh`` scaled per dimension to 1.5 times the
     largest ``|delta|`` seen in the training split, which bounds
     predictions without clipping the data.
     """
-    train, val = split_dataset(data, 0.2, config.seed)
+    train, val = split_dataset(data, 0.2, seed)
     scale = np.maximum(1.5 * np.max(np.abs(train.deltas), axis=0), 1e-6)
     meta = ModelMeta(n_state=train.n_state, n_action=train.n_action, dt_env=dt_env)
-    model, losses = fit_mlp(train.inputs(), train.deltas, config, scale, meta)
+    model, losses = fit_mlp(train.inputs(), train.deltas, config, scale, meta, seed)
     val_err = prediction_error(model, val)
     baseline = float(np.mean(np.sum(val.deltas ** 2, axis=1)))
     return DynamicsTrainResult(

@@ -16,7 +16,8 @@ so whole runs replay bit for bit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,13 +33,15 @@ from .nn import (
     forward_batch,
     train_dynamics_model,
 )
-from .scene import Scene
+from .scene import Scene, air_scene, land_scene
 
 __all__ = [
+    "MpcConfig",
+    "RewardConfig",
     "TrainRunConfig",
     "TrainLoopResult",
-    "make_plant",
-    "default_action_bounds",
+    "ENVIRONMENTS",
+    "environment",
     "make_navigation_reward",
     "collect_random_data",
     "mpc_actions",
@@ -48,20 +51,26 @@ __all__ = [
 ]
 
 
-def make_plant(env: str):
-    if env == "true_land":
-        return LandPlant()
-    if env == "true_air":
-        return AirPlant()
-    raise ValueError(f"unknown environment {env!r}")
+class Environment(NamedTuple):
+    """A built-in ``env``: its reference plant, its action box and its scene."""
+
+    plant: type
+    action_bounds: ActionBounds
+    scene: Callable[[], Scene]
 
 
-def default_action_bounds(env: str) -> ActionBounds:
-    if env == "true_land":
-        return ActionBounds([0.0, -np.pi], [1.0, np.pi])
-    if env == "true_air":
-        return ActionBounds([0.0, -np.pi, -np.pi / 2], [1.0, np.pi, np.pi / 2])
-    raise ValueError(f"unknown environment {env!r}")
+ENVIRONMENTS = {
+    "true_land": Environment(LandPlant, ActionBounds([0.0, -np.pi], [1.0, np.pi]), land_scene),
+    "true_air": Environment(
+        AirPlant, ActionBounds([0.0, -np.pi, -np.pi / 2], [1.0, np.pi, np.pi / 2]), air_scene),
+}
+
+
+def environment(env: str) -> Environment:
+    """The ``ENVIRONMENTS`` entry of ``env``; an unknown name is a ValueError."""
+    if env not in ENVIRONMENTS:
+        raise ValueError(f"unknown environment {env!r}")
+    return ENVIRONMENTS[env]
 
 
 def merge_datasets(a: TransitionDataset, b: TransitionDataset) -> TransitionDataset:
@@ -122,26 +131,29 @@ def collect_random_data(
     return TransitionDataset(s, a, d)
 
 
-def make_navigation_reward(
-    scene: Scene,
-    obstacle_weight: float = 10.0,
-    obstacle_margin: float = 0.3,
-    action_cost: float = 0.01,
-):
+@dataclass(frozen=True)
+class RewardConfig:
+    """The weights of :func:`make_navigation_reward`, relative to the goal
+    distance's weight 1: a return is linear in the weights and the planner
+    keeps only its argmax, so a goal weight would only rescale the others."""
+
+    obstacle_weight: float = 10.0
+    obstacle_margin: float = 0.3
+    action_cost: float = 0.01
+
+
+def make_navigation_reward(scene: Scene, config: RewardConfig = RewardConfig()):
     """Reward on (state batch, action batch): negative goal distance with a
-    hinge penalty inside the obstacle margin and a quadratic action cost.
-    The goal distance has weight 1: a return is linear in the weights and
-    the planner keeps only its argmax, so any other positive goal weight would
-    only rescale the other two."""
+    hinge penalty inside the obstacle margin and a quadratic action cost."""
     goal_center = scene.goal_set.primitives[0].center
     obstacles = scene.obstacles
 
     def reward(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         dist = np.linalg.norm(states - goal_center, axis=1)
         sd = obstacles.signed_distance(states)
-        penalty = np.maximum(0.0, obstacle_margin - sd)
+        penalty = np.maximum(0.0, config.obstacle_margin - sd)
         effort = np.sum(actions * actions, axis=1)
-        return -dist - obstacle_weight * penalty - action_cost * effort
+        return -dist - config.obstacle_weight * penalty - config.action_cost * effort
 
     return reward
 
@@ -149,6 +161,23 @@ def make_navigation_reward(
 # ---------------------------------------------------------------------------
 # Random-shooting planning
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MpcConfig:
+    """The lookahead, the candidate count and the discount of
+    :func:`mpc_actions` when it labels the distillation states."""
+
+    horizon: int = 6
+    candidates: int = 192
+    discount: float = 0.9
+
+    def __post_init__(self):
+        for name in ("horizon", "candidates"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, not {getattr(self, name)}")
+        if not 0 <= self.discount < 1:
+            raise ValueError("discount must lie in [0, 1)")
+
 
 def mpc_actions(
     model: MlpModel,
@@ -196,13 +225,13 @@ def distill_policy(
     reward,
     states: np.ndarray,
     action_bounds: ActionBounds,
-    mpc_horizon: int,
-    mpc_candidates: int,
-    discount: float,
+    mpc: MpcConfig,
     policy_config: TrainingConfig,
-    rng: np.random.Generator,
+    seed: int,
 ) -> tuple[MlpPolicy, float]:
-    """Fit a policy network to planned actions at the given states.
+    """Fit a policy network to planned actions at the given states; ``seed``
+    draws the planner's candidates and, in a generator of its own, the
+    network's initial weights and batch order.
 
     Returns the policy and the root-mean-square action error against the
     planning labels.  The network's bounded output covers the action box
@@ -211,9 +240,8 @@ def distill_policy(
     states = np.asarray(states, dtype=float)
     if len(states) < 100:
         raise ValueError("distillation needs at least 100 state samples")
-    labels = mpc_actions(
-        model, reward, states, mpc_horizon, mpc_candidates, discount, action_bounds, rng
-    )
+    labels = mpc_actions(model, reward, states, mpc.horizon, mpc.candidates, mpc.discount,
+                         action_bounds, np.random.default_rng(seed))
     if np.all(labels == labels[0]):
         warnings.warn("planned actions are identical at every state; fitting anyway")
     scale = np.maximum(np.maximum(np.abs(action_bounds.lo), np.abs(action_bounds.hi)), 1e-6)
@@ -225,7 +253,7 @@ def distill_policy(
         action_lo=tuple(action_bounds.lo),
         action_hi=tuple(action_bounds.hi),
     )
-    net, _ = fit_mlp(states, labels, policy_config, scale, meta)
+    net, _ = fit_mlp(states, labels, policy_config, scale, meta, seed)
     policy = MlpPolicy(net, action_bounds)
     fit_rms = float(np.sqrt(np.mean((policy.batch(states) - labels) ** 2)))
     return policy, fit_rms
@@ -237,22 +265,22 @@ def distill_policy(
 
 @dataclass(frozen=True)
 class TrainRunConfig:
+    """A train run, laid out as its config file; ``scene`` is read by the
+    ``train`` command, not by :func:`train_loop`, which takes the scene."""
+
+    scene: str | None = None
     env: str = "true_land"
     initial_samples: int = 300
     outer_iterations: int = 1
     samples_per_iteration: int = 500
     rollout_steps: int = 5
-    mpc_horizon: int = 6
-    mpc_candidates: int = 192
-    discount: float = 0.9
-    obstacle_weight: float = 10.0
-    obstacle_margin: float = 0.3
-    action_cost: float = 0.01
     distill_states: int = 400
     k_sigma: float = 3.0
     dt_env: float = 0.1
     seed: int = 0
-    model_training: TrainingConfig = field(
+    mpc: MpcConfig = field(default_factory=MpcConfig)
+    reward: RewardConfig = field(default_factory=RewardConfig)
+    training: TrainingConfig = field(
         default_factory=lambda: TrainingConfig(epochs=3000, lr_schedule="cosine")
     )
     policy_training: TrainingConfig = field(
@@ -262,14 +290,13 @@ class TrainRunConfig:
     )
 
     def __post_init__(self):
+        environment(self.env)
         for name in ("initial_samples", "outer_iterations", "samples_per_iteration",
-                     "rollout_steps", "mpc_horizon", "mpc_candidates"):
+                     "rollout_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, not {getattr(self, name)}")
         if self.distill_states < 100:
             raise ValueError(f"distill_states must be >= 100, not {self.distill_states}")
-        if not 0 <= self.discount < 1:
-            raise ValueError("discount must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -290,11 +317,9 @@ def train_loop(config: TrainRunConfig, scene: Scene) -> TrainLoopResult:
     so the dataset grows strictly every iteration.  Returns the last fitted
     artifacts plus a JSON-serializable log of per-iteration errors.
     """
-    plant = make_plant(config.env)
-    action_bounds = default_action_bounds(config.env)
-    reward = make_navigation_reward(
-        scene, config.obstacle_weight, config.obstacle_margin, config.action_cost
-    )
+    env = environment(config.env)
+    plant, action_bounds = env.plant(), env.action_bounds
+    reward = make_navigation_reward(scene, config.reward)
     seeds = np.random.SeedSequence(config.seed).generate_state(4 * config.outer_iterations + 1)
     rng_init = np.random.default_rng(seeds[0])
 
@@ -307,8 +332,7 @@ def train_loop(config: TrainRunConfig, scene: Scene) -> TrainLoopResult:
     model = policy = bounds = result = None
     for k in range(config.outer_iterations):
         s_train, s_distill, s_collect, s_states = seeds[4 * k + 1 : 4 * k + 5]
-        train_cfg = replace(config.model_training, seed=int(s_train))
-        result = train_dynamics_model(data, train_cfg, dt_env=config.dt_env)
+        result = train_dynamics_model(data, config.training, config.dt_env, int(s_train))
         model = result.model
         stats = residuals(model, result.validation)
         bounds = k_sigma_bounds(stats, config.k_sigma, config.dt_env)
@@ -317,11 +341,9 @@ def train_loop(config: TrainRunConfig, scene: Scene) -> TrainLoopResult:
         distill_pts = rng_states.uniform(
             scene.grid.lo, scene.grid.hi, size=(config.distill_states, plant.n_state)
         )
-        policy_cfg = replace(config.policy_training, seed=int(s_distill))
         policy, fit_rms = distill_policy(
-            model, reward, distill_pts, action_bounds,
-            config.mpc_horizon, config.mpc_candidates, config.discount,
-            policy_cfg, np.random.default_rng(int(s_distill)),
+            model, reward, distill_pts, action_bounds, config.mpc,
+            config.policy_training, int(s_distill),
         )
 
         new = collect_random_data(

@@ -14,7 +14,7 @@ from reachverify.geometry import Ball, ShapeSet, build_grid
 from reachverify.nn import TrainingConfig
 from reachverify.scene import air_scene, land_scene
 from reachverify.solver import SolverConfig, solve_brt, solve_frt
-from reachverify.trainer import TrainRunConfig, train_loop
+from reachverify.trainer import MpcConfig, TrainRunConfig, environment, train_loop
 
 
 @pytest.fixture(autouse=True)
@@ -126,9 +126,8 @@ LAND_RUN_CONFIG = TrainRunConfig(
     outer_iterations=1,
     samples_per_iteration=500,
     distill_states=400,
-    mpc_horizon=6,
-    mpc_candidates=192,
-    model_training=TrainingConfig(epochs=3000, lr_schedule="cosine"),
+    mpc=MpcConfig(horizon=6, candidates=192),
+    training=TrainingConfig(epochs=3000, lr_schedule="cosine"),
     policy_training=TrainingConfig(hidden_sizes=(16, 16), epochs=500, lr_schedule="cosine"),
     seed=0,
 )
@@ -240,16 +239,15 @@ def air_smoke():
     from reachverify.dynamics import LearnedPlant
     from reachverify.error_bounds import k_sigma_bounds, residuals
     from reachverify.nn import train_dynamics_model
-    from reachverify.trainer import collect_random_data, default_action_bounds, make_plant
+    from reachverify.trainer import collect_random_data
 
     t_all = time.perf_counter()
     scene = air_scene((51, 51, 51))
-    plant = make_plant("true_air")
-    bounds_a = default_action_bounds("true_air")
+    plant, bounds_a = environment("true_air").plant(), environment("true_air").action_bounds
     rng = np.random.default_rng([11, 0])
     data = collect_random_data(plant, bounds_a, scene.grid.lo, scene.grid.hi, 1000, 0.1, rng)
     trained = train_dynamics_model(
-        data, TrainingConfig(epochs=1200, lr_schedule="cosine", seed=3), dt_env=0.1
+        data, TrainingConfig(epochs=1200, lr_schedule="cosine"), dt_env=0.1, seed=3
     )
     stats = residuals(trained.model, trained.validation)
     bounds = k_sigma_bounds(stats, 3.0, 0.1)

@@ -33,7 +33,7 @@ from reachverify.geometry import (
 )
 from reachverify.nn import loss_and_gradient, train_dynamics_model
 from reachverify.solver import SolverConfig, solve_brt, solve_frt
-from reachverify.trainer import collect_random_data, default_action_bounds, make_plant
+from reachverify.trainer import collect_random_data, environment
 from reachverify.verification import build_report
 from reference import (
     analytic_hamiltonian,
@@ -230,14 +230,13 @@ def test_criterion_08_residual_sd_trend(land_run):
     scene, result, _ = land_run
     sd_1000 = np.asarray(result.logs["iterations"][0]["residual_sd"])
 
-    plant = make_plant("true_land")
-    bounds_a = default_action_bounds("true_land")
+    plant, bounds_a = environment("true_land").plant(), environment("true_land").action_bounds
     data_300 = collect_random_data(
         plant, bounds_a, scene.grid.lo, scene.grid.hi, 300, 0.1,
         np.random.default_rng([0, 123]),
     )
     trained_300 = train_dynamics_model(
-        data_300, LAND_RUN_CONFIG.model_training, dt_env=0.1
+        data_300, LAND_RUN_CONFIG.training, dt_env=0.1
     )
     from reachverify.error_bounds import residuals
 

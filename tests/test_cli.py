@@ -7,6 +7,7 @@ import re
 import shutil
 import threading
 import tracemalloc
+import typing
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -47,7 +48,7 @@ from reachverify.scene import (
     tube_snapshot_files,
 )
 from reachverify.solver import SolverConfig, TubeResult, solve_frt
-from reachverify.trainer import TrainRunConfig
+from reachverify.trainer import MpcConfig, RewardConfig, TrainRunConfig
 from test_oracle import count_forks
 from test_scene_io import _SPECIAL_VALUES, _reference_field_to_csv
 
@@ -1095,14 +1096,30 @@ def test_readme_gives_the_solver_defaults():
     assert {f.name for f in dataclasses.fields(SolverConfig)} == {"horizon", "snapshot_stride"}
 
 
+def names(cls) -> list:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def train_table_row(block) -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    row = re.search(rf"^\| `{block}` \| ([^|]*) \|", readme, re.M)
+    assert row, f"README lost the {block} row of the train-config table"
+    return row[1]
+
+
 def test_readme_train_config_table_lists_the_training_keys():
     # The README's train-config defaults table names, in its training row,
-    # every key a training block accepts: the TrainingConfig fields but seed.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    row = re.search(r"^\| `training` \| ([^|]*) \|", readme, re.M)
-    assert row, "README lost the training row of the train-config table"
-    fields = {f.name for f in dataclasses.fields(TrainingConfig)} - {"seed"}
-    assert set(re.findall(r"`(\w+)`", row[1])) == fields
+    # every key a training block accepts: the TrainingConfig fields.
+    assert set(re.findall(r"`(\w+)`", train_table_row("training"))) == set(names(TrainingConfig))
+
+
+@pytest.mark.parametrize("block,cls", [("mpc", MpcConfig), ("reward", RewardConfig)])
+def test_readme_train_config_table_gives_the_block_defaults(block, cls):
+    # The mpc and reward rows name every field of their block, each with
+    # the value it has in cls().
+    row = dict(re.findall(r"`(\w+)` ([^,]+)", train_table_row(block)))
+    assert list(row) == names(cls)
+    assert {k: json.loads(v) for k, v in row.items()} == dataclasses.asdict(cls())
 
 
 def test_readme_run_config_table_lists_the_keys():
@@ -1111,8 +1128,8 @@ def test_readme_run_config_table_lists_the_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("| key | type | default | read by |", 1)[1].split("\n\n", 1)[0]
     rows = {m[1]: m[2] for m in re.finditer(r"^\| `(\w+)` \| ([^|]*) \|", table, re.M)}
-    assert set(rows) == {k for keys in cli._RUN_KEYS.values() for k in keys}
-    assert re.findall(r"`(\w+)`", rows["mc"]) == list(cli._MC_KEYS)
+    assert set(rows) == set(names(cli.TubeRunConfig) + names(cli.OracleConfig))
+    assert re.findall(r"`(\w+)`", rows["mc"]) == names(cli.McConfig)
 
 
 @pytest.mark.parametrize(
@@ -1197,18 +1214,15 @@ def test_train_config_defaults_are_train_run_config(tmp_path, monkeypatch, confi
     cfg.write_text(json.dumps(config))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t"), "--seed", "0"]) == 3
     assert seen == [LAND_RUN_CONFIG]
-    assert type(seen[0].k_sigma) is float and type(seen[0].obstacle_weight) is float
+    assert type(seen[0].k_sigma) is float and type(seen[0].reward.obstacle_weight) is float
 
 
-def train_config_keys() -> set:
-    """Every key a train config accepts, a block's keys as ``block.key``."""
-    grouped = {f for keys in cli._TRAIN_GROUPS.values() for f in keys.values()}
-    top = {f.name for f in dataclasses.fields(TrainRunConfig)} - grouped - set(
-        cli._TRAIN_NETS.values())
-    net = {f.name for f in dataclasses.fields(TrainingConfig)} - {"seed"}
-    return ({"scene", *top}
-            | {f"{block}.{k}" for block, keys in cli._TRAIN_GROUPS.items() for k in keys}
-            | {f"{block}.{k}" for block in cli._TRAIN_NETS for k in net})
+def train_config_keys(cls=TrainRunConfig, prefix="") -> set:
+    """Every key a train config accepts, a block's keys as ``block.key``:
+    each field of ``cls``, and for a dataclass field the keys of its block."""
+    return {key for name, tp in typing.get_type_hints(cls).items()
+            for key in (train_config_keys(tp, f"{prefix}{name}.")
+                        if dataclasses.is_dataclass(tp) else [prefix + name])}
 
 
 # A land run of a few hundredths of a second, and a value off it for each key.
@@ -1330,6 +1344,11 @@ def run_argv(command, cfg, out):
         # the sample and draw counts are checked where a rollout runs
         ("oracle", {"draws": -1}, "draws"),
         ("safe-set", {"mc": {"plant": "learned", "num_samples": 0}}, "the 'mc' block: num_samples"),
+        # an env with no plant, action box or scene
+        ("train", {"env": "true_sea"}, "unknown environment 'true_sea'"),
+        ("verify", {"env": "true_sea"}, "unknown environment 'true_sea'"),
+        ("oracle", {"scene": None, "env": "true_sea"}, "unknown environment 'true_sea'"),
+        ("safe-set", {"mc": {"plant": "true_sea"}}, "the 'mc' block: unknown environment"),
     ],
 )
 def test_bad_run_config_key_exits_config_error(tmp_path, monkeypatch, capsys, command, edit, key):

@@ -181,7 +181,7 @@ def _make_dataset(rng, n, delta_fn):
 def test_training_on_zero_targets():
     rng = np.random.default_rng(0)
     data = _make_dataset(rng, 200, lambda s, a: np.zeros_like(s))
-    result = train_dynamics_model(data, TrainingConfig(epochs=30, seed=0))
+    result = train_dynamics_model(data, TrainingConfig(epochs=30))
     assert result.validation_error < 1e-6
 
 
@@ -190,7 +190,7 @@ def test_training_on_linear_targets():
     A = rng.normal(size=(4, 2)) * 0.3
     data = _make_dataset(rng, 1000, lambda s, a: np.hstack([s, a]) @ A)
     result = train_dynamics_model(
-        data, TrainingConfig(epochs=400, lr_schedule="cosine", seed=0)
+        data, TrainingConfig(epochs=400, lr_schedule="cosine")
     )
     var = float(np.mean(np.sum(data.deltas**2, axis=1)))
     assert result.validation_error < 1e-3 * var
@@ -302,9 +302,9 @@ def _ref_loss_and_grads(weights, biases, scale, X, Y):
     return loss, grads_w, grads_b
 
 
-def _ref_fit_mlp(X, Y, config, scale):
+def _ref_fit_mlp(X, Y, config, scale, seed):
     sizes = (X.shape[1], *config.hidden_sizes, Y.shape[1])
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -364,10 +364,10 @@ def test_fit_mlp_bitwise_equals_per_array_reference(schedule, hidden_sizes, batc
     Y = np.tanh(X @ rng.normal(size=(3, 2))) * 0.8 + rng.normal(scale=0.05, size=(48, 2))
     scale = np.array([1.2, 0.9])
     config = TrainingConfig(
-        hidden_sizes=hidden_sizes, learning_rate=3e-2, batch_size=batch_size, epochs=25, seed=5, lr_schedule=schedule,
+        hidden_sizes=hidden_sizes, learning_rate=3e-2, batch_size=batch_size, epochs=25, lr_schedule=schedule,
     )
-    model, losses = fit_mlp(X, Y, config, scale, META)
-    ref_w, ref_b, ref_losses = _ref_fit_mlp(X, Y, config, scale)
+    model, losses = fit_mlp(X, Y, config, scale, META, 5)
+    ref_w, ref_b, ref_losses = _ref_fit_mlp(X, Y, config, scale, 5)
     assert losses == ref_losses
     assert len(model.weights) == len(ref_w) == len(hidden_sizes) + 1
     for w, rw in zip(model.weights, ref_w):

@@ -784,10 +784,10 @@ def test_float32_tubes_equal_float64_tubes_away_from_the_zero_level():
     # bound, and a mask differs only at nodes within the bound of zero.
     from reachverify.dynamics import AirPlant
     from reachverify.scene import air_scene, land_scene
-    from reachverify.trainer import default_action_bounds
+    from reachverify.trainer import environment
 
     air, land = air_scene((41, 41, 41)), land_scene()
-    policy = ConstantPolicy([0.9, 0.87, 0.65], default_action_bounds("true_air"))
+    policy = ConstantPolicy([0.9, 0.87, 0.65], environment("true_air").action_bounds)
     sys_air = ClosedLoopSystem(AirPlant(), policy, DisturbanceBounds.zero(3))
     sys_land = _network_system(2, 7)
     cases = [(air.initial_set, sys_air, 2.5, air.grid, True),
@@ -816,10 +816,10 @@ def test_constant_flow_forward_tube_holds_its_rollouts():
 
     from reachverify.dynamics import AirPlant
     from reachverify.oracle import _rk4_batch, sample_in_shapes
-    from reachverify.trainer import default_action_bounds
+    from reachverify.trainer import environment
 
     scene = air_scene((41, 41, 41))
-    policy = ConstantPolicy([0.9, 0.87, 0.65], default_action_bounds("true_air"))
+    policy = ConstantPolicy([0.9, 0.87, 0.65], environment("true_air").action_bounds)
     sys_air = ClosedLoopSystem(AirPlant(), policy, DisturbanceBounds.zero(3))
     tube = solve_frt(scene.initial_set, sys_air, SolverConfig(horizon=10.0), scene.grid)
     states = [sample_in_shapes(scene.initial_set, 200, np.random.default_rng(0))]
@@ -912,11 +912,11 @@ def test_streamed_solve_memory_is_its_workspace_and_two_fields(tmp_path):
     # against 6.4 MB streamed; a shorter horizon keeps the test quick.
     from reachverify.dynamics import AirPlant
     from reachverify.scene import TubeWriter, air_scene
-    from reachverify.trainer import default_action_bounds
+    from reachverify.trainer import environment
 
     scene = air_scene((45, 45, 45))
     grid, seed = scene.grid, scene.initial_set
-    policy = ConstantPolicy([0.9, 0.87, 0.65], default_action_bounds("true_air"))
+    policy = ConstantPolicy([0.9, 0.87, 0.65], environment("true_air").action_bounds)
     sys_cl = ClosedLoopSystem(AirPlant(), policy, DisturbanceBounds([0.05] * 3, [-0.05] * 3))
     workspace = _held_bytes(_Workspace(sys_cl, grid, 2.5, True))
     field = grid.num_nodes * 8

@@ -7,18 +7,19 @@ from reachverify.dynamics import ActionBounds
 from reachverify.nn import _BLOCK_ROWS, MlpModel, ModelMeta, TrainingConfig, forward_batch
 from reachverify.scene import land_scene
 from reachverify.trainer import (
+    MpcConfig,
+    RewardConfig,
     TrainRunConfig,
     collect_random_data,
-    default_action_bounds,
     distill_policy,
+    environment,
     make_navigation_reward,
-    make_plant,
     merge_datasets,
     mpc_actions,
     train_loop,
 )
 
-LAND_BOUNDS = default_action_bounds("true_land")
+LAND_BOUNDS = environment("true_land").action_bounds
 
 
 # The head c * tanh(x / c) of a wide scale c: within 1e-7 of x for |x| < 0.4.
@@ -46,7 +47,7 @@ def linear_delta_model(gain=0.1):
 
 
 def test_collect_single_tuple():
-    plant = make_plant("true_land")
+    plant = environment("true_land").plant()
     data = collect_random_data(
         plant, LAND_BOUNDS, [-1, -1], [1, 1], 1, 0.1, np.random.default_rng(0)
     )
@@ -57,7 +58,7 @@ def test_collect_single_tuple():
 
 
 def test_collect_zero_velocity_gives_zero_deltas():
-    plant = make_plant("true_land")
+    plant = environment("true_land").plant()
     frozen = ActionBounds([0.0, -np.pi], [0.0, np.pi])  # speed pinned to zero
     data = collect_random_data(
         plant, frozen, [-1, -1], [1, 1], 50, 0.1, np.random.default_rng(1)
@@ -66,7 +67,7 @@ def test_collect_zero_velocity_gives_zero_deltas():
 
 
 def test_collect_speed_bound_limits_deltas():
-    plant = make_plant("true_land")
+    plant = environment("true_land").plant()
     data = collect_random_data(
         plant, LAND_BOUNDS, [-1, -1], [8, 6], 1000, 0.1, np.random.default_rng(2)
     )
@@ -74,7 +75,7 @@ def test_collect_speed_bound_limits_deltas():
 
 
 def test_collect_on_policy_counts():
-    plant = make_plant("true_land")
+    plant = environment("true_land").plant()
     from reachverify.dynamics import ConstantPolicy
 
     policy = ConstantPolicy([0.5, 0.3], LAND_BOUNDS)
@@ -162,8 +163,8 @@ def test_distill_constant_targets_and_warning():
     states = np.random.default_rng(1).uniform(-1, 1, size=(150, 2))
     with pytest.warns(UserWarning):
         policy, fit_rms = distill_policy(
-            model, reward, states, frozen, 3, 4, 0.9,
-            TrainingConfig(epochs=50, hidden_sizes=(8,)), np.random.default_rng(0),
+            model, reward, states, frozen, MpcConfig(3, 4, 0.9),
+            TrainingConfig(epochs=50, hidden_sizes=(8,)), 0,
         )
     out = policy.batch(states)
     assert np.allclose(out, [0.3, 0.1], atol=1e-3)
@@ -174,8 +175,8 @@ def test_distill_requires_enough_states():
     with pytest.raises(ValueError):
         distill_policy(
             model, lambda s, a: np.zeros(len(s)),
-            np.zeros((50, 2)), LAND_BOUNDS, 3, 4, 0.9,
-            TrainingConfig(epochs=5), np.random.default_rng(0),
+            np.zeros((50, 2)), LAND_BOUNDS, MpcConfig(3, 4, 0.9),
+            TrainingConfig(epochs=5), 0,
         )
 
 
@@ -241,9 +242,8 @@ FAST_CONFIG = TrainRunConfig(
     outer_iterations=2,
     samples_per_iteration=60,
     distill_states=110,
-    mpc_horizon=3,
-    mpc_candidates=16,
-    model_training=TrainingConfig(epochs=40),
+    mpc=MpcConfig(horizon=3, candidates=16),
+    training=TrainingConfig(epochs=40),
     policy_training=TrainingConfig(hidden_sizes=(8,), epochs=30),
     seed=4,
 )
@@ -279,9 +279,8 @@ def test_train_loop_validation_sd_trend():
         outer_iterations=2,
         samples_per_iteration=400,
         distill_states=150,
-        mpc_horizon=4,
-        mpc_candidates=32,
-        model_training=TrainingConfig(epochs=600, lr_schedule="cosine"),
+        mpc=MpcConfig(horizon=4, candidates=32),
+        training=TrainingConfig(epochs=600, lr_schedule="cosine"),
         policy_training=TrainingConfig(hidden_sizes=(8,), epochs=100),
         seed=0,
     )
@@ -292,7 +291,7 @@ def test_train_loop_validation_sd_trend():
 
 
 def test_merge_datasets():
-    plant = make_plant("true_land")
+    plant = environment("true_land").plant()
     rng = np.random.default_rng(5)
     a = collect_random_data(plant, LAND_BOUNDS, [-1, -1], [1, 1], 10, 0.1, rng)
     b = collect_random_data(plant, LAND_BOUNDS, [-1, -1], [1, 1], 7, 0.1, rng)
@@ -303,7 +302,7 @@ def test_merge_datasets():
 
 def test_reward_shape_and_obstacle_penalty():
     scene = land_scene((31, 31))
-    reward = make_navigation_reward(scene, obstacle_weight=10.0, obstacle_margin=0.3)
+    reward = make_navigation_reward(scene, RewardConfig(obstacle_weight=10.0, obstacle_margin=0.3))
     inside_obstacle = np.array([[4.0, 1.5]])
     free = np.array([[0.0, 0.0]])
     actions = np.zeros((1, 2))
@@ -314,6 +313,8 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         TrainRunConfig(initial_samples=0)
     with pytest.raises(ValueError):
-        TrainRunConfig(discount=1.0)
-    with pytest.raises(ValueError):
-        make_plant("true_sea")
+        MpcConfig(discount=1.0)
+    with pytest.raises(ValueError, match="true_sea"):
+        environment("true_sea")
+    with pytest.raises(ValueError, match="true_sea"):
+        TrainRunConfig(env="true_sea")
